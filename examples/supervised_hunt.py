@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Supervised hunts: fault tolerance and checkpoint/resume in one script.
+"""Supervised hunts: fault tolerance and store-based resume in one script.
 
 Long unattended campaigns are where Turret earns its keep, and also where
 a single platform fault used to cost the most.  This example demonstrates
@@ -10,14 +10,13 @@ the supervision layer end to end:
    of snapshot restores (with the kernel watchdog armed) — the supervisor
    retries with fresh testbed rebuilds and the hunt finds the *identical*
    attack set;
-3. a hunt interrupted after its first pass and resumed from its JSON
-   checkpoint — findings and the merged cost ledger match the
-   uninterrupted run.
+3. a hunt interrupted after its first pass and resumed from its run store
+   (``store_dir``, the only resume path) — findings and the merged cost
+   ledger match the uninterrupted run.
 
 Run:  python examples/supervised_hunt.py
 """
 
-import os
 import tempfile
 
 from repro.attacks.space import ActionSpaceConfig
@@ -51,22 +50,17 @@ def main() -> int:
           f"{faulty.total_ledger.get('retry'):.2f}s retry + "
           f"{faulty.total_ledger.get('rebuild'):.1f}s rebuild time")
 
-    print("\n=== 3. interrupt after pass 1, resume from checkpoint ===")
-    fd, ck = tempfile.mkstemp(suffix=".json", prefix="hunt-ck-")
-    os.close(fd)
-    try:
-        hunt(FACTORY, max_passes=1, checkpoint_path=ck, **KW)
-        print(f"pass 1 checkpointed to {ck}")
-        resumed = hunt(FACTORY, max_passes=3, checkpoint_path=ck,
-                       resume=True, **KW)
+    print("\n=== 3. interrupt after pass 1, resume from the run store ===")
+    with tempfile.TemporaryDirectory(prefix="hunt-store-") as store:
+        hunt(FACTORY, max_passes=1, store_dir=store, **KW)
+        print(f"pass 1 journaled and checkpointed to {store}")
+        resumed = hunt(FACTORY, max_passes=3, store_dir=store, **KW)
         print(resumed.describe())
         assert resumed.attack_names() == clean.attack_names()
         assert dict(resumed.total_ledger.by_category) == \
             dict(clean.total_ledger.by_category)
         print("-> resumed hunt reproduced the uninterrupted campaign "
               "(same findings, same merged ledger)")
-    finally:
-        os.unlink(ck)
     return 0
 
 

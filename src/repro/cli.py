@@ -320,11 +320,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from repro.search import (BruteForceSearch, GreedySearch,
-                              WeightedGreedySearch)
-    algorithms = {"weighted": WeightedGreedySearch, "greedy": GreedySearch,
-                  "brute": BruteForceSearch}
-    cls = algorithms[args.algorithm]
+    from repro.search import ALGORITHMS
+    cls = ALGORITHMS[args.algorithm]
 
     entry = get_system(args.system)
     role = args.malicious or entry.default_role
@@ -358,23 +355,31 @@ def cmd_search(args) -> int:
                              "(the fault plan's stream is sequence-"
                              "dependent; use --faults chaos instead)")
         from repro.parallel.executor import ScenarioExecutor
-        with ScenarioExecutor(
-                factory, seed=args.seed, algorithm=args.algorithm,
-                workers=args.workers,
-                threshold=AttackThreshold(delta=args.delta),
-                space_config=space, max_wait=args.max_wait,
-                shared_pages=not args.no_shared_pages,
-                delta_snapshots=args.delta_snapshots,
-                fault_schedule=_fault_schedule(args),
-                watchdog_limit=args.watchdog,
-                max_retries=args.max_retries,
-                tracer=tracer,
-                log_events=args.log_events is not None,
-                health=health_policy) as executor:
-            report = executor.run_pass(message_types=types, exclude=exclude)
-            log_records = executor.take_log_records()
-            breakdown = executor.worker_breakdown()
-            health_report = executor.worker_health()
+        try:
+            with ScenarioExecutor(
+                    factory, seed=args.seed, algorithm=args.algorithm,
+                    workers=args.workers,
+                    threshold=AttackThreshold(delta=args.delta),
+                    space_config=space, max_wait=args.max_wait,
+                    shared_pages=not args.no_shared_pages,
+                    delta_snapshots=args.delta_snapshots,
+                    fault_schedule=_fault_schedule(args),
+                    watchdog_limit=args.watchdog,
+                    max_retries=args.max_retries,
+                    tracer=tracer,
+                    log_events=args.log_events is not None,
+                    health=health_policy) as executor:
+                report = executor.run_pass(message_types=types,
+                                           exclude=exclude)
+                log_records = executor.take_log_records()
+                breakdown = executor.worker_breakdown()
+                health_report = executor.worker_health()
+        except KeyboardInterrupt:
+            # The pool is already closed (the with block's exit).  Probes
+            # only become a report once the whole pass is in, so there is
+            # no partial report to print.
+            print("\ninterrupted — parallel pass abandoned, pool closed")
+            return EXIT_INTERRUPTED
         report.validation = _validate(args, factory, report.findings)
         _forensics(args, factory, report)
         print(report.describe())
@@ -441,8 +446,6 @@ def cmd_hunt(args) -> int:
         types = [t.strip() for t in args.types.split(",") if t.strip()]
     elif entry.active_types:
         types = list(entry.active_types)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH")
     snapshot_budget = None
     if args.snapshot_budget is not None:
         from repro.store.budget import parse_bytes
@@ -461,8 +464,6 @@ def cmd_hunt(args) -> int:
                   fault_schedule=_fault_schedule(args),
                   watchdog_limit=args.watchdog,
                   max_retries=args.max_retries,
-                  checkpoint_path=args.checkpoint,
-                  resume=args.resume,
                   tracer=tracer, progress=progress,
                   log_events=args.log_events is not None,
                   workers=args.workers,
@@ -491,10 +492,6 @@ def cmd_hunt(args) -> int:
         from repro.analysis.reports import render_hunt_markdown
         print("\n" + render_hunt_markdown(result))
     if result.interrupted:
-        if args.checkpoint:
-            print(f"checkpoint written to {args.checkpoint}; "
-                  f"resume with: repro hunt {args.system} "
-                  f"--checkpoint {args.checkpoint} --resume")
         if args.store:
             print(f"run store is durable at {args.store}; "
                   f"resume with: repro hunt {args.system} "
@@ -551,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--watchdog", type=int, default=None, metavar="N",
                        help="cap events per run window; a tripped branch is "
                             "retried then quarantined instead of hanging")
-        p.add_argument("--max-retries", type=int, default=2,
+        p.add_argument("--max-retries", type=nonnegative_int, default=2,
                        help="transient-fault retries before a scenario is "
                             "quarantined as inconclusive")
         p.add_argument("--inject-faults", default=None, metavar="SPEC",
@@ -667,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON report whose findings to exclude (hunt passes)")
     p.add_argument("--allow-empty", action="store_true",
                    help="exit 0 even when nothing was found")
-    p.add_argument("--validate", type=int, default=0, metavar="N",
+    p.add_argument("--validate", type=nonnegative_int, default=0,
+                   metavar="N",
                    help="re-measure each finding under N seeded perturbed "
                         "environments and report a robustness score")
 
@@ -679,21 +677,17 @@ def build_parser() -> argparse.ArgumentParser:
     forensics_options(p)
     parallel_options(p, with_cache=True)
     p.add_argument("--types", default=None)
-    p.add_argument("--passes", type=int, default=5)
+    p.add_argument("--passes", type=positive_int, default=5)
     p.add_argument("--max-wait", type=float, default=15.0)
     p.add_argument("--fast", action="store_true")
     p.add_argument("--no-lying", action="store_true")
     p.add_argument("--allow-empty", action="store_true")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="persist hunt state to PATH after every pass")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted hunt from --checkpoint")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="durable run store: journal every completed probe "
                         "(CRC32 + fsync) and checkpoint every pass to DIR; "
                         "re-running with the same DIR resumes a killed "
-                        "hunt mid-pass with a byte-identical result "
-                        "(subsumes --checkpoint/--resume)")
+                        "hunt mid-pass with a byte-identical result (not "
+                        "with --inject-faults or --injection-cache)")
     p.add_argument("--snapshot-budget", default=None, metavar="BYTES",
                    help="bound snapshot-cache memory (e.g. 64k, 2M, 1G); "
                         "least-recently-used snapshots are evicted and "
@@ -703,7 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the hunt result as JSON")
     p.add_argument("--markdown", action="store_true",
                    help="also print a markdown report")
-    p.add_argument("--validate", type=int, default=0, metavar="N",
+    p.add_argument("--validate", type=nonnegative_int, default=0,
+                   metavar="N",
                    help="re-measure each finding under N seeded perturbed "
                         "environments and report a robustness score")
     return parser

@@ -1,9 +1,8 @@
-"""Parallel hunt execution: shard, record, merge deterministically."""
+"""Parallel hunt execution: shard, record, replay the serial walk."""
 
 from repro.parallel.executor import ScenarioExecutor
 from repro.parallel.health import (HealthMonitor, HealthPolicy, WorkerHealth,
                                    WorkerHealthReport)
-from repro.parallel.merge import merge_brute, merge_greedy, merge_weighted
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
                                       StepRecorder, StepTrace)
 from repro.parallel.worker import ProbeParams, WorkerProber
@@ -20,7 +19,4 @@ __all__ = [
     "RecordingSupervisor",
     "StepRecorder",
     "StepTrace",
-    "merge_brute",
-    "merge_greedy",
-    "merge_weighted",
 ]

@@ -10,9 +10,12 @@ worker's caches across hunt passes.
 
 ``run_pass`` returns a :class:`~repro.search.results.SearchReport` that is
 byte-identical to what the serial algorithm would produce — same findings,
-same ledger, same supervision events — because the merge replays recorded
-traces in serial order (see :mod:`repro.parallel.merge`).  What the workers
-actually spent is reported separately through :meth:`worker_breakdown`.
+same ledger, same supervision events — because it *is* the serial
+algorithm: the executor gathers the workers' recorded probes and runs the
+algorithm's own ``_run_pass`` over them through a replaying step source
+(see :mod:`repro.parallel.merge`).  There is no second copy of any walk
+here.  What the workers actually spent is reported separately through
+:meth:`worker_breakdown`.
 
 The pool is **self-healing** (see :mod:`repro.parallel.health`): result
 collection polls with per-task deadlines instead of blocking, a crashed or
@@ -49,7 +52,7 @@ from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    HealthPolicy, WorkerHealthReport,
                                    describe_task, quarantined_return,
                                    task_key, task_units)
-from repro.parallel.merge import merge_brute, merge_greedy, merge_weighted
+from repro.parallel.merge import REPLAYING
 from repro.parallel.worker import (ProbeParams, ScenarioProbe, StartupProbe,
                                    TypeProbe, WorkerProber, WorkerReturn,
                                    worker_main)
@@ -57,8 +60,6 @@ from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
 from repro.telemetry.summary import summarize
 from repro.telemetry.tracer import Tracer, maybe_span
-
-ALGORITHMS = ("weighted", "greedy", "brute")
 
 
 @dataclass
@@ -117,9 +118,9 @@ class ScenarioExecutor:
                  snapshot_budget: Optional[int] = None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if algorithm not in ALGORITHMS:
+        if algorithm not in REPLAYING:
             raise ConfigError(f"unknown algorithm {algorithm!r}; "
-                              f"expected one of {ALGORITHMS}")
+                              f"expected one of {tuple(REPLAYING)}")
         self.factory = factory
         self.seed = seed
         self.algorithm = algorithm
@@ -169,10 +170,6 @@ class ScenarioExecutor:
         self._log_records: list = []
 
     # --------------------------------------------------------------- plumbing
-
-    @property
-    def system(self) -> str:
-        return self._instance.name
 
     def _pin(self, unit) -> int:
         worker = self._pins.get(unit)
@@ -598,14 +595,18 @@ class ScenarioExecutor:
         for __, ret in sorted(returns.items()):
             for probe in ret.types:
                 probes[probe.message_type] = probe
-        if self.algorithm == "weighted":
-            return merge_weighted(self.system, types, actions_by_type,
-                                  weights if weights is not None
-                                  else ClusterWeights(),
-                                  self.threshold, startup, probes)
-        return merge_greedy(self.system, types, actions_by_type,
-                            self.threshold, self.rounds, self.confirmations,
-                            startup, probes)
+        options = ({"weights": weights} if self.algorithm == "weighted"
+                   else {"rounds": self.rounds,
+                         "confirmations": self.confirmations})
+        return self._walk(startup, probes, options).run(
+            message_types=types, exclude=excluded)
+
+    def _walk(self, first, probes: dict, options: dict):
+        """The algorithm's serial walk, bound to recorded probes."""
+        return REPLAYING[self.algorithm](
+            self._instance, first, probes, self.factory, seed=self.seed,
+            threshold=self.threshold, space_config=self.params.space_config,
+            **options)
 
     def _run_brute(self, types: Sequence[str], excluded: frozenset,
                    max_scenarios: Optional[int]) -> SearchReport:
@@ -628,8 +629,9 @@ class ScenarioExecutor:
         for __, ret in sorted(returns.items()):
             for probe in ret.scenarios:
                 probes[probe.record] = probe
-        return merge_brute(self.system, scenarios, self.threshold,
-                           baseline, probes)
+        return self._walk(baseline, probes, {}).run(
+            message_types=types, exclude=excluded,
+            max_scenarios=max_scenarios)
 
     # ------------------------------------------------------------ accounting
 

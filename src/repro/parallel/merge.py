@@ -1,13 +1,18 @@
-"""Deterministic merge: replay recorded shard traces in serial order.
+"""Deterministic merge: run the algorithm's own walk over recorded steps.
 
-Each merge function mirrors its serial algorithm's ``_run_pass`` control
-flow exactly — same iteration order, same early stops, same quarantine
-handling — but instead of driving the harness it replays the worker-recorded
-:class:`~repro.parallel.recording.StepTrace` of every step it visits.
-Replaying individual charges in the serial order makes the merged ledger
-bitwise identical to a serial run's (float accumulation is order-sensitive),
-which in turn makes every ``found_at`` and ``SupervisorEvent.at`` timestamp
-— both defined as "ledger total when it happened" — land exactly.
+There is one walk per algorithm — its ``_run_pass`` — and two step sources.
+The serial engine answers each supervised step (``_start_run``,
+``_acquire_context``, ``_measure_action``, brute force's
+``_measure_baseline``/``_measure_scenario``, ``_note_crashes``) by driving
+the live harness; :class:`ReplaySource` answers the same steps from the
+worker-recorded probes, replaying each step's
+:class:`~repro.parallel.recording.StepTrace` charge by charge.  Same
+iteration order, same early stops, same quarantine handling — by
+construction, because it *is* the serial code.  Replaying individual
+charges in the serial order makes the merged ledger bitwise identical to a
+serial run's (float accumulation is order-sensitive), which in turn makes
+every ``found_at`` and ``SupervisorEvent.at`` timestamp — both defined as
+"ledger total when it happened" — land exactly.
 
 Why the walk never needs a step the workers didn't probe:
 
@@ -18,6 +23,9 @@ Why the walk never needs a step the workers didn't probe:
   is its cluster's first non-quarantined attack in enumeration order — the
   exact point where the probe stopped.  Quarantined evaluations stop
   neither walk, in lockstep.
+
+A step that is missing anyway is a "coverage hole" :class:`SearchError`,
+never a silently shorter report.
 
 The self-healing layer (:mod:`repro.parallel.health`) reuses this pipeline
 for poison tasks: a shard that kept killing its workers comes back as
@@ -31,22 +39,19 @@ budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.attacks.actions import MaliciousAction
 from repro.common.errors import SearchError
 from repro.controller.costs import CostLedger
-from repro.controller.monitor import AttackThreshold
+from repro.controller.monitor import PerfSample
 from repro.controller.supervisor import (EVENT_QUARANTINE, EVENT_REBUILD,
                                          EVENT_RETRY, EVENT_WATCHDOG,
-                                         QuarantinedScenario, SupervisorEvent,
+                                         ScenarioQuarantined, SupervisorEvent,
                                          SupervisorStats)
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (BaselineProbe, ScenarioProbe, StartupProbe,
-                                   TypeProbe)
-from repro.search.base import is_attack_sample
-from repro.search.results import AttackFinding, SearchReport
-from repro.search.weighted import ClusterWeights
+from repro.search import ALGORITHMS
+from repro.search.base import TypeContext
 
 _COUNTER_FOR_KIND = {
     EVENT_RETRY: "retries",
@@ -57,8 +62,7 @@ _COUNTER_FOR_KIND = {
 
 
 def replay_trace(ledger: CostLedger, stats: SupervisorStats,
-                 trace: StepTrace,
-                 crashed_seen: Optional[dict] = None) -> None:
+                 trace: StepTrace) -> None:
     """Re-issue one step's charges, emitting its events at the recorded
     positions so each event's ``at`` equals the serial ledger total."""
     events = trace.events
@@ -71,9 +75,6 @@ def replay_trace(ledger: CostLedger, stats: SupervisorStats,
     while index < len(events):
         _emit_event(ledger, stats, events[index])
         index += 1
-    if crashed_seen is not None:
-        for line in trace.crash_lines:
-            crashed_seen[line.split(" ", 1)[0]] = line
 
 
 def _emit_event(ledger: CostLedger, stats: SupervisorStats,
@@ -86,20 +87,83 @@ def _emit_event(ledger: CostLedger, stats: SupervisorStats,
         setattr(stats, counter, getattr(stats, counter) + 1)
 
 
-def _finish(report: SearchReport, stats: SupervisorStats,
-            crashed_seen: dict) -> SearchReport:
-    report.crashed_nodes = sorted(crashed_seen.values())
-    report.supervisor.merge(stats)
-    return report
+class ReplaySource:
+    """Mixin that answers a search algorithm's supervised steps from
+    recorded probes instead of a live harness.
 
+    Mixed in ahead of the algorithm class (see :data:`REPLAYING`), it
+    overrides the step seam and nothing else, so the walk that consumes the
+    steps is the serial ``_run_pass`` itself.  ``first`` is the recorded
+    :class:`~repro.parallel.worker.StartupProbe` (brute force: the
+    ``BaselineProbe``); ``probes`` maps message type to ``TypeProbe``
+    (brute force: scenario record to ``ScenarioProbe``).  ``instance`` is
+    an unbooted testbed — the name/schema/search-type oracle the walk reads
+    off its harness; nothing is ever booted or simulated.
+    """
 
-def _quarantine(report: SearchReport, message_type: str,
-                action: Optional[MaliciousAction],
-                quarantined: tuple) -> None:
-    reason, attempts = quarantined
-    report.quarantined.append(QuarantinedScenario(
-        message_type, None if action is None else action.to_record(),
-        reason=reason, attempts=attempts))
+    def __init__(self, instance, first, probes: dict, *args,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.harness.instance = instance
+        self._first = first
+        self._probes = probes
+        #: message type -> {action record: EvalProbe} of acquired contexts
+        self._evals: Dict[str, dict] = {}
+        #: the last replayed step's crashed-node summary: exactly what a
+        #: live ``_note_crashes`` would read off the world at this point
+        self._crash_lines: List[str] = []
+
+    def _replay(self, probe) -> None:
+        """Replay one recorded step; re-raise its quarantine, if any."""
+        replay_trace(self.ledger, self.supervisor.stats, probe.trace)
+        self._crash_lines = probe.trace.crash_lines
+        if probe.quarantined is not None:
+            reason, attempts = probe.quarantined
+            raise ScenarioQuarantined("replay", None, Exception(reason),
+                                      attempts)
+
+    def _note_crashes(self) -> None:
+        for line in self._crash_lines:
+            self._crashed_seen[line.split(" ", 1)[0]] = line
+
+    def _start_run(self) -> None:
+        self._replay(self._first)
+
+    def _acquire_context(self, message_type: str) -> Optional[TypeContext]:
+        probe = self._probes.get(message_type)
+        if probe is None:
+            raise SearchError(f"parallel probe coverage hole: no recorded "
+                              f"injection context for {message_type}")
+        self._replay(probe.context)
+        self._note_crashes()
+        if not probe.context.found:
+            return None
+        self._evals[message_type] = {e.record: e for e in probe.evals}
+        # No live injection point: each replayed evaluation supplies the
+        # baseline its sample was measured against.
+        return TypeContext(message_type, None, None)
+
+    def _measure_action(self, ctx: TypeContext,
+                        action: MaliciousAction) -> PerfSample:
+        ev = self._evals[ctx.message_type].get(action.to_record())
+        if ev is None:
+            raise _missing(ctx.message_type, action)
+        self._replay(ev)
+        ctx.baseline = ev.baseline
+        self._note_crashes()
+        return ev.sample
+
+    def _measure_baseline(self) -> PerfSample:
+        self._replay(self._first)
+        return self._first.sample
+
+    def _measure_scenario(self, scenario
+                          ) -> Tuple[Optional[float], Optional[PerfSample]]:
+        probe = self._probes.get(scenario.to_record())
+        if probe is None:
+            raise _missing(scenario.message_type, scenario.action)
+        self._replay(probe)
+        return probe.injected_at, probe.sample
 
 
 def _missing(message_type: str, action: MaliciousAction) -> SearchError:
@@ -108,197 +172,6 @@ def _missing(message_type: str, action: MaliciousAction) -> SearchError:
         f"{action.describe()} {message_type}")
 
 
-def merge_weighted(system: str, message_types: Sequence[str],
-                   actions_by_type: Dict[str, List[MaliciousAction]],
-                   weights: ClusterWeights, threshold: AttackThreshold,
-                   startup: StartupProbe,
-                   probes: Dict[str, TypeProbe]) -> SearchReport:
-    """Replay WeightedGreedySearch._run_pass over the recorded probes."""
-    ledger = CostLedger()
-    report = SearchReport("weighted-greedy", system, ledger=ledger)
-    stats = SupervisorStats()
-    crashed_seen: dict = {}
-    replay_trace(ledger, stats, startup.trace, crashed_seen)
-    if startup.quarantined is not None:
-        _quarantine(report, "*", None, startup.quarantined)
-        return _finish(report, stats, crashed_seen)
-
-    for message_type in message_types:
-        actions = actions_by_type.get(message_type) or []
-        if not actions:
-            continue
-        probe = probes[message_type]
-        replay_trace(ledger, stats, probe.context.trace, crashed_seen)
-        if probe.context.quarantined is not None:
-            _quarantine(report, message_type, None, probe.context.quarantined)
-            continue
-        if not probe.context.found:
-            report.types_without_injection.append(message_type)
-            continue
-        report.injection_points += 1
-
-        evals = {e.record: e for e in probe.evals}
-        ordered = weights.order_actions(actions)
-        worst: Optional[AttackFinding] = None
-        found = False
-        for action in ordered:
-            ev = evals.get(action.to_record())
-            if ev is None:
-                raise _missing(message_type, action)
-            replay_trace(ledger, stats, ev.trace, crashed_seen)
-            if ev.quarantined is not None:
-                _quarantine(report, message_type, action, ev.quarantined)
-                continue
-            report.scenarios_evaluated += 1
-            baseline, sample = ev.baseline, ev.sample
-            damage = threshold.damage(baseline, sample)
-            crashed = sample.crashed_nodes > baseline.crashed_nodes
-            finding = AttackFinding(
-                AttackScenario(message_type, action), baseline, sample,
-                damage=1.0 if crashed else damage,
-                crashes=sample.crashed_nodes,
-                found_at=ledger.total())
-            if is_attack_sample(threshold, baseline, sample):
-                weights.bump(action.cluster)
-                report.findings.append(finding)
-                found = True
-                break
-            if worst is None or finding.damage > worst.damage:
-                worst = finding
-        if not found and worst is not None:
-            worst.found_at = ledger.total()
-            report.weak_selections.append(worst)
-    return _finish(report, stats, crashed_seen)
-
-
-def merge_greedy(system: str, message_types: Sequence[str],
-                 actions_by_type: Dict[str, List[MaliciousAction]],
-                 threshold: AttackThreshold, rounds: int, confirmations: int,
-                 startup: StartupProbe,
-                 probes: Dict[str, TypeProbe]) -> SearchReport:
-    """Replay GreedySearch._run_pass: ``rounds`` identical rounds per type.
-
-    The serial algorithm re-acquires the context and re-evaluates every
-    action each round; the deterministic world makes each round's charges
-    identical, so the single recorded round is replayed ``rounds`` times.
-    """
-    ledger = CostLedger()
-    report = SearchReport("greedy", system, ledger=ledger)
-    stats = SupervisorStats()
-    crashed_seen: dict = {}
-    replay_trace(ledger, stats, startup.trace, crashed_seen)
-    if startup.quarantined is not None:
-        _quarantine(report, "*", None, startup.quarantined)
-        return _finish(report, stats, crashed_seen)
-
-    for message_type in message_types:
-        actions = actions_by_type.get(message_type) or []
-        if not actions:
-            continue
-        probe = probes[message_type]
-        evals = {e.record: e for e in probe.evals}
-
-        selections: Dict[tuple, int] = {}
-        best_by_action: Dict[tuple, tuple] = {}
-        saw_injection = False
-        type_quarantined = False
-
-        for __ in range(rounds):
-            replay_trace(ledger, stats, probe.context.trace, crashed_seen)
-            if probe.context.quarantined is not None:
-                _quarantine(report, message_type, None,
-                            probe.context.quarantined)
-                type_quarantined = True
-                break
-            if not probe.context.found:
-                break
-            saw_injection = True
-            report.injection_points += 1
-
-            worst_key = None
-            worst_damage = -1.0
-            for action in actions:
-                ev = evals.get(action.to_record())
-                if ev is None:
-                    raise _missing(message_type, action)
-                replay_trace(ledger, stats, ev.trace, crashed_seen)
-                if ev.quarantined is not None:
-                    _quarantine(report, message_type, action, ev.quarantined)
-                    continue
-                report.scenarios_evaluated += 1
-                damage = threshold.damage(ev.baseline, ev.sample)
-                if ev.sample.crashed_nodes > ev.baseline.crashed_nodes:
-                    damage = 1.0
-                if damage > worst_damage:
-                    worst_damage = damage
-                    worst_key = action.to_record()
-                    best_by_action[worst_key] = (action, ev.baseline,
-                                                 ev.sample, damage)
-            if worst_key is not None:
-                selections[worst_key] = selections.get(worst_key, 0) + 1
-
-        if not saw_injection:
-            if not type_quarantined:
-                report.types_without_injection.append(message_type)
-            continue
-
-        for key, count in sorted(selections.items(), key=lambda kv: -kv[1]):
-            action, baseline, sample, damage = best_by_action[key]
-            crashed = sample.crashed_nodes > baseline.crashed_nodes
-            if count >= confirmations and (
-                    crashed or threshold.is_attack(baseline, sample)):
-                report.findings.append(AttackFinding(
-                    AttackScenario(message_type, action), baseline, sample,
-                    damage=damage, crashes=sample.crashed_nodes,
-                    found_at=ledger.total(), confirmations=count))
-            break  # greedy keeps only the strongest attack per type
-    return _finish(report, stats, crashed_seen)
-
-
-def merge_brute(system: str, scenarios: Sequence[AttackScenario],
-                threshold: AttackThreshold, baseline_probe: BaselineProbe,
-                probes: Dict[tuple, ScenarioProbe]) -> SearchReport:
-    """Replay BruteForceSearch._run_pass over the recorded probes.
-
-    Brute force only inspects crashed nodes at finalize time, from the last
-    world it built, so only the final consumed step's crash lines count.
-    """
-    ledger = CostLedger()
-    report = SearchReport("brute-force", system, ledger=ledger)
-    stats = SupervisorStats()
-    replay_trace(ledger, stats, baseline_probe.trace)
-    last_crash_lines = baseline_probe.trace.crash_lines
-    if baseline_probe.quarantined is not None:
-        _quarantine(report, "*", None, baseline_probe.quarantined)
-        return _finish_brute(report, stats, last_crash_lines)
-    baseline = baseline_probe.sample
-
-    for scenario in scenarios:
-        probe = probes.get(scenario.to_record())
-        if probe is None:
-            raise _missing(scenario.message_type, scenario.action)
-        replay_trace(ledger, stats, probe.trace)
-        last_crash_lines = probe.trace.crash_lines
-        if probe.quarantined is not None:
-            _quarantine(report, scenario.message_type, scenario.action,
-                        probe.quarantined)
-            continue
-        report.scenarios_evaluated += 1
-        if probe.injected_at is None:
-            if scenario.message_type not in report.types_without_injection:
-                report.types_without_injection.append(scenario.message_type)
-            continue
-        report.injection_points += 1
-        if threshold.is_attack(baseline, probe.sample):
-            report.findings.append(AttackFinding(
-                scenario, baseline, probe.sample,
-                damage=threshold.damage(baseline, probe.sample),
-                crashes=probe.sample.crashed_nodes,
-                found_at=ledger.total()))
-    return _finish_brute(report, stats, last_crash_lines)
-
-
-def _finish_brute(report: SearchReport, stats: SupervisorStats,
-                  crash_lines: List[str]) -> SearchReport:
-    crashed_seen = {line.split(" ", 1)[0]: line for line in crash_lines}
-    return _finish(report, stats, crashed_seen)
+#: algorithm name -> that algorithm's own walk over a replay source
+REPLAYING = {name: type(f"Replaying{cls.__name__}", (ReplaySource, cls), {})
+             for name, cls in ALGORITHMS.items()}

@@ -7,7 +7,8 @@ platform operations a worker performs for its shard — and every ledger
 charge they produce — are bitwise identical to what the serial algorithm
 would have done for those types.  The worker therefore returns *recorded
 traces* (see :mod:`repro.parallel.recording`), not report fragments; the
-merge step replays them in serial order.
+algorithm's own walk then runs over them in serial order (see
+:mod:`repro.parallel.merge`).
 
 Workers are persistent across hunt passes and cache per-``(type, action)``
 evaluations: a later pass that re-walks an already-probed action gets the
@@ -27,7 +28,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import SearchError
-from repro.controller.harness import AttackHarness
 from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
                                       StepRecorder, StepTrace)
@@ -337,14 +337,11 @@ class WorkerProber:
             if self._baseline is None:
                 sample = None
                 with StepRecorder(self.search) as step:
-                    sample = self.search.supervisor.run(
-                        "baseline", self.search._baseline_attempt)
+                    sample = self.search._measure_baseline()
                 self._baseline = BaselineProbe(
                     sample if step.quarantined is None else None,
                     step.trace, step.quarantined)
             baseline = self._baseline
-        max_wait = (self.search.max_wait if self.search.max_wait is not None
-                    else AttackHarness.DEFAULT_MAX_WAIT)
         probes: List[ScenarioProbe] = []
         for record in scenario_records:
             probe = self._scenarios.get(record)
@@ -352,11 +349,8 @@ class WorkerProber:
                 scenario = AttackScenario.from_record(record)
                 injected_at = sample = None
                 with StepRecorder(self.search) as step:
-                    injected_at, sample = self.search.supervisor.run(
-                        f"scenario:{scenario.message_type}",
-                        lambda scenario=scenario:
-                            self.search._scenario_attempt(scenario, max_wait),
-                        scenario=scenario.describe())
+                    injected_at, sample = self.search._measure_scenario(
+                        scenario)
                 probe = ScenarioProbe(record, injected_at, sample,
                                       step.trace, step.quarantined)
                 self._scenarios[record] = probe

@@ -8,6 +8,11 @@ classify-retry-quarantine logic, so a transient platform fault (failed
 snapshot, watchdog trip, injected fault) costs a bounded retry — with a
 fresh testbed rebuild charged to the ``rebuild`` ledger category — instead
 of aborting the whole pass.
+
+Those helpers (plus brute force's ``_measure_baseline``/``_measure_scenario``
+and :meth:`_note_crashes`) are also the *step seam*: each algorithm's walk
+exists once, in its ``_run_pass``, and runs over either the live harness
+(here) or recorded probes (:class:`repro.parallel.merge.ReplaySource`).
 """
 
 from __future__ import annotations
@@ -323,15 +328,6 @@ class SearchAlgorithm:
             None if action is None else action.to_record(),
             reason=str(quarantined.cause),
             attempts=quarantined.attempts)
-
-    # ------------------------------------------------- legacy direct helpers
-
-    def _injection_for(self, message_type: str) -> Optional[InjectionPoint]:
-        return self._seek_injection(message_type)
-
-    def _evaluate(self, injection: InjectionPoint,
-                  action: Optional[MaliciousAction]) -> PerfSample:
-        return self.harness.branch_measure(injection, action)
 
     # ------------------------------------------------------------------ run
 

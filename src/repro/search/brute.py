@@ -26,9 +26,6 @@ class BruteForceSearch(SearchAlgorithm):
 
     name = "brute-force"
 
-    # The attempt bodies are plain methods (not closures) so the parallel
-    # prober can drive the exact same platform operations per shard.
-
     def _baseline_attempt(self) -> PerfSample:
         """One benign execution for the baseline.  Each attempt is already
         a full rebuild, so the supervisor retries the callable directly."""
@@ -74,13 +71,29 @@ class BruteForceSearch(SearchAlgorithm):
         return injected_at, self.harness.monitor.sample(
             injected_at, window_end, crashed_nodes=crashed)
 
+    # Brute force's share of the supervised step seam (see search/base.py):
+    # the serial walk, the parallel prober and the replay source all go
+    # through these two.
+
+    def _measure_baseline(self) -> PerfSample:
+        return self.supervisor.run("baseline", self._baseline_attempt)
+
+    def _measure_scenario(self, scenario
+                          ) -> Tuple[Optional[float], Optional[PerfSample]]:
+        max_wait = (self.max_wait if self.max_wait is not None
+                    else AttackHarness.DEFAULT_MAX_WAIT)
+        return self.supervisor.run(
+            f"scenario:{scenario.message_type}",
+            lambda: self._scenario_attempt(scenario, max_wait),
+            scenario=scenario.describe())
+
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None,
                   max_scenarios: Optional[int] = None) -> SearchReport:
         exclude = exclude or set()
 
         try:
-            baseline = self.supervisor.run("baseline", self._baseline_attempt)
+            baseline = self._measure_baseline()
         except ScenarioQuarantined as q:
             report = self._make_report()
             report.quarantined.append(self._quarantine_entry(q, "*", None))
@@ -94,16 +107,9 @@ class BruteForceSearch(SearchAlgorithm):
         if max_scenarios is not None:
             scenarios = scenarios[:max_scenarios]
 
-        max_wait = (self.max_wait if self.max_wait is not None
-                    else AttackHarness.DEFAULT_MAX_WAIT)
-
         for scenario in scenarios:
             try:
-                injected_at, sample = self.supervisor.run(
-                    f"scenario:{scenario.message_type}",
-                    lambda scenario=scenario: self._scenario_attempt(
-                        scenario, max_wait),
-                    scenario=scenario.describe())
+                injected_at, sample = self._measure_scenario(scenario)
             except ScenarioQuarantined as q:
                 report.quarantined.append(self._quarantine_entry(
                     q, scenario.message_type, scenario.action))

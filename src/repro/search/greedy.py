@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple
 
+from repro.attacks.actions import AttackScenario
 from repro.controller.supervisor import ScenarioQuarantined
 from repro.search.base import SearchAlgorithm
 from repro.search.results import AttackFinding, SearchReport
@@ -49,8 +50,8 @@ class GreedySearch(SearchAlgorithm):
 
         for message_type in self._search_types(message_types):
             actions = [a for a in space.actions_for(message_type)
-                       if self._exclude_key(
-                           _scenario(message_type, a)) not in exclude]
+                       if self._exclude_key(AttackScenario(message_type, a))
+                       not in exclude]
             if not actions:
                 continue
 
@@ -107,14 +108,9 @@ class GreedySearch(SearchAlgorithm):
                 if count >= self.confirmations and (
                         crashed or self.threshold.is_attack(baseline, sample)):
                     report.findings.append(AttackFinding(
-                        _scenario(message_type, action), baseline, sample,
+                        AttackScenario(message_type, action), baseline, sample,
                         damage=damage, crashes=sample.crashed_nodes,
                         found_at=self.ledger.total(),
                         confirmations=count))
                 break  # greedy keeps only the strongest attack per type
         return self._finalize_report(report)
-
-
-def _scenario(message_type: str, action):
-    from repro.attacks.actions import AttackScenario
-    return AttackScenario(message_type, action)

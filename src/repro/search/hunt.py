@@ -12,20 +12,26 @@ Long campaigns are supervised and resumable:
   supervision (see :mod:`repro.controller.supervisor`), optionally with a
   deterministic :class:`~repro.controller.supervisor.FaultPlan` injected and
   a kernel watchdog armed;
-* with ``checkpoint_path`` set, the excluded scenarios, cluster weights,
-  ledger, and completed passes are persisted to JSON after every pass, and
-  ``hunt(..., resume=True)`` (or ``python -m repro hunt --resume``) picks an
-  interrupted campaign back up, reproducing exactly what an uninterrupted
-  hunt would have found;
+* with ``store_dir`` set, every completed probe is journaled and the
+  excluded scenarios, cluster weights, ledger, and completed passes are
+  checkpointed after every pass (see :mod:`repro.store.runstore`); pointing
+  a new hunt at the same directory picks an interrupted — or ``SIGKILL``ed —
+  campaign back up and reproduces, byte for byte, what an uninterrupted
+  hunt would have reported.  The run store is the only resume path;
 * a ``KeyboardInterrupt`` mid-pass returns the partial result (with
   ``interrupted=True``) after writing a final checkpoint instead of
   propagating a bare traceback.
+
+One walk, two step sources: a pass is always
+:class:`~repro.search.weighted.WeightedGreedySearch`'s ``_run_pass``.  The
+serial engine runs it over the live harness; with ``workers > 1`` or a
+store, :class:`~repro.parallel.executor.ScenarioExecutor` has probers
+record the steps and runs the same walk over the recordings (see
+:mod:`repro.parallel.merge`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
@@ -49,8 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.health import HealthPolicy, WorkerHealthReport
     from repro.store.budget import StoreReport
 
-#: v2 adds ``written_at_pass`` (how many passes the writer had completed);
-#: v1 checkpoints migrate forward transparently
+#: schema of the pass-boundary state the run store checkpoints; a store
+#: holding any other version is refused (``RunStore.resume_checkpoint``)
 CHECKPOINT_VERSION = 2
 
 
@@ -67,7 +73,9 @@ class HuntResult:
     supervisor: SupervisorStats = field(default_factory=SupervisorStats)
     #: True when a KeyboardInterrupt cut the campaign short
     interrupted: bool = False
-    #: number of passes restored from a checkpoint rather than executed
+    #: always 0: resumption is reported through ``store_report`` (a side
+    #: channel) so a resumed hunt serializes to the uninterrupted bytes;
+    #: the key stays in the hunt JSON for schema stability
     resumed_passes: int = 0
     #: merged telemetry across all executed passes (None: telemetry off)
     telemetry: Optional[TelemetrySummary] = None
@@ -112,9 +120,6 @@ class HuntResult:
         lines = [f"hunt: {len(self.findings)} attacks over "
                  f"{len(self.passes)} passes, "
                  f"platform time {self.total_time:.1f}s{status}"]
-        if self.resumed_passes:
-            lines.append(f"  resumed from checkpoint "
-                         f"({self.resumed_passes} passes restored)")
         for i, report in enumerate(self.passes, start=1):
             names = ", ".join(report.attack_names()) or "(nothing new)"
             lines.append(f"  pass {i}: {names}")
@@ -158,50 +163,6 @@ def _checkpoint_dict(system: str, seed: int, excluded: Set[tuple],
     }
 
 
-def save_checkpoint(path: str, system: str, seed: int, excluded: Set[tuple],
-                    weights: ClusterWeights, result: HuntResult) -> None:
-    """Durably persist the hunt state.
-
-    Temp file + fsync + rename + parent-directory fsync (see
-    :func:`repro.store.journal.atomic_write_json`): a crash at any instant
-    leaves either the complete previous checkpoint or the complete new one
-    — never the empty/torn file a plain write-then-rename can leave when
-    the rename is durable before the data is.
-    """
-    from repro.store.journal import atomic_write_json
-    data = _checkpoint_dict(system, seed, excluded, weights, result)
-    atomic_write_json(path, data)
-
-
-def migrate_checkpoint(data: Dict, origin: str = "checkpoint") -> Dict:
-    """Bring an older checkpoint forward to the current schema."""
-    version = data.get("version")
-    if version == 1:
-        data = dict(data)
-        data["version"] = 2
-        data["written_at_pass"] = len(data.get("passes", []))
-        return data
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{origin} has version {version!r}; "
-                          f"this build reads versions 1-{CHECKPOINT_VERSION}")
-    return data
-
-
-def load_checkpoint(path: str) -> Dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(
-            f"checkpoint {path} is truncated or corrupt ({exc}); "
-            f"delete it or restart the hunt without --resume") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"checkpoint {path} is not a JSON object")
-    return migrate_checkpoint(data, origin=f"checkpoint {path}")
-
-
 def _restore_from_checkpoint(data: Dict, seed: int,
                              excluded: Set[tuple],
                              weights: ClusterWeights,
@@ -224,7 +185,6 @@ def _restore_from_checkpoint(data: Dict, seed: int,
             if result.telemetry is None:
                 result.telemetry = TelemetrySummary()
             result.telemetry.merge(report.telemetry)
-    result.resumed_passes = len(result.passes)
 
 
 # --------------------------------------------------------------------- hunt
@@ -242,8 +202,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
          fault_schedule: Optional[FaultSchedule] = None,
          watchdog_limit: Optional[int] = None,
          max_retries: int = 2,
-         checkpoint_path: Optional[str] = None,
-         resume: bool = False,
          tracer: Optional[Tracer] = None,
          progress: Optional[ProgressLine] = None,
          log_events: bool = False,
@@ -256,9 +214,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     """Run weighted-greedy passes until a pass finds nothing new.
 
     The cluster weights persist across passes, so what pass 1 learned about
-    effective action categories speeds up pass 2.  With ``checkpoint_path``
-    the hunt state is persisted after every pass; ``resume=True`` restores
-    it (when the file exists) and continues from the next pass.
+    effective action categories speeds up pass 2.
 
     Observability: ``tracer`` wraps each pass in a ``hunt.pass`` span and
     merges per-pass telemetry summaries into ``result.telemetry``;
@@ -282,7 +238,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     tasks deterministically, so the byte-identity contract holds even when
     workers die mid-pass.  A pass that still aborts (``SearchError``, e.g.
     a pool collapse under ``degrade=False``) checkpoints the completed
-    passes first, so ``--resume`` salvages them.
+    passes to the store first, so a rerun salvages them.
 
     ``explain=True`` computes a forensic
     :class:`~repro.forensics.explain.AttackExplanation` for every finding
@@ -299,10 +255,10 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     directory: journaled probes replay from disk (skipping completed
     scenarios *mid-pass*), everything else re-simulates, and the final
     result is byte-identical to the uninterrupted run's, serial or
-    parallel.  The store subsumes ``checkpoint_path``/``resume`` and is
-    mutually exclusive with them; resume activity is reported through
-    ``result.store_report`` (a side channel) rather than
-    ``resumed_passes``, which the byte-identity contract pins to 0.
+    parallel.  Resume activity is reported through ``result.store_report``
+    (a side channel) rather than ``resumed_passes``, which the
+    byte-identity contract pins to 0.  A hunt under a ``fault_plan`` or
+    ``injection_cache`` cannot use the store and therefore cannot resume.
 
     ``snapshot_budget`` bounds snapshot-cache memory (bytes): with
     ``injection_cache`` it caps the harness's injection-point snapshots,
@@ -322,15 +278,13 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             "--store and injection_cache are mutually exclusive: cached "
             "passes charge less than the serial ledger the store's replay "
             "reproduces")
-    if store_dir is not None and (checkpoint_path is not None or resume):
-        raise ConfigError(
-            "--store subsumes --checkpoint/--resume: the store directory "
-            "already checkpoints every pass and resumes automatically")
     if snapshot_budget is not None and not (
             injection_cache or store_dir is not None or workers > 1):
         raise ConfigError(
             "--snapshot-budget needs a snapshot cache to bound: combine it "
             "with --injection-cache, --store, or --workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > 1 and fault_plan is not None:
         raise ConfigError(
             "workers > 1 cannot run under a FaultPlan: the plan's fault "
@@ -365,51 +319,32 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             shared_pages=shared_pages, delta_snapshots=delta_snapshots,
             watchdog_limit=watchdog_limit)
 
-    if resume:
-        if checkpoint_path is None:
-            raise ConfigError("resume requires a checkpoint path")
-        if os.path.exists(checkpoint_path):
-            data = load_checkpoint(checkpoint_path)
-            _restore_from_checkpoint(data, seed, excluded, weights, result)
-            system = data["system"]
-            if data.get("complete"):
-                # Campaign already converged; nothing to redo (but the
-                # restored findings can still be explained on request).
-                attach_explanations()
-                return result
-
     store = None
     budget = None
-    start_pass = result.resumed_passes
+    passes = range(max_passes)
     if snapshot_budget is not None and injection_cache:
         from repro.store.budget import SnapshotBudget
         budget = SnapshotBudget(snapshot_budget)
     if store_dir is not None:
-        from repro.store.budget import StoreReport
         from repro.store.runstore import RunStore
         store = RunStore(store_dir, seed=seed)
-        data = store.load_checkpoint()
+        data = store.resume_checkpoint(CHECKPOINT_VERSION)
         if data is not None:
-            data = migrate_checkpoint(data, origin=f"store {store_dir}")
             _restore_from_checkpoint(data, seed, excluded, weights, result)
             system = data["system"]
-            # ``resumed_passes`` is serialized into the result; the byte-
-            # identity contract pins it to 0 and reports restoration
-            # through the store_report side channel instead.
-            start_pass = result.resumed_passes
-            result.resumed_passes = 0
-            store.note_passes_restored(start_pass)
-            if data.get("complete"):
-                attach_explanations()
-                report = StoreReport()
-                report.merge_counters(store.counters())
-                result.store_report = report
-                store.close()
-                return result
+            # A campaign that already converged has nothing to redo (but
+            # its restored findings can still be explained on request).
+            passes = (range(0) if data.get("complete")
+                      else range(len(result.passes), max_passes))
+
+    def checkpoint() -> None:
+        if store is not None:
+            store.save_checkpoint(_checkpoint_dict(
+                system, seed, excluded, weights, result))
 
     executor = None
     search: Optional[WeightedGreedySearch] = None
-    if workers > 1 or store is not None:
+    if passes and (workers > 1 or store is not None):
         # The store always routes through the executor — at workers=1 an
         # in-process prober whose merged report is byte-identical to the
         # serial algorithm's — because the prober's probe granularity is
@@ -433,7 +368,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             result.event_log.extend(search.harness.instance.world.log.records)
 
     try:
-        for pass_index in range(start_pass, max_passes):
+        for pass_index in passes:
             progress.prefix = f"pass {pass_index + 1}/{max_passes} · "
             if executor is None and (search is None or not injection_cache):
                 # injection_cache keeps one search (and its warm testbed,
@@ -471,25 +406,15 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             except KeyboardInterrupt:
                 result.interrupted = True
                 collect_world_output()
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, system, seed, excluded,
-                                    weights, result)
-                if store is not None:
-                    store.save_checkpoint(_checkpoint_dict(
-                        system, seed, excluded, weights, result))
+                checkpoint()
                 return result
             except SearchError:
                 # A pass aborted mid-recovery (worker fault under
                 # --no-degrade, nondeterministic replay, ...).  Salvage
-                # what completed: checkpoint the finished passes so
-                # --resume continues the campaign instead of redoing it.
+                # what completed: checkpoint the finished passes so a
+                # rerun continues the campaign instead of redoing it.
                 collect_world_output()
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, system, seed, excluded,
-                                    weights, result)
-                if store is not None:
-                    store.save_checkpoint(_checkpoint_dict(
-                        system, seed, excluded, weights, result))
+                checkpoint()
                 raise
             system = report.system
             result.passes.append(report)
@@ -504,12 +429,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             for finding in report.findings:
                 excluded.add(finding.scenario.to_record())
                 result.findings.append(finding)
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, system, seed, excluded,
-                                weights, result)
-            if store is not None:
-                store.save_checkpoint(_checkpoint_dict(
-                    system, seed, excluded, weights, result))
+            checkpoint()
             if not report.findings:
                 break
     finally:

@@ -9,7 +9,7 @@ Two durable artifacts live in the store directory:
   by message type and action record — so a journal replay can seed a fresh
   prober and skip every already-completed scenario **mid-pass**, not just
   completed passes.
-* ``checkpoint-<N>.json`` — generation-swapped hunt checkpoints (the PR-1
+* ``checkpoint-<N>.json`` — generation-swapped hunt checkpoints (the
   pass-boundary state: excluded scenarios, weights, ledger, completed
   passes), each written atomically via tmp + fsync + rename + directory
   fsync.  The last two generations are kept; a corrupt newest generation
@@ -17,9 +17,10 @@ Two durable artifacts live in the store directory:
 
 Resume produces a report **byte-identical** to the uninterrupted run: the
 journal stores the recorded :class:`~repro.parallel.recording.StepTrace` of
-every probe, and the merge layer replays traces in serial order whether
-they came from a live worker or from disk.  Anything *not* in the journal
-is re-simulated — deterministic worlds reproduce the identical traces.
+every probe, and the algorithm's walk replays traces in serial order
+whether they came from a live worker or from disk.  Anything *not* in the
+journal is re-simulated — deterministic worlds reproduce the identical
+traces.
 """
 
 from __future__ import annotations
@@ -268,6 +269,26 @@ class RunStore:
             self.registry.count("store.checkpoint.fallbacks")
         return None
 
+    def resume_checkpoint(self, version: int) -> Optional[Dict[str, Any]]:
+        """The checkpoint a rerun resumes from (None: a fresh campaign).
+
+        A checkpoint of any other schema ``version`` is a
+        :class:`ConfigError`: quietly starting over would discard — and
+        then prune — a campaign this build cannot read.
+        """
+        data = self.load_checkpoint()
+        if data is None:
+            return None
+        if data.get("version") != version:
+            raise ConfigError(
+                f"store {self.directory} holds a version "
+                f"{data.get('version')!r} checkpoint; this build reads "
+                f"version {version}")
+        if data["passes"]:
+            self.registry.count("store.resume.passes_restored",
+                                len(data["passes"]))
+        return data
+
     @staticmethod
     def _read_checkpoint(path: str) -> Optional[Dict[str, Any]]:
         try:
@@ -342,10 +363,6 @@ class RunStore:
                          list(entry["evals"].values()))
 
     # ------------------------------------------------------------- accounting
-
-    def note_passes_restored(self, count: int) -> None:
-        if count:
-            self.registry.count("store.resume.passes_restored", count)
 
     def counters(self) -> Dict[str, float]:
         return dict(self.registry.counters())

@@ -1,14 +1,14 @@
 """Tests for the supervision layer: fault plans, classify-retry-quarantine,
-the kernel watchdog, and hunt checkpoint/resume.
+the kernel watchdog, and hunt resume through the run store.
 
 The acceptance bar (ISSUE): a PBFT hunt running under a fault plan that
 fails >= 10% of snapshot restores, with the watchdog armed, must find the
 same attacks as a fault-free hunt; and a hunt interrupted mid-campaign and
-resumed from its checkpoint must produce identical findings and a merged
+resumed from its store must produce identical findings and a merged
 ledger.
 """
 
-import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +24,10 @@ from repro.controller.supervisor import (FAULT_OPS, OP_PROXY,
                                          OP_SNAPSHOT_SAVE, FaultPlan,
                                          ScenarioQuarantined,
                                          ScenarioSupervisor, SupervisorStats)
-from repro.search.hunt import hunt, load_checkpoint
+from repro.parallel.executor import ScenarioExecutor
+from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
+from repro.store.runstore import RunStore
 from repro.systems.pbft.testbed import pbft_testbed
 
 TINY_SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(0.5,),
@@ -370,87 +372,102 @@ class TestSupervisedHunt:
         assert "supervision" in faulty.describe() or plan.total_injected == 0
 
 
+def _newest_checkpoint(store_dir: str) -> bytes:
+    names = sorted(n for n in os.listdir(store_dir)
+                   if n.startswith("checkpoint-"))
+    with open(os.path.join(store_dir, names[-1]), "rb") as fh:
+        return fh.read()
+
+
 class TestCheckpointResume:
+    """Resume goes through the run store — the only resume path."""
+
     def test_resume_reproduces_uninterrupted_hunt(self, tmp_path):
-        ck_full = str(tmp_path / "full.json")
-        ck_resume = str(tmp_path / "resumed.json")
+        full_store = str(tmp_path / "full")
+        resumed_store = str(tmp_path / "resumed")
         kwargs = dict(seed=1, message_types=["PrePrepare"],
                       space_config=TINY_SPACE, max_wait=5.0)
 
-        full = hunt(FACTORY, max_passes=2, checkpoint_path=ck_full, **kwargs)
+        full = hunt(FACTORY, max_passes=2, store_dir=full_store, **kwargs)
 
         # Simulate an interruption after pass 1, then resume the campaign.
-        hunt(FACTORY, max_passes=1, checkpoint_path=ck_resume, **kwargs)
-        resumed = hunt(FACTORY, max_passes=2, checkpoint_path=ck_resume,
-                       resume=True, **kwargs)
+        hunt(FACTORY, max_passes=1, store_dir=resumed_store, **kwargs)
+        resumed = hunt(FACTORY, max_passes=2, store_dir=resumed_store,
+                       **kwargs)
 
         assert resumed.attack_names() == full.attack_names()
-        assert resumed.resumed_passes == 1
+        counters = resumed.store_report.counters
+        assert counters["store.resume.passes_restored"] == 1
         assert len(resumed.passes) == len(full.passes)
         assert dict(resumed.total_ledger.by_category) == \
             dict(full.total_ledger.by_category)
         # byte-for-byte: the resumed campaign's checkpoint is identical to
         # the uninterrupted one's.
-        with open(ck_full, "rb") as a, open(ck_resume, "rb") as b:
-            assert a.read() == b.read()
+        assert _newest_checkpoint(resumed_store) == \
+            _newest_checkpoint(full_store)
 
     def test_complete_checkpoint_short_circuits(self, tmp_path):
-        ck = str(tmp_path / "ck.json")
+        store = str(tmp_path / "store")
         space = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(),
                                   duplicate_counts=(), include_divert=False,
                                   include_lying=False)
-        first = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
-                     space_config=space, max_passes=3, max_wait=5.0,
-                     checkpoint_path=ck)
+        kwargs = dict(seed=1, message_types=["PrePrepare"],
+                      space_config=space, max_passes=3, max_wait=5.0,
+                      store_dir=store)
+        first = hunt(FACTORY, **kwargs)
         assert not first.passes[-1].findings  # converged
-        again = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
-                     space_config=space, max_passes=3, max_wait=5.0,
-                     checkpoint_path=ck, resume=True)
-        assert again.resumed_passes == len(again.passes)
+        again = hunt(FACTORY, **kwargs)
+        counters = again.store_report.counters
+        assert counters["store.resume.passes_restored"] == len(again.passes)
         assert again.attack_names() == first.attack_names()
-        # no new pass was executed: restored platform time is unchanged
+        # no new pass was executed: nothing probed, nothing journaled,
+        # restored platform time unchanged
+        assert counters.get("store.journal.records_appended", 0) == 0
         assert again.total_time == pytest.approx(first.total_time)
 
     def test_seed_mismatch_rejected(self, tmp_path):
-        ck = str(tmp_path / "ck.json")
-        hunt(FACTORY, seed=1, message_types=["PrePrepare"],
-             space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
-             checkpoint_path=ck)
+        RunStore(str(tmp_path), seed=1).close()
         with pytest.raises(ConfigError):
             hunt(FACTORY, seed=2, message_types=["PrePrepare"],
                  space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
-                 checkpoint_path=ck, resume=True)
+                 store_dir=str(tmp_path))
 
     def test_version_mismatch_rejected(self, tmp_path):
-        ck = tmp_path / "ck.json"
-        ck.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ConfigError):
-            load_checkpoint(str(ck))
-
-    def test_resume_without_checkpoint_path_rejected(self):
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, seed=1, resume=True)
+        store = RunStore(str(tmp_path), seed=1)
+        store.save_checkpoint({"version": 99, "seed": 1, "passes": []})
+        store.close()
+        with pytest.raises(ConfigError, match="version 99"):
+            hunt(FACTORY, seed=1, store_dir=str(tmp_path))
 
     def test_interrupt_mid_pass_checkpoints_and_returns(self, tmp_path,
                                                         monkeypatch):
-        ck = str(tmp_path / "ck.json")
-        monkeypatch.setattr(WeightedGreedySearch, "run",
+        monkeypatch.setattr(ScenarioExecutor, "run_pass",
                             _raise_keyboard_interrupt)
         result = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                       space_config=TINY_SPACE, max_passes=2, max_wait=5.0,
-                      checkpoint_path=ck)
+                      store_dir=str(tmp_path))
         assert result.interrupted
         assert result.passes == []
-        data = load_checkpoint(ck)
+        store = RunStore(str(tmp_path), seed=1)
+        data = store.load_checkpoint()
+        store.close()
         assert data["passes"] == []
         assert not data["complete"]
 
 
-def _raise_keyboard_interrupt(self, message_types=None, exclude=None):
+def _raise_keyboard_interrupt(self, message_types=None, exclude=None,
+                              **kwargs):
     raise KeyboardInterrupt
 
 
 # --------------------------------------------------------------------- CLI
+
+def _cli(command, flag, value):
+    def call():
+        from repro.cli import main
+        return main([command, "pbft", flag, value])
+    return call
+
 
 class TestCliSupervision:
     def test_flags_parsed(self):
@@ -458,18 +475,33 @@ class TestCliSupervision:
         args = build_parser().parse_args(
             ["hunt", "pbft", "--inject-faults", "restore=0.1,max=2",
              "--watchdog", "500000", "--max-retries", "4",
-             "--no-shared-pages", "--checkpoint", "/tmp/x.json", "--resume"])
+             "--no-shared-pages", "--store", "/tmp/x"])
         assert args.inject_faults == "restore=0.1,max=2"
         assert args.watchdog == 500000
         assert args.max_retries == 4
         assert args.no_shared_pages
-        assert args.checkpoint == "/tmp/x.json"
-        assert args.resume
+        assert args.store == "/tmp/x"
 
-    def test_hunt_resume_requires_checkpoint(self):
+    def test_retired_checkpoint_flags_rejected(self, capsys):
         from repro.cli import main
-        with pytest.raises(SystemExit):
-            main(["hunt", "pbft", "--resume"])
+        for flags in (["--resume"], ["--checkpoint", "/tmp/x.json"]):
+            with pytest.raises(SystemExit):
+                main(["hunt", "pbft"] + flags)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(_cli(command, flag, value), SystemExit,
+                     id=f"{command} {flag} {value}")
+        for command, flag, value in (("hunt", "--passes", "0"),
+                                     ("hunt", "--max-retries", "-1"),
+                                     ("hunt", "--validate", "-1"),
+                                     ("search", "--max-retries", "-1"),
+                                     ("search", "--validate", "-1"))
+    ] + [pytest.param(lambda: hunt(FACTORY, seed=1, workers=0), ConfigError,
+                      id="hunt(workers=0)")])
+    def test_counts_validated_before_anything_runs(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_search_interrupt_prints_partial_report(self, capsys,
                                                     monkeypatch):
@@ -481,19 +513,28 @@ class TestCliSupervision:
         assert code == EXIT_INTERRUPTED
         assert "interrupted" in capsys.readouterr().out
 
+    def test_parallel_search_interrupt_exits_130(self, capsys, monkeypatch):
+        from repro.cli import EXIT_INTERRUPTED, main
+        monkeypatch.setattr(ScenarioExecutor, "run_pass",
+                            _raise_keyboard_interrupt)
+        code = main(["search", "pbft", "--types", "PrePrepare", "--fast",
+                     "--no-lying", "--warmup", "1", "--window", "2",
+                     "--workers", "2"])
+        assert code == EXIT_INTERRUPTED
+        assert "interrupted" in capsys.readouterr().out
+
     def test_hunt_interrupt_prints_resume_hint(self, capsys, monkeypatch,
                                                tmp_path):
         from repro.cli import EXIT_INTERRUPTED, main
-        ck = str(tmp_path / "ck.json")
-        monkeypatch.setattr(WeightedGreedySearch, "run",
+        monkeypatch.setattr(ScenarioExecutor, "run_pass",
                             _raise_keyboard_interrupt)
         code = main(["hunt", "pbft", "--types", "PrePrepare", "--fast",
                      "--no-lying", "--warmup", "1", "--window", "2",
-                     "--checkpoint", ck])
+                     "--store", str(tmp_path)])
         assert code == EXIT_INTERRUPTED
         out = capsys.readouterr().out
         assert "INTERRUPTED" in out
-        assert "--resume" in out
+        assert f"--store {tmp_path}" in out
 
     def test_hunt_cli_fault_plan_roundtrip(self, capsys):
         from repro.cli import main

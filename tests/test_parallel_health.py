@@ -31,6 +31,7 @@ from repro.parallel.health import (HealthPolicy, WorkerHealth,
                                    quarantined_return, task_key, task_units)
 from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
+from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
@@ -310,28 +311,30 @@ class TestHuntRecovery:
 
     def test_aborted_pass_salvages_checkpoint(self, tmp_path, monkeypatch):
         """A hunt that aborts mid-recovery checkpoints its completed
-        passes, so --resume continues instead of starting over."""
-        checkpoint = tmp_path / "hunt.json"
+        passes, so a rerun on the store continues instead of starting
+        over."""
+        store_dir = str(tmp_path)
         clean = hunt(FACTORY, seed=3, message_types=TYPES,
                      space_config=SPACE, max_wait=5.0, max_passes=1,
-                     checkpoint_path=str(checkpoint))
-        assert checkpoint.exists()
+                     store_dir=store_dir)
         monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:*:")
         with pytest.raises(SearchError):
             hunt(FACTORY, seed=3, message_types=TYPES,
                  space_config=SPACE, max_wait=5.0, max_passes=3,
-                 checkpoint_path=str(checkpoint), resume=True,
-                 workers=2,
+                 store_dir=store_dir, workers=2,
                  health_policy=HealthPolicy(worker_retries=0,
                                             degrade=False))
         # pass 1's findings survived the abort
-        data = json.loads(checkpoint.read_text())
+        store = RunStore(store_dir, seed=3)
+        data = store.load_checkpoint()
+        store.close()
         assert len(data["passes"]) == len(clean.passes)
         monkeypatch.delenv("REPRO_WORKER_CHAOS")
         resumed = hunt(FACTORY, seed=3, message_types=TYPES,
                        space_config=SPACE, max_wait=5.0, max_passes=3,
-                       checkpoint_path=str(checkpoint), resume=True)
-        assert resumed.resumed_passes == len(clean.passes)
+                       store_dir=store_dir)
+        counters = resumed.store_report.counters
+        assert counters["store.resume.passes_restored"] == len(clean.passes)
         full = hunt(FACTORY, seed=3, message_types=TYPES,
                     space_config=SPACE, max_wait=5.0, max_passes=3)
         assert resumed.attack_names() == full.attack_names()

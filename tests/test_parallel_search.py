@@ -4,24 +4,33 @@ The parallel executor's contract is strict: a pass sharded across workers
 must produce a report *byte-identical* (same JSON serialization) to the
 serial algorithm's — same findings, same float-exact ledger, same
 supervision events.  These tests assert that for all three algorithms, for
-full hunts with checkpoints, and under an environmental fault schedule.
+full hunts with a checkpointing store, and under an environmental fault
+schedule.
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.reports import hunt_result_to_dict, report_to_dict
-from repro.attacks.space import ActionSpaceConfig
-from repro.common.errors import ConfigError
+from repro.attacks.actions import (CLUSTER_DROP, AttackScenario,
+                                   MaliciousAction)
+from repro.attacks.space import ActionSpace, ActionSpaceConfig
+from repro.common.errors import ConfigError, SearchError
 from repro.controller.harness import AttackHarness
 from repro.controller.supervisor import FaultPlan, SupervisorEvent
 from repro.faults.schedule import FaultSchedule
-from repro.parallel import ScenarioExecutor
+from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
+from repro.parallel.merge import REPLAYING
+from repro.search import ALGORITHMS
 from repro.search.brute import BruteForceSearch
 from repro.search.greedy import GreedySearch
 from repro.search.hunt import hunt
-from repro.search.weighted import WeightedGreedySearch
+from repro.search.weighted import (DEFAULT_WEIGHTS, ClusterWeights,
+                                   WeightedGreedySearch)
+from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
@@ -29,6 +38,16 @@ SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
                           include_lying=False)
 FACTORY = paxos_testbed(malicious_index=0, warmup=1.0, window=2.0)
 TYPES = ["Accept", "Prepare", "Heartbeat"]
+
+
+#: the smallest testbed and space that still tell the algorithms apart,
+#: for the generative serial-vs-replay property (two runs per example)
+SMALL_SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
+                                duplicate_counts=(), include_divert=False,
+                                include_lying=False)
+SMALL_FACTORY = paxos_testbed(malicious_index=0, warmup=0.5, window=1.0)
+SMALL_SCENARIOS = [s.to_record() for s in ActionSpace(
+    SMALL_FACTORY(3).schema, SMALL_SPACE).scenarios_for("Accept")]
 
 
 def report_json(report) -> str:
@@ -84,22 +103,86 @@ class TestParallelPassIdentity:
         assert all(w.ledger.total() > 0 for w in breakdown)
 
 
+class TestReplaySource:
+    """The executor runs each algorithm's own ``_run_pass`` over recorded
+    probes; a probe the walk needs but nobody recorded must be an error."""
+
+    def test_missing_eval_is_a_coverage_hole(self):
+        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+            algorithm="greedy", space_config=SMALL_SPACE, max_wait=5.0))
+        startup, (probe,) = prober.probe_types(["Accept"], frozenset())
+        gone = MaliciousAction.from_record(probe.evals.pop().record)
+        walk = REPLAYING["greedy"](
+            SMALL_FACTORY(3), startup, {"Accept": probe}, SMALL_FACTORY,
+            seed=3, space_config=SMALL_SPACE, rounds=1, confirmations=1)
+        with pytest.raises(SearchError) as err:
+            walk.run(message_types=["Accept"])
+        assert "coverage hole" in str(err.value)
+        assert f"{gone.describe()} Accept" in str(err.value)
+
+    def test_missing_scenario_is_a_coverage_hole(self):
+        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+            algorithm="brute", space_config=SMALL_SPACE, max_wait=5.0))
+        kept, gone = map(AttackScenario.from_record, SMALL_SCENARIOS)
+        baseline, (probe,) = prober.probe_brute([kept.to_record()], True)
+        walk = REPLAYING["brute"](
+            SMALL_FACTORY(3), baseline, {probe.record: probe},
+            SMALL_FACTORY, seed=3, space_config=SMALL_SPACE)
+        with pytest.raises(SearchError) as err:
+            walk.run(message_types=["Accept"])
+        assert "coverage hole" in str(err.value)
+        assert f"{gone.action.describe()} Accept" in str(err.value)
+
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(algorithm=st.sampled_from(sorted(ALGORITHMS)),
+           excluded=st.sets(st.sampled_from(SMALL_SCENARIOS)),
+           weights=st.dictionaries(
+               st.sampled_from(sorted(DEFAULT_WEIGHTS)),
+               st.sampled_from([0.05, 0.6, 2.0])))
+    @example(algorithm="greedy", excluded={SMALL_SCENARIOS[0]}, weights={})
+    @example(algorithm="weighted", excluded=set(),
+             weights={CLUSTER_DROP: 2.0})
+    def test_executor_pass_equals_serial_pass(self, algorithm, excluded,
+                                              weights):
+        """One walk, two step sources: whatever the pass, running it over
+        recorded probes reports (and learns) what running it live does."""
+        serial_weights = ClusterWeights(dict(weights))
+        replay_weights = ClusterWeights(dict(weights))
+        common = dict(seed=3, space_config=SMALL_SPACE, max_wait=5.0)
+        options = {"weighted": {"weights": serial_weights},
+                   "greedy": {"rounds": 1, "confirmations": 1},
+                   "brute": {}}[algorithm]
+        expected = ALGORITHMS[algorithm](
+            SMALL_FACTORY, **common, **options).run(
+                message_types=["Accept"], exclude=excluded)
+        with ScenarioExecutor(SMALL_FACTORY, algorithm=algorithm, workers=1,
+                              rounds=1, confirmations=1,
+                              **common) as executor:
+            replayed = executor.run_pass(message_types=["Accept"],
+                                         exclude=excluded,
+                                         weights=replay_weights)
+        assert report_json(replayed) == report_json(expected)
+        assert replay_weights.weights == serial_weights.weights
+
+
 class TestParallelHuntIdentity:
     def test_hunt_workers_byte_identical(self, tmp_path):
-        serial_ckpt = str(tmp_path / "serial.json")
-        par_ckpt = str(tmp_path / "parallel.json")
         serial = hunt(FACTORY, seed=3, message_types=TYPES,
-                      space_config=SPACE, max_passes=3, max_wait=5.0,
-                      checkpoint_path=serial_ckpt)
+                      space_config=SPACE, max_passes=3, max_wait=5.0)
         parallel = hunt(FACTORY, seed=3, message_types=TYPES,
                         space_config=SPACE, max_passes=3, max_wait=5.0,
-                        checkpoint_path=par_ckpt, workers=4)
+                        store_dir=str(tmp_path), workers=4)
         assert hunt_json(parallel) == hunt_json(serial)
-        with open(serial_ckpt) as fh:
-            serial_state = fh.read()
-        with open(par_ckpt) as fh:
-            parallel_state = fh.read()
-        assert parallel_state == serial_state
+        # the state the parallel hunt checkpointed is the serial hunt's
+        store = RunStore(str(tmp_path), seed=3)
+        state = store.load_checkpoint()
+        store.close()
+        serial_state = hunt_result_to_dict(serial)
+        assert json.dumps(state["passes"]) == \
+            json.dumps(serial_state["passes"])
+        assert state["ledger"] == serial_state["ledger"]
+        assert state["written_at_pass"] == len(serial.passes)
         assert parallel.worker_breakdown  # side channel, not serialized
         assert "worker_breakdown" not in hunt_json(parallel)
 

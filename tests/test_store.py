@@ -16,9 +16,8 @@ from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ConfigError
 from repro.controller.costs import CostLedger
-from repro.search.hunt import (CHECKPOINT_VERSION, HuntResult, hunt,
-                               load_checkpoint, migrate_checkpoint,
-                               save_checkpoint)
+from repro.search.hunt import (CHECKPOINT_VERSION, HuntResult,
+                               _checkpoint_dict, hunt)
 from repro.search.weighted import ClusterWeights
 from repro.store.budget import (CACHE_REBUILD, SnapshotBudget, StoreReport,
                                 parse_bytes)
@@ -201,47 +200,33 @@ def _dummy_state():
 
 class TestCheckpointSatellites:
     def test_save_checkpoint_is_atomic_and_loadable(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        system, seed, excluded, weights, result = _dummy_state()
-        save_checkpoint(path, system, seed, excluded, weights, result)
-        assert not os.path.exists(path + ".tmp")
-        data = load_checkpoint(path)
+        store = RunStore(str(tmp_path), seed=3)
+        store.save_checkpoint(_checkpoint_dict(*_dummy_state()))
+        assert not [n for n in os.listdir(str(tmp_path))
+                    if n.endswith(".tmp")]
+        data = store.resume_checkpoint(CHECKPOINT_VERSION)
+        store.close()
         assert data["version"] == CHECKPOINT_VERSION
         assert data["system"] == "paxos"
         assert data["written_at_pass"] == 0
 
-    def test_truncated_checkpoint_names_the_path(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text('{"version": 2, "passes": [')  # torn write
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(str(path))
-        assert str(path) in str(err.value)
-        assert "truncated or corrupt" in str(err.value)
-
-    def test_missing_checkpoint_names_the_path(self, tmp_path):
-        path = str(tmp_path / "nope.json")
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(path)
-        assert path in str(err.value)
-
     def test_non_object_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ConfigError):
-            load_checkpoint(str(path))
+        store = RunStore(str(tmp_path), seed=3)
+        store.save_checkpoint({"n": 0})
+        path = os.path.join(str(tmp_path), "checkpoint-000001.json")
+        with open(path, "w") as fh:
+            fh.write("[1, 2, 3]")  # valid JSON, not a checkpoint envelope
+        assert store.load_checkpoint() is None
+        store.close()
 
-    def test_v1_checkpoint_migrates_forward(self):
-        v1 = {"version": 1, "system": "paxos", "seed": 3, "excluded": [],
-              "weights": {}, "ledger": {}, "passes": [{}, {}],
-              "complete": False}
-        data = migrate_checkpoint(v1)
-        assert data["version"] == CHECKPOINT_VERSION
-        assert data["written_at_pass"] == 2
-        assert v1["version"] == 1  # original untouched
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ConfigError):
-            migrate_checkpoint({"version": 99})
+    def test_unknown_version_rejected(self, tmp_path):
+        store = RunStore(str(tmp_path), seed=3)
+        store.save_checkpoint({"version": 99, "passes": []})
+        with pytest.raises(ConfigError) as err:
+            store.resume_checkpoint(CHECKPOINT_VERSION)
+        store.close()
+        assert str(tmp_path) in str(err.value)
+        assert "99" in str(err.value)
 
 
 class TestStoreCheckpoints:
@@ -364,9 +349,6 @@ class TestDurableHunt:
         with pytest.raises(ConfigError):
             hunt(FACTORY, store_dir=str(tmp_path), injection_cache=True,
                  **kwargs)
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, store_dir=str(tmp_path),
-                 checkpoint_path=str(tmp_path / "ck.json"), **kwargs)
         with pytest.raises(ConfigError):
             hunt(FACTORY, snapshot_budget=1024, **kwargs)
 
