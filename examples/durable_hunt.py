@@ -6,15 +6,17 @@ The run store survives not just a polite Ctrl-C but an impolite
 to end:
 
 1. a plain PBFT hunt as the byte-identity reference;
-2. the same hunt with a run store (``store_dir``) — probes are committed
-   to a CRC32 write-ahead journal as they complete, and re-running with
-   the same store replays them to the *byte-identical* report;
+2. the same hunt with a run store (``store_dir``) — the prober works on
+   the store's probe cache, so probes are committed to a CRC32
+   write-ahead journal as they complete, and re-running with the same
+   store answers them from disk to the *byte-identical* report;
 3. a hunt SIGKILLed mid-pass via the ``REPRO_STORE_CHAOS`` hook (in a
    subprocess — the chaos hook kills the whole process, that is the
    point), then resumed from its store to the same bytes;
-4. a snapshot-budgeted hunt: the injection-point cache capped to one
-   byte, so every admission evicts — the report is still byte-identical,
-   with rebuild time charged to a side channel.
+4. a snapshot-budgeted hunt: the injection-point cache (the only
+   snapshot cache; ``snapshot_budget`` needs ``injection_cache``) capped
+   to one byte, so every admission evicts — the report is still
+   byte-identical, with rebuild time charged to a side channel.
 
 Run:  python examples/durable_hunt.py
 """

@@ -26,7 +26,7 @@ from repro.attacks.actions import (DelayAction, DivertAction, DropAction,
                                    MaliciousAction)
 from repro.attacks.space import ActionSpaceConfig
 from repro.attacks.strategies import LyingStrategy
-from repro.common.errors import TurretError
+from repro.common.errors import ConfigError, TurretError
 from repro.controller.harness import AttackHarness
 from repro.controller.monitor import AttackThreshold
 from repro.controller.supervisor import FaultPlan
@@ -49,7 +49,6 @@ def _fault_schedule(args):
     path = getattr(args, "faults", None)
     if path is None:
         return None
-    from repro.common.errors import ConfigError
     from repro.faults.schedule import FaultSchedule
     try:
         return FaultSchedule.from_file(path)
@@ -193,7 +192,6 @@ def _health_policy(args):
     silently ignoring ``--worker-timeout`` on ``--workers 1`` would hide a
     typo'd invocation from the operator who thought hangs were covered.
     """
-    from repro.common.errors import ConfigError
     used = [flag for flag, value in (
         ("--worker-timeout", getattr(args, "worker_timeout", None)),
         ("--worker-retries", getattr(args, "worker_retries", None)),
@@ -351,9 +349,9 @@ def cmd_search(args) -> int:
     health_policy = _health_policy(args)
     if args.workers > 1:
         if _fault_plan(args) is not None:
-            raise SystemExit("--workers > 1 cannot run with --inject-faults "
-                             "(the fault plan's stream is sequence-"
-                             "dependent; use --faults chaos instead)")
+            raise ConfigError("--workers > 1 cannot run with --inject-faults "
+                              "(the fault plan's stream is sequence-"
+                              "dependent; use --faults chaos instead)")
         from repro.parallel.executor import ScenarioExecutor
         try:
             with ScenarioExecutor(
@@ -689,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "hunt mid-pass with a byte-identical result (not "
                         "with --inject-faults or --injection-cache)")
     p.add_argument("--snapshot-budget", default=None, metavar="BYTES",
-                   help="bound snapshot-cache memory (e.g. 64k, 2M, 1G); "
-                        "least-recently-used snapshots are evicted and "
-                        "deterministically rebuilt on demand (needs "
-                        "--injection-cache, --store, or --workers)")
+                   help="bound the injection-point snapshot cache (e.g. "
+                        "64k, 2M, 1G); least-recently-used snapshots are "
+                        "evicted and deterministically rebuilt on demand "
+                        "(needs --injection-cache)")
     p.add_argument("--json", default=None,
                    help="write the hunt result as JSON")
     p.add_argument("--markdown", action="store_true",

@@ -25,7 +25,7 @@ from repro.common.errors import SnapshotError
 from repro.controller.supervisor import (OP_SNAPSHOT_RESTORE,
                                          OP_SNAPSHOT_SAVE, FaultPlan)
 from repro.runtime.world import World
-from repro.telemetry.tracer import NULL_SPAN, Tracer
+from repro.telemetry.tracer import Tracer, maybe_span
 from repro.vm.snapshots import ClusterSnapshot
 
 
@@ -76,12 +76,6 @@ class DistributedSnapshotter:
         self.fault_plan = fault_plan
         self.tracer = tracer
 
-    def _span(self, name: str, **args):
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            return tracer.span(name, **args)
-        return NULL_SPAN
-
     # ------------------------------------------------------------------ save
 
     def save(self, delta_base: Optional[ClusterSnapshot] = None
@@ -95,7 +89,7 @@ class DistributedSnapshotter:
         world = self.world
         mode = ("delta" if delta_base is not None
                 else "shared" if self.shared_pages else "plain")
-        with self._span("snapshot.save", mode=mode) as span:
+        with maybe_span(self.tracer, "snapshot.save", mode=mode) as span:
             # Injected faults fire before any component is touched, so a
             # failed save leaves the world exactly as it was — retryable by
             # design.
@@ -153,7 +147,7 @@ class DistributedSnapshotter:
     def restore(self, snapshot: WorldSnapshot) -> float:
         """Rewind the world to ``snapshot``; returns the modelled cost."""
         world = self.world
-        with self._span("snapshot.restore",
+        with maybe_span(self.tracer, "snapshot.restore",
                         mode=snapshot.cluster_snapshot.mode
                         if isinstance(snapshot.cluster_snapshot,
                                       ClusterSnapshot) else "delta",

@@ -28,7 +28,7 @@ from repro.controller.monitor import (AttackThreshold, PerfSample,
                                       PerformanceMonitor)
 from repro.controller.supervisor import OP_BOOT, OP_PROXY, FaultPlan
 from repro.runtime.world import World
-from repro.telemetry.tracer import NULL_SPAN, Tracer
+from repro.telemetry.tracer import Tracer, maybe_span
 from repro.vm.snapshots import SnapshotStore
 from repro.wire.schema import ProtocolSchema
 
@@ -131,12 +131,6 @@ class AttackHarness:
 
     # ------------------------------------------------------------- lifecycle
 
-    def _span(self, name: str, **args):
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            return tracer.span(name, **args)
-        return NULL_SPAN
-
     def _wire_telemetry(self, instance: TestbedInstance) -> None:
         """Attach the platform tracer and flip on the world's observers."""
         world = instance.world
@@ -161,8 +155,8 @@ class AttackHarness:
         self._wire_telemetry(self.instance)
         if self.watchdog_limit is not None:
             world.set_watchdog(self.watchdog_limit)
-        with self._span("harness.boot", testbed=self.instance.name,
-                        seed=self.seed) as span:
+        with maybe_span(self.tracer, "harness.boot",
+                        testbed=self.instance.name, seed=self.seed) as span:
             boot_time = world.boot()
             span.set(boot_time=boot_time, nodes=len(world.nodes))
         self.ledger.charge(BOOT, boot_time)
@@ -178,7 +172,8 @@ class AttackHarness:
             world, shared_pages=self.shared_pages,
             fault_plan=self.fault_plan, tracer=self.tracer)
         self.monitor = PerformanceMonitor(world.metrics)
-        with self._span("harness.warmup", duration=self.instance.warmup):
+        with maybe_span(self.tracer, "harness.warmup",
+                        duration=self.instance.warmup):
             self._run(self.instance.warmup)
         if take_warm_snapshot:
             self.warm_snapshot = self.take_snapshot()
@@ -285,8 +280,8 @@ class AttackHarness:
         if self.fault_plan is not None:
             self.fault_plan.check(OP_PROXY)
         instance.proxy.arm(message_type)
-        with self._span("harness.seek", message_type=message_type,
-                        max_wait=wait) as span:
+        with maybe_span(self.tracer, "harness.seek",
+                        message_type=message_type, max_wait=wait) as span:
             try:
                 while True:
                     start = self.world.kernel.now
@@ -327,7 +322,7 @@ class AttackHarness:
         released unmodified and no policy is installed).
         """
         instance = self._require_instance()
-        with self._span("harness.branch",
+        with maybe_span(self.tracer, "harness.branch",
                         message_type=injection.message_type,
                         action=type(action).__name__ if action else "baseline"):
             try:
@@ -337,7 +332,8 @@ class AttackHarness:
                 if action is not None:
                     instance.proxy.set_policy(injection.message_type, action)
                 instance.proxy.release_held(action)
-                with self._span("harness.measure", window=instance.window):
+                with maybe_span(self.tracer, "harness.measure",
+                                window=instance.window):
                     self._run(instance.window)
             finally:
                 # Whatever happened — clean restore-and-measure or a platform
@@ -357,7 +353,7 @@ class AttackHarness:
         instance = self._require_instance()
         w = window if window is not None else instance.window
         start = self.world.kernel.now
-        with self._span("harness.measure", window=w):
+        with maybe_span(self.tracer, "harness.measure", window=w):
             self._run(w)
         crashed = len(self.world.crashed_nodes())
         return self.monitor.sample(start, start + w, crashed_nodes=crashed)

@@ -114,8 +114,7 @@ class ScenarioExecutor:
                  tracer: Optional[Tracer] = None,
                  log_events: bool = False,
                  health: Optional[HealthPolicy] = None,
-                 store=None,
-                 snapshot_budget: Optional[int] = None) -> None:
+                 store=None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if algorithm not in REPLAYING:
@@ -130,9 +129,9 @@ class ScenarioExecutor:
         self.confirmations = confirmations
         self.tracer = tracer
         self.policy = health or HealthPolicy()
-        #: durable :class:`~repro.store.runstore.RunStore` (duck-typed):
-        #: journal-covered types are answered from disk, fresh probes are
-        #: journaled; None = no durability
+        #: durable :class:`~repro.store.runstore.RunStore` (duck-typed:
+        #: ``cache`` + ``covers``): journal-covered types are answered from
+        #: disk, fresh probes are journaled; None = no durability
         self.store = store
         #: an unbooted instance: the schema/name/search-type oracle the
         #: serial algorithm reads off its own harness
@@ -145,8 +144,7 @@ class ScenarioExecutor:
             fault_schedule=fault_schedule, watchdog_limit=watchdog_limit,
             max_retries=max_retries,
             trace=tracer is not None and tracer.enabled,
-            log_events=log_events,
-            snapshot_budget=snapshot_budget)
+            log_events=log_events)
         start_methods = multiprocessing.get_all_start_methods()
         self._use_fork = workers > 1 and "fork" in start_methods
         self._health = HealthMonitor(self.policy, workers, tracer=tracer)
@@ -156,10 +154,8 @@ class ScenarioExecutor:
         #: respawned replacements in later passes — must replay it bitwise.
         #: A store with a journaled startup seeds the reference, so a
         #: resumed hunt's live boots are checked against the original's.
-        self._startup_reference: Optional[StartupProbe] = None
-        if store is not None and store.startup is not None:
-            self._startup_reference = store.startup
-        self._budget_counters: Dict[int, Dict[str, float]] = {}
+        self._startup_reference: Optional[StartupProbe] = (
+            store.cache.startup if store is not None else None)
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._conns: Dict[int, connection.Connection] = {}
         self._inline: Dict[int, WorkerProber] = {}
@@ -212,25 +208,6 @@ class ScenarioExecutor:
         self._conns[worker] = parent_conn
         self._health.record_spawn(worker)
 
-    def _ensure_worker(self, worker: int) -> None:
-        if self._use_fork:
-            if worker not in self._procs:
-                self._spawn(worker)
-        elif worker not in self._inline:
-            prober = WorkerProber(worker, self.factory, self.seed,
-                                  self.params)
-            if self.store is not None:
-                # In-process probers journal each fresh probe directly (the
-                # finest durability granularity) and start pre-seeded, so a
-                # partially-journaled type resumes mid-walk.  Forked workers
-                # are neither: they re-probe their shard fresh — identical
-                # traces, by determinism — and the parent journals their
-                # returns (see _flush_journal), because two processes
-                # appending to one journal would interleave records.
-                self.store.seed_prober(prober)
-                prober.probe_sink = self.store
-            self._inline[worker] = prober
-
     # ------------------------------------------------------------- dispatch
 
     def _dispatch(self, tasks: Dict[int, tuple]) -> Dict[int, WorkerReturn]:
@@ -240,23 +217,24 @@ class ScenarioExecutor:
         else:
             returns = {}
             for worker in sorted(tasks):
-                self._ensure_worker(worker)
                 returns[worker] = self._run_inline(worker, tasks[worker])
         self._absorb(returns)
         return returns
 
     def _run_inline(self, worker: int, task: tuple) -> WorkerReturn:
-        self._ensure_worker(worker)
-        prober = self._inline[worker]
-        started = time.perf_counter()
-        if task[0] == "probe":
-            startup, probes = prober.probe_types(task[1], task[2])
-            payload = prober.package(startup=startup, types=probes)
-        else:
-            baseline, probes = prober.probe_brute(task[1], task[2])
-            payload = prober.package(baseline=baseline, scenarios=probes)
-        payload.wall_seconds = time.perf_counter() - started
-        return payload
+        if worker not in self._inline:
+            # In-process probers work directly on the store's cache: each
+            # fresh probe is journaled as it is recorded (the finest
+            # durability granularity) and a partially-journaled type
+            # resumes mid-walk.  Forked workers do neither: they re-probe
+            # their shard fresh — identical traces, by determinism — and
+            # the parent journals their returns (see _flush_journal),
+            # because two processes appending to one journal would
+            # interleave records.
+            self._inline[worker] = WorkerProber(
+                worker, self.factory, self.seed, self.params,
+                cache=self.store.cache if self.store is not None else None)
+        return self._inline[worker].run_task(task)
 
     def _dispatch_fork(self, tasks: Dict[int, tuple]
                        ) -> Dict[int, WorkerReturn]:
@@ -286,7 +264,8 @@ class ScenarioExecutor:
         if worker in state.pending:
             state.queue.setdefault(worker, []).append(entry)
             return
-        self._ensure_worker(worker)
+        if worker not in self._procs:
+            self._spawn(worker)
         budget = self.policy.deadline_for(entry.units)
         entry.deadline = (time.monotonic() + budget
                           if budget is not None else None)
@@ -374,9 +353,9 @@ class ScenarioExecutor:
                 continue
             ret = state.returns[slot]
             if ret.startup is not None:
-                self.store.journal_startup(ret.startup)
+                self.store.cache.add_startup(ret.startup)
             for probe in ret.types:
-                self.store.journal_type(probe)
+                self.store.cache.add_type(probe)
 
     # ------------------------------------------------------------- recovery
 
@@ -500,10 +479,6 @@ class ScenarioExecutor:
             if self.tracer is not None and self.tracer.enabled:
                 self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
             self._log_records.extend(ret.log_records)
-            if ret.budget_counters:
-                # Cumulative per worker: the latest snapshot replaces the
-                # previous one rather than double-counting it.
-                self._budget_counters[ret.worker] = dict(ret.budget_counters)
 
     def _shared_startup(self, returns: Dict[int, WorkerReturn]
                         ) -> StartupProbe:
@@ -567,17 +542,16 @@ class ScenarioExecutor:
             # Types the journal fully covers are answered from disk; their
             # recorded traces replay through the merge exactly as a live
             # worker's would.  Partially covered types stay in the shards —
-            # an in-process prober resumes mid-walk from its seeds, a
-            # forked worker re-probes (identical traces) and the journal's
+            # an in-process prober resumes mid-walk on the store's cache, a
+            # forked worker re-probes (identical traces) and the cache's
             # dedupe absorbs the overlap.
-            covered = [t for t in todo
-                       if self.store.covers(t, actions_by_type[t],
-                                            self.threshold,
-                                            early_stop=self.params
-                                            .early_stop)]
-            for message_type in covered:
-                probes[message_type] = self.store.type_probe(message_type)
-            todo = [t for t in todo if t not in set(covered)]
+            for message_type in todo:
+                probe = self.store.covers(
+                    message_type, actions_by_type[message_type],
+                    self.threshold, early_stop=self.params.early_stop)
+                if probe is not None:
+                    probes[message_type] = probe
+            todo = [t for t in todo if t not in probes]
         shards: Dict[int, List[str]] = {}
         for message_type in todo:
             if not actions_by_type[message_type]:
@@ -645,16 +619,6 @@ class ScenarioExecutor:
     def worker_health(self) -> WorkerHealthReport:
         """Everything the self-healing layer did, clean or not."""
         return self._health.report()
-
-    def budget_counters(self) -> Dict[str, float]:
-        """Aggregate ``snapshot.cache.*`` counters across the pool (a side
-        channel, like :meth:`worker_breakdown`; approximate after a worker
-        respawn, whose replacement restarts its counters)."""
-        total: Dict[str, float] = {}
-        for __, counters in sorted(self._budget_counters.items()):
-            for name, value in counters.items():
-                total[name] = total.get(name, 0.0) + value
-        return total
 
     def take_log_records(self) -> list:
         """Drain EventLog records gathered from the workers so far."""

@@ -10,10 +10,19 @@ traces* (see :mod:`repro.parallel.recording`), not report fragments; the
 algorithm's own walk then runs over them in serial order (see
 :mod:`repro.parallel.merge`).
 
-Workers are persistent across hunt passes and cache per-``(type, action)``
-evaluations: a later pass that re-walks an already-probed action gets the
-recorded trace back without re-simulating, which is where the parallel
-hunt's wall-clock win comes from on top of sharding.
+Workers are persistent across hunt passes and keep every recorded probe in
+one :class:`ProbeCache`: a later pass that re-walks an already-probed action
+gets the recorded trace back without re-simulating, which is where the
+parallel hunt's wall-clock win comes from on top of sharding.  The cache is
+also what ``hunt --store`` persists (see :mod:`repro.store.runstore`), and
+it owns the one statement of which evaluations a pass can need
+(:meth:`ProbeCache.walk`).
+
+What a prober does *not* keep is live testbed state per type: it holds one
+:class:`~repro.search.base.TypeContext` — the type it last simulated — the
+way the serial engine does.  A fresh evaluation of any other type re-derives
+its injection point from the warm snapshot, off the books
+(:meth:`WorkerProber._reacquire_context`).
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
@@ -54,9 +64,6 @@ class ProbeParams:
     max_retries: int = 2
     trace: bool = False
     log_events: bool = False
-    #: byte budget bounding each prober's retained per-type contexts
-    #: (None = unbounded); see :class:`repro.store.budget.SnapshotBudget`
-    snapshot_budget: Optional[int] = None
 
     @property
     def early_stop(self) -> bool:
@@ -136,23 +143,118 @@ class WorkerReturn:
     events: list = field(default_factory=list)
     #: worker-side EventLog records since the last task
     log_records: list = field(default_factory=list)
-    #: this worker's cumulative ``snapshot.cache.*`` budget counters
-    #: (side-channel, like ``by_category``; empty when unbudgeted)
-    budget_counters: Dict[str, float] = field(default_factory=dict)
+
+
+class ProbeCache:
+    """Every probe recorded so far, keyed the way the walks look it up.
+
+    The one home of recorded probes: a :class:`WorkerProber` fills and
+    reads it, and a :class:`~repro.store.runstore.RunStore` is its
+    persistence — loaded from the journal, with ``commit`` appending each
+    new probe to the journal before the cache admits it.  It also owns the
+    one statement of which evaluations a pass can need (:meth:`walk`).
+    """
+
+    def __init__(self) -> None:
+        #: the first startup recorded: the reference every later boot of
+        #: the same ``(factory, seed)`` is cross-checked against
+        self.startup: Optional[StartupProbe] = None
+        self.contexts: Dict[str, ContextProbe] = {}
+        #: message type -> {action record: EvalProbe}
+        self.evals: Dict[str, Dict[tuple, EvalProbe]] = {}
+        #: brute force's benign execution and per-scenario probes
+        self.baseline: Optional[BaselineProbe] = None
+        self.scenarios: Dict[tuple, ScenarioProbe] = {}
+        #: ``commit(kind, message_type, probe)`` runs before a *new*
+        #: startup/context/eval probe is admitted (default: memory only)
+        self.commit: Callable[[str, Optional[str], Any], None] = (
+            lambda kind, message_type, probe: None)
+
+    def add_startup(self, probe: StartupProbe) -> None:
+        if self.startup is None:
+            self.commit("startup", None, probe)
+            self.startup = probe
+
+    def add_context(self, message_type: str, probe: ContextProbe) -> None:
+        if message_type not in self.contexts:
+            self.commit("context", message_type, probe)
+            self.contexts[message_type] = probe
+
+    def add_eval(self, message_type: str, probe: EvalProbe) -> None:
+        evals = self.evals.setdefault(message_type, {})
+        if probe.record not in evals:
+            self.commit("eval", message_type, probe)
+            evals[probe.record] = probe
+
+    def add_type(self, probe: TypeProbe) -> None:
+        """Admit a whole TypeProbe (a forked worker's return)."""
+        self.add_context(probe.message_type, probe.context)
+        for ev in probe.evals:
+            self.add_eval(probe.message_type, ev)
+
+    def walk(self, message_type: str, actions: Sequence[MaliciousAction],
+             threshold: AttackThreshold, early_stop: bool,
+             acquire: Optional[Callable[[str], ContextProbe]] = None,
+             measure: Optional[Callable[[str, MaliciousAction],
+                                        EvalProbe]] = None
+             ) -> Optional[TypeProbe]:
+        """The probes a pass over ``actions`` can need — the superset rule.
+
+        Context first; then every action for greedy, and for weighted
+        (``early_stop``) each cluster in enumeration order up to its first
+        non-quarantined attack: the weight-ordered serial walk can never
+        need an action past that one, because it would have stopped there
+        first — whatever the weights.
+
+        A miss is answered by ``acquire(message_type)`` / ``measure(
+        message_type, action)`` and admitted (the prober simulating); with
+        neither given the first miss returns None — "the cache alone does
+        not cover this type".
+        """
+        context = self.contexts.get(message_type)
+        if context is None:
+            if acquire is None:
+                return None
+            context = acquire(message_type)
+            self.add_context(message_type, context)
+        evals: List[EvalProbe] = []
+        if context.quarantined is not None or not context.found:
+            return TypeProbe(message_type, context, evals)
+        groups: Dict[str, List[MaliciousAction]] = {}
+        for action in actions:
+            groups.setdefault(action.cluster if early_stop else "",
+                              []).append(action)
+        known = self.evals.setdefault(message_type, {})
+        for group in groups.values():
+            for action in group:
+                probe = known.get(action.to_record())
+                if probe is None:
+                    if measure is None:
+                        return None
+                    probe = measure(message_type, action)
+                    self.add_eval(message_type, probe)
+                evals.append(probe)
+                if (early_stop and probe.quarantined is None
+                        and is_attack_sample(threshold, probe.baseline,
+                                             probe.sample)):
+                    break
+        return TypeProbe(message_type, context, evals)
 
 
 class WorkerProber:
     """Evaluates shards against one private testbed, recording every step.
 
     Used in-process (``workers=1`` or no ``fork``) and as the body of a
-    forked worker.  All state — the booted world, the warm snapshot, the
-    injection-point cache, and the per-action evaluation cache — persists
-    across calls, so hunt pass N+1 only simulates actions pass N never
-    touched.
+    forked worker.  The booted world, the warm snapshot, and the
+    :class:`ProbeCache` persist across calls, so hunt pass N+1 only
+    simulates actions pass N never touched.  ``cache`` hands the prober an
+    existing cache — a run store's, so a resumed hunt answers from the
+    journal and journals what it simulates.
     """
 
     def __init__(self, worker_id: int, factory, seed: int,
-                 params: ProbeParams) -> None:
+                 params: ProbeParams,
+                 cache: Optional[ProbeCache] = None) -> None:
         self.worker_id = worker_id
         self.params = params
         ledger = RecordingLedger()
@@ -173,20 +275,13 @@ class WorkerProber:
         # positions index into the same charge log.
         self.search.supervisor = RecordingSupervisor(
             ledger, max_retries=params.max_retries)
+        self.cache = cache if cache is not None else ProbeCache()
+        #: this prober's own boot.  Never taken from the cache: simulating
+        #: anything needs a live world, and the executor cross-checks every
+        #: fresh boot's trace against the cache's reference.
         self._startup: Optional[StartupProbe] = None
-        self._baseline: Optional[BaselineProbe] = None
-        #: message_type -> {"context", "ctx", "evals": {record: EvalProbe}}
-        self._types: Dict[str, dict] = {}
-        #: duck-typed durable sink (a :class:`repro.store.runstore.RunStore`)
-        #: receiving every *fresh* probe; None = no journaling
-        self.probe_sink = None
-        self.budget = None
-        if params.snapshot_budget is not None:
-            # Function-level import: repro.store imports this module.
-            from repro.store.budget import SnapshotBudget
-            self.budget = SnapshotBudget(params.snapshot_budget)
-        #: scenario record -> ScenarioProbe (brute)
-        self._scenarios: Dict[tuple, ScenarioProbe] = {}
+        #: the one live injection context: the type last simulated
+        self._live: Optional[TypeContext] = None
         self._span_mark = 0
         self._event_mark = 0
         self._log_mark = 0
@@ -198,98 +293,57 @@ class WorkerProber:
             with StepRecorder(self.search) as step:
                 self.search._start_run()
             self._startup = StartupProbe(step.trace, step.quarantined)
-            if self.probe_sink is not None:
-                self.probe_sink.journal_startup(self._startup)
+            self.cache.add_startup(self._startup)
         return self._startup
 
     def probe_types(self, message_types: Sequence[str],
                     exclude: FrozenSet[tuple]
                     ) -> Tuple[StartupProbe, List[TypeProbe]]:
-        """Probe every type in the shard: context + the evals the serial
-        walk could possibly visit (all of them for greedy; up to each
-        cluster's first attack for weighted)."""
+        """Probe every type in the shard: :meth:`ProbeCache.walk`,
+        simulating whatever the cache does not already hold."""
         startup = self._ensure_started()
         probes: List[TypeProbe] = []
         if startup.quarantined is not None:
             return startup, probes
         space = self.search._space()
         for message_type in message_types:
-            probes.append(self._probe_type(space, message_type, exclude))
-        return startup, probes
-
-    def _probe_type(self, space, message_type: str,
-                    exclude: FrozenSet[tuple]) -> TypeProbe:
-        entry = self._types.get(message_type)
-        if entry is None:
-            ctx = None
-            with StepRecorder(self.search) as step:
-                ctx = self.search._acquire_context(message_type)
-            context = ContextProbe(found=ctx is not None, trace=step.trace,
-                                   quarantined=step.quarantined)
-            entry = {"context": context, "ctx": ctx, "evals": {}}
-            self._types[message_type] = entry
-            if self.probe_sink is not None:
-                self.probe_sink.journal_context(message_type, context)
-            self._admit_ctx(message_type, entry)
-        context = entry["context"]
-        evals: List[EvalProbe] = []
-        # Gate on the *recorded* outcome, not the live ctx: a journal-seeded
-        # or budget-evicted entry has ctx=None but context.found=True, and
-        # must still walk (cached evals answer; fresh ones lazily re-acquire).
-        if context.quarantined is None and context.found:
             actions = [a for a in space.actions_for(message_type)
                        if AttackScenario(message_type, a).to_record()
                        not in exclude]
-            if self.params.early_stop:
-                # Group by cluster, preserving enumeration order: the
-                # weight-ordered serial walk can never need an action past
-                # its cluster's first (non-quarantined) attack, because it
-                # would have stopped at that attack first.
-                clusters: Dict[str, List[MaliciousAction]] = {}
-                for action in actions:
-                    clusters.setdefault(action.cluster, []).append(action)
-                for group in clusters.values():
-                    for action in group:
-                        probe = self._eval_action(message_type, entry, action)
-                        evals.append(probe)
-                        if (probe.quarantined is None
-                                and is_attack_sample(self.search.threshold,
-                                                     probe.baseline,
-                                                     probe.sample)):
-                            break
-            else:
-                for action in actions:
-                    evals.append(self._eval_action(message_type, entry,
-                                                   action))
-        return TypeProbe(message_type, context, evals)
+            probes.append(self.cache.walk(
+                message_type, actions, self.search.threshold,
+                self.params.early_stop, self._acquire, self._evaluate))
+        return startup, probes
 
-    def _eval_action(self, message_type: str, entry: dict,
-                     action: MaliciousAction) -> EvalProbe:
-        record = action.to_record()
-        probe = entry["evals"].get(record)
-        if probe is None:
-            if entry["ctx"] is None:
-                self._reacquire_context(message_type, entry)
-            elif self.budget is not None:
-                self.budget.touch(message_type)
-            sample = None
-            with StepRecorder(self.search) as step:
-                sample = self.search._measure_action(entry["ctx"], action)
-            # Read the baseline *after* the measurement: a mid-step rebuild
-            # refreshes ctx.baseline, and the serial loop compares against
-            # the refreshed one.
-            baseline = (entry["ctx"].baseline
-                        if step.quarantined is None else None)
-            probe = EvalProbe(record, baseline,
-                              sample if step.quarantined is None else None,
-                              step.trace, step.quarantined)
-            entry["evals"][record] = probe
-            if self.probe_sink is not None:
-                self.probe_sink.journal_eval(message_type, probe)
-        return probe
+    def _acquire(self, message_type: str) -> ContextProbe:
+        self._live = None  # dropped first: never two contexts resident
+        with StepRecorder(self.search) as step:
+            self._live = self.search._acquire_context(message_type)
+        return ContextProbe(found=self._live is not None, trace=step.trace,
+                            quarantined=step.quarantined)
 
-    def _reacquire_context(self, message_type: str, entry: dict) -> None:
-        """Re-derive a seeded/evicted type's live injection context.
+    def _evaluate(self, message_type: str,
+                  action: MaliciousAction) -> EvalProbe:
+        ctx = self._live
+        if ctx is None or ctx.message_type != message_type:
+            # Recorded earlier (another pass, another type since, or the
+            # journal): cached evals answered so far, a fresh one needs
+            # the live injection point back.
+            self._live = None
+            ctx = self._live = self._reacquire_context(message_type)
+        sample = None
+        with StepRecorder(self.search) as step:
+            sample = self.search._measure_action(ctx, action)
+        # Read the baseline *after* the measurement: a mid-step rebuild
+        # refreshes ctx.baseline, and the serial loop compares against
+        # the refreshed one.
+        baseline = ctx.baseline if step.quarantined is None else None
+        return EvalProbe(action.to_record(), baseline,
+                         sample if step.quarantined is None else None,
+                         step.trace, step.quarantined)
+
+    def _reacquire_context(self, message_type: str) -> TypeContext:
+        """Re-derive the live injection context of an already-recorded type.
 
         Runs **off the books**: outside any :class:`StepRecorder`, so none
         of its ledger charges enter recorded traces — the merged report
@@ -299,52 +353,33 @@ class WorkerProber:
         hard error rather than a quietly different report.
         """
         search = self.search
-        before = search.ledger.total()
-        if self.budget is not None:
-            self.budget.miss()
-        try:
-            injection = search._seek_injection(message_type)
-            if injection is None:
-                raise SearchError(
-                    f"injection point for {message_type} disappeared on "
-                    f"re-acquisition; deterministic world diverged")
-            baseline = search.harness.branch_measure(injection, None)
-        finally:
-            if self.budget is not None:
-                self.budget.note_rebuild(search.ledger.total() - before)
-        entry["ctx"] = TypeContext(message_type, injection, baseline)
-        self._admit_ctx(message_type, entry)
-
-    def _admit_ctx(self, message_type: str, entry: dict) -> None:
-        if self.budget is None or entry["ctx"] is None:
-            return
-        size = (entry["ctx"].injection.snapshot
-                .cluster_snapshot.stored_bytes())
-        self.budget.admit(message_type, size, self._evict_ctx)
-
-    def _evict_ctx(self, message_type: str) -> None:
-        entry = self._types.get(message_type)
-        if entry is not None:
-            entry["ctx"] = None
+        injection = search._seek_injection(message_type)
+        if injection is None:
+            raise SearchError(
+                f"injection point for {message_type} disappeared on "
+                f"re-acquisition; deterministic world diverged")
+        baseline = search.harness.branch_measure(injection, None)
+        return TypeContext(message_type, injection, baseline)
 
     # ----------------------------------------------------------------- brute
 
     def probe_brute(self, scenario_records: Sequence[tuple],
                     include_baseline: bool
                     ) -> Tuple[Optional[BaselineProbe], List[ScenarioProbe]]:
+        cache = self.cache
         baseline = None
         if include_baseline:
-            if self._baseline is None:
+            if cache.baseline is None:
                 sample = None
                 with StepRecorder(self.search) as step:
                     sample = self.search._measure_baseline()
-                self._baseline = BaselineProbe(
+                cache.baseline = BaselineProbe(
                     sample if step.quarantined is None else None,
                     step.trace, step.quarantined)
-            baseline = self._baseline
+            baseline = cache.baseline
         probes: List[ScenarioProbe] = []
         for record in scenario_records:
-            probe = self._scenarios.get(record)
+            probe = cache.scenarios.get(record)
             if probe is None:
                 scenario = AttackScenario.from_record(record)
                 injected_at = sample = None
@@ -353,19 +388,18 @@ class WorkerProber:
                         scenario)
                 probe = ScenarioProbe(record, injected_at, sample,
                                       step.trace, step.quarantined)
-                self._scenarios[record] = probe
+                cache.scenarios[record] = probe
             probes.append(probe)
         return baseline, probes
 
     # ------------------------------------------------------------- packaging
 
-    def _drain_telemetry(self) -> Tuple[list, list, list]:
-        spans: list = []
-        events: list = []
-        log_records: list = []
+    def _drain_telemetry(self, payload: WorkerReturn) -> None:
+        """Move tracer output and EventLog records since the last task
+        onto ``payload``."""
         if self.tracer is not None:
-            spans = self.tracer.spans[self._span_mark:]
-            events = self.tracer.events[self._event_mark:]
+            payload.spans = self.tracer.spans[self._span_mark:]
+            payload.events = self.tracer.events[self._event_mark:]
             self._span_mark = len(self.tracer.spans)
             self._event_mark = len(self.tracer.events)
         if self.params.log_events:
@@ -375,24 +409,29 @@ class WorkerProber:
             if self.params.algorithm == "brute":
                 # Brute replaces its world per scenario; ship the final
                 # world's records, matching what the serial CLI exports.
-                log_records = list(records)
+                payload.log_records = list(records)
             else:
-                log_records = records[self._log_mark:]
+                payload.log_records = records[self._log_mark:]
                 self._log_mark = len(records)
-        return spans, events, log_records
 
-    def package(self, startup: Optional[StartupProbe] = None,
-                types: Sequence[TypeProbe] = (),
-                baseline: Optional[BaselineProbe] = None,
-                scenarios: Sequence[ScenarioProbe] = ()) -> WorkerReturn:
-        spans, events, log_records = self._drain_telemetry()
-        return WorkerReturn(
-            worker=self.worker_id, startup=startup, types=list(types),
-            baseline=baseline, scenarios=list(scenarios),
-            by_category=dict(self.search.ledger.by_category),
-            spans=spans, events=events, log_records=log_records,
-            budget_counters=(dict(self.budget.counters())
-                             if self.budget is not None else {}))
+    def run_task(self, task: tuple) -> WorkerReturn:
+        """Serve one executor task — ``("probe", types, exclude)`` or
+        ``("brute", records, include_baseline)`` — in a forked worker or
+        in-process alike."""
+        started = time.perf_counter()
+        payload = WorkerReturn(worker=self.worker_id)
+        if task[0] == "probe":
+            payload.startup, payload.types = self.probe_types(task[1],
+                                                              task[2])
+        elif task[0] == "brute":
+            payload.baseline, payload.scenarios = self.probe_brute(task[1],
+                                                                   task[2])
+        else:
+            raise ValueError(f"unknown worker command {task[0]!r}")
+        payload.by_category = dict(self.search.ledger.by_category)
+        self._drain_telemetry(payload)
+        payload.wall_seconds = time.perf_counter() - started
+        return payload
 
 
 def _maybe_inject_chaos(worker_id: int) -> None:
@@ -439,25 +478,10 @@ def worker_main(conn, worker_id: int, factory, seed: int,
             if message[0] == "stop":
                 break
             _maybe_inject_chaos(worker_id)
-            started = time.perf_counter()
             try:
                 if prober is None:
                     prober = WorkerProber(worker_id, factory, seed, params)
-                if message[0] == "probe":
-                    __, message_types, exclude = message
-                    startup, probes = prober.probe_types(message_types,
-                                                         exclude)
-                    payload = prober.package(startup=startup, types=probes)
-                elif message[0] == "brute":
-                    __, records, include_baseline = message
-                    baseline, probes = prober.probe_brute(records,
-                                                          include_baseline)
-                    payload = prober.package(baseline=baseline,
-                                             scenarios=probes)
-                else:
-                    raise ValueError(f"unknown worker command {message[0]!r}")
-                payload.wall_seconds = time.perf_counter() - started
-                conn.send(("ok", payload))
+                conn.send(("ok", prober.run_task(message)))
             except Exception:
                 conn.send(("err", traceback.format_exc()))
     except KeyboardInterrupt:

@@ -33,7 +33,7 @@ from repro.controller.supervisor import (FaultPlan, QuarantinedScenario,
 from repro.search.results import SearchReport
 from repro.telemetry.progress import ProgressLine
 from repro.telemetry.summary import summarize
-from repro.telemetry.tracer import NULL_SPAN, Tracer
+from repro.telemetry.tracer import Tracer, maybe_span
 
 
 def is_attack_sample(threshold: AttackThreshold, baseline: PerfSample,
@@ -144,12 +144,6 @@ class SearchAlgorithm:
         for line in instance.world.crashed_node_summaries():
             name = line.split(" ", 1)[0]
             self._crashed_seen[name] = line
-
-    def _span(self, name: str, **args):
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            return tracer.span(name, **args)
-        return NULL_SPAN
 
     def _progress_tick(self) -> None:
         """Refresh the live status line (no-op unless progress is enabled)."""
@@ -307,7 +301,8 @@ class SearchAlgorithm:
         label = (f"{ctx.message_type}"
                  if action is None
                  else f"{action.describe()} {ctx.message_type}")
-        with self._span("search.scenario", message_type=ctx.message_type,
+        with maybe_span(self.tracer, "search.scenario",
+                        message_type=ctx.message_type,
                         scenario=label) as span:
             sample = self.supervisor.run(f"branch:{ctx.message_type}",
                                          attempt, rebuild=rebuild,
@@ -361,7 +356,8 @@ class SearchAlgorithm:
         algorithm gets the same span (and its summary args) for free.
         """
         self._begin_run()
-        with self._span("search.pass", algorithm=self.name) as span:
+        with maybe_span(self.tracer, "search.pass",
+                        algorithm=self.name) as span:
             report = self._run_pass(message_types=message_types,
                                     exclude=exclude, **kwargs)
             span.set(findings=len(report.findings),

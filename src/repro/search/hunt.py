@@ -100,6 +100,19 @@ class HuntResult:
     #: so serializing it would break the byte-identity contract)
     store_report: Optional["StoreReport"] = None
 
+    def absorb(self, report: SearchReport) -> None:
+        """Fold one pass's report in — a pass that just ran, or one
+        restored from a checkpoint.  ``total_ledger`` is the caller's: a
+        live pass merges into it, a restore loads the checkpointed sum."""
+        self.passes.append(report)
+        self.findings.extend(report.findings)
+        self.quarantined.extend(report.quarantined)
+        self.supervisor.merge(report.supervisor)
+        if report.telemetry is not None:
+            if self.telemetry is None:
+                self.telemetry = TelemetrySummary()
+            self.telemetry.merge(report.telemetry)
+
     def crashed_nodes(self) -> List[str]:
         """Union of crashed-node summaries across every pass."""
         seen = {}
@@ -176,15 +189,7 @@ def _restore_from_checkpoint(data: Dict, seed: int,
     weights.weights = dict(data["weights"])
     result.total_ledger = CostLedger(dict(data["ledger"]))
     for report_data in data["passes"]:
-        report = report_from_dict(report_data)
-        result.passes.append(report)
-        result.findings.extend(report.findings)
-        result.quarantined.extend(report.quarantined)
-        result.supervisor.merge(report.supervisor)
-        if report.telemetry is not None:
-            if result.telemetry is None:
-                result.telemetry = TelemetrySummary()
-            result.telemetry.merge(report.telemetry)
+        result.absorb(report_from_dict(report_data))
 
 
 # --------------------------------------------------------------------- hunt
@@ -260,13 +265,14 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     byte-identity contract pins to 0.  A hunt under a ``fault_plan`` or
     ``injection_cache`` cannot use the store and therefore cannot resume.
 
-    ``snapshot_budget`` bounds snapshot-cache memory (bytes): with
-    ``injection_cache`` it caps the harness's injection-point snapshots,
-    and with ``workers``/``store_dir`` it caps each prober's retained
-    per-type contexts.  Eviction is LRU and deterministic; an evicted
-    entry rebuilds from the warm snapshot with the platform time charged
-    to the budget's side-channel ledger, so the report stays
-    byte-identical to an unbudgeted run's.
+    ``snapshot_budget`` bounds (in bytes) the one snapshot cache there
+    is: the harness's injection-point snapshots under ``injection_cache``.
+    Eviction is LRU and deterministic; an evicted entry rebuilds from the
+    warm snapshot with the platform time charged to the budget's
+    side-channel ledger, so the report stays byte-identical to an
+    unbudgeted run's.  Probers (``workers``/``store_dir``) have nothing to
+    bound: each holds one live injection context, the residency a budget
+    could at best enforce.
     """
     if store_dir is not None and fault_plan is not None:
         raise ConfigError(
@@ -278,11 +284,11 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             "--store and injection_cache are mutually exclusive: cached "
             "passes charge less than the serial ledger the store's replay "
             "reproduces")
-    if snapshot_budget is not None and not (
-            injection_cache or store_dir is not None or workers > 1):
+    if snapshot_budget is not None and not injection_cache:
         raise ConfigError(
-            "--snapshot-budget needs a snapshot cache to bound: combine it "
-            "with --injection-cache, --store, or --workers")
+            "--snapshot-budget bounds the injection-point snapshot cache "
+            "and needs --injection-cache (probers under --workers/--store "
+            "hold one live context and cache no snapshots)")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > 1 and fault_plan is not None:
@@ -322,7 +328,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     store = None
     budget = None
     passes = range(max_passes)
-    if snapshot_budget is not None and injection_cache:
+    if snapshot_budget is not None:
         from repro.store.budget import SnapshotBudget
         budget = SnapshotBudget(snapshot_budget)
     if store_dir is not None:
@@ -357,7 +363,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             delta_snapshots=delta_snapshots, fault_schedule=fault_schedule,
             watchdog_limit=watchdog_limit, max_retries=max_retries,
             tracer=tracer, log_events=log_events, health=health_policy,
-            store=store, snapshot_budget=snapshot_budget)
+            store=store)
 
     def collect_world_output() -> None:
         if not log_events:
@@ -417,18 +423,10 @@ def hunt(factory: TestbedFactory, seed: int = 0,
                 checkpoint()
                 raise
             system = report.system
-            result.passes.append(report)
+            result.absorb(report)
             result.total_ledger.merge(report.ledger)
-            result.quarantined.extend(report.quarantined)
-            result.supervisor.merge(report.supervisor)
             collect_world_output()
-            if report.telemetry is not None:
-                if result.telemetry is None:
-                    result.telemetry = TelemetrySummary()
-                result.telemetry.merge(report.telemetry)
-            for finding in report.findings:
-                excluded.add(finding.scenario.to_record())
-                result.findings.append(finding)
+            excluded.update(f.scenario.to_record() for f in report.findings)
             checkpoint()
             if not report.findings:
                 break
@@ -437,8 +435,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             result.worker_breakdown = executor.worker_breakdown()
             result.worker_health = executor.worker_health()
             executor.close()
-        if store is not None or budget is not None or (
-                executor is not None and snapshot_budget is not None):
+        if store is not None or budget is not None:
             from repro.store.budget import StoreReport
             store_report = StoreReport()
             if store is not None:
@@ -446,8 +443,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
                 store.close()
             if budget is not None:
                 store_report.merge_counters(budget.counters())
-            if executor is not None:
-                store_report.merge_counters(executor.budget_counters())
             result.store_report = store_report
     attach_explanations()
     return result

@@ -1,10 +1,11 @@
 """Byte-accounted LRU budgets for snapshot caches.
 
-The PR-4 injection-point cache and the parallel prober's per-type contexts
-hold full :class:`~repro.controller.branching.WorldSnapshot` objects, which
-grow without bound over a long hunt.  A :class:`SnapshotBudget` bounds them:
+The harness injection-point cache (``--injection-cache``) holds one full
+:class:`~repro.controller.branching.WorldSnapshot` per message type, which
+grows without bound over a long hunt.  A :class:`SnapshotBudget` bounds it:
 entries are charged by their stored bytes, and admitting a new entry evicts
-least-recently-used entries until the budget fits again.
+least-recently-used entries until the budget fits again.  (It is the only
+snapshot cache: parallel probers hold one live context and need no budget.)
 
 Eviction is **deterministic**: the access sequence of a deterministic hunt
 is deterministic, so the LRU order — and therefore which entries are

@@ -4,10 +4,11 @@ Two durable artifacts live in the store directory:
 
 * ``journal.jsonl`` — a write-ahead journal of every completed probe
   (startup boot, per-type injection context, per-action evaluation), each
-  committed with CRC32 + fsync *before* the hunt proceeds.  Probes are
-  pass-independent — they are exactly the parallel prober's caches, keyed
-  by message type and action record — so a journal replay can seed a fresh
-  prober and skip every already-completed scenario **mid-pass**, not just
+  committed with CRC32 + fsync *before* the hunt proceeds.  The journal is
+  the persistence of one :class:`~repro.parallel.worker.ProbeCache`
+  (``RunStore.cache``): replay loads it, every new admission appends to it,
+  and an in-process prober works directly on that object — so a resumed
+  hunt skips every already-completed scenario **mid-pass**, not just
   completed passes.
 * ``checkpoint-<N>.json`` — generation-swapped hunt checkpoints (the
   pass-boundary state: excluded scenarios, weights, ledger, completed
@@ -28,16 +29,15 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.reports import (_sample_from_dict, _sample_to_dict,
                                     record_from_jsonable, record_to_jsonable)
 from repro.common.errors import ConfigError
 from repro.controller.monitor import AttackThreshold
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (ContextProbe, EvalProbe, StartupProbe,
-                                   TypeProbe)
-from repro.search.base import is_attack_sample
+from repro.parallel.worker import (ContextProbe, EvalProbe, ProbeCache,
+                                   StartupProbe, TypeProbe)
 from repro.store.journal import Journal, _canonical, atomic_write_json
 from repro.telemetry.instruments import InstrumentRegistry
 
@@ -100,19 +100,18 @@ class RunStore:
         if self.journal.recovered_bytes:
             self.registry.count("store.journal.torn_bytes_dropped",
                                 self.journal.recovered_bytes)
-        #: replayed startup probe (the executor's cross-check reference)
-        self.startup: Optional[StartupProbe] = None
-        #: message_type -> {"context": ContextProbe,
-        #:                  "evals": {record: EvalProbe}}
-        self.seeded: Dict[str, dict] = {}
-        self._have_context: set = set()
-        self._have_evals: set = set()
+        #: every journaled probe; admissions after the replay are
+        #: committed to the journal first (the cache's own dedupe is the
+        #: journal's: a probe it already holds is never appended twice)
+        self.cache = ProbeCache()
         self._generation = self._latest_generation()
         self._load_journal(seed)
+        self.cache.commit = self._journal_probe
 
-    # ------------------------------------------------------------- journal in
+    # ---------------------------------------------------------------- journal
 
     def _load_journal(self, seed: Optional[int]) -> None:
+        cache = self.cache
         for record in self.journal.records:
             kind = record.get("kind")
             if kind == "meta":
@@ -122,94 +121,61 @@ class RunStore:
                         f"with seed {record.get('seed')}, cannot resume "
                         f"with seed {seed}")
             elif kind == "startup":
-                self.startup = StartupProbe(
+                cache.add_startup(StartupProbe(
                     trace_from_jsonable(record["trace"]),
-                    _quarantine_from_jsonable(record["quarantined"]))
+                    _quarantine_from_jsonable(record["quarantined"])))
             elif kind == "context":
-                message_type = record["type"]
-                self._entry(message_type)["context"] = ContextProbe(
+                cache.add_context(record["type"], ContextProbe(
                     found=record["found"],
                     trace=trace_from_jsonable(record["trace"]),
                     quarantined=_quarantine_from_jsonable(
-                        record["quarantined"]))
-                self._have_context.add(message_type)
+                        record["quarantined"])))
             elif kind == "eval":
-                message_type = record["type"]
-                action_record = tuple(record_from_jsonable(record["record"]))
-                probe = EvalProbe(
-                    action_record,
+                cache.add_eval(record["type"], EvalProbe(
+                    tuple(record_from_jsonable(record["record"])),
                     _sample_back(record["baseline"]),
                     _sample_back(record["sample"]),
                     trace_from_jsonable(record["trace"]),
-                    _quarantine_from_jsonable(record["quarantined"]))
-                self._entry(message_type)["evals"][action_record] = probe
-                self._have_evals.add((message_type, action_record))
+                    _quarantine_from_jsonable(record["quarantined"])))
             # unknown kinds are skipped: forward compatibility
         self.registry.count("store.journal.records_loaded",
                             len(self.journal.records))
-        if self.startup is not None:
+        if cache.startup is not None:
             self.registry.count("store.resume.startup_seeded")
         # only types with a journaled *context* count as seeded; stray
         # evals without their context cannot short-circuit anything
-        seeded_types = [t for t in self.seeded if t in self._have_context]
-        if seeded_types:
+        if cache.contexts:
             self.registry.count("store.resume.types_seeded",
-                                len(seeded_types))
+                                len(cache.contexts))
             self.registry.count(
                 "store.resume.evals_seeded",
-                sum(len(self.seeded[t]["evals"]) for t in seeded_types))
+                sum(len(cache.evals.get(t, ())) for t in cache.contexts))
         if not self.journal.records and seed is not None:
             self.journal.append({"kind": "meta", "journal_version": 1,
                                  "seed": seed})
 
-    def _entry(self, message_type: str) -> dict:
-        entry = self.seeded.get(message_type)
-        if entry is None:
-            entry = self.seeded[message_type] = {"context": None, "evals": {}}
-        return entry
-
-    # ------------------------------------------------------------ journal out
-
-    def journal_startup(self, probe: StartupProbe) -> None:
-        if self.startup is not None:
-            return
-        self.journal.append({
-            "kind": "startup",
-            "trace": trace_to_jsonable(probe.trace),
-            "quarantined": _quarantine_to_jsonable(probe.quarantined)})
-        self.startup = probe
+    def _journal_probe(self, kind: str, message_type: Optional[str],
+                       probe) -> None:
+        """Commit one new probe (CRC32 + fsync) before the cache admits it."""
+        record = {"kind": kind, "trace": trace_to_jsonable(probe.trace),
+                  "quarantined": _quarantine_to_jsonable(probe.quarantined)}
+        if kind == "context":
+            record.update(type=message_type, found=probe.found)
+        elif kind == "eval":
+            record.update(type=message_type,
+                          record=record_to_jsonable(probe.record),
+                          baseline=_sample_or_none(probe.baseline),
+                          sample=_sample_or_none(probe.sample))
+        self.journal.append(record)
         self.registry.count("store.journal.records_appended")
 
-    def journal_context(self, message_type: str,
-                        probe: ContextProbe) -> None:
-        if message_type in self._have_context:
-            return
-        self.journal.append({
-            "kind": "context", "type": message_type, "found": probe.found,
-            "trace": trace_to_jsonable(probe.trace),
-            "quarantined": _quarantine_to_jsonable(probe.quarantined)})
-        self._have_context.add(message_type)
-        self.registry.count("store.journal.records_appended")
-
-    def journal_eval(self, message_type: str, probe: EvalProbe) -> None:
-        key = (message_type, probe.record)
-        if key in self._have_evals:
-            return
-        self.journal.append({
-            "kind": "eval", "type": message_type,
-            "record": record_to_jsonable(probe.record),
-            "baseline": _sample_or_none(probe.baseline),
-            "sample": _sample_or_none(probe.sample),
-            "trace": trace_to_jsonable(probe.trace),
-            "quarantined": _quarantine_to_jsonable(probe.quarantined)})
-        self._have_evals.add(key)
-        self.registry.count("store.journal.records_appended")
-
-    def journal_type(self, probe: TypeProbe) -> None:
-        """Journal a whole TypeProbe (a parallel worker's return)."""
-        self.journal_context(probe.message_type, probe.context)
-        for ev in probe.evals:
-            self.journal_eval(probe.message_type, ev)
+    def covers(self, message_type: str, actions: Sequence,
+               threshold: AttackThreshold,
+               early_stop: bool = True) -> Optional[TypeProbe]:
+        """The journaled TypeProbe when the journal alone answers this
+        type's serial walk — :meth:`ProbeCache.walk` with nothing to
+        simulate on a miss — else None."""
+        return self.cache.walk(message_type, actions, threshold, early_stop)
 
     # ------------------------------------------------------------ checkpoints
 
@@ -303,64 +269,6 @@ class RunStore:
         if crc != wrapper.get("crc"):
             return None
         return data
-
-    # ---------------------------------------------------------------- seeding
-
-    def seed_prober(self, prober) -> None:
-        """Pre-load a :class:`~repro.parallel.worker.WorkerProber`'s caches.
-
-        Contexts are seeded with ``ctx=None`` — no live testbed state; the
-        prober lazily re-acquires the injection context (off the books,
-        outside any recorded step) only if an *unjournaled* action of that
-        type must actually be simulated.  The startup probe is *not*
-        seeded: the prober still boots its world for real (it needs live
-        state to simulate anything new) and the executor cross-checks the
-        fresh boot's trace against the journaled one.
-        """
-        for message_type, entry in self.seeded.items():
-            if entry["context"] is None:
-                continue
-            if message_type in prober._types:
-                continue
-            prober._types[message_type] = {
-                "context": entry["context"], "ctx": None,
-                "evals": dict(entry["evals"])}
-
-    def covers(self, message_type: str, actions: Iterable,
-               threshold: AttackThreshold, early_stop: bool = True) -> bool:
-        """Whether the journal alone can answer this type's serial walk.
-
-        Mirrors the prober's per-cluster enumeration walk — which is
-        weights-independent: the weight-ordered serial walk can never need
-        an action past its cluster's first non-quarantined attack.
-        """
-        entry = self.seeded.get(message_type)
-        if entry is None or entry["context"] is None:
-            return False
-        context = entry["context"]
-        if context.quarantined is not None or not context.found:
-            return True
-        evals = entry["evals"]
-        if not early_stop:
-            return all(a.to_record() in evals for a in actions)
-        clusters: Dict[str, list] = {}
-        for action in actions:
-            clusters.setdefault(action.cluster, []).append(action)
-        for group in clusters.values():
-            for action in group:
-                ev = evals.get(action.to_record())
-                if ev is None:
-                    return False
-                if ev.quarantined is None and is_attack_sample(
-                        threshold, ev.baseline, ev.sample):
-                    break
-        return True
-
-    def type_probe(self, message_type: str) -> TypeProbe:
-        """Assemble the journaled TypeProbe for a fully covered type."""
-        entry = self.seeded[message_type]
-        return TypeProbe(message_type, entry["context"],
-                         list(entry["evals"].values()))
 
     # ------------------------------------------------------------- accounting
 

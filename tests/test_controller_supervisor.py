@@ -503,6 +503,18 @@ class TestCliSupervision:
         with pytest.raises(error):
             call()
 
+    @pytest.mark.parametrize("command", ["search", "hunt"])
+    def test_workers_with_fault_plan_is_a_usage_error(self, command, capsys):
+        """Exit 2 with an ``error:`` line from both subcommands — not
+        search's old exit 1, which reads as "nothing found"."""
+        from repro.cli import main
+        code = main([command, "pbft", "--workers", "2",
+                     "--inject-faults", "restore=0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "workers > 1 cannot run" in err
+
     def test_search_interrupt_prints_partial_report(self, capsys,
                                                     monkeypatch):
         from repro.cli import EXIT_INTERRUPTED, main

@@ -8,7 +8,9 @@ full hunts with a checkpointing store, and under an environmental fault
 schedule.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
 from repro.parallel.merge import REPLAYING
 from repro.search import ALGORITHMS
+from repro.search.base import SearchAlgorithm
 from repro.search.brute import BruteForceSearch
 from repro.search.greedy import GreedySearch
 from repro.search.hunt import hunt
@@ -208,6 +211,62 @@ class TestParallelHuntIdentity:
     def test_workers_reject_injection_cache(self):
         with pytest.raises(ConfigError):
             hunt(FACTORY, seed=3, workers=2, injection_cache=True)
+
+
+class TestOneLiveContext:
+    """Probers hold one live injection context — the type last simulated —
+    and re-derive any other off the books, invisibly to the report."""
+
+    #: two delays: pass 1 finds ``Delay 0.5s Accept``, so pass 2 must
+    #: evaluate ``Delay 1s Accept`` fresh — after Heartbeat and Learn were
+    #: probed (Accept and Learn share worker 0 of 2)
+    SPACE = ActionSpaceConfig(delays=(0.5, 1.0), drop_probabilities=(1.0,),
+                              duplicate_counts=(), include_divert=False,
+                              include_lying=False)
+    TYPES = ["Accept", "Heartbeat", "Learn"]
+
+    def test_reacquire_is_exercised_and_invisible(self, tmp_path,
+                                                  monkeypatch):
+        reacquired = tmp_path / "reacquired"  # a file: forked workers too
+        original = WorkerProber._reacquire_context
+
+        def logged(prober, message_type):
+            with open(reacquired, "a") as fh:
+                fh.write(message_type + "\n")
+            return original(prober, message_type)
+
+        monkeypatch.setattr(WorkerProber, "_reacquire_context", logged)
+        common = dict(seed=3, message_types=self.TYPES,
+                      space_config=self.SPACE, max_passes=2, max_wait=5.0)
+        serial = hunt(SMALL_FACTORY, **common)
+        assert len(serial.passes) == 2 and serial.passes[1].findings
+        for engine in (dict(store_dir=str(tmp_path / "store")),  # inline
+                       dict(workers=2)):
+            reacquired.write_text("")
+            result = hunt(SMALL_FACTORY, **common, **engine)
+            assert "Accept" in reacquired.read_text().split(), engine
+            assert hunt_json(result) == hunt_json(serial), engine
+
+    def test_previous_types_snapshot_is_released(self, monkeypatch):
+        """After ``probe_types([A, B])`` nothing keeps A's injection-point
+        ``WorldSnapshot`` alive: retained contexts were the prober's whole
+        memory overhead over the serial engine."""
+        snapshots = {}
+        original = SearchAlgorithm._acquire_context
+
+        def watched(search, message_type):
+            ctx = original(search, message_type)
+            snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
+            return ctx
+
+        monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
+        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+            space_config=SMALL_SPACE, max_wait=5.0))
+        __, probes = prober.probe_types(["Accept", "Heartbeat"], frozenset())
+        assert all(probe.evals for probe in probes)
+        gc.collect()
+        assert snapshots["Accept"]() is None
+        assert snapshots["Heartbeat"]() is not None  # the one live context
 
 
 class TestInjectionCache:

@@ -285,14 +285,14 @@ class TestRunStore:
         from repro.parallel.worker import ContextProbe
         store = RunStore(str(tmp_path), seed=1)
         probe = ContextProbe(found=True, trace=StepTrace())
-        store.journal_context("Accept", probe)
-        store.journal_context("Accept", probe)  # dropped: already durable
+        store.cache.add_context("Accept", probe)
+        store.cache.add_context("Accept", probe)  # dropped: already durable
         appended = store.journal.appended
         store.close()
         reopened = RunStore(str(tmp_path), seed=1)
         assert appended == 2  # meta + one context
-        assert "Accept" in reopened.seeded
-        reopened.journal_context("Accept", probe)  # dedupe survives reopen
+        assert "Accept" in reopened.cache.contexts
+        reopened.cache.add_context("Accept", probe)  # dedupe survives reopen
         assert reopened.journal.appended == 0
         reopened.close()
 
@@ -351,6 +351,60 @@ class TestDurableHunt:
                  **kwargs)
         with pytest.raises(ConfigError):
             hunt(FACTORY, snapshot_budget=1024, **kwargs)
+        # ...and probers have no snapshot cache for a budget to bound
+        for engine in (dict(workers=2), dict(store_dir=str(tmp_path))):
+            with pytest.raises(ConfigError, match="--injection-cache"):
+                hunt(FACTORY, snapshot_budget=1024, **engine, **kwargs)
+
+
+class TestJournalCoverage:
+    def test_covered_means_nothing_is_simulated(self, tmp_path, monkeypatch):
+        """A second executor on the same store simulates exactly the
+        evaluations the journal lacks — none when it covers the pass."""
+        from repro.analysis.reports import report_to_dict
+        from repro.controller.harness import AttackHarness
+        from repro.parallel.executor import ScenarioExecutor
+        factory = paxos_testbed(malicious_index=0, warmup=0.5, window=1.0)
+        branches = []
+        original = AttackHarness.branch_measure
+
+        def counted(harness, injection, action):
+            branches.append(action)
+            return original(harness, injection, action)
+
+        monkeypatch.setattr(AttackHarness, "branch_measure", counted)
+
+        def run_pass():
+            del branches[:]
+            store = RunStore(str(tmp_path), seed=3)
+            with ScenarioExecutor(factory, seed=3, workers=1,
+                                  space_config=SPACE, max_wait=5.0,
+                                  store=store) as executor:
+                report = executor.run_pass(
+                    message_types=["Accept", "Heartbeat"])
+            store.close()
+            return json.dumps(report_to_dict(report), sort_keys=True)
+
+        fresh = run_pass()
+        needed = sum(action is not None for action in branches)
+        assert needed >= 3
+        assert run_pass() == fresh
+        assert branches == []  # fully covered: boot only
+
+        # keep the journal up to Accept's first eval (k = 1): the rest of
+        # Accept and all of Heartbeat must be simulated again, nothing more
+        path = os.path.join(str(tmp_path), "journal.jsonl")
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        first_eval = next(i for i, line in enumerate(lines)
+                          if decode_line(line)["kind"] == "eval")
+        with open(path, "wb") as fh:
+            fh.writelines(lines[:first_eval + 1])
+        assert run_pass() == fresh
+        assert sum(action is not None for action in branches) == needed - 1
+        # baseline branches: Accept's off-the-books re-acquisition and
+        # Heartbeat's recorded context
+        assert branches.count(None) == 2
 
 
 class TestBudgetedHunt:
@@ -366,14 +420,3 @@ class TestBudgetedHunt:
         assert counters["snapshot.cache.rebuilds"] > 0
         # rebuild time went to the side channel, not the report ledger
         assert counters["snapshot.cache.rebuild_platform_seconds"] > 0
-
-    def test_budgeted_workers_hunt_identical(self):
-        # Three cacheable types over two workers: at least one worker
-        # holds two contexts, so a 1-byte budget must evict.
-        kwargs = dict(seed=3, message_types=["Accept", "Heartbeat", "Learn"],
-                      space_config=SPACE, max_wait=5.0, max_passes=2)
-        plain = hunt(FACTORY, **kwargs)
-        budgeted = hunt(FACTORY, workers=2, snapshot_budget=1, **kwargs)
-        assert hunt_json(budgeted) == hunt_json(plain)
-        assert budgeted.store_report.counters[
-            "snapshot.cache.evictions"] > 0
