@@ -63,13 +63,18 @@ class ActionSpace:
                 actions.append(LyingAction(field_spec.name, strategy))
         return actions
 
-    def actions_for(self, message_type: str) -> List[MaliciousAction]:
-        spec = self.schema.message_named(message_type)
-        return self.delivery_actions() + self.lying_actions(spec)
+    def actions_for(self, message_type: str,
+                    exclude=()) -> List[MaliciousAction]:
+        """Every action on ``message_type``, minus those whose scenario
+        record is in ``exclude`` (what earlier hunt passes found)."""
+        return [s.action for s in self.scenarios_for(message_type, exclude)]
 
-    def scenarios_for(self, message_type: str) -> List[AttackScenario]:
-        return [AttackScenario(message_type, a)
-                for a in self.actions_for(message_type)]
+    def scenarios_for(self, message_type: str,
+                      exclude=()) -> List[AttackScenario]:
+        spec = self.schema.message_named(message_type)
+        scenarios = [AttackScenario(message_type, a) for a in
+                     self.delivery_actions() + self.lying_actions(spec)]
+        return [s for s in scenarios if s.to_record() not in exclude]
 
     def all_scenarios(self) -> List[AttackScenario]:
         out: List[AttackScenario] = []

@@ -110,26 +110,19 @@ def _emit_telemetry(args, tracer: Optional[Tracer],
         print(telemetry.describe())
 
 
-def _write_worker_ledger(args, breakdown) -> None:
-    """Write the per-worker attribution JSON a parallel run produced."""
-    path = getattr(args, "worker_ledger", None)
-    if not path or not breakdown:
-        return
+def _write_worker_reports(args, breakdown, health) -> None:
+    """Write the per-worker attribution and self-healing report JSON a
+    parallel run was asked for."""
     import json as json_module
-    with open(path, "w") as fh:
-        json_module.dump([w.to_dict() for w in breakdown], fh, indent=2)
-    print(f"per-worker ledger written to {path}")
-
-
-def _write_worker_health(args, health) -> None:
-    """Write the self-healing report JSON a parallel run was asked for."""
-    path = getattr(args, "worker_health", None)
-    if not path or health is None:
-        return
-    import json as json_module
-    with open(path, "w") as fh:
-        json_module.dump(health.to_dict(), fh, indent=2)
-    print(f"worker-health report written to {path}")
+    for path, what, payload in (
+            (getattr(args, "worker_ledger", None), "per-worker ledger",
+             [w.to_dict() for w in breakdown or ()]),
+            (getattr(args, "worker_health", None), "worker-health report",
+             health.to_dict() if health is not None else None)):
+        if path and payload:
+            with open(path, "w") as fh:
+                json_module.dump(payload, fh, indent=2)
+            print(f"{what} written to {path}")
 
 
 def _wants_forensics(args) -> bool:
@@ -317,107 +310,77 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    from repro.search import ALGORITHMS
-    cls = ALGORITHMS[args.algorithm]
-
+def _campaign(args):
+    """What ``search`` and ``hunt`` run on: the testbed factory, the
+    action space and the message types (None: whatever a run exercises)."""
     entry = get_system(args.system)
     role = args.malicious or entry.default_role
     factory = entry.build(role, args.warmup, args.window)
-
     space = ActionSpaceConfig(
         delays=(1.0,) if args.fast else (0.5, 1.0),
         drop_probabilities=(0.5, 1.0),
         duplicate_counts=(50,) if args.fast else (2, 50),
         include_divert=not args.fast,
         include_lying=not args.no_lying)
-    tracer = _tracer(args)
-    _forensics_preflight(args)
-    progress = _progress(args)
-
     types: Optional[List[str]] = None
     if args.types:
         types = [t.strip() for t in args.types.split(",") if t.strip()]
     elif entry.active_types:
         types = list(entry.active_types)
+    return factory, space, types
+
+
+def cmd_search(args) -> int:
+    factory, space, types = _campaign(args)
+    tracer = _tracer(args)
+    _forensics_preflight(args)
+    progress = _progress(args)
 
     exclude = set()
     if args.exclude_from:
         from repro.analysis.reports import excluded_scenarios, load_report
         exclude = excluded_scenarios(load_report(args.exclude_from))
 
-    health_policy = _health_policy(args)
-    if args.workers > 1:
-        if _fault_plan(args) is not None:
-            raise ConfigError("--workers > 1 cannot run with --inject-faults "
-                              "(the fault plan's stream is sequence-"
-                              "dependent; use --faults chaos instead)")
-        from repro.parallel.executor import ScenarioExecutor
+    fault_plan = _fault_plan(args)
+    if args.workers > 1 and fault_plan is not None:
+        raise ConfigError("--workers > 1 cannot run with --inject-faults "
+                          "(the fault plan's stream is sequence-"
+                          "dependent; use --faults chaos instead)")
+    from repro.parallel.executor import ScenarioExecutor
+    with ScenarioExecutor(
+            factory, seed=args.seed, algorithm=args.algorithm,
+            workers=args.workers,
+            threshold=AttackThreshold(delta=args.delta),
+            space_config=space, max_wait=args.max_wait,
+            shared_pages=not args.no_shared_pages,
+            delta_snapshots=args.delta_snapshots,
+            fault_schedule=_fault_schedule(args),
+            watchdog_limit=args.watchdog, max_retries=args.max_retries,
+            tracer=tracer, log_events=args.log_events is not None,
+            health=_health_policy(args), fault_plan=fault_plan,
+            progress=progress) as executor:
         try:
-            with ScenarioExecutor(
-                    factory, seed=args.seed, algorithm=args.algorithm,
-                    workers=args.workers,
-                    threshold=AttackThreshold(delta=args.delta),
-                    space_config=space, max_wait=args.max_wait,
-                    shared_pages=not args.no_shared_pages,
-                    delta_snapshots=args.delta_snapshots,
-                    fault_schedule=_fault_schedule(args),
-                    watchdog_limit=args.watchdog,
-                    max_retries=args.max_retries,
-                    tracer=tracer,
-                    log_events=args.log_events is not None,
-                    health=health_policy) as executor:
-                report = executor.run_pass(message_types=types,
-                                           exclude=exclude)
-                log_records = executor.take_log_records()
-                breakdown = executor.worker_breakdown()
-                health_report = executor.worker_health()
+            report = executor.run_pass(message_types=types, exclude=exclude)
         except KeyboardInterrupt:
-            # The pool is already closed (the with block's exit).  Probes
-            # only become a report once the whole pass is in, so there is
-            # no partial report to print.
-            print("\ninterrupted — parallel pass abandoned, pool closed")
-            return EXIT_INTERRUPTED
-        report.validation = _validate(args, factory, report.findings)
-        _forensics(args, factory, report)
-        print(report.describe())
-        _emit_telemetry(args, tracer, report.telemetry, log_records)
-        _write_worker_ledger(args, breakdown)
-        _write_worker_health(args, health_report)
-    else:
-        search = cls(factory, seed=args.seed,
-                     threshold=AttackThreshold(delta=args.delta),
-                     space_config=space, max_wait=args.max_wait,
-                     shared_pages=not args.no_shared_pages,
-                     delta_snapshots=args.delta_snapshots,
-                     fault_plan=_fault_plan(args),
-                     fault_schedule=_fault_schedule(args),
-                     watchdog_limit=args.watchdog,
-                     max_retries=args.max_retries,
-                     tracer=tracer, progress=progress,
-                     log_events=args.log_events is not None)
-
-        def search_log_records():
-            instance = search.harness.instance
-            return instance.world.log.records if instance is not None else []
-
-        try:
-            report = search.run(message_types=types, exclude=exclude)
-        except KeyboardInterrupt:
+            # Whatever the walk had replayed or asked for so far is its
+            # partial report (none yet if the pool was still prefetching).
             progress.done()
-            report = search.report
+            report = executor.walk.report if executor.walk else None
             print("\ninterrupted — partial report:")
             if report is not None:
                 print(report.describe())
             _emit_telemetry(args, tracer,
                             report.telemetry if report is not None else None,
-                            search_log_records())
+                            executor.take_log_records())
             return EXIT_INTERRUPTED
-        progress.done()
-        report.validation = _validate(args, factory, report.findings)
-        _forensics(args, factory, report)
-        print(report.describe())
-        _emit_telemetry(args, tracer, report.telemetry, search_log_records())
+    progress.done()
+    report.validation = _validate(args, factory, report.findings)
+    _forensics(args, factory, report)
+    print(report.describe())
+    _emit_telemetry(args, tracer, report.telemetry,
+                    executor.take_log_records())
+    _write_worker_reports(args, executor.worker_breakdown(),
+                          executor.worker_health())
     if args.json:
         from repro.analysis.reports import save_report
         save_report(report, args.json)
@@ -430,20 +393,7 @@ def cmd_search(args) -> int:
 
 def cmd_hunt(args) -> int:
     from repro.search.hunt import hunt
-    entry = get_system(args.system)
-    role = args.malicious or entry.default_role
-    factory = entry.build(role, args.warmup, args.window)
-    space = ActionSpaceConfig(
-        delays=(1.0,) if args.fast else (0.5, 1.0),
-        drop_probabilities=(0.5, 1.0),
-        duplicate_counts=(50,) if args.fast else (2, 50),
-        include_divert=not args.fast,
-        include_lying=not args.no_lying)
-    types: Optional[List[str]] = None
-    if args.types:
-        types = [t.strip() for t in args.types.split(",") if t.strip()]
-    elif entry.active_types:
-        types = list(entry.active_types)
+    factory, space, types = _campaign(args)
     snapshot_budget = None
     if args.snapshot_budget is not None:
         from repro.store.budget import parse_bytes
@@ -451,7 +401,6 @@ def cmd_hunt(args) -> int:
     tracer = _tracer(args)
     _forensics_preflight(args)
     progress = _progress(args)
-    health_policy = _health_policy(args)
     result = hunt(factory, seed=args.seed, message_types=types,
                   threshold=AttackThreshold(delta=args.delta),
                   space_config=space, max_passes=args.passes,
@@ -466,7 +415,7 @@ def cmd_hunt(args) -> int:
                   log_events=args.log_events is not None,
                   workers=args.workers,
                   injection_cache=args.injection_cache,
-                  health_policy=health_policy,
+                  health_policy=_health_policy(args),
                   explain=_wants_forensics(args),
                   store_dir=args.store,
                   snapshot_budget=snapshot_budget)
@@ -478,8 +427,8 @@ def cmd_hunt(args) -> int:
     for finding in result.findings:
         print("  " + finding.describe())
     _emit_telemetry(args, tracer, result.telemetry, result.event_log)
-    _write_worker_ledger(args, result.worker_breakdown)
-    _write_worker_health(args, result.worker_health)
+    _write_worker_reports(args, result.worker_breakdown,
+                          result.worker_health)
     if args.json:
         import json as json_module
         from repro.analysis.reports import hunt_result_to_dict
@@ -607,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--injection-cache", action="store_true",
                            help="keep one testbed alive across passes and "
                                 "reuse cached injection-point snapshots "
-                                "(serial only; pass 2+ skips boot, warmup, "
-                                "and every injection seek)")
+                                "(--workers 1 only; pass 2+ is charged no "
+                                "boot, warmup, or injection seek)")
 
     def forensics_options(p):
         p.add_argument("--explain", action="store_true",
@@ -682,10 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-empty", action="store_true")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="durable run store: journal every completed probe "
-                        "(CRC32 + fsync) and checkpoint every pass to DIR; "
-                        "re-running with the same DIR resumes a killed "
-                        "hunt mid-pass with a byte-identical result (not "
-                        "with --inject-faults or --injection-cache)")
+                        "(CRC32 + fsync) and checkpoint every pass to DIR — "
+                        "the same engine, plus the appends; re-running with "
+                        "the same DIR resumes a killed hunt mid-pass with a "
+                        "byte-identical result (not with --inject-faults "
+                        "or --injection-cache)")
     p.add_argument("--snapshot-budget", default=None, metavar="BYTES",
                    help="bound the injection-point snapshot cache (e.g. "
                         "64k, 2M, 1G); least-recently-used snapshots are "

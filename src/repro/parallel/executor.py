@@ -1,38 +1,46 @@
-"""ScenarioExecutor: shard a pass across workers, merge deterministically.
+"""ScenarioExecutor: the one hunt engine — walk, probe cache, prober.
 
-The executor owns a pool of persistent workers (forked processes when the
-platform supports ``fork`` and more than one worker was requested; in-process
-probers otherwise — testbed factories are closures, so they can only cross a
-process boundary by fork inheritance, never by pickling).  Work units are
-message types for weighted/greedy and scenarios for brute force, pinned to
-workers round-robin in first-seen order so a type keeps hitting the same
-worker's caches across hunt passes.
+``run_pass`` returns the :class:`~repro.search.results.SearchReport` the
+live algorithm class would — same findings, ledger and supervision events —
+because it *is* that algorithm: its own ``_run_pass`` runs over a replaying
+step source (:mod:`repro.parallel.merge`) that answers each step from the
+executor's :class:`~repro.parallel.worker.ProbeCache`.  All that varies is
+how a step gets into the cache:
 
-``run_pass`` returns a :class:`~repro.search.results.SearchReport` that is
-byte-identical to what the serial algorithm would produce — same findings,
-same ledger, same supervision events — because it *is* the serial
-algorithm: the executor gathers the workers' recorded probes and runs the
-algorithm's own ``_run_pass`` over them through a replaying step source
-(see :mod:`repro.parallel.merge`).  There is no second copy of any walk
-here.  What the workers actually spent is reported separately through
-:meth:`worker_breakdown`.
+* **A miss is a question.**  In-process (``workers=1``, no ``fork``, a
+  collapsed pool) the walk asks the one parent-side
+  :class:`~repro.parallel.worker.WorkerProber` to simulate the step it
+  lacks, admits it and replays it; later passes replay the recorded boot
+  and steps instead of re-simulating them.
+* **A fork pool is a prefetch.**  With ``workers > 1`` persistent forked
+  workers (factories are closures: they cross a process boundary by fork
+  inheritance, never by pickling) probe everything the pass *can* need —
+  message types for weighted/greedy, scenarios for brute force, pinned
+  round-robin in first-seen order so a type keeps hitting the same worker's
+  cache — and their returns are admitted before the walk starts.  With a
+  healthy pool a miss is a "coverage hole" :class:`SearchError`: the
+  superset rule's self-check.  :meth:`worker_breakdown` reports what the
+  workers really spent.
+* **A store is the cache's persistence.**  ``store.cache`` *is* the
+  executor's cache: every admission is journaled first, and a resumed hunt
+  starts with the journal's probes already answered.
 
-The pool is **self-healing** (see :mod:`repro.parallel.health`): result
-collection polls with per-task deadlines instead of blocking, a crashed or
-hung worker is killed, reaped, and respawned with its task replayed — and
-because workers are pure functions of ``(factory, seed, params)``, the
-replayed task records the same traces the dead worker would have, so the
-byte-identity contract survives worker death.  Worker slots have a bounded
-restart budget; an exhausted slot's shard moves to the survivors, a task
-that keeps killing workers is quarantined through the supervision ledger,
-and a fully collapsed pool degrades to the in-process prober rather than
-aborting the hunt.
+The pool is **self-healing** (see :mod:`repro.parallel.health`): a crashed
+or hung worker is killed, reaped, and respawned with its task replayed —
+workers are pure functions of ``(factory, seed, params)``, so byte identity
+survives worker death.  An exhausted slot's shard moves to the survivors, a
+task that keeps killing workers is quarantined through the supervision
+ledger, and a collapsed pool degrades to the parent-side prober: what the
+pool left unanswered is just a miss.
 
-Deterministic platform fault injection (``FaultPlan``) is deliberately not
-supported: its private RNG stream is sequence-dependent, so sharding would
-change which operations fault.  Environmental ``FaultSchedule`` chaos is
-fine — it is armed per-world before warmup and each worker's world perturbs
-identically to the serial one.
+Three values are **parent-only**: a ``FaultPlan`` (its RNG stream is
+sequence-dependent, so sharding would change which operations fault), the
+harness's injection cache with its snapshot budget (cached passes charge
+less), and the progress line.  Forked workers never see them, and under the
+first two no probe outlives its ask
+(:class:`~repro.parallel.worker.NoProbeCache`): the engine then does, step
+for step, what the live algorithm does.  ``FaultSchedule`` chaos is fine
+everywhere — armed per world before warmup, identical in every prober.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.attacks.actions import AttackScenario
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.costs import CostLedger, WorkerAttribution
@@ -53,8 +60,8 @@ from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    describe_task, quarantined_return,
                                    task_key, task_units)
 from repro.parallel.merge import REPLAYING
-from repro.parallel.worker import (ProbeParams, ScenarioProbe, StartupProbe,
-                                   TypeProbe, WorkerProber, WorkerReturn,
+from repro.parallel.worker import (NoProbeCache, ProbeCache, ProbeParams,
+                                   StartupProbe, WorkerProber, WorkerReturn,
                                    worker_main)
 from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
@@ -86,19 +93,21 @@ class _PoolState:
     queue: Dict[int, List[_Pending]] = field(default_factory=dict)
     #: original slot -> result
     returns: Dict[int, WorkerReturn] = field(default_factory=dict)
-    #: tasks to run in-process after the pool collapsed
-    backlog: List[_Pending] = field(default_factory=list)
-    #: slot order in which results are journaled to the run store; a slot
-    #: flushes only once every earlier slot has returned, so the journal's
-    #: record order is deterministic whatever order workers finish in
+    #: slot order in which results are admitted to the cache (and so
+    #: journaled to a run store); a slot flushes only once every earlier
+    #: slot has returned, so the journal's record order is deterministic
+    #: whatever order workers finish in
     flush_order: List[int] = field(default_factory=list)
-    #: slots whose result is synthetic (a quarantined poison task), never
-    #: journaled — replaying it would poison a clean resume
+    #: slots whose result is synthetic (a quarantined poison task): it
+    #: goes to ``poisoned``, never to the executor's cache or the journal —
+    #: replaying it would poison a clean resume
     synthetic: set = field(default_factory=set)
+    poisoned: ProbeCache = field(default_factory=ProbeCache)
 
 
 class ScenarioExecutor:
-    """Shards a pass's work units across a persistent worker pool."""
+    """Runs a pass: the algorithm's walk over the probe cache, fed by the
+    parent-side prober on demand or by a forked pool ahead of time."""
 
     def __init__(self, factory, seed: int = 0, algorithm: str = "weighted",
                  workers: int = 2,
@@ -114,7 +123,8 @@ class ScenarioExecutor:
                  tracer: Optional[Tracer] = None,
                  log_events: bool = False,
                  health: Optional[HealthPolicy] = None,
-                 store=None) -> None:
+                 store=None, fault_plan=None, injection_cache: bool = False,
+                 snapshot_budget=None, progress=None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if algorithm not in REPLAYING:
@@ -125,14 +135,26 @@ class ScenarioExecutor:
         self.algorithm = algorithm
         self.workers = workers
         self.threshold = threshold or AttackThreshold()
-        self.rounds = rounds
-        self.confirmations = confirmations
+        self._options = ({"rounds": rounds, "confirmations": confirmations}
+                         if algorithm == "greedy" else {})
         self.tracer = tracer
         self.policy = health or HealthPolicy()
         #: durable :class:`~repro.store.runstore.RunStore` (duck-typed:
-        #: ``cache`` + ``covers``): journal-covered types are answered from
-        #: disk, fresh probes are journaled; None = no durability
+        #: ``cache`` + ``covers``): journaled probes are answered from
+        #: disk, fresh ones are journaled; None = no durability
         self.store = store
+        #: every probe recorded so far — the store's when there is one;
+        #: nothing under the parent-only FaultPlan / injection cache
+        self.cache = (store.cache if store is not None
+                      else NoProbeCache() if fault_plan is not None
+                      or injection_cache else ProbeCache())
+        self._parent_only = dict(
+            fault_plan=fault_plan, injection_cache=injection_cache,
+            snapshot_budget=snapshot_budget)
+        self.progress = progress
+        #: the current (or last) pass's walk; its ``report`` is the partial
+        #: result a caller prints after a KeyboardInterrupt
+        self.walk = None
         #: an unbooted instance: the schema/name/search-type oracle the
         #: serial algorithm reads off its own harness
         self._instance = factory(seed)
@@ -158,7 +180,8 @@ class ScenarioExecutor:
             store.cache.startup if store is not None else None)
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._conns: Dict[int, connection.Connection] = {}
-        self._inline: Dict[int, WorkerProber] = {}
+        #: the one in-process prober (see :meth:`_parent`)
+        self._prober: Optional[WorkerProber] = None
         #: work unit -> worker id, assigned round-robin in first-seen order
         #: (stable across passes, so caches stay hot)
         self._pins: Dict[object, int] = {}
@@ -167,32 +190,19 @@ class ScenarioExecutor:
 
     # --------------------------------------------------------------- plumbing
 
+    def _live_slots(self) -> List[int]:
+        """The non-retired worker slots (every one retired idle: start over
+        at 0).  The first carries shard-independent work — the startup boot
+        of an empty pass, the brute-force baseline."""
+        return [w for w in range(self.workers)
+                if not self._health.is_retired(w)] or [0]
+
     def _pin(self, unit) -> int:
         worker = self._pins.get(unit)
-        if worker is not None and not self._health.is_retired(worker):
-            return worker
-        candidates = [w for w in range(self.workers)
-                      if not self._health.is_retired(w)]
-        if not candidates:
-            candidates = [0]  # collapsed pool: everything runs in-process
-        worker = candidates[len(self._pins) % len(candidates)]
-        self._pins[unit] = worker
+        if worker is None or self._health.is_retired(worker):
+            slots = self._live_slots()
+            worker = self._pins[unit] = slots[len(self._pins) % len(slots)]
         return worker
-
-    def _repin(self, task: tuple, target: int) -> None:
-        """Pin a reassigned task's units to their new worker so later
-        passes shard them there directly."""
-        for unit in task[1]:
-            self._pins[unit] = target
-
-    def _lead_slot(self) -> int:
-        """The slot that carries shard-independent work (startup boot for
-        empty passes, the brute-force baseline): the lowest non-retired
-        worker."""
-        for worker in range(self.workers):
-            if not self._health.is_retired(worker):
-                return worker
-        return 0
 
     def _spawn(self, worker: int) -> None:
         context = multiprocessing.get_context("fork")
@@ -210,57 +220,37 @@ class ScenarioExecutor:
 
     # ------------------------------------------------------------- dispatch
 
-    def _dispatch(self, tasks: Dict[int, tuple]) -> Dict[int, WorkerReturn]:
-        """Send one task per worker; gather results, healing failures."""
-        if self._use_fork:
-            returns = self._dispatch_fork(tasks)
-        else:
-            returns = {}
-            for worker in sorted(tasks):
-                returns[worker] = self._run_inline(worker, tasks[worker])
-        self._absorb(returns)
-        return returns
+    def _parent(self) -> WorkerProber:
+        """The one in-process prober: it answers the walk's misses whenever
+        no healthy pool has (``workers=1``, no ``fork``, a collapsed pool),
+        and it alone is built with the parent-only values."""
+        if self._prober is None:
+            self._prober = WorkerProber(0, self.factory, self.seed,
+                                        self.params, tracer=self.tracer,
+                                        **self._parent_only)
+        return self._prober
 
-    def _run_inline(self, worker: int, task: tuple) -> WorkerReturn:
-        if worker not in self._inline:
-            # In-process probers work directly on the store's cache: each
-            # fresh probe is journaled as it is recorded (the finest
-            # durability granularity) and a partially-journaled type
-            # resumes mid-walk.  Forked workers do neither: they re-probe
-            # their shard fresh — identical traces, by determinism — and
-            # the parent journals their returns (see _flush_journal),
-            # because two processes appending to one journal would
-            # interleave records.
-            self._inline[worker] = WorkerProber(
-                worker, self.factory, self.seed, self.params,
-                cache=self.store.cache if self.store is not None else None)
-        return self._inline[worker].run_task(task)
-
-    def _dispatch_fork(self, tasks: Dict[int, tuple]
-                       ) -> Dict[int, WorkerReturn]:
-        state = _PoolState()
-        state.flush_order = sorted(tasks)
-        for worker in sorted(tasks):
-            task = tasks[worker]
+    def _prefetch(self, tasks: Dict[int, tuple]) -> _PoolState:
+        """Send one task per worker; gather results, healing failures, and
+        admit them to the cache as they arrive."""
+        state = _PoolState(flush_order=sorted(tasks))
+        for worker, task in sorted(tasks.items()):
             self._submit(worker, _Pending(task=task, slot=worker,
                                           key=task_key(task),
                                           units=task_units(task)), state)
         while state.pending:
             self._collect_once(state)
-        for items in state.queue.values():  # pragma: no cover - defensive
-            state.backlog.extend(items)
-        state.queue.clear()
-        # A collapsed pool finishes the pass in-process: same factory, same
-        # seed, same recorded traces — the report stays serial-identical.
-        for item in sorted(state.backlog, key=lambda entry: entry.slot):
-            self._record(item.slot, self._run_inline(item.slot, item.task),
-                         state)
-        return state.returns
+        # A collapsed pool leaves slots unanswered (misses, to the walk):
+        # admit what did come back behind them.
+        state.flush_order = [slot for slot in state.flush_order
+                             if slot in state.returns]
+        self._flush_journal(state)
+        self._absorb(state.returns)
+        return state
 
     def _submit(self, worker: int, entry: _Pending, state: _PoolState) -> None:
         if self._degraded:
-            state.backlog.append(entry)
-            return
+            return  # left for the walk to ask the parent-side prober
         if worker in state.pending:
             state.queue.setdefault(worker, []).append(entry)
             return
@@ -340,22 +330,24 @@ class ScenarioExecutor:
         self._flush_journal(state)
 
     def _flush_journal(self, state: _PoolState) -> None:
-        """Journal finished slots' probes in slot order, as far as results
-        have arrived contiguously.  Waiting for the prefix — instead of
-        journaling on arrival — keeps the journal's byte content a pure
+        """Admit finished slots' probes to the cache — which journals them
+        when it is a store's — in slot order, as far as results have
+        arrived contiguously.  Waiting for the prefix — instead of
+        admitting on arrival — keeps the journal's byte content a pure
         function of the hunt, whatever order the pool finishes in; a kill
         mid-pass still persists every already-flushed slot."""
-        if self.store is None:
-            return
         while state.flush_order and state.flush_order[0] in state.returns:
             slot = state.flush_order.pop(0)
-            if slot in state.synthetic:
-                continue
+            cache = state.poisoned if slot in state.synthetic else self.cache
             ret = state.returns[slot]
             if ret.startup is not None:
-                self.store.cache.add_startup(ret.startup)
+                cache.add_startup(ret.startup)
             for probe in ret.types:
-                self.store.cache.add_type(probe)
+                cache.add_type(probe)
+            if ret.baseline is not None:
+                cache.add_baseline(ret.baseline)
+            for probe in ret.scenarios:
+                cache.add_scenario(probe)
 
     # ------------------------------------------------------------- recovery
 
@@ -371,25 +363,28 @@ class ScenarioExecutor:
                 except OSError:
                     pass
             if process is not None:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5)
-                    if process.is_alive():  # pragma: no cover - defensive
-                        process.kill()
-                        process.join(timeout=5)
-                else:
-                    process.join(timeout=5)
-                try:
-                    process.close()
-                except ValueError:  # pragma: no cover - defensive
-                    pass
+                self._end(process, grace=0)
         self._health.record_failure(worker, kind, detail)
+
+    @staticmethod
+    def _end(process, grace: float) -> None:
+        """Give ``process`` ``grace`` seconds to exit by itself, then
+        terminate it, then kill it; reap it either way."""
+        process.join(timeout=grace)
+        for stop in (process.terminate, process.kill):
+            if process.is_alive():
+                stop()
+                process.join(timeout=5)
+        try:
+            process.close()
+        except ValueError:  # pragma: no cover - defensive
+            pass
 
     def _fail_worker(self, worker: int, kind: str, detail: str,
                      entry: Optional[_Pending], state: _PoolState) -> None:
         """Kill and reap a failed worker, then recover its work: quarantine
         a poison task, replay on a respawn, reassign to a survivor, or
-        degrade to in-process execution."""
+        degrade to the parent-side prober."""
         self._reap(worker, kind, detail)
         redo: List[_Pending] = []
         if entry is not None:
@@ -427,32 +422,33 @@ class ScenarioExecutor:
     def _reassign(self, worker: int, item: _Pending,
                   state: _PoolState) -> None:
         if self._degraded:
-            state.backlog.append(item)
             return
         survivors = [w for w in sorted(self._procs)
                      if not self._health.is_retired(w)]
         if not survivors:
-            self._collapse([item], state)
+            self._collapse()
             return
         target = survivors[(worker + 1 + self._reassigned) % len(survivors)]
         self._reassigned += 1
         self._health.record_reassignment(worker, target, item.units)
-        self._repin(item.task, target)
+        for unit in item.task[1]:  # later passes shard them there directly
+            self._pins[unit] = target
         self._submit(target, item, state)
 
-    def _collapse(self, items: List[_Pending], state: _PoolState) -> None:
+    def _collapse(self) -> None:
+        """Every worker is gone: from here on the walk's misses go to the
+        parent-side prober — same factory, same seed, same recorded traces,
+        so the report stays serial-identical."""
         if not self.policy.degrade:
             raise SearchError(
                 "parallel worker pool collapsed: every worker exhausted its "
                 "restart budget; raise --worker-retries, drop --no-degrade "
                 "to fall back to in-process execution, or run serially")
-        if not self._degraded:
-            self._health.record_degraded()
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.instant("executor.pool.degrade")
-            self._degraded = True
-            self._use_fork = False
-        state.backlog.extend(items)
+        self._health.record_degraded()
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.instant("executor.pool.degrade")
+        self._degraded = True
+        self._use_fork = False
 
     # ------------------------------------------------------------ accounting
 
@@ -510,102 +506,95 @@ class ScenarioExecutor:
                  exclude: Optional[Set[tuple]] = None,
                  weights: Optional[ClusterWeights] = None,
                  max_scenarios: Optional[int] = None) -> SearchReport:
-        """Execute one pass across the pool; return the serial-identical
-        merged report.  ``weights`` is mutated exactly as the serial
-        weighted pass would mutate it (bump per finding, in order)."""
+        """Execute one pass; return the report the live algorithm class
+        would.  ``weights`` is mutated exactly as the live weighted pass
+        would mutate it (bump per finding, in order)."""
         excluded = frozenset(exclude or ())
         types = (list(message_types) if message_types is not None
                  else self._instance.search_types())
-        pass_mark = (self.tracer.mark()
-                     if self.tracer is not None and self.tracer.enabled
-                     else 0)
-        if self.algorithm == "brute":
-            report = self._run_brute(types, excluded, max_scenarios)
-        else:
-            report = self._run_branching(types, excluded, weights)
-        if self.tracer is not None and self.tracer.enabled:
-            report.telemetry = summarize(self.tracer, None, since=pass_mark)
+        tracing = self.tracer is not None and self.tracer.enabled
+        pass_mark = self.tracer.mark() if tracing else 0
+        brute = self.algorithm == "brute"
+        poisoned = ProbeCache()
+        if self._use_fork:
+            state = self._prefetch(
+                self._brute_tasks(types, excluded, max_scenarios) if brute
+                else self._probe_tasks(types, excluded))
+            poisoned = state.poisoned
+            # (a pool that collapsed before anything booted has nothing
+            # to cross-check yet; brute force never takes a warm boot)
+            if not brute and (self._use_fork or any(
+                    r.startup is not None for r in state.returns.values())):
+                self._shared_startup(state.returns)
+        # A healthy pool has probed all the walk can need (a miss is a
+        # coverage hole); otherwise a miss is the parent-side prober's.
+        prober = None if self._use_fork else self._parent()
+        options = dict(self._options, **(
+            {"weights": weights} if self.algorithm == "weighted" else {}))
+        self.walk = REPLAYING[self.algorithm](
+            self._instance, self.cache, prober, poisoned, self.factory,
+            seed=self.seed, threshold=self.threshold,
+            space_config=self.params.space_config, tracer=self.tracer,
+            progress=self.progress, **options)
+        try:
+            report = self.walk.run(
+                message_types=types, exclude=excluded,
+                **({"max_scenarios": max_scenarios} if brute else {}))
+        finally:
+            asked = {0: prober.drain()} if prober is not None else {}
+            self._absorb(asked)
+        if self._startup_reference is not None and any(
+                ret.startup is not None for ret in asked.values()):
+            # another boot of this world is on record — the journal's, or
+            # the late workers': the parent-side prober's must match it
+            self._shared_startup(asked)
+        if tracing:
+            instance = (prober.search.harness.instance
+                        if prober is not None else None)
+            report.telemetry = summarize(
+                self.tracer,
+                instance.world.instruments if instance is not None else None,
+                since=pass_mark)
         # Side channel, like worker_breakdown: never serialized into the
         # deterministic report, only rendered for humans when eventful.
         report.worker_health = self._health.report_if_eventful()
         return report
 
-    def _run_branching(self, types: Sequence[str], excluded: frozenset,
-                       weights: Optional[ClusterWeights]) -> SearchReport:
-        actions_by_type = {
-            t: [a for a in self._space.actions_for(t)
-                if AttackScenario(t, a).to_record() not in excluded]
-            for t in types}
-        probes: Dict[str, TypeProbe] = {}
-        todo = list(types)
-        if self.store is not None:
-            # Types the journal fully covers are answered from disk; their
-            # recorded traces replay through the merge exactly as a live
-            # worker's would.  Partially covered types stay in the shards —
-            # an in-process prober resumes mid-walk on the store's cache, a
-            # forked worker re-probes (identical traces) and the cache's
-            # dedupe absorbs the overlap.
-            for message_type in todo:
-                probe = self.store.covers(
-                    message_type, actions_by_type[message_type],
-                    self.threshold, early_stop=self.params.early_stop)
-                if probe is not None:
-                    probes[message_type] = probe
-            todo = [t for t in todo if t not in probes]
+    def _probe_tasks(self, types: Sequence[str],
+                     excluded: frozenset) -> Dict[int, tuple]:
+        """What the pool prefetches for a weighted/greedy pass: every type
+        the cache does not already cover, sharded by pin."""
         shards: Dict[int, List[str]] = {}
-        for message_type in todo:
-            if not actions_by_type[message_type]:
+        for message_type in types:
+            actions = self._space.actions_for(message_type, excluded)
+            # Types the journal fully covers are answered from disk.  A
+            # partially covered type is re-probed whole by its worker
+            # (identical traces) and the cache's dedupe absorbs the overlap.
+            if not actions or (self.store is not None and self.store.covers(
+                    message_type, actions, self.threshold,
+                    early_stop=self.params.early_stop) is not None):
                 continue
             shards.setdefault(self._pin(message_type), []).append(message_type)
         if not shards:
             # Nothing left to evaluate — the lead worker still boots (or
-            # reuses) its testbed so the report carries the serial startup
-            # charges.
-            shards = {self._lead_slot(): []}
-        tasks = {worker: ("probe", shard, excluded)
-                 for worker, shard in shards.items()}
-        returns = self._dispatch(tasks)
-        startup = self._shared_startup(returns)
-        for __, ret in sorted(returns.items()):
-            for probe in ret.types:
-                probes[probe.message_type] = probe
-        options = ({"weights": weights} if self.algorithm == "weighted"
-                   else {"rounds": self.rounds,
-                         "confirmations": self.confirmations})
-        return self._walk(startup, probes, options).run(
-            message_types=types, exclude=excluded)
+            # reuses) its testbed, so its startup is cross-checked.
+            shards = {self._live_slots()[0]: []}
+        return {worker: ("probe", shard, excluded)
+                for worker, shard in shards.items()}
 
-    def _walk(self, first, probes: dict, options: dict):
-        """The algorithm's serial walk, bound to recorded probes."""
-        return REPLAYING[self.algorithm](
-            self._instance, first, probes, self.factory, seed=self.seed,
-            threshold=self.threshold, space_config=self.params.space_config,
-            **options)
-
-    def _run_brute(self, types: Sequence[str], excluded: frozenset,
-                   max_scenarios: Optional[int]) -> SearchReport:
-        scenarios = [s for t in types for s in self._space.scenarios_for(t)
-                     if s.to_record() not in excluded]
+    def _brute_tasks(self, types: Sequence[str], excluded: frozenset,
+                     max_scenarios: Optional[int]) -> Dict[int, tuple]:
+        scenarios = [s for t in types
+                     for s in self._space.scenarios_for(t, excluded)]
         if max_scenarios is not None:
             scenarios = scenarios[:max_scenarios]
-        lead = self._lead_slot()
+        lead = self._live_slots()[0]
         shards: Dict[int, List[tuple]] = {lead: []}  # the lead runs baseline
         for scenario in scenarios:
             worker = self._pin(scenario.to_record())
             shards.setdefault(worker, []).append(scenario.to_record())
-        tasks = {worker: ("brute", records, worker == lead)
-                 for worker, records in shards.items()}
-        returns = self._dispatch(tasks)
-        baseline = returns[lead].baseline
-        if baseline is None:
-            raise SearchError(f"brute worker {lead} returned no baseline")
-        probes: Dict[tuple, ScenarioProbe] = {}
-        for __, ret in sorted(returns.items()):
-            for probe in ret.scenarios:
-                probes[probe.record] = probe
-        return self._walk(baseline, probes, {}).run(
-            message_types=types, exclude=excluded,
-            max_scenarios=max_scenarios)
+        return {worker: ("brute", records, worker == lead)
+                for worker, records in shards.items()}
 
     # ------------------------------------------------------------ accounting
 
@@ -621,7 +610,7 @@ class ScenarioExecutor:
         return self._health.report()
 
     def take_log_records(self) -> list:
-        """Drain EventLog records gathered from the workers so far."""
+        """Drain EventLog records gathered from the probers so far."""
         records, self._log_records = self._log_records, []
         return records
 
@@ -637,17 +626,7 @@ class ScenarioExecutor:
             except (OSError, BrokenPipeError):
                 pass
         for process in self._procs.values():
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=10)
-            try:
-                process.close()
-            except ValueError:  # pragma: no cover - defensive
-                pass
+            self._end(process, grace=10)
         for conn in self._conns.values():
             try:
                 conn.close()
@@ -655,7 +634,7 @@ class ScenarioExecutor:
                 pass
         self._procs.clear()
         self._conns.clear()
-        self._inline.clear()
+        self._prober = None
 
     def __enter__(self) -> "ScenarioExecutor":
         return self

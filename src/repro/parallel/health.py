@@ -20,7 +20,7 @@ worker fate into a recoverable event:
 * **bounded restarts** — each worker slot has a retry budget with capped
   exponential backoff; an exhausted slot is retired and its shard is
   reassigned round-robin to the survivors.  When no survivors remain the
-  executor degrades to the in-process prober instead of aborting;
+  executor degrades to its parent-side prober instead of aborting;
 * **poison quarantine** — a task that kills ``poison_crashes`` workers is
   handed to the supervision ledger as a quarantined unit, through the same
   ``EVENT_QUARANTINE`` machinery serial passes use, so one pathological
@@ -70,7 +70,7 @@ class HealthPolicy:
     task_timeout: Optional[float] = None
     #: respawns allowed per worker slot before it is retired
     worker_retries: int = 2
-    #: degrade to the in-process prober when every worker is gone
+    #: degrade to the parent-side prober when every worker is gone
     #: (False: raise SearchError instead)
     degrade: bool = True
     #: crashes a single task may cause before it is quarantined as poison
@@ -391,9 +391,7 @@ def quarantined_return(worker: int, task: tuple, reason: str,
 def task_key(task: tuple) -> tuple:
     """Stable identity of a task for poison counting: the same shard
     replayed (or reassigned) after a crash keeps the same key."""
-    if task[0] == "probe":
-        return ("probe", tuple(task[1]), task[2])
-    return ("brute", tuple(task[1]), task[2])
+    return (task[0], tuple(task[1]), task[2])
 
 
 def task_units(task: tuple) -> int:

@@ -1,20 +1,24 @@
 """Deterministic merge: run the algorithm's own walk over recorded steps.
 
-There is one walk per algorithm — its ``_run_pass`` — and two step sources.
-The serial engine answers each supervised step (``_start_run``,
+There is one walk per algorithm — its ``_run_pass`` — and
+:class:`ReplaySource` answers each supervised step it takes (``_start_run``,
 ``_acquire_context``, ``_measure_action``, brute force's
-``_measure_baseline``/``_measure_scenario``, ``_note_crashes``) by driving
-the live harness; :class:`ReplaySource` answers the same steps from the
-worker-recorded probes, replaying each step's
-:class:`~repro.parallel.recording.StepTrace` charge by charge.  Same
-iteration order, same early stops, same quarantine handling — by
-construction, because it *is* the serial code.  Replaying individual
-charges in the serial order makes the merged ledger bitwise identical to a
-serial run's (float accumulation is order-sensitive), which in turn makes
-every ``found_at`` and ``SupervisorEvent.at`` timestamp — both defined as
-"ledger total when it happened" — land exactly.
+``_measure_baseline``/``_measure_scenario``, ``_note_crashes``) from the
+:class:`~repro.parallel.worker.ProbeCache`, replaying the step's
+:class:`~repro.parallel.recording.StepTrace` charge by charge.  A step the
+cache lacks is a *question*: the parent-side prober
+simulates that one step on the live harness (the algorithm classes' own
+step seam, under a ``StepRecorder``), the probe is admitted — a run store
+journals it before it is used — and replayed like any other.  Same
+iteration order, early stops and quarantine handling as the live algorithm,
+because it *is* that code; and replaying individual charges in that order
+makes the ledger bitwise identical to a live run's (float accumulation is
+order-sensitive), so every ``found_at`` and ``SupervisorEvent.at`` — both
+"ledger total when it happened" — lands exactly.
 
-Why the walk never needs a step the workers didn't probe:
+With a healthy fork pool nobody answers questions — the workers prefetched
+all the walk can need, and a miss is a "coverage hole" :class:`SearchError`,
+never a silently shorter report.  Why the prefetch suffices:
 
 * context acquisitions and greedy evaluations are probed unconditionally;
 * weighted greedy walks actions in descending cluster weight and stops at
@@ -24,22 +28,18 @@ Why the walk never needs a step the workers didn't probe:
   exact point where the probe stopped.  Quarantined evaluations stop
   neither walk, in lockstep.
 
-A step that is missing anyway is a "coverage hole" :class:`SearchError`,
-never a silently shorter report.
-
-The self-healing layer (:mod:`repro.parallel.health`) reuses this pipeline
-for poison tasks: a shard that kept killing its workers comes back as
-synthetic probes whose traces carry no charges, only ``worker-fault`` +
-``quarantine`` events (:meth:`StepTrace.quarantine_only`).  Replay emits
-them like any recorded supervision event — the quarantine counter
-increments, unknown kinds land in the event log — so a quarantined-by-
-crash shard surfaces exactly like a scenario that burned its serial retry
-budget.
+A poison task (:mod:`repro.parallel.health`) comes back as synthetic probes
+whose traces carry no charges, only ``worker-fault`` + ``quarantine``
+events (:meth:`StepTrace.quarantine_only`); replay emits them like any
+recorded supervision event, so the shard surfaces exactly like a scenario
+that burned its retry budget.  They are handed to the walk beside the
+cache: never admitted (a journaled poison would poison a clean resume),
+never asked again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.attacks.actions import MaliciousAction
 from repro.common.errors import SearchError
@@ -93,83 +93,94 @@ class ReplaySource:
 
     Mixed in ahead of the algorithm class (see :data:`REPLAYING`), it
     overrides the step seam and nothing else, so the walk that consumes the
-    steps is the serial ``_run_pass`` itself.  ``first`` is the recorded
-    :class:`~repro.parallel.worker.StartupProbe` (brute force: the
-    ``BaselineProbe``); ``probes`` maps message type to ``TypeProbe``
-    (brute force: scenario record to ``ScenarioProbe``).  ``instance`` is
-    an unbooted testbed — the name/schema/search-type oracle the walk reads
-    off its harness; nothing is ever booted or simulated.
+    steps is the live ``_run_pass`` itself.  ``cache`` holds the recorded
+    probes; ``prober`` (None: nobody — a miss is a coverage hole) simulates
+    the step the cache lacks; ``poisoned`` is a second cache, of synthetic
+    poison-task quarantines, which outranks both.  ``instance`` is an
+    unbooted testbed — the name/schema/search-type oracle the walk reads
+    off its harness; the walk itself never boots or simulates anything.
     """
 
-    def __init__(self, instance, first, probes: dict, *args,
+    def __init__(self, instance, cache, prober, poisoned, *args,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.harness.instance = instance
-        self._first = first
-        self._probes = probes
-        #: message type -> {action record: EvalProbe} of acquired contexts
-        self._evals: Dict[str, dict] = {}
+        self._cache = cache
+        self._prober = prober
+        self._poisoned = poisoned
         #: the last replayed step's crashed-node summary: exactly what a
         #: live ``_note_crashes`` would read off the world at this point
         self._crash_lines: List[str] = []
 
-    def _replay(self, probe) -> None:
-        """Replay one recorded step; re-raise its quarantine, if any."""
+    def _answer(self, probe, what: str, simulate, admit):
+        """Replay one step — ``probe`` as recorded, or on a miss (None) the
+        one ``simulate(prober)`` records now, admitted first — and
+        re-raise its quarantine, if any."""
+        if probe is None:
+            if self._prober is None:
+                raise SearchError(
+                    f"parallel probe coverage hole: no recorded {what}")
+            probe = simulate(self._prober)
+            admit(probe)
         replay_trace(self.ledger, self.supervisor.stats, probe.trace)
         self._crash_lines = probe.trace.crash_lines
         if probe.quarantined is not None:
             reason, attempts = probe.quarantined
             raise ScenarioQuarantined("replay", None, Exception(reason),
                                       attempts)
+        return probe
 
     def _note_crashes(self) -> None:
         for line in self._crash_lines:
             self._crashed_seen[line.split(" ", 1)[0]] = line
 
     def _start_run(self) -> None:
-        self._replay(self._first)
+        self._answer(self._cache.startup, "startup",
+                     lambda prober: prober._boot(), self._cache.add_startup)
 
     def _acquire_context(self, message_type: str) -> Optional[TypeContext]:
-        probe = self._probes.get(message_type)
-        if probe is None:
-            raise SearchError(f"parallel probe coverage hole: no recorded "
-                              f"injection context for {message_type}")
-        self._replay(probe.context)
+        probe = self._answer(
+            self._poisoned.contexts.get(message_type)
+            or self._cache.contexts.get(message_type),
+            f"injection context for {message_type}",
+            lambda prober: prober._acquire(message_type),
+            lambda probe: self._cache.add_context(message_type, probe))
         self._note_crashes()
-        if not probe.context.found:
-            return None
-        self._evals[message_type] = {e.record: e for e in probe.evals}
+        self._progress_tick()
         # No live injection point: each replayed evaluation supplies the
         # baseline its sample was measured against.
-        return TypeContext(message_type, None, None)
+        return TypeContext(message_type, None, None) if probe.found else None
 
     def _measure_action(self, ctx: TypeContext,
                         action: MaliciousAction) -> PerfSample:
-        ev = self._evals[ctx.message_type].get(action.to_record())
-        if ev is None:
-            raise _missing(ctx.message_type, action)
-        self._replay(ev)
+        message_type = ctx.message_type
+        ev = self._answer(
+            self._cache.evals.get(message_type, {}).get(action.to_record()),
+            f"evaluation of {action.describe()} {message_type}",
+            lambda prober: prober._evaluate(message_type, action),
+            lambda probe: self._cache.add_eval(message_type, probe))
         ctx.baseline = ev.baseline
         self._note_crashes()
+        self._progress_tick()
         return ev.sample
 
     def _measure_baseline(self) -> PerfSample:
-        self._replay(self._first)
-        return self._first.sample
+        return self._answer(
+            self._poisoned.baseline or self._cache.baseline, "baseline",
+            lambda prober: prober._baseline(),
+            self._cache.add_baseline).sample
 
     def _measure_scenario(self, scenario
                           ) -> Tuple[Optional[float], Optional[PerfSample]]:
-        probe = self._probes.get(scenario.to_record())
-        if probe is None:
-            raise _missing(scenario.message_type, scenario.action)
-        self._replay(probe)
+        record = scenario.to_record()
+        probe = self._answer(
+            self._poisoned.scenarios.get(record)
+            or self._cache.scenarios.get(record),
+            f"evaluation of {scenario.action.describe()} "
+            f"{scenario.message_type}",
+            lambda prober: prober._scenario(record),
+            self._cache.add_scenario)
         return probe.injected_at, probe.sample
-
-
-def _missing(message_type: str, action: MaliciousAction) -> SearchError:
-    return SearchError(
-        f"parallel probe coverage hole: no recorded evaluation of "
-        f"{action.describe()} {message_type}")
 
 
 #: algorithm name -> that algorithm's own walk over a replay source

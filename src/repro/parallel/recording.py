@@ -123,6 +123,11 @@ class StepRecorder:
         if instance is not None:
             crash_lines = list(instance.world.crashed_node_summaries())
         self.trace = StepTrace(charges, events, crash_lines)
+        # The trace owns the step now.  A prober lives as long as its hunt
+        # and nothing else reads these logs: drop what was just sliced.
+        del ledger.log[self._c0:]
+        del supervisor.event_positions[self._e0:]
+        del supervisor.stats.events[self._e0:]
         if isinstance(exc, ScenarioQuarantined):
             self.quarantined = (str(exc.cause), exc.attempts)
             return True

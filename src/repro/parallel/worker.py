@@ -1,28 +1,26 @@
-"""The worker side of parallel search: probe a shard, record everything.
+"""Probers: simulate supervised steps on a private testbed, record each.
 
-Each worker owns a full testbed built from the same ``(factory, seed)`` as
-the serial run.  Because the worlds are deterministic simulations and every
+A prober owns a full testbed built from the same ``(factory, seed)`` as
+every other.  Because the worlds are deterministic simulations and every
 message type's processing starts from a restore of the warm snapshot, the
-platform operations a worker performs for its shard — and every ledger
-charge they produce — are bitwise identical to what the serial algorithm
-would have done for those types.  The worker therefore returns *recorded
-traces* (see :mod:`repro.parallel.recording`), not report fragments; the
-algorithm's own walk then runs over them in serial order (see
-:mod:`repro.parallel.merge`).
+platform operations it performs for a step — and every ledger charge they
+produce — are bitwise identical whoever performs them, and in whatever
+order.  So a prober returns *recorded traces*
+(:mod:`repro.parallel.recording`), not report fragments, and the
+algorithm's own walk runs over them (:mod:`repro.parallel.merge`).
 
-Workers are persistent across hunt passes and keep every recorded probe in
-one :class:`ProbeCache`: a later pass that re-walks an already-probed action
-gets the recorded trace back without re-simulating, which is where the
-parallel hunt's wall-clock win comes from on top of sharding.  The cache is
-also what ``hunt --store`` persists (see :mod:`repro.store.runstore`), and
-it owns the one statement of which evaluations a pass can need
-(:meth:`ProbeCache.walk`).
+The parent-side prober answers one step at a time, when the walk misses it
+in the :class:`ProbeCache`.  A forked worker has nobody waiting, so it
+speculates: :meth:`WorkerProber.probe_types` simulates everything a pass
+over its shard *can* need (:meth:`ProbeCache.walk`, the superset rule).
+Either way a recorded probe is never simulated again — later passes replay
+it from the cache, which ``hunt --store`` persists
+(:mod:`repro.store.runstore`).
 
 What a prober does *not* keep is live testbed state per type: it holds one
-:class:`~repro.search.base.TypeContext` — the type it last simulated — the
-way the serial engine does.  A fresh evaluation of any other type re-derives
-its injection point from the warm snapshot, off the books
-(:meth:`WorkerProber._reacquire_context`).
+:class:`~repro.search.base.TypeContext`, the type it last simulated.  A
+fresh evaluation of any other type re-derives its injection point from the
+warm snapshot, off the books (:meth:`WorkerProber._reacquire_context`).
 """
 
 from __future__ import annotations
@@ -192,6 +190,13 @@ class ProbeCache:
         for ev in probe.evals:
             self.add_eval(probe.message_type, ev)
 
+    def add_baseline(self, probe: BaselineProbe) -> None:
+        if self.baseline is None:
+            self.baseline = probe
+
+    def add_scenario(self, probe: ScenarioProbe) -> None:
+        self.scenarios.setdefault(probe.record, probe)
+
     def walk(self, message_type: str, actions: Sequence[MaliciousAction],
              threshold: AttackThreshold, early_stop: bool,
              acquire: Optional[Callable[[str], ContextProbe]] = None,
@@ -241,24 +246,40 @@ class ProbeCache:
         return TypeProbe(message_type, context, evals)
 
 
-class WorkerProber:
-    """Evaluates shards against one private testbed, recording every step.
+class NoProbeCache(ProbeCache):
+    """Admits nothing, so every step the walk takes is a miss.  Under a
+    ``FaultPlan`` or the harness's injection cache what a step charges
+    depends on what ran before it: a recorded probe may not answer a second
+    ask, and each pass — each greedy round — simulates its own steps."""
 
-    Used in-process (``workers=1`` or no ``fork``) and as the body of a
-    forked worker.  The booted world, the warm snapshot, and the
-    :class:`ProbeCache` persist across calls, so hunt pass N+1 only
-    simulates actions pass N never touched.  ``cache`` hands the prober an
-    existing cache — a run store's, so a resumed hunt answers from the
-    journal and journals what it simulates.
+    def _forget(self, *probe) -> None:
+        pass
+
+    add_startup = add_context = add_eval = _forget
+    add_baseline = add_scenario = _forget
+
+
+class WorkerProber:
+    """Simulates supervised steps on one private testbed, recording each.
+
+    The body of a forked worker (``run_task``: eager, a whole shard) and
+    the executor's one parent-side prober (a step at a time, when the walk
+    misses).  The booted world and the warm snapshot persist across calls.
+    ``tracer`` is the parent side's: spans go straight into it (a forked
+    worker keeps a private one and ships its spans home).  ``parent_only``
+    are the search-stack arguments a forked worker must never see —
+    ``fault_plan``, ``injection_cache``, ``snapshot_budget``: state that
+    only means something on the one prober the walk drives in order.
     """
 
     def __init__(self, worker_id: int, factory, seed: int,
-                 params: ProbeParams,
-                 cache: Optional[ProbeCache] = None) -> None:
+                 params: ProbeParams, tracer: Optional[Tracer] = None,
+                 **parent_only) -> None:
         self.worker_id = worker_id
         self.params = params
         ledger = RecordingLedger()
-        self.tracer = Tracer(enabled=True) if params.trace else None
+        self._ships_spans = tracer is None and params.trace
+        self.tracer = Tracer(enabled=True) if self._ships_spans else tracer
         cls = BruteForceSearch if params.algorithm == "brute" \
             else SearchAlgorithm
         self.search = cls(
@@ -270,31 +291,38 @@ class WorkerProber:
             watchdog_limit=params.watchdog_limit,
             max_retries=params.max_retries,
             tracer=self.tracer, log_events=params.log_events,
-            ledger=ledger)
+            ledger=ledger, **parent_only)
         # The recording supervisor must share the recording ledger so event
         # positions index into the same charge log.
         self.search.supervisor = RecordingSupervisor(
             ledger, max_retries=params.max_retries)
-        self.cache = cache if cache is not None else ProbeCache()
-        #: this prober's own boot.  Never taken from the cache: simulating
-        #: anything needs a live world, and the executor cross-checks every
-        #: fresh boot's trace against the cache's reference.
+        #: what a forked worker has probed so far; the parent-side prober
+        #: leaves admission to the walk that asked
+        self.cache = ProbeCache()
+        #: this prober's own (latest) boot.  Never taken from a cache:
+        #: simulating anything needs a live world, and the executor
+        #: cross-checks the boot's trace against the startup reference.
         self._startup: Optional[StartupProbe] = None
         #: the one live injection context: the type last simulated
         self._live: Optional[TypeContext] = None
-        self._span_mark = 0
-        self._event_mark = 0
+        #: the world whose EventLog ``_log_mark`` counts into
+        self._logged = None
         self._log_mark = 0
 
     # ------------------------------------------------------- weighted/greedy
 
-    def _ensure_started(self) -> StartupProbe:
-        if self._startup is None:
-            with StepRecorder(self.search) as step:
-                self.search._start_run()
-            self._startup = StartupProbe(step.trace, step.quarantined)
-            self.cache.add_startup(self._startup)
+    def _boot(self) -> StartupProbe:
+        """Run the supervised startup and record it — again on every ask:
+        whether that re-boots (a fresh testbed per pass) or keeps the warm
+        one (the injection cache's) is ``_start_run``'s call."""
+        self._live = None
+        with StepRecorder(self.search) as step:
+            self.search._start_run()
+        self._startup = StartupProbe(step.trace, step.quarantined)
         return self._startup
+
+    def _ensure_started(self) -> StartupProbe:
+        return self._startup if self._startup is not None else self._boot()
 
     def probe_types(self, message_types: Sequence[str],
                     exclude: FrozenSet[tuple]
@@ -307,15 +335,14 @@ class WorkerProber:
             return startup, probes
         space = self.search._space()
         for message_type in message_types:
-            actions = [a for a in space.actions_for(message_type)
-                       if AttackScenario(message_type, a).to_record()
-                       not in exclude]
             probes.append(self.cache.walk(
-                message_type, actions, self.search.threshold,
-                self.params.early_stop, self._acquire, self._evaluate))
+                message_type, space.actions_for(message_type, exclude),
+                self.search.threshold, self.params.early_stop,
+                self._acquire, self._evaluate))
         return startup, probes
 
     def _acquire(self, message_type: str) -> ContextProbe:
+        self._ensure_started()
         self._live = None  # dropped first: never two contexts resident
         with StepRecorder(self.search) as step:
             self._live = self.search._acquire_context(message_type)
@@ -324,13 +351,15 @@ class WorkerProber:
 
     def _evaluate(self, message_type: str,
                   action: MaliciousAction) -> EvalProbe:
-        ctx = self._live
-        if ctx is None or ctx.message_type != message_type:
+        self._ensure_started()
+        if self._live is None or self._live.message_type != message_type:
             # Recorded earlier (another pass, another type since, or the
             # journal): cached evals answered so far, a fresh one needs
-            # the live injection point back.
+            # the live injection point back.  No local may still hold the
+            # previous type's context while the new one is derived.
             self._live = None
-            ctx = self._live = self._reacquire_context(message_type)
+            self._live = self._reacquire_context(message_type)
+        ctx = self._live
         sample = None
         with StepRecorder(self.search) as step:
             sample = self.search._measure_action(ctx, action)
@@ -363,49 +392,50 @@ class WorkerProber:
 
     # ----------------------------------------------------------------- brute
 
+    def _baseline(self) -> BaselineProbe:
+        sample = None
+        with StepRecorder(self.search) as step:
+            sample = self.search._measure_baseline()
+        return BaselineProbe(sample if step.quarantined is None else None,
+                             step.trace, step.quarantined)
+
+    def _scenario(self, record: tuple) -> ScenarioProbe:
+        injected_at = sample = None
+        with StepRecorder(self.search) as step:
+            injected_at, sample = self.search._measure_scenario(
+                AttackScenario.from_record(record))
+        return ScenarioProbe(record, injected_at, sample, step.trace,
+                             step.quarantined)
+
     def probe_brute(self, scenario_records: Sequence[tuple],
                     include_baseline: bool
                     ) -> Tuple[Optional[BaselineProbe], List[ScenarioProbe]]:
         cache = self.cache
-        baseline = None
-        if include_baseline:
-            if cache.baseline is None:
-                sample = None
-                with StepRecorder(self.search) as step:
-                    sample = self.search._measure_baseline()
-                cache.baseline = BaselineProbe(
-                    sample if step.quarantined is None else None,
-                    step.trace, step.quarantined)
-            baseline = cache.baseline
-        probes: List[ScenarioProbe] = []
+        if include_baseline and cache.baseline is None:
+            cache.add_baseline(self._baseline())
         for record in scenario_records:
-            probe = cache.scenarios.get(record)
-            if probe is None:
-                scenario = AttackScenario.from_record(record)
-                injected_at = sample = None
-                with StepRecorder(self.search) as step:
-                    injected_at, sample = self.search._measure_scenario(
-                        scenario)
-                probe = ScenarioProbe(record, injected_at, sample,
-                                      step.trace, step.quarantined)
-                cache.scenarios[record] = probe
-            probes.append(probe)
-        return baseline, probes
+            if record not in cache.scenarios:
+                cache.add_scenario(self._scenario(record))
+        return (cache.baseline if include_baseline else None,
+                [cache.scenarios[record] for record in scenario_records])
 
     # ------------------------------------------------------------- packaging
 
-    def _drain_telemetry(self, payload: WorkerReturn) -> None:
-        """Move tracer output and EventLog records since the last task
-        onto ``payload``."""
-        if self.tracer is not None:
-            payload.spans = self.tracer.spans[self._span_mark:]
-            payload.events = self.tracer.events[self._event_mark:]
-            self._span_mark = len(self.tracer.spans)
-            self._event_mark = len(self.tracer.events)
+    def _package(self, payload: WorkerReturn) -> WorkerReturn:
+        """Stamp the cumulative ledger, and move tracer output (a private
+        tracer's only) and EventLog records since the last call onto
+        ``payload``."""
+        payload.by_category = dict(self.search.ledger.by_category)
+        if self._ships_spans:
+            payload.spans = list(self.tracer.spans)
+            payload.events = list(self.tracer.events)
+            self.tracer.clear()
         if self.params.log_events:
             instance = self.search.harness.instance
             records = (instance.world.log.records
                        if instance is not None else [])
+            if instance is not self._logged:  # a (re)built world: new log
+                self._logged, self._log_mark = instance, 0
             if self.params.algorithm == "brute":
                 # Brute replaces its world per scenario; ship the final
                 # world's records, matching what the serial CLI exports.
@@ -413,11 +443,18 @@ class WorkerProber:
             else:
                 payload.log_records = records[self._log_mark:]
                 self._log_mark = len(records)
+        return payload
+
+    def drain(self) -> WorkerReturn:
+        """The parent-side prober's accounting since the last drain (it
+        answers steps, not tasks; its wall time is the parent's own)."""
+        return self._package(WorkerReturn(worker=self.worker_id,
+                                          startup=self._startup))
 
     def run_task(self, task: tuple) -> WorkerReturn:
-        """Serve one executor task — ``("probe", types, exclude)`` or
-        ``("brute", records, include_baseline)`` — in a forked worker or
-        in-process alike."""
+        """Serve one executor task in a forked worker —
+        ``("probe", types, exclude)`` or ``("brute", records,
+        include_baseline)``: the eager superset of the shard."""
         started = time.perf_counter()
         payload = WorkerReturn(worker=self.worker_id)
         if task[0] == "probe":
@@ -428,8 +465,7 @@ class WorkerProber:
                                                                    task[2])
         else:
             raise ValueError(f"unknown worker command {task[0]!r}")
-        payload.by_category = dict(self.search.ledger.by_category)
-        self._drain_telemetry(payload)
+        self._package(payload)
         payload.wall_seconds = time.perf_counter() - started
         return payload
 

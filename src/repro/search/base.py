@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
-from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.attacks.actions import MaliciousAction
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
 from repro.common.errors import ProxyError
 from repro.controller.costs import REBUILD, CostLedger
@@ -80,7 +80,6 @@ class SearchAlgorithm:
                  progress: Optional[ProgressLine] = None,
                  log_events: bool = False,
                  injection_cache: bool = False,
-                 reuse_testbed: bool = False,
                  ledger: Optional[CostLedger] = None,
                  snapshot_budget=None) -> None:
         self.factory = factory
@@ -101,15 +100,14 @@ class SearchAlgorithm:
         self.progress = progress or ProgressLine()
         self.log_events = log_events
         #: memoize injection points against the warm snapshot (see
-        #: AttackHarness.cached_injection); later passes of a hunt restore
-        #: the cached branch snapshot instead of re-seeking
+        #: AttackHarness.cached_injection) and keep the booted testbed
+        #: across ``_start_run`` calls instead of re-booting every pass, so
+        #: later passes of a hunt restore the cached branch snapshot
+        #: instead of re-seeking
         self.injection_cache = injection_cache
         #: byte budget (a :class:`~repro.store.budget.SnapshotBudget`)
         #: bounding the injection-point snapshot cache; None = unbounded
         self.snapshot_budget = snapshot_budget
-        #: keep the booted testbed across run() calls instead of re-booting
-        #: every pass — the enabler for cross-pass injection-cache hits
-        self.reuse_testbed = reuse_testbed
         self.ledger = ledger if ledger is not None else CostLedger()
         #: crashed nodes observed during this pass: name -> summary line
         self._crashed_seen: dict = {}
@@ -192,20 +190,16 @@ class SearchAlgorithm:
             return list(message_types)
         return self.harness.instance.search_types()
 
-    @staticmethod
-    def _exclude_key(scenario: AttackScenario) -> tuple:
-        return scenario.to_record()
-
     # ------------------------------------------------------ supervised plane
 
     def _start_run(self) -> None:
         """Boot (or re-boot) the testbed under supervision.
 
-        With ``reuse_testbed`` a warm testbed from a previous run() is kept
-        alive: later hunt passes skip boot+warmup entirely and their
+        With ``injection_cache`` a warm testbed from a previous pass is
+        kept alive: later hunt passes skip boot+warmup entirely and their
         injection-point cache entries stay valid.
         """
-        if (self.reuse_testbed and self.harness.instance is not None
+        if (self.injection_cache and self.harness.instance is not None
                 and self.harness.warm_snapshot is not None):
             return
         self.supervisor.run("start_run", self.harness.start_run)
@@ -335,9 +329,9 @@ class SearchAlgorithm:
           would otherwise carry its retry/quarantine counters into the
           next pass's report, double-counting them — ``supervisor.stats``
           used to be reset only in :meth:`_finalize_report`;
-        * with ``reuse_testbed`` the same search instance runs several
-          passes, so each run needs a fresh ledger (rebound on the harness
-          and supervisor) and its own span mark.
+        * a search instance that runs several passes needs a fresh ledger
+          each run (rebound on the harness and supervisor) and its own span
+          mark.
         """
         if self.ledger.by_category:
             self.ledger = CostLedger()
@@ -358,8 +352,15 @@ class SearchAlgorithm:
         self._begin_run()
         with maybe_span(self.tracer, "search.pass",
                         algorithm=self.name) as span:
-            report = self._run_pass(message_types=message_types,
-                                    exclude=exclude, **kwargs)
+            try:
+                report = self._run_pass(message_types=message_types,
+                                        exclude=exclude or set(), **kwargs)
+            except ScenarioQuarantined as q:
+                # Only a pass's first step (the warm testbed, brute force's
+                # baseline) lets its quarantine escape: report an empty but
+                # intact pass rather than killing the hunt.
+                report = self._make_report()
+                report.quarantined.append(self._quarantine_entry(q, "*", None))
             span.set(findings=len(report.findings),
                      scenarios=report.scenarios_evaluated)
         # Re-summarize now that the pass span itself has closed, so the

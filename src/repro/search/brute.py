@@ -90,20 +90,13 @@ class BruteForceSearch(SearchAlgorithm):
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None,
                   max_scenarios: Optional[int] = None) -> SearchReport:
-        exclude = exclude or set()
-
-        try:
-            baseline = self._measure_baseline()
-        except ScenarioQuarantined as q:
-            report = self._make_report()
-            report.quarantined.append(self._quarantine_entry(q, "*", None))
-            return self._finalize_report(report)
+        baseline = self._measure_baseline()
         report = self._make_report()
 
         types = self._search_types(message_types)
         space = self._space()
-        scenarios = [s for t in types for s in space.scenarios_for(t)
-                     if self._exclude_key(s) not in exclude]
+        scenarios = [s for t in types
+                     for s in space.scenarios_for(t, exclude)]
         if max_scenarios is not None:
             scenarios = scenarios[:max_scenarios]
 

@@ -38,20 +38,12 @@ class GreedySearch(SearchAlgorithm):
 
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None) -> SearchReport:
-        exclude = exclude or set()
-        try:
-            self._start_run()
-        except ScenarioQuarantined as q:
-            report = self._make_report()
-            report.quarantined.append(self._quarantine_entry(q, "*", None))
-            return self._finalize_report(report)
+        self._start_run()
         report = self._make_report()
         space = self._space()
 
         for message_type in self._search_types(message_types):
-            actions = [a for a in space.actions_for(message_type)
-                       if self._exclude_key(AttackScenario(message_type, a))
-                       not in exclude]
+            actions = space.actions_for(message_type, exclude)
             if not actions:
                 continue
 

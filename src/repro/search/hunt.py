@@ -22,12 +22,13 @@ Long campaigns are supervised and resumable:
   ``interrupted=True``) after writing a final checkpoint instead of
   propagating a bare traceback.
 
-One walk, two step sources: a pass is always
-:class:`~repro.search.weighted.WeightedGreedySearch`'s ``_run_pass``.  The
-serial engine runs it over the live harness; with ``workers > 1`` or a
-store, :class:`~repro.parallel.executor.ScenarioExecutor` has probers
-record the steps and runs the same walk over the recordings (see
-:mod:`repro.parallel.merge`).
+One engine, two ways a step gets recorded: every pass is
+:class:`~repro.search.weighted.WeightedGreedySearch`'s ``_run_pass`` run by
+:class:`~repro.parallel.executor.ScenarioExecutor` over the steps recorded
+in its probe cache.  A step the cache lacks is simulated on the live
+harness the moment the walk asks for it (``workers=1``) or was prefetched
+by a forked worker before the walk started (``workers > 1``); ``store_dir``
+merely makes the cache durable.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.attacks.space import ActionSpaceConfig
-from repro.common.errors import ConfigError, SearchError
+from repro.common.errors import ConfigError
 from repro.common.logging import LogRecord
 from repro.controller.costs import CostLedger
 from repro.controller.harness import TestbedFactory
@@ -46,7 +47,7 @@ from repro.controller.supervisor import (FaultPlan, QuarantinedScenario,
 from repro.faults.schedule import FaultSchedule
 from repro.faults.validation import ValidationReport
 from repro.search.results import AttackFinding, SearchReport
-from repro.search.weighted import ClusterWeights, WeightedGreedySearch
+from repro.search.weighted import ClusterWeights
 from repro.telemetry.progress import ProgressLine
 from repro.telemetry.summary import TelemetrySummary, summarize
 from repro.telemetry.tracer import Tracer, maybe_span
@@ -83,13 +84,13 @@ class HuntResult:
     event_log: List[LogRecord] = field(default_factory=list)
     #: robustness validation of the findings (None unless requested)
     validation: Optional[ValidationReport] = None
-    #: per-worker time attribution when the hunt ran with ``workers > 1``
-    #: (side channel only — never serialized; the main result is
-    #: byte-identical to a serial hunt's)
+    #: per-prober time attribution — one entry per forked worker, or the
+    #: parent-side prober's at ``workers=1`` (side channel only — never
+    #: serialized; the main result is byte-identical whatever the workers)
     worker_breakdown: Optional[list] = None
     #: what the self-healing layer did across the whole hunt (side channel
-    #: too — never serialized into the deterministic result; None when the
-    #: hunt was serial, ``eventful`` when any worker misbehaved)
+    #: too — never serialized into the deterministic result; ``eventful``
+    #: when any worker misbehaved)
     worker_health: Optional["WorkerHealthReport"] = None
     #: forensic explanations of the findings (side channel as well:
     #: computed post-merge with ``explain=True``, never serialized — the
@@ -219,60 +220,60 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     """Run weighted-greedy passes until a pass finds nothing new.
 
     The cluster weights persist across passes, so what pass 1 learned about
-    effective action categories speeds up pass 2.
+    effective action categories speeds up pass 2 — and so do the recorded
+    steps: one :class:`~repro.parallel.executor.ScenarioExecutor` runs every
+    pass, simulating a step when the walk first asks for it and replaying
+    it from the probe cache ever after, so pass 2+ re-simulates neither the
+    boot nor anything pass 1 measured, and charges exactly what
+    re-simulating would have.
 
     Observability: ``tracer`` wraps each pass in a ``hunt.pass`` span and
     merges per-pass telemetry summaries into ``result.telemetry``;
     ``progress`` gets a ``pass N/M`` prefix and live updates from the pass;
-    ``log_events`` enables each pass's world EventLog, whose records are
-    collected into ``result.event_log``.
+    ``log_events`` enables the probers' world EventLog, whose records — of
+    the steps actually simulated — are collected into ``result.event_log``.
 
-    ``workers > 1`` shards each pass's message types across a persistent
-    pool (see :class:`~repro.parallel.executor.ScenarioExecutor`); the
-    result — reports, ledger, checkpoints — is byte-identical to a serial
-    hunt's, with the real per-worker spend in ``result.worker_breakdown``.
+    ``workers > 1`` has a persistent forked pool prefetch each pass's
+    message types; the result — reports, ledger, checkpoints — is
+    byte-identical to a ``workers=1`` hunt's, with the real per-worker
+    spend in ``result.worker_breakdown``.  ``health_policy`` tunes the
+    pool's self-healing (see :class:`~repro.parallel.health.HealthPolicy`);
+    crash recovery replays tasks deterministically, so byte identity holds
+    even when workers die mid-pass.  A pass that still aborts
+    (``SearchError``, e.g. a pool collapse under ``degrade=False``)
+    checkpoints the completed passes to the store first, so a rerun
+    salvages them.
+
     ``injection_cache`` keeps one testbed (and its injection-point
-    snapshots) alive across passes, so pass 2+ skips boot, warmup, and
-    every injection seek.  The two are mutually exclusive: the cache
-    changes what later passes charge, while the parallel merge's contract
-    is to reproduce the cache-less serial ledger exactly.
+    snapshots) alive across passes, so pass 2+ *charges* no boot, warmup,
+    or injection seek either — which is why it excludes ``workers > 1`` and
+    ``store_dir``, whose contract is the cache-less ledger.  Under it, or a
+    ``fault_plan`` (sequence-dependent, so excluded likewise), no recorded
+    step outlives its ask: each pass simulates its own steps, in order.
+    ``snapshot_budget`` bounds (in bytes) those injection-point snapshots —
+    the one snapshot cache there is; probers hold a single live context.
+    Eviction is LRU and deterministic, and an evicted entry rebuilds from
+    the warm snapshot with the time charged to the budget's side-channel
+    ledger, so the report is byte-identical to an unbudgeted run's.
 
-    ``health_policy`` tunes the pool's self-healing (task deadlines, the
-    per-worker restart budget, degrade-on-collapse — see
-    :class:`~repro.parallel.health.HealthPolicy`); crash recovery replays
-    tasks deterministically, so the byte-identity contract holds even when
-    workers die mid-pass.  A pass that still aborts (``SearchError``, e.g.
-    a pool collapse under ``degrade=False``) checkpoints the completed
-    passes to the store first, so a rerun salvages them.
+    ``store_dir`` makes the campaign **durable**: the same engine with a
+    persistent probe cache — every probe committed to a write-ahead journal
+    (CRC32 + fsync) before it is used, the pass-level state to
+    generation-swapped checkpoints (see :mod:`repro.store.runstore`) — so
+    it costs the journal appends and nothing else.  A hunt killed at any
+    instant, even ``SIGKILL`` mid-pass, resumes by pointing a new hunt at
+    the same directory: journaled probes replay from disk (skipping
+    completed scenarios *mid-pass*), everything else re-simulates, and the
+    result is byte-identical to the uninterrupted run's.  Resume activity
+    is reported through ``result.store_report`` (a side channel) rather
+    than ``resumed_passes``, which byte identity pins to 0.
 
     ``explain=True`` computes a forensic
     :class:`~repro.forensics.explain.AttackExplanation` for every finding
-    after the hunt converges (post-merge, on a dedicated testbed with a
-    private ledger), into ``result.explanations`` — a side channel the
-    serialized result never includes, so the hunt JSON stays byte-
-    identical with forensics on or off, serial or parallel.
-
-    ``store_dir`` makes the campaign **durable**: every completed probe is
-    committed to a write-ahead journal (CRC32 + fsync) and the pass-level
-    state to generation-swapped checkpoints in that directory (see
-    :mod:`repro.store.runstore`).  A hunt killed at any instant — even
-    ``SIGKILL`` mid-pass — resumes by pointing a new hunt at the same
-    directory: journaled probes replay from disk (skipping completed
-    scenarios *mid-pass*), everything else re-simulates, and the final
-    result is byte-identical to the uninterrupted run's, serial or
-    parallel.  Resume activity is reported through ``result.store_report``
-    (a side channel) rather than ``resumed_passes``, which the
-    byte-identity contract pins to 0.  A hunt under a ``fault_plan`` or
-    ``injection_cache`` cannot use the store and therefore cannot resume.
-
-    ``snapshot_budget`` bounds (in bytes) the one snapshot cache there
-    is: the harness's injection-point snapshots under ``injection_cache``.
-    Eviction is LRU and deterministic; an evicted entry rebuilds from the
-    warm snapshot with the platform time charged to the budget's
-    side-channel ledger, so the report stays byte-identical to an
-    unbudgeted run's.  Probers (``workers``/``store_dir``) have nothing to
-    bound: each holds one live injection context, the residency a budget
-    could at best enforce.
+    after the hunt converges (on a dedicated testbed with a private
+    ledger), into ``result.explanations`` — a side channel the serialized
+    result never includes, so the hunt JSON is byte-identical with
+    forensics on or off.
     """
     if store_dir is not None and fault_plan is not None:
         raise ConfigError(
@@ -312,19 +313,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     weights = ClusterWeights()
     system = "unknown"
 
-    def attach_explanations() -> None:
-        # Post-merge forensics: the finding list is already identical
-        # across worker counts, so explaining it on a dedicated serial
-        # harness yields worker-invariant explanations.
-        if not explain or not result.findings or result.interrupted:
-            return
-        from repro.forensics.explain import explain_findings
-        result.explanations = explain_findings(
-            factory, result.findings, seed=seed, threshold=threshold,
-            max_wait=max_wait, fault_schedule=fault_schedule,
-            shared_pages=shared_pages, delta_snapshots=delta_snapshots,
-            watchdog_limit=watchdog_limit)
-
     store = None
     budget = None
     passes = range(max_passes)
@@ -348,60 +336,26 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             store.save_checkpoint(_checkpoint_dict(
                 system, seed, excluded, weights, result))
 
-    executor = None
-    search: Optional[WeightedGreedySearch] = None
-    if passes and (workers > 1 or store is not None):
-        # The store always routes through the executor — at workers=1 an
-        # in-process prober whose merged report is byte-identical to the
-        # serial algorithm's — because the prober's probe granularity is
-        # what the journal records and replays.
-        from repro.parallel.executor import ScenarioExecutor
-        executor = ScenarioExecutor(
-            factory, seed=seed, algorithm="weighted", workers=workers,
-            threshold=threshold, space_config=space_config,
-            max_wait=max_wait, shared_pages=shared_pages,
-            delta_snapshots=delta_snapshots, fault_schedule=fault_schedule,
-            watchdog_limit=watchdog_limit, max_retries=max_retries,
-            tracer=tracer, log_events=log_events, health=health_policy,
-            store=store)
-
-    def collect_world_output() -> None:
-        if not log_events:
-            return
-        if executor is not None:
-            result.event_log.extend(executor.take_log_records())
-        elif search is not None and search.harness.instance is not None:
-            result.event_log.extend(search.harness.instance.world.log.records)
+    from repro.parallel.executor import ScenarioExecutor
+    executor = ScenarioExecutor(
+        factory, seed=seed, algorithm="weighted", workers=workers,
+        threshold=threshold, space_config=space_config, max_wait=max_wait,
+        shared_pages=shared_pages, delta_snapshots=delta_snapshots,
+        fault_schedule=fault_schedule, watchdog_limit=watchdog_limit,
+        max_retries=max_retries, tracer=tracer, log_events=log_events,
+        health=health_policy, store=store, fault_plan=fault_plan,
+        injection_cache=injection_cache, snapshot_budget=budget,
+        progress=progress)
 
     try:
         for pass_index in passes:
             progress.prefix = f"pass {pass_index + 1}/{max_passes} · "
-            if executor is None and (search is None or not injection_cache):
-                # injection_cache keeps one search (and its warm testbed,
-                # snapshots, and cache) alive; otherwise each pass gets a
-                # fresh stack, exactly as before.
-                search = WeightedGreedySearch(
-                    factory, seed=seed, threshold=threshold,
-                    space_config=space_config, max_wait=max_wait,
-                    weights=weights, shared_pages=shared_pages,
-                    delta_snapshots=delta_snapshots, fault_plan=fault_plan,
-                    fault_schedule=fault_schedule,
-                    watchdog_limit=watchdog_limit, max_retries=max_retries,
-                    tracer=tracer, progress=progress,
-                    log_events=log_events,
-                    injection_cache=injection_cache,
-                    reuse_testbed=injection_cache,
-                    snapshot_budget=budget)
             try:
                 with maybe_span(tracer, "hunt.pass",
                                 index=pass_index + 1) as span:
-                    if executor is not None:
-                        report = executor.run_pass(
-                            message_types=message_types, exclude=excluded,
-                            weights=weights)
-                    else:
-                        report = search.run(message_types=message_types,
-                                            exclude=excluded)
+                    report = executor.run_pass(
+                        message_types=message_types, exclude=excluded,
+                        weights=weights)
                     span.set(findings=len(report.findings))
                     pass_mark = tracer.mark() if tracer is not None else 0
                 if report.telemetry is not None and tracer is not None:
@@ -409,32 +363,28 @@ def hunt(factory: TestbedFactory, seed: int = 0,
                     # computed; fold it in so the merged totals include it
                     report.telemetry.merge(summarize(tracer,
                                                      since=pass_mark))
+                system = report.system
+                result.absorb(report)
+                result.total_ledger.merge(report.ledger)
+                excluded.update(f.scenario.to_record()
+                                for f in report.findings)
             except KeyboardInterrupt:
                 result.interrupted = True
-                collect_world_output()
-                checkpoint()
                 return result
-            except SearchError:
-                # A pass aborted mid-recovery (worker fault under
-                # --no-degrade, nondeterministic replay, ...).  Salvage
-                # what completed: checkpoint the finished passes so a
-                # rerun continues the campaign instead of redoing it.
-                collect_world_output()
+            finally:
+                # However the pass ended — done, Ctrl-C, or aborted
+                # mid-recovery (a worker fault under --no-degrade, a
+                # nondeterministic replay, ...) — salvage what completed:
+                # checkpoint the finished passes so a rerun continues the
+                # campaign instead of redoing it.
+                result.event_log.extend(executor.take_log_records())
                 checkpoint()
-                raise
-            system = report.system
-            result.absorb(report)
-            result.total_ledger.merge(report.ledger)
-            collect_world_output()
-            excluded.update(f.scenario.to_record() for f in report.findings)
-            checkpoint()
             if not report.findings:
                 break
     finally:
-        if executor is not None:
-            result.worker_breakdown = executor.worker_breakdown()
-            result.worker_health = executor.worker_health()
-            executor.close()
+        result.worker_breakdown = executor.worker_breakdown()
+        result.worker_health = executor.worker_health()
+        executor.close()
         if store is not None or budget is not None:
             from repro.store.budget import StoreReport
             store_report = StoreReport()
@@ -444,5 +394,14 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             if budget is not None:
                 store_report.merge_counters(budget.counters())
             result.store_report = store_report
-    attach_explanations()
+    if explain and result.findings and not result.interrupted:
+        # Post-merge forensics: the finding list is already identical
+        # across worker counts, so explaining it on a dedicated serial
+        # harness yields worker-invariant explanations.
+        from repro.forensics.explain import explain_findings
+        result.explanations = explain_findings(
+            factory, result.findings, seed=seed, threshold=threshold,
+            max_wait=max_wait, fault_schedule=fault_schedule,
+            shared_pages=shared_pages, delta_snapshots=delta_snapshots,
+            watchdog_limit=watchdog_limit)
     return result

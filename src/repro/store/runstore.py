@@ -7,9 +7,9 @@ Two durable artifacts live in the store directory:
   committed with CRC32 + fsync *before* the hunt proceeds.  The journal is
   the persistence of one :class:`~repro.parallel.worker.ProbeCache`
   (``RunStore.cache``): replay loads it, every new admission appends to it,
-  and an in-process prober works directly on that object — so a resumed
-  hunt skips every already-completed scenario **mid-pass**, not just
-  completed passes.
+  and it *is* the executor's cache, the one the walk looks its steps up
+  in — so a resumed hunt skips every already-completed scenario
+  **mid-pass**, not just completed passes.
 * ``checkpoint-<N>.json`` — generation-swapped hunt checkpoints (the
   pass-boundary state: excluded scenarios, weights, ledger, completed
   passes), each written atomically via tmp + fsync + rename + directory

@@ -460,6 +460,22 @@ def _raise_keyboard_interrupt(self, message_types=None, exclude=None,
     raise KeyboardInterrupt
 
 
+def _interrupt_live_measurement(monkeypatch, when):
+    """Raise KeyboardInterrupt from the live ``_measure_action`` (the one a
+    prober simulates with) once ``when(calls so far)`` holds."""
+    from repro.search.base import SearchAlgorithm
+    measure = SearchAlgorithm._measure_action
+    calls = []
+
+    def interrupted(search, ctx, action):
+        calls.append(action)
+        if when(len(calls)):
+            raise KeyboardInterrupt
+        return measure(search, ctx, action)
+
+    monkeypatch.setattr(SearchAlgorithm, "_measure_action", interrupted)
+
+
 # --------------------------------------------------------------------- CLI
 
 def _cli(command, flag, value):
@@ -534,6 +550,42 @@ class TestCliSupervision:
                      "--workers", "2"])
         assert code == EXIT_INTERRUPTED
         assert "interrupted" in capsys.readouterr().out
+
+    def test_search_interrupt_mid_walk_prints_what_was_evaluated(
+            self, capsys, monkeypatch):
+        """Ctrl-C out of the third live measurement (Accept: one, an
+        attack; Heartbeat: its second): the walk's report so far."""
+        from repro.cli import EXIT_INTERRUPTED, main
+        _interrupt_live_measurement(monkeypatch, lambda calls: calls == 3)
+        code = main(["search", "paxos", "--types", "Accept,Heartbeat",
+                     "--fast", "--no-lying", "--warmup", "0.5", "--window",
+                     "1.5", "--max-wait", "5"])
+        assert code == EXIT_INTERRUPTED
+        out = capsys.readouterr().out
+        assert "interrupted — partial report:" in out
+        assert "1 attacks, 2 scenarios evaluated" in out
+        assert "Delay 1s Accept" in out
+
+    def test_hunt_interrupt_mid_pass_keeps_completed_passes(
+            self, monkeypatch, tmp_path):
+        """Ctrl-C out of pass 2's first live measurement: pass 1 is in the
+        result and in the store's checkpoint."""
+        from repro.systems.paxos.testbed import paxos_testbed
+        _interrupt_live_measurement(monkeypatch, lambda calls: any(
+            name.startswith("checkpoint-") for name in os.listdir(tmp_path)))
+        space = ActionSpaceConfig(delays=(0.5, 1.0), drop_probabilities=(),
+                                  duplicate_counts=(), include_divert=False,
+                                  include_lying=False)
+        result = hunt(paxos_testbed(malicious_index=0, warmup=0.5,
+                                    window=1.0),
+                      seed=3, message_types=["Accept"], space_config=space,
+                      max_passes=3, max_wait=5.0, store_dir=str(tmp_path))
+        assert result.interrupted
+        assert len(result.passes) == 1 and result.passes[0].findings
+        store = RunStore(str(tmp_path), seed=3)
+        data = store.load_checkpoint()
+        store.close()
+        assert data["written_at_pass"] == 1 and not data["complete"]
 
     def test_hunt_interrupt_prints_resume_hint(self, capsys, monkeypatch,
                                                tmp_path):

@@ -9,6 +9,7 @@ schedule.
 """
 
 import gc
+import hashlib
 import json
 import weakref
 
@@ -25,7 +26,8 @@ from repro.controller.harness import AttackHarness
 from repro.controller.supervisor import FaultPlan, SupervisorEvent
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
-from repro.parallel.merge import REPLAYING
+from repro.parallel.worker import ProbeCache
+from repro.parallel.merge import REPLAYING, ReplaySource
 from repro.search import ALGORITHMS
 from repro.search.base import SearchAlgorithm
 from repro.search.brute import BruteForceSearch
@@ -106,35 +108,105 @@ class TestParallelPassIdentity:
         assert all(w.ledger.total() > 0 for w in breakdown)
 
 
+def _superset(algorithm, excluded):
+    """Everything a pass over ``Accept`` can need, as a forked worker
+    would prefetch it: ``(cache, steps)`` where ``steps`` maps each
+    recorded step — named the way a walk names a miss — to the call that
+    admits it to another cache."""
+    prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+        algorithm=algorithm, space_config=SMALL_SPACE, max_wait=5.0))
+    full = prober.cache
+    if algorithm == "brute":
+        prober.probe_brute([r for r in SMALL_SCENARIOS
+                            if r not in excluded], True)
+        steps = {"baseline": lambda c: c.add_baseline(full.baseline)}
+        for record, probe in full.scenarios.items():
+            scenario = AttackScenario.from_record(record)
+            steps[f"evaluation of {scenario.action.describe()} "
+                  f"{scenario.message_type}"] = (
+                lambda c, probe=probe: c.add_scenario(probe))
+        return full, steps
+    startup, __ = prober.probe_types(["Accept"], frozenset(excluded))
+    full.add_startup(startup)
+    steps = {"startup": lambda c: c.add_startup(startup)}
+    for message_type, context in full.contexts.items():
+        steps[f"injection context for {message_type}"] = (
+            lambda c, t=message_type, probe=context: c.add_context(t, probe))
+        for record, probe in full.evals[message_type].items():
+            action = MaliciousAction.from_record(record)
+            steps[f"evaluation of {action.describe()} {message_type}"] = (
+                lambda c, t=message_type, probe=probe: c.add_eval(t, probe))
+    return full, steps
+
+
+def _spy_on_asks(monkeypatch):
+    """Log every step a walk misses and has the prober simulate."""
+    asked = []
+    original = ReplaySource._answer
+
+    def logged(walk, probe, what, simulate, admit):
+        if probe is None:
+            asked.append(what)
+        return original(walk, probe, what, simulate, admit)
+
+    monkeypatch.setattr(ReplaySource, "_answer", logged)
+    return asked
+
+
 class TestReplaySource:
     """The executor runs each algorithm's own ``_run_pass`` over recorded
-    probes; a probe the walk needs but nobody recorded must be an error."""
+    probes.  A step nobody recorded is a question for the prober — and,
+    with no prober to ask, an error."""
+
+    @staticmethod
+    def _walk(algorithm, cache, prober=None, **options):
+        return REPLAYING[algorithm](
+            SMALL_FACTORY(3), cache, prober, ProbeCache(), SMALL_FACTORY,
+            seed=3, space_config=SMALL_SPACE, **options)
 
     def test_missing_eval_is_a_coverage_hole(self):
-        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
-            algorithm="greedy", space_config=SMALL_SPACE, max_wait=5.0))
-        startup, (probe,) = prober.probe_types(["Accept"], frozenset())
-        gone = MaliciousAction.from_record(probe.evals.pop().record)
-        walk = REPLAYING["greedy"](
-            SMALL_FACTORY(3), startup, {"Accept": probe}, SMALL_FACTORY,
-            seed=3, space_config=SMALL_SPACE, rounds=1, confirmations=1)
+        cache, __ = _superset("greedy", ())
+        gone = MaliciousAction.from_record(
+            cache.evals["Accept"].popitem()[0])
+        walk = self._walk("greedy", cache, rounds=1, confirmations=1)
         with pytest.raises(SearchError) as err:
             walk.run(message_types=["Accept"])
         assert "coverage hole" in str(err.value)
         assert f"{gone.describe()} Accept" in str(err.value)
 
     def test_missing_scenario_is_a_coverage_hole(self):
-        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
-            algorithm="brute", space_config=SMALL_SPACE, max_wait=5.0))
-        kept, gone = map(AttackScenario.from_record, SMALL_SCENARIOS)
-        baseline, (probe,) = prober.probe_brute([kept.to_record()], True)
-        walk = REPLAYING["brute"](
-            SMALL_FACTORY(3), baseline, {probe.record: probe},
-            SMALL_FACTORY, seed=3, space_config=SMALL_SPACE)
+        cache, __ = _superset("brute", {SMALL_SCENARIOS[1]})
+        gone = AttackScenario.from_record(SMALL_SCENARIOS[1])
+        walk = self._walk("brute", cache)
         with pytest.raises(SearchError) as err:
             walk.run(message_types=["Accept"])
         assert "coverage hole" in str(err.value)
         assert f"{gone.action.describe()} Accept" in str(err.value)
+
+    def test_a_miss_with_a_prober_is_simulated_and_journaled_once(
+            self, tmp_path, monkeypatch):
+        simulated = _spy_on_asks(monkeypatch)
+        store = RunStore(str(tmp_path), seed=3)
+        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+            space_config=SMALL_SPACE, max_wait=5.0))
+        first = self._walk("weighted", store.cache, prober).run(
+            message_types=["Accept"])
+        asked = list(simulated)
+        assert {"startup", "injection context for Accept"} <= set(asked)
+        assert len(asked) == len(set(asked))
+        journaled = store.counters()["store.journal.records_appended"]
+        assert journaled == len(asked)  # each before it was replayed
+        again = self._walk("weighted", store.cache, prober).run(
+            message_types=["Accept"])
+        store.close()
+        assert simulated == asked  # the second walk asked for nothing
+        assert report_json(again) == report_json(first)
+        reopened = RunStore(str(tmp_path), seed=3)
+        assert reopened.counters()["store.journal.records_loaded"] == \
+            journaled + 1  # + the meta record
+        reopened.close()
+
+    _supersets = {}
 
     @settings(max_examples=3, deadline=None, derandomize=True,
               database=None)
@@ -142,14 +214,19 @@ class TestReplaySource:
            excluded=st.sets(st.sampled_from(SMALL_SCENARIOS)),
            weights=st.dictionaries(
                st.sampled_from(sorted(DEFAULT_WEIGHTS)),
-               st.sampled_from([0.05, 0.6, 2.0])))
-    @example(algorithm="greedy", excluded={SMALL_SCENARIOS[0]}, weights={})
+               st.sampled_from([0.05, 0.6, 2.0])),
+           recorded=st.lists(st.booleans(), min_size=8, max_size=8))
+    @example(algorithm="greedy", excluded={SMALL_SCENARIOS[0]}, weights={},
+             recorded=[False] * 8)
     @example(algorithm="weighted", excluded=set(),
-             weights={CLUSTER_DROP: 2.0})
+             weights={CLUSTER_DROP: 2.0},
+             recorded=[True, False, True, False] * 2)
     def test_executor_pass_equals_serial_pass(self, algorithm, excluded,
-                                              weights):
-        """One walk, two step sources: whatever the pass, running it over
-        recorded probes reports (and learns) what running it live does."""
+                                              weights, recorded):
+        """One walk, however its steps got recorded: whatever the pass and
+        whichever of its steps the cache already holds (none … all), the
+        executor reports (and learns) what the live algorithm does, and
+        simulates each missing step exactly once."""
         serial_weights = ClusterWeights(dict(weights))
         replay_weights = ClusterWeights(dict(weights))
         common = dict(seed=3, space_config=SMALL_SPACE, max_wait=5.0)
@@ -159,14 +236,39 @@ class TestReplaySource:
         expected = ALGORITHMS[algorithm](
             SMALL_FACTORY, **common, **options).run(
                 message_types=["Accept"], exclude=excluded)
-        with ScenarioExecutor(SMALL_FACTORY, algorithm=algorithm, workers=1,
-                              rounds=1, confirmations=1,
-                              **common) as executor:
-            replayed = executor.run_pass(message_types=["Accept"],
-                                         exclude=excluded,
-                                         weights=replay_weights)
+        memo = (algorithm, frozenset(excluded))
+        if memo not in self._supersets:
+            self._supersets[memo] = _superset(algorithm, excluded)[1]
+        steps = self._supersets[memo]
+        held = [what for what, keep in zip(steps, recorded) if keep]
+
+        def run(cache, weights):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                asked = _spy_on_asks(monkeypatch)
+                with ScenarioExecutor(SMALL_FACTORY, algorithm=algorithm,
+                                      workers=1, rounds=1, confirmations=1,
+                                      **common) as executor:
+                    executor.cache = cache
+                    report = executor.run_pass(message_types=["Accept"],
+                                               exclude=excluded,
+                                               weights=weights)
+            return report, asked
+
+        cache = ProbeCache()
+        for what in held:
+            steps[what](cache)
+        replayed, asked = run(cache, replay_weights)
         assert report_json(replayed) == report_json(expected)
         assert replay_weights.weights == serial_weights.weights
+        assert len(asked) == len(set(asked))  # each miss simulated once
+        assert not set(asked) & set(held)
+        assert set(asked) <= set(steps)  # never past the superset
+        if len(held) == len(steps):
+            assert asked == []
+        # ...and admitted: a second pass over the same cache asks nothing
+        rerun, asked = run(cache, ClusterWeights(dict(weights)))
+        assert asked == []
+        assert report_json(rerun) == report_json(expected)
 
 
 class TestParallelHuntIdentity:
@@ -250,7 +352,7 @@ class TestOneLiveContext:
     def test_previous_types_snapshot_is_released(self, monkeypatch):
         """After ``probe_types([A, B])`` nothing keeps A's injection-point
         ``WorldSnapshot`` alive: retained contexts were the prober's whole
-        memory overhead over the serial engine."""
+        memory overhead over the live algorithm."""
         snapshots = {}
         original = SearchAlgorithm._acquire_context
 
@@ -267,6 +369,116 @@ class TestOneLiveContext:
         gc.collect()
         assert snapshots["Accept"]() is None
         assert snapshots["Heartbeat"]() is not None  # the one live context
+
+    def test_reacquisition_starts_with_no_context_resident(self,
+                                                           monkeypatch):
+        """...nor while the next one is re-derived: by the time
+        ``_reacquire_context`` runs, the previous type's snapshot is
+        already garbage — no local of ``_evaluate`` still holds it."""
+        snapshots = {}
+        original = SearchAlgorithm._acquire_context
+
+        def watched(search, message_type):
+            ctx = original(search, message_type)
+            snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
+            return ctx
+
+        monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
+        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
+            space_config=SMALL_SPACE, max_wait=5.0))
+        __, (accept, __) = prober.probe_types(["Accept", "Heartbeat"],
+                                              frozenset())
+        resident = []
+        reacquire = WorkerProber._reacquire_context
+
+        def checked(prober, message_type):
+            gc.collect()
+            resident.append(snapshots["Heartbeat"]() is not None)
+            return reacquire(prober, message_type)
+
+        monkeypatch.setattr(WorkerProber, "_reacquire_context", checked)
+        again = prober._evaluate("Accept", MaliciousAction.from_record(
+            accept.evals[0].record))
+        assert resident == [False]
+        assert again.trace.charges == accept.evals[0].trace.charges
+
+
+class TestStepRecorder:
+    def test_recorded_steps_do_not_accumulate(self):
+        """A prober lives as long as its hunt: each recorded step hands
+        its charges and events to the StepTrace and drops them from the
+        ledger log, the event positions and the supervisor's event list."""
+        from types import SimpleNamespace
+        from repro.parallel import (RecordingLedger, RecordingSupervisor,
+                                    StepRecorder)
+        ledger = RecordingLedger()
+        supervisor = RecordingSupervisor(ledger)
+        search = SimpleNamespace(ledger=ledger, supervisor=supervisor,
+                                 harness=SimpleNamespace(instance=None))
+        for step_index in range(50):
+            ledger.charge("execution", 0.25)  # off the books: not recorded
+            with StepRecorder(search) as step:
+                ledger.charge("boot", 1.0 + step_index)
+                supervisor._record("retry", "op", "scenario",
+                                   Exception("boom"), 1)
+                ledger.charge("execution", 0.5)
+            assert step.trace.charges == [("boot", 1.0 + step_index),
+                                          ("execution", 0.5)]
+            assert step.trace.events == [
+                (1, "retry", "op", "scenario", "boom", 1)]
+        assert ledger.log == [("execution", 0.25)] * 50
+        assert supervisor.event_positions == []
+        assert supervisor.stats.events == []
+        assert ledger.get("execution") == 50 * 0.75  # totals untouched
+
+
+class TestLiveOnlyHuntsPinned:
+    """The hunts the old live-harness arm alone could run — a FaultPlan,
+    the injection cache (and its budget) — plus a chaos hunt, pinned to the
+    hunt-JSON sha256 that arm produced at commit ``80b16b7``."""
+
+    SPACE = TestOneLiveContext.SPACE
+    PINNED = {
+        "fault_plan":
+            "79d64cb98945232bc446e42ad1ebca1d1494fee9ffc0aff099101eaeda91843e",
+        "injection_cache":
+            "7de092e25b018907ab912796d8d9e9efed6484bdd528edfe6b0a82128577a488",
+        "chaos":
+            "a261a8828d8f830101b739eff4d0a325c027defaa1f412fae82e69dd425e35f4",
+    }
+
+    def _hunt(self, **options):
+        result = hunt(SMALL_FACTORY, seed=3,
+                      message_types=["Accept", "Heartbeat"],
+                      space_config=self.SPACE, max_passes=2, max_wait=5.0,
+                      **options)
+        assert len(result.passes) == 2 and result.passes[1].findings
+        return result, hashlib.sha256(hunt_json(result).encode()).hexdigest()
+
+    def test_fault_plan_hunt(self):
+        result, digest = self._hunt(fault_plan=FaultPlan.from_spec(
+            "restore=0.15,max=3", seed=1))
+        assert result.supervisor.total_events == 6
+        assert digest == self.PINNED["fault_plan"]
+
+    def test_injection_cache_hunt_with_and_without_budget(self):
+        result, digest = self._hunt(injection_cache=True)
+        assert result.passes[1].ledger.get("boot") == 0.0
+        assert digest == self.PINNED["injection_cache"]
+        result, digest = self._hunt(injection_cache=True, snapshot_budget=1)
+        counters = result.store_report.counters
+        assert counters["snapshot.cache.evictions"] == 3
+        assert counters["snapshot.cache.rebuilds"] == 2
+        assert digest == self.PINNED["injection_cache"]
+
+    def test_chaos_hunt(self):
+        schedule = FaultSchedule(seed=11)
+        schedule.add("slow", 0.8, node="replica2", factor=2.0, duration=0.5)
+        schedule.add("loss", 0.2, path="*", p_enter_bad=0.002,
+                     p_exit_bad=0.5)
+        result, digest = self._hunt(fault_schedule=schedule)
+        assert len(result.findings) == 4
+        assert digest == self.PINNED["chaos"]
 
 
 class TestInjectionCache:

@@ -359,23 +359,31 @@ class TestDurableHunt:
 
 class TestJournalCoverage:
     def test_covered_means_nothing_is_simulated(self, tmp_path, monkeypatch):
-        """A second executor on the same store simulates exactly the
-        evaluations the journal lacks — none when it covers the pass."""
+        """A second executor on the same store simulates exactly the steps
+        its walk asks for and the journal lacks — none when it covers the
+        pass, not even a boot."""
         from repro.analysis.reports import report_to_dict
         from repro.controller.harness import AttackHarness
         from repro.parallel.executor import ScenarioExecutor
         factory = paxos_testbed(malicious_index=0, warmup=0.5, window=1.0)
         branches = []
+        boots = []
         original = AttackHarness.branch_measure
+        start_run = AttackHarness.start_run
 
         def counted(harness, injection, action):
             branches.append(action)
             return original(harness, injection, action)
 
+        def booted(harness, *args, **kwargs):
+            boots.append(harness)
+            return start_run(harness, *args, **kwargs)
+
         monkeypatch.setattr(AttackHarness, "branch_measure", counted)
+        monkeypatch.setattr(AttackHarness, "start_run", booted)
 
         def run_pass():
-            del branches[:]
+            del branches[:], boots[:]
             store = RunStore(str(tmp_path), seed=3)
             with ScenarioExecutor(factory, seed=3, workers=1,
                                   space_config=SPACE, max_wait=5.0,
@@ -387,12 +395,14 @@ class TestJournalCoverage:
 
         fresh = run_pass()
         needed = sum(action is not None for action in branches)
-        assert needed >= 3
+        assert needed >= 3 and len(boots) == 1
         assert run_pass() == fresh
-        assert branches == []  # fully covered: boot only
+        assert branches == [] and boots == []  # fully covered
 
-        # keep the journal up to Accept's first eval (k = 1): the rest of
-        # Accept and all of Heartbeat must be simulated again, nothing more
+        # keep the journal up to Accept's first eval (k = 1) — the attack
+        # its walk stops at: all of Heartbeat is asked for again, and
+        # nothing of Accept (the superset's other clusters are not the
+        # walk's business)
         path = os.path.join(str(tmp_path), "journal.jsonl")
         with open(path, "rb") as fh:
             lines = fh.readlines()
@@ -402,9 +412,10 @@ class TestJournalCoverage:
             fh.writelines(lines[:first_eval + 1])
         assert run_pass() == fresh
         assert sum(action is not None for action in branches) == needed - 1
-        # baseline branches: Accept's off-the-books re-acquisition and
-        # Heartbeat's recorded context
-        assert branches.count(None) == 2
+        # one baseline branch — Heartbeat's recorded context; Accept's
+        # injection point is never re-derived because nothing asks for it
+        assert branches.count(None) == 1
+        assert len(boots) == 1  # cross-checked against the journaled one
 
 
 class TestBudgetedHunt:

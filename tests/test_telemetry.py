@@ -408,6 +408,33 @@ class TestHuntTelemetry:
         assert any(r.component == "netem" for r in result.event_log)
         assert "telemetry:" in result.describe()
 
+    def test_every_layer_reports_with_and_without_a_store(self, tmp_path):
+        """One engine, one telemetry surface: the pass span, every harness
+        and snapshot span, and the live world's counters — whether or not
+        the probe cache is journaled."""
+        kinds = {"hunt.pass", "search.pass", "search.scenario",
+                 "harness.boot", "harness.warmup", "harness.seek",
+                 "harness.branch", "harness.measure", "snapshot.save",
+                 "snapshot.restore", "kernel.window", "proxy.action"}
+        counters = {"kernel.events", "kernel.windows",
+                    "netem.messages_delivered", "netem.messages_sent",
+                    "netem.packets_forwarded", "proxy.injections",
+                    "proxy.intercepted"}
+        for store_dir in (None, str(tmp_path)):
+            stream = TestProgressLine._Stream()
+            result = hunt(FACTORY, seed=3, message_types=["Accept"],
+                          space_config=SPACE, max_passes=1, max_wait=5.0,
+                          tracer=Tracer(enabled=True), workers=1,
+                          progress=ProgressLine(stream=stream, enabled=True),
+                          store_dir=store_dir)
+            assert set(result.telemetry.spans) == kinds, store_dir
+            assert set(result.telemetry.counters) == counters, store_dir
+            assert result.telemetry.span_kind("search.pass").count == 1
+            # ...and the status line ticks once per step the walk takes
+            ticks = [text for text in stream.written if "scenarios" in text]
+            assert len(ticks) > result.passes[0].scenarios_evaluated
+            assert all(t.startswith("\rpass 1/1 · ") for t in ticks)
+
     def test_untraced_hunt_has_no_telemetry(self):
         result = hunt(FACTORY, seed=3, message_types=["Accept"],
                       space_config=SPACE, max_passes=1, max_wait=5.0)
