@@ -82,14 +82,9 @@ def test_table2_snapshot_save_load(benchmark):
             f"{time_red:.1f}%",
             f"paper: save {p[0]}s load {p[1]}s size {p[2]}MB red {p[3]}%",
         ])
-    telemetry = {
-        f"vms_{n}": {"plain": plain.page_counts(),
-                     "shared": shared.page_counts()}
-        for n, (plain, shared, __) in results.items()}
     report("TABLE II: VM snapshot save/load, plain vs shared pages",
            ["VMs", "save(s)", "load(s)", "size(MB)", "shared save(s)",
-            "shared size(MB)", "% reduced", "paper"],
-           rows, telemetry=telemetry)
+            "shared size(MB)", "% reduced", "paper"], rows)
 
     plain5, shared5, red5 = results[5]
     __, __, red15 = results[15]

@@ -2,28 +2,15 @@
 
 Every benchmark prints a paper-vs-measured table and appends it to
 ``benchmarks/results.txt`` so a full ``pytest benchmarks/ --benchmark-only``
-run leaves a reviewable artifact regardless of output capturing.  Each table
-is also written as machine-readable ``BENCH_<name>.json`` next to it — the
-JSON carries the same rows plus an optional telemetry dict, so CI and
-analysis scripts need not parse the text form.
+run leaves a reviewable artifact regardless of output capturing.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
-from typing import Any, Dict, Optional, Sequence
+from typing import Sequence
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
-
-
-def _slug(title: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", title.lower()).strip("_")[:60]
-
-
-def json_path(title: str) -> str:
-    return os.path.join(os.path.dirname(__file__), f"BENCH_{_slug(title)}.json")
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -40,20 +27,11 @@ def format_table(title: str, headers: Sequence[str],
 
 
 def report(title: str, headers: Sequence[str],
-           rows: Sequence[Sequence[object]],
-           telemetry: Optional[Dict[str, Any]] = None) -> str:
+           rows: Sequence[Sequence[object]]) -> str:
     text = format_table(title, headers, rows)
     print("\n" + text)
     with open(RESULTS_PATH, "a") as fh:
         fh.write(text + "\n\n")
-    payload = {
-        "title": title,
-        "headers": list(headers),
-        "rows": [[str(c) for c in row] for row in rows],
-        "telemetry": telemetry,
-    }
-    with open(json_path(title), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
     return text
 
 

@@ -13,23 +13,10 @@ only causes copy-on-write churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
-from repro.vm.memory import GuestMemory, Page
-
-
-@dataclass
-class SharedPageEntry:
-    """One merged page: its digest and every (vm, pfn) mapping it backs."""
-
-    digest: bytes
-    content: Optional[bytes]
-    mappings: Set[Tuple[str, int]] = field(default_factory=set)
-
-    @property
-    def share_count(self) -> int:
-        return len(self.mappings)
+from repro.vm.memory import Extent, GuestMemory, Page
 
 
 @dataclass
@@ -41,12 +28,22 @@ class KsmStats:
 
 
 class KsmDaemon:
-    """Content-based page merger over a set of guests."""
+    """Content-based page merger over a set of guests.
+
+    Application pages merge by digest; OS extents of one namespace hold the
+    same page at the same index, so they merge wholesale over the prefix
+    enough guests hold, bar the indices a guest dirtied.
+    """
 
     def __init__(self, min_share_count: int = 2) -> None:
         self.min_share_count = min_share_count
         self._guests: Dict[str, GuestMemory] = {}
-        self._table: Dict[bytes, SharedPageEntry] = {}
+        #: digest of a merged application page -> its (vm, pfn) mappings
+        self._table: Dict[bytes, Set[Tuple[str, int]]] = {}
+        #: namespace -> [(vm, extent, indices volatile at the last scan)]
+        self._holders: Dict[str, List[Tuple[str, Extent, frozenset]]] = {}
+        #: vm -> extent -> (merged prefix length, unmerged indices below it)
+        self._runs: Dict[str, Dict[Extent, Tuple[int, frozenset]]] = {}
         self.stats = KsmStats()
 
     def register(self, memory: GuestMemory) -> None:
@@ -54,13 +51,33 @@ class KsmDaemon:
 
     def unregister(self, vm_name: str) -> None:
         self._guests.pop(vm_name, None)
-        for entry in self._table.values():
-            entry.mappings = {m for m in entry.mappings if m[0] != vm_name}
-        self._prune()
+        self._table = {d: {m for m in mappings if m[0] != vm_name}
+                       for d, mappings in self._table.items()}
+        self._holders = {ns: [h for h in holders if h[0] != vm_name]
+                         for ns, holders in self._holders.items()}
+        self._merge()
 
-    def _prune(self) -> None:
-        self._table = {d: e for d, e in self._table.items()
-                       if e.share_count >= self.min_share_count}
+    def _merge(self) -> None:
+        """Keep what enough mappings back; derive the runs and the stats."""
+        need = self.min_share_count
+        self._table = {d: mappings for d, mappings in self._table.items()
+                       if len(mappings) >= need}
+        shared = len(self._table)
+        sharing = sum(map(len, self._table.values()))
+        self._runs = {}
+        for holders in self._holders.values():
+            counts = sorted((e.count for __, e, __ in holders), reverse=True)
+            prefix = counts[need - 1] if len(counts) >= need else 0
+            volatile = frozenset().union(*(v for __, __, v in holders))
+            unmerged = {i for i in volatile if i < prefix and sum(
+                e.count > i and i not in v for __, e, v in holders) < need}
+            shared += prefix - len(unmerged)
+            for vm_name, extent, mine in holders:
+                limit = min(prefix, extent.count)
+                holes = frozenset(i for i in mine | unmerged if i < limit)
+                self._runs.setdefault(vm_name, {})[extent] = (limit, holes)
+                sharing += limit - len(holes)
+        self.stats.pages_shared, self.stats.pages_sharing = shared, sharing
 
     # ------------------------------------------------------------------ scan
 
@@ -71,29 +88,23 @@ class KsmDaemon:
         for our purposes (the table state after a pass over a quiescent
         system is identical) and much simpler to reason about.
         """
-        candidates: Dict[bytes, SharedPageEntry] = {}
+        self._table, self._holders = {}, {}
         volatile = 0
         for memory in self._guests.values():
             dirty = memory.dirty_pfns()
-            for pfn, page in memory.iter_pages():
-                if pfn in dirty:
-                    volatile += 1
-                    continue
-                entry = candidates.get(page.digest)
-                if entry is None:
-                    entry = SharedPageEntry(page.digest, page.content)
-                    candidates[entry.digest] = entry
-                entry.mappings.add((memory.vm_name, pfn))
+            volatile += len(dirty)
+            extents, app = memory.export_pages()
+            for extent in extents:
+                self._holders.setdefault(extent.namespace, []).append(
+                    (memory.vm_name, extent, frozenset(
+                        pfn - extent.base for pfn in dirty if pfn in extent)))
+            for pfn, page in app.items():
+                if pfn not in dirty:
+                    self._table.setdefault(page.digest, set()).add(
+                        (memory.vm_name, pfn))
             memory.clear_dirty()
-
-        self._table = {d: e for d, e in candidates.items()
-                       if e.share_count >= self.min_share_count}
-        self.stats = KsmStats(
-            scans=self.stats.scans + 1,
-            pages_shared=len(self._table),
-            pages_sharing=sum(e.share_count for e in self._table.values()),
-            pages_volatile=volatile,
-        )
+        self.stats = KsmStats(self.stats.scans + 1, pages_volatile=volatile)
+        self._merge()
         return self.stats
 
     # ------------------------------------------------- interface added by us
@@ -101,18 +112,21 @@ class KsmDaemon:
     # is shared or not")
 
     def is_shared(self, vm_name: str, pfn: int, page: Page) -> bool:
-        entry = self._table.get(page.digest)
-        return entry is not None and (vm_name, pfn) in entry.mappings
+        if page.digest in self._table:
+            return (vm_name, pfn) in self._table[page.digest]
+        for extent, (limit, holes) in self._runs.get(vm_name, {}).items():
+            index = pfn - extent.base
+            if 0 <= index < limit and index not in holes:
+                return extent.page(pfn).digest == page.digest
+        return False
 
-    def shared_entry(self, digest: bytes) -> Optional[SharedPageEntry]:
-        return self._table.get(digest)
-
-    def shared_digests(self) -> List[bytes]:
-        return list(self._table.keys())
+    def shared_run(self, vm_name: str,
+                   extent: Extent) -> Tuple[int, frozenset]:
+        """:meth:`is_shared`, run-length encoded: the pages of ``extent`` at
+        indices below the limit, bar the holes, are backed by merged ones."""
+        return self._runs.get(vm_name, {}).get(extent, (0, frozenset()))
 
     def sharing_ratio(self) -> float:
         """Fraction of resident guest pages backed by a merged page."""
         total = sum(m.resident_pages() for m in self._guests.values())
-        if total == 0:
-            return 0.0
-        return self.stats.pages_sharing / total
+        return self.stats.pages_sharing / total if total else 0.0

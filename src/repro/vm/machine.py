@@ -15,7 +15,7 @@ import pickle
 from typing import Any, Optional, Protocol
 
 from repro.common.errors import SnapshotError
-from repro.vm.memory import GuestMemory, OsImage
+from repro.vm.memory import GuestMemory, OsImage, digest_bytes
 
 
 class HostedApp(Protocol):
@@ -93,7 +93,5 @@ class VirtualMachine:
         """Digest of the hosted app's state (for branch-equality checks)."""
         if self.app is None:
             return b""
-        import hashlib
-        return hashlib.blake2b(
-            pickle.dumps(self.app.snapshot_state(), protocol=4),
-            digest_size=16).digest()
+        return digest_bytes(
+            pickle.dumps(self.app.snapshot_state(), protocol=4))

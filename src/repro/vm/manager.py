@@ -9,14 +9,13 @@ and the timing model behind that collective interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SnapshotError
 from repro.vm.ksm import KsmDaemon
 from repro.vm.machine import VirtualMachine
 from repro.vm.memory import OsImage
-from repro.vm.snapshots import (ClusterSnapshot, DeltaClusterSnapshot,
-                                SnapshotManager)
+from repro.vm.snapshots import ClusterSnapshot, SnapshotManager
 from repro.vm.timing import VmTimingModel
 
 
@@ -86,13 +85,14 @@ class VmCluster:
 
     # -------------------------------------------------------------- snapshot
 
+    def _pause_and_sync(self) -> Tuple[float, int]:
+        pause = 0.0 if self.all_paused else self.pause_all()
+        return pause, sum(vm.sync_app_pages() for vm in self.vms.values())
+
     def save_snapshot(self, shared: bool = True, max_bandwidth: bool = True,
                       ksm_scan: bool = True) -> ClusterSaveResult:
         """Pause-sync-scan-save, per the paper's snapshot procedure."""
-        pause_time = 0.0
-        if not self.all_paused:
-            pause_time = self.pause_all()
-        sync_bytes = sum(vm.sync_app_pages() for vm in self.vms.values())
+        pause_time, sync_bytes = self._pause_and_sync()
         if shared and self.ksm is not None and ksm_scan:
             self.ksm.scan()
         snapshot = self.snapshot_manager.save(
@@ -104,28 +104,19 @@ class VmCluster:
     def save_delta_snapshot(self, base: ClusterSnapshot,
                             max_bandwidth: bool = True) -> ClusterSaveResult:
         """Pause-sync-save only the pages changed since ``base``."""
-        pause_time = 0.0
-        if not self.all_paused:
-            pause_time = self.pause_all()
-        sync_bytes = sum(vm.sync_app_pages() for vm in self.vms.values())
+        pause_time, sync_bytes = self._pause_and_sync()
         snapshot = self.snapshot_manager.save_delta(
             [vm.memory for vm in self.vms.values()], base,
             max_bandwidth=max_bandwidth)
         return ClusterSaveResult(snapshot, pause_time, sync_bytes)
 
     def restore_snapshot(self, snapshot) -> float:
-        """Load pages and rebuild hosted apps; VMs stay paused.
-
-        Accepts either a full :class:`ClusterSnapshot` or a
-        :class:`DeltaClusterSnapshot` (restored as base plus overlay).
-        """
+        """Load pages (of a full snapshot, or a delta's base plus overlay)
+        and rebuild hosted apps; VMs stay paused."""
         if not self.all_paused:
             self.pause_all()
-        memories = [vm.memory for vm in self.vms.values()]
-        if isinstance(snapshot, DeltaClusterSnapshot):
-            self.snapshot_manager.load_delta(snapshot, memories)
-        else:
-            self.snapshot_manager.load(snapshot, memories)
+        self.snapshot_manager.load(
+            snapshot, [vm.memory for vm in self.vms.values()])
         for vm in self.vms.values():
             vm.restore_app()
         return snapshot.load_time

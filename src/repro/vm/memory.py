@@ -9,11 +9,12 @@ one VM (boot entropy, page cache, application heap).
 We model a page by its content digest plus, for application pages, the
 actual bytes.  OS-image pages are generated deterministically from the image
 name, so two VMs booted from the same image have identical page digests —
-exactly the property KSM exploits.  Storing digests instead of materializing
-~100 MiB of synthetic page bytes per VM keeps memory use sane while
-preserving every mechanism under test: content-based dedup, dirty-page
-tracking, snapshot sizes (every page still accounts for 4 KiB on the wire),
-and restore verification.
+exactly the property KSM exploits.  They never change after boot, so a guest
+holds them run-length encoded, as two :class:`Extent` values whose per-page
+digests are derived only on demand: boot, scan, save and restore cost what
+the application dirtied, not the address space, and every mechanism under
+test is preserved — content-based dedup, dirty-page tracking, snapshot sizes
+(every page still accounts for 4 KiB on the wire), restore verification.
 """
 
 from __future__ import annotations
@@ -47,9 +48,23 @@ class Page:
     digest: bytes
     content: Optional[bytes] = None
 
-    @property
-    def size(self) -> int:
-        return PAGE_SIZE
+
+@dataclass(frozen=True)
+class Extent:
+    """A run of synthetic pages that never change after boot: the page at
+    pfn ``base + i`` is ``synthetic_digest(namespace, i)``, derived only
+    when somebody asks for it.  Equal namespaces mean equal content, index
+    for index, so KSM and snapshots compare whole runs by identity."""
+
+    namespace: str
+    base: int
+    count: int
+
+    def __contains__(self, pfn: int) -> bool:
+        return self.base <= pfn < self.base + self.count
+
+    def page(self, pfn: int) -> Page:
+        return Page(synthetic_digest(self.namespace, pfn - self.base))
 
 
 @dataclass(frozen=True)
@@ -83,76 +98,70 @@ class OsImage:
 class GuestMemory:
     """Resident page set of one VM, with dirty tracking for KSM."""
 
-    # pfn layout: [0, shared_pages) OS image, then unique pages, then app.
+    # pfn layout: [0, shared_pages) OS image, then unique pages, then app;
+    # the first two are one extent each, only app pages are held one by one.
     def __init__(self, vm_name: str, image: OsImage) -> None:
         self.vm_name = vm_name
         self.image = image
-        self._pages: Dict[int, Page] = {}
+        shared, unique = image.shared_pages, image.unique_pages
+        self.extents: Tuple[Extent, ...] = (
+            Extent(image.name, 0, shared),
+            Extent(f"{image.name}:{vm_name}", shared, unique))
+        self._app: Dict[int, Page] = {}
         self._dirty: set = set()
-        self._app_base = image.shared_pages + image.unique_pages
-        self._app_pages = 0
-        self._populate_os_pages()
-
-    def _populate_os_pages(self) -> None:
-        for i in range(self.image.shared_pages):
-            self._pages[i] = Page(synthetic_digest(self.image.name, i))
-        base = self.image.shared_pages
-        for i in range(self.image.unique_pages):
-            pfn = base + i
-            self._pages[pfn] = Page(
-                synthetic_digest(f"{self.image.name}:{self.vm_name}", i))
+        self._app_base = shared + unique
 
     # ------------------------------------------------------------- app pages
 
     def write_app_state(self, blob: bytes) -> None:
         """(Re)write the application's resident pages from a state blob."""
         new_count = pages_for(len(blob)) if blob else 0
-        for i in range(max(new_count, self._app_pages)):
+        for i in range(max(new_count, len(self._app))):
             pfn = self._app_base + i
             if i < new_count:
-                chunk = blob[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
-                if len(chunk) < PAGE_SIZE:
-                    chunk = chunk + b"\x00" * (PAGE_SIZE - len(chunk))
+                chunk = blob[i * PAGE_SIZE:(i + 1) * PAGE_SIZE].ljust(
+                    PAGE_SIZE, b"\x00")
                 page = Page(digest_bytes(chunk), chunk)
-                if self._pages.get(pfn) != page:
-                    self._pages[pfn] = page
+                if self._app.get(pfn) != page:
+                    self._app[pfn] = page
                     self._dirty.add(pfn)
             else:
-                self._pages.pop(pfn, None)
+                self._app.pop(pfn, None)
                 self._dirty.discard(pfn)
-        self._app_pages = new_count
 
     def read_app_state(self) -> bytes:
         """Reassemble the app state blob from resident app pages."""
         chunks = []
-        for i in range(self._app_pages):
-            page = self._pages.get(self._app_base + i)
+        for i in range(len(self._app)):
+            page = self._app.get(self._app_base + i)
             if page is None or page.content is None:
                 raise SnapshotError(
                     f"{self.vm_name}: app page {i} missing or synthetic")
             chunks.append(page.content)
         return b"".join(chunks)
 
+    def app_page_count(self) -> int:
+        return len(self._app)
+
     # --------------------------------------------------------------- queries
 
     def resident_pages(self) -> int:
-        return len(self._pages)
-
-    def resident_bytes(self) -> int:
-        return len(self._pages) * PAGE_SIZE
+        return sum(e.count for e in self.extents) + len(self._app)
 
     def page(self, pfn: int) -> Page:
-        try:
-            return self._pages[pfn]
-        except KeyError:
-            raise SnapshotError(
-                f"{self.vm_name}: pfn {pfn} not resident") from None
-
-    def has_page(self, pfn: int) -> bool:
-        return pfn in self._pages
+        if pfn in self._app:
+            return self._app[pfn]
+        for extent in self.extents:
+            if pfn in extent:
+                return extent.page(pfn)
+        raise SnapshotError(f"{self.vm_name}: pfn {pfn} not resident")
 
     def iter_pages(self) -> Iterator[Tuple[int, Page]]:
-        return iter(sorted(self._pages.items()))
+        """Every resident page in pfn order, OS digests derived on the fly."""
+        for extent in self.extents:
+            for pfn in range(extent.base, extent.base + extent.count):
+                yield pfn, extent.page(pfn)
+        yield from sorted(self._app.items())
 
     # --------------------------------------------------------- dirty tracking
 
@@ -164,19 +173,17 @@ class GuestMemory:
 
     def touch(self, pfn: int) -> None:
         """Mark a page written without changing content (volatile page)."""
-        if pfn in self._pages:
+        if pfn in self._app or any(pfn in e for e in self.extents):
             self._dirty.add(pfn)
 
     # ---------------------------------------------------------------- restore
 
-    def load_pages(self, pages: Dict[int, Page], app_pages: int) -> None:
+    def load_pages(self, extents: Tuple[Extent, ...],
+                   app: Dict[int, Page]) -> None:
         """Replace the entire resident set (used by snapshot restore)."""
-        self._pages = dict(pages)
-        self._app_pages = app_pages
+        self.extents = tuple(extents)
+        self._app = dict(app)
         self._dirty = set()
 
-    def export_pages(self) -> Tuple[Dict[int, Page], int]:
-        return dict(self._pages), self._app_pages
-
-    def app_page_count(self) -> int:
-        return self._app_pages
+    def export_pages(self) -> Tuple[Tuple[Extent, ...], Dict[int, Page]]:
+        return self.extents, dict(self._app)

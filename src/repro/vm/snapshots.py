@@ -8,10 +8,11 @@ Two snapshot modes:
   each KSM-merged page once; the per-VM snapshot stores only a pfn plus a
   digest reference for shared pages and full content for private pages.
 
-Restores verify that reconstructed memory is page-for-page identical to what
-was saved, and the byte accounting feeds :class:`~repro.vm.timing.
-VmTimingModel` so that sharing translates into save-time savings the way the
-paper measures in Table II.
+Snapshot files are run-length encoded like guest memory: one record per OS
+extent, one per application page.  Every page still accounts for its bytes,
+and that accounting feeds :class:`~repro.vm.timing.VmTimingModel` so that
+sharing translates into save-time savings the way the paper measures in
+Table II.  Restores check every shared reference against the map first.
 """
 
 from __future__ import annotations
@@ -22,28 +23,37 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import SnapshotError
 from repro.common.units import PAGE_SIZE
 from repro.vm.ksm import KsmDaemon
-from repro.vm.memory import GuestMemory, Page
+from repro.vm.memory import Extent, GuestMemory, Page
 from repro.vm.timing import VmTimingModel
 
-# On-disk record overheads (bytes): pfn (8) + flag (1); a shared reference
-# additionally stores the 16-byte digest instead of 4096 bytes of content.
-_RECORD_HEADER = 9
+# On-disk record sizes (bytes): pfn (8) + flag (1), then 4096 bytes of
+# content or, for a page the shared map holds, its 16-byte digest.
 _DIGEST_REF = 16
+_PRIVATE = 9 + PAGE_SIZE
+_SHARED = 9 + _DIGEST_REF
 
 
 @dataclass(frozen=True)
 class PageRecord:
-    """One page entry inside a VM snapshot file."""
+    """One application page inside a VM snapshot file."""
 
     pfn: int
     shared: bool
     digest: bytes
-    content: Optional[bytes] = None  # None for shared refs / synthetic pages
+    content: Optional[bytes] = None  # None for shared refs
 
-    def stored_bytes(self) -> int:
-        if self.shared:
-            return _RECORD_HEADER + _DIGEST_REF
-        return _RECORD_HEADER + PAGE_SIZE
+
+@dataclass(frozen=True)
+class ExtentRecord:
+    """One OS extent inside a VM snapshot file: the pages at indices below
+    ``limit``, bar ``holes``, are shared refs; the rest are stored in full."""
+
+    extent: Extent
+    limit: int = 0
+    holes: frozenset = frozenset()
+
+    def shared_refs(self) -> int:
+        return self.limit - len(self.holes)
 
 
 @dataclass
@@ -51,31 +61,46 @@ class VmSnapshot:
     """Snapshot file of a single VM."""
 
     vm_name: str
+    extents: List[ExtentRecord]
     records: List[PageRecord]
-    app_page_count: int
 
-    def stored_bytes(self) -> int:
-        return sum(r.stored_bytes() for r in self.records)
+    def pages(self) -> int:
+        return sum(r.extent.count for r in self.extents) + len(self.records)
 
     def shared_refs(self) -> int:
-        return sum(1 for r in self.records if r.shared)
+        return (sum(r.shared_refs() for r in self.extents)
+                + sum(r.shared for r in self.records))
+
+    def stored_bytes(self) -> int:
+        refs = self.shared_refs()
+        return refs * _SHARED + (self.pages() - refs) * _PRIVATE
 
 
 @dataclass
 class SharedPageMap:
-    """The shared page map file: each merged page stored exactly once."""
+    """The shared page map file: each merged page stored exactly once — an
+    application page under its digest, a merged OS run under its namespace
+    as (length, indices below it that no saved guest references)."""
 
     pages: Dict[bytes, Page] = field(default_factory=dict)
+    runs: Dict[str, Tuple[int, frozenset]] = field(default_factory=dict)
 
     def stored_bytes(self) -> int:
-        return len(self.pages) * (PAGE_SIZE + _DIGEST_REF)
+        merged = len(self.pages) + sum(
+            length - len(missing) for length, missing in self.runs.values())
+        return merged * (PAGE_SIZE + _DIGEST_REF)
+
+    def add_run(self, run: ExtentRecord) -> None:
+        have, missing = self.runs.get(run.extent.namespace, (0, frozenset()))
+        self.runs[run.extent.namespace] = (max(have, run.limit), frozenset(
+            [i for i in missing if i >= run.limit or i in run.holes]
+            + [i for i in run.holes if i >= have or i in missing]))
 
     def lookup(self, digest: bytes) -> Page:
-        try:
-            return self.pages[digest]
-        except KeyError:
+        if digest not in self.pages:
             raise SnapshotError(
-                f"shared page map missing digest {digest.hex()}") from None
+                f"shared page map missing digest {digest.hex()}")
+        return self.pages[digest]
 
 
 @dataclass
@@ -89,35 +114,27 @@ class ClusterSnapshot:
     load_time: float
 
     def stored_bytes(self) -> int:
-        total = sum(s.stored_bytes() for s in self.vm_snapshots)
-        if self.shared_map is not None:
-            total += self.shared_map.stored_bytes()
-        return total
+        return (sum(s.stored_bytes() for s in self.vm_snapshots)
+                + (self.shared_map.stored_bytes() if self.shared_map else 0))
 
     def page_counts(self) -> Dict[str, int]:
         """Table-II-style page breakdown: total, KSM-shared refs, private."""
-        total = sum(len(s.records) for s in self.vm_snapshots)
+        total = sum(s.pages() for s in self.vm_snapshots)
         shared = sum(s.shared_refs() for s in self.vm_snapshots)
         return {"pages_total": total, "pages_shared": shared,
                 "pages_private": total - shared}
 
-    @property
-    def vm_count(self) -> int:
-        return len(self.vm_snapshots)
-
 
 @dataclass
 class DeltaVmSnapshot:
-    """Pages of one VM that differ from a base snapshot."""
+    """Application pages of one VM that differ from a base snapshot."""
 
     vm_name: str
     changed: List[PageRecord]
     removed: List[int]
-    app_page_count: int
 
     def stored_bytes(self) -> int:
-        return (sum(r.stored_bytes() for r in self.changed)
-                + 8 * len(self.removed))
+        return len(self.changed) * _PRIVATE + 8 * len(self.removed)
 
 
 @dataclass
@@ -134,14 +151,8 @@ class DeltaClusterSnapshot:
 
     def page_counts(self) -> Dict[str, int]:
         """Delta breakdown: pages re-stored vs dropped relative to the base."""
-        return {
-            "pages_changed": sum(len(d.changed) for d in self.vm_deltas),
-            "pages_removed": sum(len(d.removed) for d in self.vm_deltas),
-        }
-
-    @property
-    def vm_count(self) -> int:
-        return len(self.vm_deltas)
+        return {"pages_changed": sum(len(d.changed) for d in self.vm_deltas),
+                "pages_removed": sum(len(d.removed) for d in self.vm_deltas)}
 
 
 class SnapshotStore:
@@ -213,127 +224,106 @@ class SnapshotManager:
         shared_map = SharedPageMap() if shared else None
         vm_snapshots: List[VmSnapshot] = []
         for memory in memories:
+            name = memory.vm_name
+            extents, app = memory.export_pages()
+            runs = [ExtentRecord(e, *self.ksm.shared_run(name, e)) if shared
+                    else ExtentRecord(e) for e in extents]
+            for run in runs:
+                if run.shared_refs():
+                    shared_map.add_run(run)
             records: List[PageRecord] = []
-            for pfn, page in memory.iter_pages():
-                if shared and self.ksm.is_shared(memory.vm_name, pfn, page):
+            for pfn, page in sorted(app.items()):
+                if shared and self.ksm.is_shared(name, pfn, page):
                     shared_map.pages.setdefault(page.digest, page)
                     records.append(PageRecord(pfn, True, page.digest))
                 else:
                     records.append(
                         PageRecord(pfn, False, page.digest, page.content))
-            vm_snapshots.append(
-                VmSnapshot(memory.vm_name, records, memory.app_page_count()))
-
-        payload = sum(s.stored_bytes() for s in vm_snapshots)
-        if shared_map is not None:
-            payload += shared_map.stored_bytes()
-        save_time = self.timing.save_time(
-            payload, len(vm_snapshots), max_bandwidth=max_bandwidth)
-        load_time = self.timing.load_time(len(vm_snapshots))
-        return ClusterSnapshot(
+            vm_snapshots.append(VmSnapshot(name, runs, records))
+        snapshot = ClusterSnapshot(
             "shared" if shared else "plain", vm_snapshots, shared_map,
-            save_time, load_time)
+            0.0, self.timing.load_time(len(vm_snapshots)))
+        snapshot.save_time = self.timing.save_time(
+            snapshot.stored_bytes(), len(vm_snapshots),
+            max_bandwidth=max_bandwidth)
+        return snapshot
 
     # ------------------------------------------------------------------ load
 
-    def _stage(self, snapshot: ClusterSnapshot,
-               memories: Sequence[GuestMemory]
-               ) -> List[List]:
-        """Reconstruct every VM's page table without touching guest memory.
+    def _stage(self, snapshot, memories) -> Dict[str, tuple]:
+        """Reconstruct every VM's memory without touching the guests.
 
         Restores are applied in two phases — stage everything (where any
-        missing guest, dangling shared reference, or corrupt record
-        surfaces as a :class:`SnapshotError`), then commit — so a failed
-        restore leaves every guest's memory exactly as it was.
+        missing guest or dangling shared reference surfaces as a
+        :class:`SnapshotError`), then commit — so a failed restore leaves
+        every guest exactly as it was, never a base with no delta on top.
         """
+        if isinstance(snapshot, DeltaClusterSnapshot):
+            staged = self._stage(snapshot.base, memories)
+            for delta in snapshot.vm_deltas:
+                app = staged[delta.vm_name][2]
+                for pfn in delta.removed:
+                    app.pop(pfn, None)
+                for record in delta.changed:
+                    app[record.pfn] = Page(record.digest, record.content)
+            return staged
         by_name = {m.vm_name: m for m in memories}
-        staged: List[List] = []
+        shared_map = snapshot.shared_map or SharedPageMap()
+        staged = {}
         for vm_snap in snapshot.vm_snapshots:
-            memory = by_name.get(vm_snap.vm_name)
-            if memory is None:
+            if vm_snap.vm_name not in by_name:
                 raise SnapshotError(
                     f"no guest named {vm_snap.vm_name} to restore into")
-            pages: Dict[int, Page] = {}
-            for record in vm_snap.records:
-                if record.shared:
-                    if snapshot.shared_map is None:
-                        raise SnapshotError(
-                            f"{vm_snap.vm_name}: shared ref without a map")
-                    pages[record.pfn] = snapshot.shared_map.lookup(
-                        record.digest)
-                else:
-                    pages[record.pfn] = Page(record.digest, record.content)
-            staged.append([memory, pages, vm_snap.app_page_count])
+            for run in vm_snap.extents:
+                held = shared_map.runs.get(run.extent.namespace, (0,))[0]
+                if run.shared_refs() and run.limit > held:
+                    raise SnapshotError("shared page map missing pages of "
+                                        f"run {run.extent.namespace!r}")
+            app = {r.pfn: shared_map.lookup(r.digest) if r.shared
+                   else Page(r.digest, r.content) for r in vm_snap.records}
+            staged[vm_snap.vm_name] = (
+                by_name[vm_snap.vm_name],
+                tuple(run.extent for run in vm_snap.extents), app)
         return staged
 
-    def load(self, snapshot: ClusterSnapshot,
-             memories: Sequence[GuestMemory]) -> None:
-        for memory, pages, app_page_count in self._stage(snapshot, memories):
-            memory.load_pages(pages, app_page_count)
+    def load(self, snapshot, memories: Sequence[GuestMemory]) -> None:
+        """Restore a full snapshot, or a delta as its base plus overlay."""
+        for memory, extents, app in self._stage(snapshot, memories).values():
+            memory.load_pages(extents, app)
+
+    load_delta = load
 
     # ----------------------------------------------------- delta snapshots
     #
-    # Execution branching takes a snapshot at every injection point of a
-    # search, but most guest pages (the whole OS image, most of the heap)
-    # are identical to the warm snapshot taken after boot.  A delta
-    # snapshot stores only pages that changed relative to a base snapshot,
+    # Execution branching snapshots every injection point of a search, yet
+    # the OS extents and most of the heap still equal the warm snapshot: a
+    # delta stores only the application pages that changed against a base,
     # cutting save cost for every injection point after the first.
 
     def save_delta(self, memories: Sequence[GuestMemory],
                    base: ClusterSnapshot,
-                   max_bandwidth: bool = True) -> "DeltaClusterSnapshot":
-        base_index: Dict[str, Dict[int, bytes]] = {}
-        base_counts: Dict[str, int] = {}
-        for vm_snap in base.vm_snapshots:
-            base_index[vm_snap.vm_name] = {
-                r.pfn: r.digest for r in vm_snap.records}
-            base_counts[vm_snap.vm_name] = vm_snap.app_page_count
-
+                   max_bandwidth: bool = True) -> DeltaClusterSnapshot:
+        base_vms = {s.vm_name: s for s in base.vm_snapshots}
         deltas: List[DeltaVmSnapshot] = []
         for memory in memories:
-            known = base_index.get(memory.vm_name)
-            if known is None:
-                raise SnapshotError(
-                    f"base snapshot has no VM named {memory.vm_name}")
-            changed: List[PageRecord] = []
-            present = set()
-            for pfn, page in memory.iter_pages():
-                present.add(pfn)
-                if known.get(pfn) != page.digest:
-                    changed.append(
-                        PageRecord(pfn, False, page.digest, page.content))
-            removed = sorted(set(known) - present)
-            deltas.append(DeltaVmSnapshot(memory.vm_name, changed, removed,
-                                          memory.app_page_count()))
-
-        payload = sum(d.stored_bytes() for d in deltas)
+            extents, app = memory.export_pages()
+            known = base_vms.get(memory.vm_name)
+            if known is None or extents != tuple(
+                    run.extent for run in known.extents):
+                raise SnapshotError("base snapshot has no VM named "
+                                    f"{memory.vm_name} with this OS image")
+            digests = {r.pfn: r.digest for r in known.records}
+            changed = [PageRecord(pfn, False, page.digest, page.content)
+                       for pfn, page in sorted(app.items())
+                       if digests.get(pfn) != page.digest]
+            deltas.append(DeltaVmSnapshot(
+                memory.vm_name, changed, sorted(set(digests) - set(app))))
         save_time = self.timing.save_time(
-            payload, len(deltas), max_bandwidth=max_bandwidth)
+            sum(d.stored_bytes() for d in deltas), len(deltas),
+            max_bandwidth=max_bandwidth)
         # loading must materialize the base first, then apply the delta
         load_time = base.load_time + self.timing.load_time(len(deltas))
         return DeltaClusterSnapshot(base, deltas, save_time, load_time)
-
-    def load_delta(self, snapshot: "DeltaClusterSnapshot",
-                   memories: Sequence[GuestMemory]) -> None:
-        # Overlay each delta onto the *staged* base page tables, never onto
-        # live guest memory: a SnapshotError anywhere mid-restore (missing
-        # guest, dangling shared ref) must leave all guests untouched
-        # rather than half base-restored.
-        staged = self._stage(snapshot.base, memories)
-        by_name = {entry[0].vm_name: entry for entry in staged}
-        for delta in snapshot.vm_deltas:
-            entry = by_name.get(delta.vm_name)
-            if entry is None:
-                raise SnapshotError(
-                    f"no guest named {delta.vm_name} to restore into")
-            __, pages, __count = entry
-            for pfn in delta.removed:
-                pages.pop(pfn, None)
-            for record in delta.changed:
-                pages[record.pfn] = Page(record.digest, record.content)
-            entry[2] = delta.app_page_count
-        for memory, pages, app_page_count in staged:
-            memory.load_pages(pages, app_page_count)
 
     # -------------------------------------------------------------- analysis
 

@@ -154,7 +154,7 @@ class TestAtomicRestore:
         manager = SnapshotManager(ksm, VmTimingModel())
         shared = manager.save(guests, shared=True)
         assert shared.shared_map is not None
-        shared.shared_map.pages.clear()  # corrupt the map
+        shared.shared_map.runs.clear()  # corrupt the map
         guests[0].write_app_state(b"post-snapshot" * 10)
         before = self._digests(guests)
         with pytest.raises(SnapshotError):

@@ -85,6 +85,17 @@ class TestKsm:
         ksm.unregister("vm1")
         assert not ksm.is_shared("vm0", 0, guests[0].page(0))
 
+    def test_unregister_recomputes_sharing_stats(self):
+        guests = make_guests(2)
+        ksm = KsmDaemon()
+        for g in guests:
+            ksm.register(g)
+        ksm.scan()
+        assert ksm.sharing_ratio() == pytest.approx(2 / 3)
+        ksm.unregister("vm1")  # nothing is left to share with
+        assert (ksm.stats.pages_shared, ksm.stats.pages_sharing) == (0, 0)
+        assert ksm.sharing_ratio() == 0.0
+
 
 class TestSnapshots:
     def _setup(self, n=3):
@@ -117,7 +128,8 @@ class TestSnapshots:
         shared = manager.save(guests, shared=True)
         refs = sum(s.shared_refs() for s in shared.vm_snapshots)
         assert refs == 3 * SMALL.shared_pages
-        assert len(shared.shared_map.pages) == SMALL.shared_pages
+        assert shared.shared_map.stored_bytes() == SMALL.shared_pages * (
+            4096 + 16)  # each merged page once: content plus digest
 
     def test_restore_roundtrip_plain(self):
         guests, manager = self._setup()
