@@ -7,18 +7,31 @@ assertions stay readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, order=True)
 class NodeId:
-    """Identity of a participant in the distributed system under test."""
+    """Identity of a participant in the distributed system under test.
+
+    Node ids key every host table and tag every message, so the two things
+    done with them per message are cheap: the hash is the index (never a
+    cached ``str`` hash — that would go stale in a process with another
+    hash seed) and the name is formatted once, at construction.
+    """
 
     index: int
     role: str = "replica"
+    _name: str = field(init=False, repr=False, compare=False)
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.role}{self.index}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_name", f"{self.role}{self.index}")
+
+    def __hash__(self) -> int:
+        return hash(self.index)
+
+    def __str__(self) -> str:
+        return self._name
 
 
 def replica(i: int) -> NodeId:

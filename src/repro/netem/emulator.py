@@ -20,16 +20,18 @@ Mechanics of a transmission (``transmit``):
    receiver callback.
 
 Every in-flight item (pending egress, packet on the wire, partial
-reassembly, held or frozen messages) is tracked as plain data so the whole
-emulator state can be saved and reloaded, and freezing stops any further
-delivery to hosts while still accepting new transmissions — the same
-behaviour the paper implements inside NS3.
+reassembly, held or frozen messages) is tracked — as the immutable
+``Packet``/``MessageEnvelope`` itself; ``save_state`` is where it becomes
+plain data — so the whole emulator state can be saved and reloaded, and
+freezing stops any further delivery to hosts while still accepting new
+transmissions — the same behaviour the paper implements inside NS3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.common.errors import NetworkError
 from repro.common.ids import NodeId
@@ -57,23 +59,21 @@ class Delivery:
     extra_delay: float = 0.0
 
 
-class Verdict:
+class Verdict(NamedTuple):
     """Interceptor decision for one message."""
+
+    kind: str
+    deliveries: Sequence[Delivery] = ()
+    hold_tag: Optional[str] = None
 
     PASS = "pass"
     DROP = "drop"
     REWRITE = "rewrite"
     HOLD = "hold"
 
-    def __init__(self, kind: str, deliveries: Optional[List[Delivery]] = None,
-                 hold_tag: Optional[str] = None) -> None:
-        self.kind = kind
-        self.deliveries = deliveries or []
-        self.hold_tag = hold_tag
-
     @classmethod
     def passthrough(cls) -> "Verdict":
-        return cls(cls.PASS)
+        return _PASSTHROUGH
 
     @classmethod
     def drop(cls) -> "Verdict":
@@ -87,6 +87,9 @@ class Verdict:
     def hold(cls, tag: str) -> "Verdict":
         return cls(cls.HOLD, hold_tag=tag)
 
+
+#: the one pass verdict: immutable, so every message can share it
+_PASSTHROUGH = Verdict(Verdict.PASS)
 
 Interceptor = Callable[[MessageEnvelope], Verdict]
 
@@ -156,18 +159,20 @@ class NetworkEmulator:
         self._msg_seq = 0
         self._event_seq = 0
         self._frozen = False
-        # In-flight bookkeeping: eid -> (kind, due_time, record); kinds are
-        # "egress" (message awaiting device admission, possibly delayed by a
-        # proxy action) and "deliver" (packet crossing the wire).
-        self._in_flight: Dict[int, Tuple[str, float, tuple]] = {}
-        self._handles: Dict[int, object] = {}
-        # Messages parked by a HOLD verdict: tag -> envelope record.
-        self._held: Dict[str, tuple] = {}
-        # Deliveries that arrived while frozen: list of packet records.
-        self._frozen_packets: List[tuple] = []
-        # Transmissions accepted while frozen: (envelope record, delay,
+        # In-flight bookkeeping: eid -> (kind, due_time, item, kernel
+        # handle).  Kind "egress" is a message awaiting device admission
+        # (delayed by a transport or a proxy action), its item an
+        # ``(envelope, via_device)`` pair; for "deliver", "corrupt" (a
+        # packet crossing the wire) and "retry" (a lost TCP packet awaiting
+        # its RTO) the item is the packet.
+        self._in_flight: Dict[int, Tuple[str, float, object, object]] = {}
+        # Messages parked by a HOLD verdict: tag -> envelope.
+        self._held: Dict[str, MessageEnvelope] = {}
+        # Deliveries that arrived while frozen.
+        self._frozen_packets: List[Packet] = []
+        # Transmissions accepted while frozen: (envelope, delay,
         # via_device) triples.
-        self._frozen_egress: List[Tuple[tuple, float, bool]] = []
+        self._frozen_egress: List[Tuple[MessageEnvelope, float, bool]] = []
         # Controller-side observers: fn(event, envelope) on "sent" and
         # "delivered".  Not part of emulator state (never serialized).
         self._observers: List[Callable[[str, MessageEnvelope], None]] = []
@@ -247,22 +252,22 @@ class NetworkEmulator:
         setup); the interceptor still sees the message at send time, as the
         proxy sits where traffic leaves the sending VM.
         """
-        self._port(src)  # the sender must be attached: a platform invariant
+        port = self._port(src)  # the sender must be attached
         if dst not in self._hosts:
             # An address nothing listens on (e.g. a lying attack rewrote a
             # node-id field): the network blackholes it, as a real LAN would.
             self.stats.messages_blackholed += 1
             self._count("netem.messages_blackholed")
             return -1
-        self._msg_seq += 1
-        envelope = MessageEnvelope(self._msg_seq, src, dst, transport, payload)
-        self._port(src).messages_out += 1
+        self._msg_seq = msg_seq = self._msg_seq + 1
+        envelope = MessageEnvelope(msg_seq, src, dst, transport, payload)
+        port.messages_out += 1
         self.stats.messages_sent += 1
         self._count("netem.messages_sent")
         if self._observers:
             self._notify("sent", envelope)
 
-        verdict = Verdict.passthrough()
+        verdict = _PASSTHROUGH
         if self._interceptor is not None:
             verdict = self._interceptor(envelope)
         if self.causal_tap is not None:
@@ -272,10 +277,10 @@ class NetworkEmulator:
         if verdict.kind == Verdict.DROP:
             self.stats.messages_dropped_by_proxy += 1
             self._count("netem.proxy_drops")
-            self.log.emit("netem", "proxy_drop", msg=envelope.msg_seq)
+            self.log.emit("netem", "proxy_drop", msg=msg_seq)
         elif verdict.kind == Verdict.HOLD:
-            self._held[verdict.hold_tag] = envelope_to_record(envelope)
-            self.log.emit("netem", "proxy_hold", msg=envelope.msg_seq,
+            self._held[verdict.hold_tag] = envelope
+            self.log.emit("netem", "proxy_hold", msg=msg_seq,
                           tag=verdict.hold_tag)
         elif verdict.kind == Verdict.REWRITE:
             # Proxy-produced deliveries are injected inside the emulator,
@@ -283,12 +288,12 @@ class NetworkEmulator:
             # NS3 node's application layer, not in the guest).
             for delivery in verdict.deliveries:
                 self._submit_egress(
-                    MessageEnvelope(envelope.msg_seq, src, delivery.dst,
+                    MessageEnvelope(msg_seq, src, delivery.dst,
                                     transport, delivery.payload),
                     delay + delivery.extra_delay, via_device=False)
         else:
             self._submit_egress(envelope, delay)
-        return envelope.msg_seq
+        return msg_seq
 
     # ---------------------------------------------------------- held messages
 
@@ -297,7 +302,7 @@ class NetworkEmulator:
 
     def peek_held(self, tag: str) -> MessageEnvelope:
         try:
-            return envelope_from_record(self._held[tag])
+            return self._held[tag]
         except KeyError:
             raise NetworkError(f"no held message tagged {tag!r}") from None
 
@@ -333,36 +338,47 @@ class NetworkEmulator:
 
     # ------------------------------------------------------------- internals
 
-    def _next_eid(self) -> int:
-        self._event_seq += 1
-        return self._event_seq
+    def _schedule(self, kind: str, due: float, item,
+                  eid: Optional[int] = None) -> None:
+        """Track one in-flight item (``eid`` given: a restored one) and arm
+        its kernel event."""
+        if eid is None:
+            self._event_seq = eid = self._event_seq + 1
+        kernel = self.kernel
+        self._in_flight[eid] = (kind, due, item, kernel.schedule_at(
+            max(due, kernel.now), self._due, eid, priority=PRIORITY_NETWORK))
+
+    def _due(self, eid: int) -> None:
+        """An in-flight item's time has come: act on it by kind."""
+        entry = self._in_flight.pop(eid, None)
+        if entry is None:
+            return
+        kind, __, item, __handle = entry
+        if kind == "deliver":
+            if self._frozen:
+                # The emulator keeps creating packet objects while frozen
+                # but sends nothing to the VMs (Section III-C / IV-C).
+                self._frozen_packets.append(item)
+            else:
+                self._ingress(item)
+        elif kind == "egress":
+            self._egress_now(*item)
+        elif kind == "retry":
+            self._admit_packet(item)
+        else:
+            self._corrupt_drop(item)
 
     def _submit_egress(self, envelope: MessageEnvelope, delay: float,
                        via_device: bool = True) -> None:
         if self.causal_tap is not None:
             self.causal_tap.on_egress(envelope, delay, via_device)
         if self._frozen:
-            self._frozen_egress.append(
-                (envelope_to_record(envelope), delay, via_device))
-            return
-        if delay > 0:
-            eid = self._next_eid()
-            due = self.kernel.now + delay
-            record = (envelope_to_record(envelope), via_device)
-            self._in_flight[eid] = ("egress", due, record)
-            self._handles[eid] = self.kernel.schedule(
-                delay, self._egress_due, eid, priority=PRIORITY_NETWORK)
+            self._frozen_egress.append((envelope, delay, via_device))
+        elif delay > 0:
+            self._schedule("egress", self.kernel.now + delay,
+                           (envelope, via_device))
         else:
             self._egress_now(envelope, via_device)
-
-    def _egress_due(self, eid: int) -> None:
-        entry = self._in_flight.pop(eid, None)
-        self._handles.pop(eid, None)
-        if entry is None:
-            return
-        __, __, record = entry
-        env_record, via_device = record
-        self._egress_now(envelope_from_record(tuple(env_record)), via_device)
 
     #: retransmission timeout for TCP packets lost to device overflow
     TCP_RTO = 0.2
@@ -387,19 +403,18 @@ class NetworkEmulator:
         flow survives transient faults the way a real stack would: at most
         one pending retry per lost packet, no event growth while blocked.
         """
-        if packet.transport != "tcp":
-            return
-        eid = self._next_eid()
-        due = self.kernel.now + self.TCP_RTO
-        self._in_flight[eid] = ("retry", due, packet_to_record(packet))
-        self._handles[eid] = self.kernel.schedule_at(
-            due, self._retry_due, eid, priority=PRIORITY_NETWORK)
+        if packet.transport == "tcp":
+            self._schedule("retry", self.kernel.now + self.TCP_RTO, packet)
 
     def _admit_packet(self, packet: Packet, via_device: bool = True) -> None:
-        port = self._port(packet.src)
-        path = self.topology.path(packet.src, packet.dst)
-        src_name, dst_name = str(packet.src), str(packet.dst)
-        blocked = self.topology.blocked(src_name, dst_name)
+        src, dst = packet.src, packet.dst
+        port = self._port(src)
+        topology = self.topology
+        path = topology.path(src, dst)
+        # Hosts are named (and the overlay consulted) only while some link
+        # is down or a partition is in force.
+        blocked = (topology.blocked(str(src), str(dst))
+                   if topology.faulted else None)
         if blocked is not None:
             # The link carries nothing while down or partitioned; TCP keeps
             # retrying, so traffic resumes when connectivity heals.
@@ -411,8 +426,9 @@ class NetworkEmulator:
                 self._count("faults.packets_partitioned")
             self._schedule_tcp_retry(packet)
             return
+        now = self.kernel.now
         if via_device:
-            finish = port.device.admit(self.kernel.now, packet)
+            finish = port.device.admit(now, packet)
             if finish is None:
                 self.stats.packets_dropped_overflow += 1
                 self._count("netem.packets_dropped_overflow")
@@ -421,12 +437,12 @@ class NetworkEmulator:
         else:
             # Proxy-produced deliveries are injected past the source
             # device but still cross the (possibly faulty) link.
-            finish = self.kernel.now
+            finish = now
         arrival = finish + path.delay + packet.wire_size / path.bandwidth
         kind = "deliver"
-        if self.faults.active and packet.src != packet.dst:
+        if self.faults.active and src != dst:
             lost, corrupted, extra = self.faults.evaluate(
-                src_name, dst_name, self._ensure_fault_rng())
+                str(src), str(dst), self._ensure_fault_rng())
             if lost:
                 self.stats.packets_dropped_loss += 1
                 self._count("faults.packets_lost")
@@ -436,56 +452,24 @@ class NetworkEmulator:
             if corrupted:
                 # The payload is damaged in flight: the packet still
                 # occupies the wire and arrives, but the receive-side
-                # checksum rejects it there (see _corrupt_due).
+                # checksum rejects it there (see _corrupt_drop).
                 kind = "corrupt"
-        eid = self._next_eid()
-        record = packet_to_record(packet)
-        self._in_flight[eid] = (kind, arrival, record)
-        callback = self._corrupt_due if kind == "corrupt" else self._deliver_due
-        self._handles[eid] = self.kernel.schedule_at(
-            arrival, callback, eid, priority=PRIORITY_NETWORK)
+        self._schedule(kind, arrival, packet)
         self.stats.packets_forwarded += 1
         self._count("netem.packets_forwarded")
 
-    def _retry_due(self, eid: int) -> None:
-        entry = self._in_flight.pop(eid, None)
-        self._handles.pop(eid, None)
-        if entry is None:
-            return
-        __, __, record = entry
-        self._admit_packet(packet_from_record(record))
-
-    def _corrupt_due(self, eid: int) -> None:
+    def _corrupt_drop(self, packet: Packet) -> None:
         """A corrupted packet reaches the destination and fails its checksum.
 
         Counted distinctly from overflow (``packets_dropped_corrupt``); the
         drop is a network-side event, so it fires even while frozen — the
         packet never reaches the host either way.
         """
-        entry = self._in_flight.pop(eid, None)
-        self._handles.pop(eid, None)
-        if entry is None:
-            return
-        __, __, record = entry
-        packet = packet_from_record(record)
         self.stats.packets_dropped_corrupt += 1
         self._count("faults.packets_corrupted")
         self.log.emit("netem", "corrupt_drop", src=str(packet.src),
                       dst=str(packet.dst))
         self._schedule_tcp_retry(packet)
-
-    def _deliver_due(self, eid: int) -> None:
-        entry = self._in_flight.pop(eid, None)
-        self._handles.pop(eid, None)
-        if entry is None:
-            return
-        __, __, record = entry
-        if self._frozen:
-            # The emulator keeps creating packet objects while frozen but
-            # sends nothing to the VMs (Section III-C / IV-C).
-            self._frozen_packets.append(record)
-            return
-        self._ingress(packet_from_record(record))
 
     def _ingress(self, packet: Packet) -> None:
         port = self._port(packet.dst)
@@ -496,8 +480,9 @@ class NetworkEmulator:
         port.messages_in += 1
         self.stats.messages_delivered += 1
         self._count("netem.messages_delivered")
-        self.log.emit("netem", "deliver", msg=envelope.msg_seq,
-                      dst=str(envelope.dst), size=envelope.size)
+        if self.log.enabled:
+            self.log.emit("netem", "deliver", msg=envelope.msg_seq,
+                          dst=str(envelope.dst), size=envelope.size)
         if self.causal_tap is not None:
             self.causal_tap.on_deliver(envelope)
         if self._observers:
@@ -525,27 +510,38 @@ class NetworkEmulator:
         """Leave frozen mode and flush everything parked while frozen."""
         self._frozen = False
         packets, self._frozen_packets = self._frozen_packets, []
-        for record in packets:
-            self._ingress(packet_from_record(record))
+        for packet in packets:
+            self._ingress(packet)
         egress, self._frozen_egress = self._frozen_egress, []
-        for record, delay, via_device in egress:
-            self._submit_egress(envelope_from_record(record), delay, via_device)
+        for envelope, delay, via_device in egress:
+            self._submit_egress(envelope, delay, via_device)
 
     # --------------------------------------------------------- save/load
 
     def save_state(self) -> dict:
-        """Serialize all in-flight network state to plain data."""
+        """Serialize all in-flight network state to plain data.
+
+        This is the one place packets and envelopes turn into records
+        (tuples of ints, strings and bytes); :meth:`load_state` is the one
+        place they turn back.
+        """
         return {
             "msg_seq": self._msg_seq,
             "event_seq": self._event_seq,
             "frozen": self._frozen,
             "in_flight": [
-                (eid, kind, due, record)
-                for eid, (kind, due, record) in sorted(self._in_flight.items())
+                (eid, kind, due,
+                 (envelope_to_record(item[0]), item[1]) if kind == "egress"
+                 else packet_to_record(item))
+                for eid, (kind, due, item, __) in sorted(self._in_flight.items())
             ],
-            "held": dict(self._held),
-            "frozen_packets": list(self._frozen_packets),
-            "frozen_egress": list(self._frozen_egress),
+            "held": {tag: envelope_to_record(envelope)
+                     for tag, envelope in self._held.items()},
+            "frozen_packets": [packet_to_record(packet)
+                               for packet in self._frozen_packets],
+            "frozen_egress": [(envelope_to_record(envelope), delay, via_device)
+                              for envelope, delay, via_device
+                              in self._frozen_egress],
             "devices": {str(n): p.device.save_state()
                         for n, p in self._hosts.items()},
             "reassembly": {str(n): p.reassembly.save_state()
@@ -565,17 +561,18 @@ class NetworkEmulator:
 
     def load_state(self, state: dict) -> None:
         """Restore in-flight state and re-schedule deliveries on the kernel."""
-        for handle in self._handles.values():
+        for __, __due, __item, handle in self._in_flight.values():
             handle.cancel()
-        self._handles.clear()
         self._in_flight.clear()
 
         self._msg_seq = state["msg_seq"]
         self._event_seq = state["event_seq"]
         self._frozen = state["frozen"]
-        self._held = dict(state["held"])
-        self._frozen_packets = list(state["frozen_packets"])
-        self._frozen_egress = [(tuple(r), d, v)
+        self._held = {tag: envelope_from_record(record)
+                      for tag, record in state["held"].items()}
+        self._frozen_packets = [packet_from_record(record)
+                                for record in state["frozen_packets"]]
+        self._frozen_egress = [(envelope_from_record(r), d, v)
                                for r, d, v in state["frozen_egress"]]
 
         by_str = {str(n): p for n, p in self._hosts.items()}
@@ -594,10 +591,9 @@ class NetworkEmulator:
         if rng_state is not None:
             self._ensure_fault_rng().load_state(rng_state)
 
-        callbacks = {"egress": self._egress_due, "deliver": self._deliver_due,
-                     "retry": self._retry_due, "corrupt": self._corrupt_due}
         for eid, kind, due, record in state["in_flight"]:
-            self._in_flight[eid] = (kind, due, tuple(record))
-            when = max(due, self.kernel.now)
-            self._handles[eid] = self.kernel.schedule_at(
-                when, callbacks[kind], eid, priority=PRIORITY_NETWORK)
+            if kind == "egress":
+                item = (envelope_from_record(record[0]), record[1])
+            else:
+                item = packet_from_record(record)
+            self._schedule(kind, due, item, eid)

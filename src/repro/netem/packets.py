@@ -10,8 +10,7 @@ links, and reassembles the message at the destination host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.common.errors import NetworkError
 from repro.common.ids import NodeId
@@ -20,13 +19,14 @@ MTU = 1500                # bytes of payload a packet can carry
 HEADER_BYTES = 28         # IP + UDP header overhead per packet
 
 
-@dataclass(frozen=True)
-class MessageEnvelope:
+class MessageEnvelope(NamedTuple):
     """An application message travelling through the emulator.
 
     ``transport`` tags which transport layer ("udp"/"tcp") should receive it
     at the destination; ``msg_seq`` is unique per emulator and orders
-    messages deterministically.
+    messages deterministically.  Immutable, so in-flight tables hold the
+    object itself; the plain-data form exists only inside ``save_state``
+    (:func:`envelope_to_record`).
     """
 
     msg_seq: int
@@ -40,9 +40,8 @@ class MessageEnvelope:
         return len(self.payload)
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One fragment of a message on the wire."""
+class Packet(NamedTuple):
+    """One fragment of a message on the wire (immutable, like the envelope)."""
 
     msg_seq: int
     frag_index: int
@@ -59,11 +58,13 @@ class Packet:
 
 def fragment(envelope: MessageEnvelope) -> List[Packet]:
     """Split a message into MTU-sized packets."""
-    payload = envelope.payload
-    count = max(1, (len(payload) + MTU - 1) // MTU)
+    msg_seq, src, dst, transport, payload = envelope
+    if len(payload) <= MTU:
+        return [Packet(msg_seq, 0, 1, src, dst, transport, payload)]
+    count = (len(payload) + MTU - 1) // MTU
     return [
-        Packet(envelope.msg_seq, i, count, envelope.src, envelope.dst,
-               envelope.transport, payload[i * MTU:(i + 1) * MTU])
+        Packet(msg_seq, i, count, src, dst, transport,
+               payload[i * MTU:(i + 1) * MTU])
         for i in range(count)
     ]
 
@@ -77,8 +78,8 @@ class ReassemblyBuffer:
     def add(self, packet: Packet) -> Optional[MessageEnvelope]:
         """Add a fragment; return the completed message if it is the last."""
         if packet.frag_count == 1:
-            return MessageEnvelope(packet.msg_seq, packet.src, packet.dst,
-                                   packet.transport, packet.payload)
+            msg_seq, __, __count, src, dst, transport, payload = packet
+            return MessageEnvelope(msg_seq, src, dst, transport, payload)
         frags = self._partial.setdefault(packet.msg_seq, {})
         if packet.frag_index in frags:
             raise NetworkError(
@@ -98,7 +99,7 @@ class ReassemblyBuffer:
 
     def save_state(self) -> list:
         return [
-            (seq, [self._packet_record(p) for p in frags.values()])
+            (seq, [packet_to_record(p) for p in frags.values()])
             for seq, frags in sorted(self._partial.items())
         ]
 
@@ -110,10 +111,6 @@ class ReassemblyBuffer:
                 packet = packet_from_record(record)
                 frags[packet.frag_index] = packet
             self._partial[seq] = frags
-
-    @staticmethod
-    def _packet_record(packet: Packet) -> tuple:
-        return packet_to_record(packet)
 
 
 def packet_to_record(packet: Packet) -> tuple:

@@ -32,6 +32,8 @@ class Topology:
         if bandwidth <= 0:
             raise NetworkError("bandwidth must be positive")
         self.default = PathSpec(delay, bandwidth)
+        #: what a host's path to itself costs (built once, not per packet)
+        self.loopback = PathSpec(0.0, bandwidth)
         self._overrides: Dict[Tuple[NodeId, NodeId], PathSpec] = {}
         # Connectivity fault overlay (chaos layer).  Keys are string host
         # names (``str(NodeId)``, e.g. "replica0") so fault schedules can
@@ -46,7 +48,9 @@ class Topology:
 
     def path(self, src: NodeId, dst: NodeId) -> PathSpec:
         if src == dst:
-            return PathSpec(0.0, self.default.bandwidth)
+            return self.loopback
+        if not self._overrides:
+            return self.default
         return self._overrides.get((src, dst), self.default)
 
     # ------------------------------------------- connectivity fault overlay
@@ -76,6 +80,12 @@ class Topology:
 
     def heal_partition(self) -> None:
         self._partition = {}
+
+    @property
+    def faulted(self) -> bool:
+        """Whether any link is down or a partition is in force — the cheap
+        test callers make before naming hosts for :meth:`blocked`."""
+        return bool(self._down_links or self._partition)
 
     def blocked(self, src: str, dst: str) -> Optional[str]:
         """Why a packet from ``src`` to ``dst`` cannot be carried, if so.
@@ -133,7 +143,7 @@ class SiteTopology(Topology):
 
     def path(self, src: NodeId, dst: NodeId) -> PathSpec:
         if src == dst:
-            return PathSpec(0.0, self.default.bandwidth)
+            return self.loopback
         src_site = self.site_of.get(src)
         dst_site = self.site_of.get(dst)
         if src_site is None or dst_site is None:

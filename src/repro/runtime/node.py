@@ -10,7 +10,9 @@ guest), and full state serialization for execution branching.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import hashlib
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import CodecError, TargetSystemFault
 from repro.common.ids import NodeId
@@ -25,14 +27,6 @@ from repro.runtime.cpu import CpuCostModel, SerialCpu
 from repro.wire.codec import Message, ProtocolCodec
 
 MetricSink = Callable[[float, NodeId, str, float], None]
-
-
-def _node_record(node_id: NodeId) -> tuple:
-    return (node_id.index, node_id.role)
-
-
-def _node_from_record(record: tuple) -> NodeId:
-    return NodeId(record[0], record[1])
 
 
 class Node:
@@ -74,15 +68,17 @@ class Node:
         #: drop exact duplicates of recently seen payloads at admission
         self.ingress_dedup = False
         self.duplicates_dropped = 0
-        self._dedup_set = set()
-        self._dedup_fifo = []
+        self._dedup_set: Set[bytes] = set()
+        self._dedup_fifo: Deque[bytes] = deque()
 
         # Timers: name -> (deadline, period); period 0.0 means one-shot.
         self._timers: Dict[str, Tuple[float, float]] = {}
         self._timer_handles: Dict[str, object] = {}
-        # CPU work in flight: eid -> (due, src record, payload).
-        self._pending: Dict[int, Tuple[float, tuple, bytes]] = {}
-        self._pending_handles: Dict[int, object] = {}
+        # CPU work in flight: eid -> (due, src, payload, cause, kernel
+        # handle); ``cause`` is the emulator msg_seq of the delivery that
+        # queued the work (forensic lineage), None when unknown.
+        self._pending: Dict[
+            int, Tuple[float, NodeId, bytes, Optional[int], object]] = {}
         self._pending_seq = 0
 
     # ------------------------------------------------------------- lifecycle
@@ -108,9 +104,12 @@ class Node:
             handle.cancel()
         self._timer_handles.clear()
         self._timers.clear()
-        for handle in self._pending_handles.values():
-            handle.cancel()
-        self._pending_handles.clear()
+        self._cancel_pending()
+
+    def _cancel_pending(self) -> None:
+        for __, __src, __payload, __cause, handle in self._pending.values():
+            if handle is not None:
+                handle.cancel()
         self._pending.clear()
 
     def _crash(self, exc: TargetSystemFault) -> None:
@@ -177,8 +176,9 @@ class Node:
         payload = self.codec.encode(message)
         self.cpu.charge(self.kernel.now, self.cpu.cost_model.send_cost)
         self.transport.send(dst, payload, transport or self.default_transport)
-        self.log.emit(str(self.node_id), "send", dst=str(dst),
-                      type=message.type_name)
+        if self.log.enabled:
+            self.log.emit(str(self.node_id), "send", dst=str(dst),
+                          type=message.type_name)
 
     def broadcast(self, message: Message, include_self: bool = False) -> None:
         for peer in self.peers:
@@ -232,7 +232,6 @@ class Node:
         if self.crashed:
             return
         if self.ingress_dedup:
-            import hashlib
             digest = hashlib.blake2b(payload, digest_size=12).digest()
             if digest in self._dedup_set:
                 # An exact copy of a recently seen message: discard at the
@@ -243,7 +242,7 @@ class Node:
             self._dedup_set.add(digest)
             self._dedup_fifo.append(digest)
             if len(self._dedup_fifo) > self.DEDUP_CACHE_SIZE:
-                self._dedup_set.discard(self._dedup_fifo.pop(0))
+                self._dedup_set.discard(self._dedup_fifo.popleft())
         if self.app is not None and not self.app.on_ingress(src, len(payload)):
             self.cpu.charge(self.kernel.now, self.INGRESS_DROP_COST)
             self.malformed_dropped += 1
@@ -259,23 +258,24 @@ class Node:
         # The emulator's msg_seq of the delivery that queued this work, so
         # the handler (and anything it sends) can be causally attributed.
         cause = self.emulator.current_delivery_seq
-        self._pending[eid] = (completion, _node_record(src), payload, cause)
-        self._pending_handles[eid] = self.kernel.schedule_at(
-            completion, self._dispatch, eid, priority=PRIORITY_CPU)
+        self._pending[eid] = (completion, src, payload, cause,
+                              self.kernel.schedule_at(
+                                  completion, self._dispatch, eid,
+                                  priority=PRIORITY_CPU))
 
     def _dispatch(self, eid: int) -> None:
         entry = self._pending.pop(eid, None)
-        self._pending_handles.pop(eid, None)
         if entry is None or self.crashed:
             return
-        __, src_record, payload, cause = entry
+        __, src, payload, cause, __handle = entry
         try:
             message = self.codec.decode(payload)
         except CodecError:
             # A benign implementation discards garbage it cannot parse.
             self.malformed_dropped += 1
             return
-        self.log.emit(str(self.node_id), "recv", type=message.type_name)
+        if self.log.enabled:
+            self.log.emit(str(self.node_id), "recv", type=message.type_name)
         emulator = self.emulator
         if emulator.causal_tap is not None:
             emulator.causal_tap.on_handle(cause, self.node_id,
@@ -284,8 +284,7 @@ class Node:
         # causal parent (handler -> induced-send edges).
         emulator.handler_cause = cause
         try:
-            self._guard(self.app.on_message,
-                        _node_from_record(src_record), message)
+            self._guard(self.app.on_message, src, message)
         finally:
             emulator.handler_cause = None
 
@@ -306,8 +305,8 @@ class Node:
             "malformed_dropped": self.malformed_dropped,
             "timers": dict(self._timers),
             "pending": [
-                (eid, due, src_record, payload, cause)
-                for eid, (due, src_record, payload, cause)
+                (eid, due, (src.index, src.role), payload, cause)
+                for eid, (due, src, payload, cause, __)
                 in sorted(self._pending.items())
             ],
             "pending_seq": self._pending_seq,
@@ -322,10 +321,8 @@ class Node:
     def restore_state(self, state: Dict[str, Any]) -> None:
         for handle in self._timer_handles.values():
             handle.cancel()
-        for handle in self._pending_handles.values():
-            handle.cancel()
         self._timer_handles.clear()
-        self._pending_handles.clear()
+        self._cancel_pending()
 
         self.started = state["started"]
         self.crashed = state["crashed"]
@@ -334,17 +331,8 @@ class Node:
         self.crash_reason = state["crash_reason"]
         self.malformed_dropped = state["malformed_dropped"]
         self._timers = dict(state["timers"])
-        # Pre-forensics snapshots carry 4-tuples without the lineage cause.
-        self._pending = {}
-        for entry in state["pending"]:
-            if len(entry) == 4:
-                eid, due, src, payload = entry
-                cause = None
-            else:
-                eid, due, src, payload, cause = entry
-            self._pending[eid] = (due, tuple(src), payload, cause)
         self._pending_seq = state["pending_seq"]
-        self._dedup_fifo = list(state["dedup_fifo"])
+        self._dedup_fifo = deque(state["dedup_fifo"])
         self._dedup_set = set(self._dedup_fifo)
         self.duplicates_dropped = state["duplicates_dropped"]
         self.cpu.load_state(state["cpu"])
@@ -359,6 +347,11 @@ class Node:
                 self._timer_handles[name] = self.kernel.schedule_at(
                     max(deadline, now), self._timer_fired, name,
                     priority=PRIORITY_TIMER)
-            for eid, (due, __, __payload, __cause) in self._pending.items():
-                self._pending_handles[eid] = self.kernel.schedule_at(
-                    max(due, now), self._dispatch, eid, priority=PRIORITY_CPU)
+        # Pre-forensics snapshots carry 4-tuples without the lineage cause.
+        # A crashed node keeps the queued work its snapshot held, but
+        # nothing will run it: no kernel event, so no handle.
+        for eid, due, src, payload, *cause in state["pending"]:
+            handle = None if self.crashed else self.kernel.schedule_at(
+                max(due, now), self._dispatch, eid, priority=PRIORITY_CPU)
+            self._pending[eid] = (due, NodeId(src[0], src[1]), payload,
+                                  cause[0] if cause else None, handle)

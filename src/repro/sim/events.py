@@ -9,48 +9,30 @@ tie-breaking must never depend on hash order or identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Tuple
 
+class Event(list):
+    """A scheduled callback: ``[time, priority, seq, fn, args]``.
 
-@dataclass
-class Event:
-    """A scheduled callback.
-
-    Cancellation is handled by flagging rather than heap removal (removal
-    from the middle of a heap is O(n)); the kernel skips cancelled events
-    when they surface.
+    The one object a scheduled event costs: it is the heap entry (lists
+    compare element-wise, and ``seq`` is unique, so ordering never reaches
+    ``fn``) and the handle returned to the caller.  Cancellation is handled
+    by flagging rather than heap removal (removal from the middle of a heap
+    is O(n)): :meth:`cancel` clears ``fn`` and the kernel skips the entry
+    when it surfaces.
     """
 
-    time: float
-    priority: int
-    seq: int
-    fn: Callable[..., None]
-    args: Tuple[Any, ...] = ()
-    cancelled: bool = False
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-
-class EventHandle:
-    """Caller-facing handle allowing cancellation of a scheduled event."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
+    __slots__ = ()
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self[0]
 
     @property
     def active(self) -> bool:
-        return not self._event.cancelled
+        return self[3] is not None
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self[3] = None
 
 
 # Priorities: lower runs first at equal timestamps.  Network deliveries run

@@ -15,11 +15,11 @@ before branching.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.common.errors import SimulationError, WatchdogTimeout
-from repro.sim.events import Event, EventHandle, PRIORITY_TIMER
+from repro.sim.events import Event, PRIORITY_TIMER
 
 
 class Interrupt:
@@ -39,7 +39,7 @@ class SimKernel:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: List[Tuple[Tuple[float, int, int], Event]] = []
+        self._heap: List[Event] = []
         self._interrupt: Optional[Interrupt] = None
         self._running = False
         self.events_executed = 0
@@ -65,22 +65,26 @@ class SimKernel:
     # -------------------------------------------------------------- schedule
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any,
-                 priority: int = PRIORITY_TIMER) -> EventHandle:
+                 priority: int = PRIORITY_TIMER) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, fn, *args, priority=priority)
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any,
-                    priority: int = PRIORITY_TIMER) -> EventHandle:
-        """Schedule ``fn(*args)`` at an absolute virtual time."""
+                    priority: int = PRIORITY_TIMER) -> Event:
+        """Schedule ``fn(*args)`` at an absolute virtual time.
+
+        The returned :class:`Event` is the heap entry itself; ``cancel()``
+        on it is how a caller withdraws the callback.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self._now}")
-        self._seq += 1
-        event = Event(time, priority, self._seq, fn, args)
-        heapq.heappush(self._heap, (event.sort_key(), event))
-        return EventHandle(event)
+        self._seq = seq = self._seq + 1
+        event = Event((time, priority, seq, fn, args))
+        heappush(self._heap, event)
+        return event
 
     # ------------------------------------------------------------- interrupt
 
@@ -96,30 +100,25 @@ class SimKernel:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the queue."""
-        return sum(1 for __, e in self._heap if not e.cancelled)
+        return sum(1 for event in self._heap if event[3] is not None)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is drained."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][1].time
-
-    def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0][1].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""
-        self._discard_cancelled()
-        if not self._heap:
+        if self.peek_time() is None:
             return False
-        __, event = heapq.heappop(self._heap)
-        if event.time < self._now:
+        time, __, __seq, fn, args = heappop(self._heap)
+        if time < self._now:
             raise SimulationError("event queue went backwards in time")
-        self._now = event.time
+        self._now = time
         self.events_executed += 1
-        event.fn(*event.args)
+        fn(*args)
         return True
 
     def run_until(self, deadline: float) -> Optional[Interrupt]:
@@ -128,6 +127,8 @@ class SimKernel:
         On a clean return the clock is advanced exactly to ``deadline`` even
         if the last event fired earlier, so back-to-back windows tile with
         no gaps.  On interrupt the clock stays at the interrupting event.
+        One loop does it all per event: the interrupt test, skipping
+        cancelled entries, the deadline test, the watchdog test, dispatch.
         """
         if self._running:
             raise SimulationError("run loop is not reentrant")
@@ -136,24 +137,31 @@ class SimKernel:
         tracer = self.tracer
         span = (tracer.span("kernel.window", deadline=deadline)
                 if tracer is not None and tracer.enabled else None)
+        heap = self._heap
+        limit = self.watchdog_limit
         try:
             while True:
                 if self._interrupt is not None:
                     return self.take_interrupt()
-                next_time = self.peek_time()
-                if next_time is None or next_time > deadline:
+                while heap and heap[0][3] is None:
+                    heappop(heap)
+                if not heap or heap[0][0] > deadline:
                     self._now = max(self._now, deadline)
                     return None
-                if (self.watchdog_limit is not None
-                        and window_events >= self.watchdog_limit):
+                if limit is not None and window_events >= limit:
                     self.watchdog_trips += 1
                     raise WatchdogTimeout(
                         f"watchdog: window at t={self._now:.3f} executed "
-                        f"{window_events} events (limit {self.watchdog_limit})"
+                        f"{window_events} events (limit {limit})"
                         "; likely an event storm",
-                        events=window_events, limit=self.watchdog_limit)
-                self.step()
+                        events=window_events, limit=limit)
+                time, __, __seq, fn, args = heappop(heap)
+                if time < self._now:
+                    raise SimulationError("event queue went backwards in time")
+                self._now = time
+                self.events_executed += 1
                 window_events += 1
+                fn(*args)
         finally:
             self._running = False
             instruments = self.instruments

@@ -5,9 +5,11 @@ message format description and generates code compatible with a large set of
 binary wire protocols" (Section IV-B).  Public surface:
 
 * :func:`parse_schema` — parse the DSL into a :class:`ProtocolSchema`.
-* :class:`ProtocolCodec` — encode/decode/mutate messages of a schema.
+* :class:`ProtocolCodec` — encode/decode/mutate messages of a schema, by
+  dispatching into the functions the compiler generated for it.
 * :class:`Message` — a decoded message (type name + field dict).
-* :func:`compile_schema` — generate a standalone Python codec module.
+* :func:`compile_schema` — the back end: the generated module, one class
+  per message type with ``encode(fields)`` and ``decode(data)``.
 """
 
 from repro.wire.codec import Message, ProtocolCodec

@@ -8,20 +8,19 @@ Scalars use their struct encoding; ``bytes[N]`` is raw; ``varbytes<T>`` is a
 T-encoded length followed by that many raw bytes.  The codec is the runtime
 half of the message-format compiler: the malicious proxy uses it to identify
 message types on the wire, read field values, and re-encode mutated messages.
+The per-type encode/decode functions are generated from the schema by
+:mod:`repro.wire.codegen`; there is no other implementation of the layout.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from functools import cached_property
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import CodecError
-from repro.wire.schema import (KIND_BYTES, KIND_SCALAR, MessageSpec,
-                               ProtocolSchema)
-from repro.wire.types import U16
-
-_TYPE_TAG = U16
+from repro.wire.codegen import compile_schema
+from repro.wire.schema import KIND_SCALAR, MessageSpec, ProtocolSchema
 
 
 @dataclass
@@ -49,95 +48,51 @@ class Message:
 
 
 class ProtocolCodec:
-    """Encodes and decodes every message type of one protocol schema."""
+    """Encodes and decodes every message type of one protocol schema.
+
+    The work is done by the functions :mod:`repro.wire.codegen` generates
+    for the schema; the methods here only dispatch on the type name (encode)
+    or the wire tag (decode, peek, mutate).
+    """
 
     def __init__(self, schema: ProtocolSchema) -> None:
         self.schema = schema
 
-    # ---------------------------------------------------------------- encode
+    @cached_property
+    def _generated(self) -> Dict[Any, Tuple[MessageSpec, Callable, Callable]]:
+        """``(spec, encode, decode)`` under both the type name and the wire
+        tag.  Compiled on first use, so a process pays (time and memory)
+        only for the schemas it actually speaks."""
+        classes = compile_schema(self.schema).MESSAGE_CLASSES
+        table = {}
+        for spec in self.schema.messages:
+            cls = classes[spec.type_id]
+            table[spec.name] = table[spec.type_id] = (
+                spec, cls.encode, cls.decode)
+        return table
 
     def encode(self, message: Message) -> bytes:
-        spec = self.schema.message_named(message.type_name)
-        parts = [_TYPE_TAG.pack(spec.type_id)]
-        for f in spec.fields:
-            if f.name not in message.fields:
-                raise CodecError(
-                    f"{spec.name}: missing field {f.name!r}")
-            value = message.fields[f.name]
-            parts.append(self._encode_field(spec, f, value))
-        return b"".join(parts)
+        entry = self._generated.get(message.type_name)
+        if entry is None:
+            self.schema.message_named(message.type_name)   # raises
+        return entry[1](message.fields)
 
-    def _encode_field(self, spec: MessageSpec, f, value: Any) -> bytes:
-        try:
-            if f.kind == KIND_SCALAR:
-                return f.scalar.pack(value)
-            if f.kind == KIND_BYTES:
-                if not isinstance(value, (bytes, bytearray)):
-                    raise CodecError(
-                        f"{spec.name}.{f.name}: expected bytes, got {type(value).__name__}")
-                if len(value) != f.fixed_len:
-                    raise CodecError(
-                        f"{spec.name}.{f.name}: expected {f.fixed_len} bytes, "
-                        f"got {len(value)}")
-                return bytes(value)
-            # varbytes
-            if not isinstance(value, (bytes, bytearray)):
-                raise CodecError(
-                    f"{spec.name}.{f.name}: expected bytes, got {type(value).__name__}")
-            if len(value) > f.len_type.max_value:
-                raise CodecError(
-                    f"{spec.name}.{f.name}: {len(value)} bytes exceeds "
-                    f"{f.len_type.name} length prefix")
-            return f.len_type.pack(len(value)) + bytes(value)
-        except struct.error as exc:  # defensive; pack() already wraps
-            raise CodecError(f"{spec.name}.{f.name}: {exc}") from exc
-
-    # ---------------------------------------------------------------- decode
+    def _lookup(self, data: bytes):
+        """The table entry for an encoded buffer's tag, if known."""
+        if len(data) < 2:
+            return None
+        return self._generated.get(data[0] | data[1] << 8)
 
     def peek_type(self, data: bytes) -> Optional[MessageSpec]:
         """Identify the message type of an encoded buffer, if known."""
-        if len(data) < _TYPE_TAG.size:
-            return None
-        type_id = _TYPE_TAG.unpack(data, 0)
-        if not self.schema.has_message_id(type_id):
-            return None
-        return self.schema.message_by_id(type_id)
+        entry = self._lookup(data)
+        return None if entry is None else entry[0]
 
     def decode(self, data: bytes) -> Message:
-        spec = self.peek_type(data)
-        if spec is None:
+        entry = self._lookup(data)
+        if entry is None:
             raise CodecError("unknown or truncated message type tag")
-        offset = _TYPE_TAG.size
-        values: Dict[str, Any] = {}
-        for f in spec.fields:
-            value, offset = self._decode_field(spec, f, data, offset)
-            values[f.name] = value
-        if offset != len(data):
-            raise CodecError(
-                f"{spec.name}: {len(data) - offset} trailing bytes")
-        return Message(spec.name, values)
-
-    def _decode_field(self, spec: MessageSpec, f, data: bytes, offset: int):
-        if f.kind == KIND_SCALAR:
-            if offset + f.scalar.size > len(data):
-                raise CodecError(f"{spec.name}.{f.name}: truncated")
-            return f.scalar.unpack(data, offset), offset + f.scalar.size
-        if f.kind == KIND_BYTES:
-            end = offset + f.fixed_len
-            if end > len(data):
-                raise CodecError(f"{spec.name}.{f.name}: truncated")
-            return data[offset:end], end
-        # varbytes
-        if offset + f.len_type.size > len(data):
-            raise CodecError(f"{spec.name}.{f.name}: truncated length")
-        length = f.len_type.unpack(data, offset)
-        offset += f.len_type.size
-        end = offset + length
-        if end > len(data):
-            raise CodecError(f"{spec.name}.{f.name}: truncated body")
-        return data[offset:end], end
-
-    # -------------------------------------------------------------- mutation
+        return Message(entry[0].name, entry[2](data))
 
     def mutate(self, data: bytes, field_name: str, new_value: Any) -> bytes:
         """Return ``data`` re-encoded with one scalar field replaced.
@@ -147,14 +102,14 @@ class ProtocolCodec:
         a C assignment would (modular for integers), because the attacker
         writes raw bytes, not checked values.
         """
-        message = self.decode(data)
-        spec = self.schema.message_named(message.type_name)
+        entry = self._lookup(data)
+        if entry is None:
+            raise CodecError("unknown or truncated message type tag")
+        spec, encode, decode = entry
+        fields = decode(data)
         f = spec.field_named(field_name)
         if f.kind != KIND_SCALAR:
             raise CodecError(
                 f"{spec.name}.{field_name}: only scalar fields can be mutated")
-        message.fields[field_name] = f.scalar.wrap(new_value)
-        return self.encode(message)
-
-    def encoded_size(self, message: Message) -> int:
-        return len(self.encode(message))
+        fields[field_name] = f.scalar.wrap(new_value)
+        return encode(fields)

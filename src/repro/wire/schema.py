@@ -36,8 +36,11 @@ class FieldSpec:
             raise WireFormatError(f"field {self.name}: scalar kind needs a type")
         if self.kind == KIND_BYTES and self.fixed_len <= 0:
             raise WireFormatError(f"field {self.name}: bytes length must be > 0")
-        if self.kind == KIND_VARBYTES and self.len_type is None:
-            raise WireFormatError(f"field {self.name}: varbytes needs a length type")
+        if self.kind == KIND_VARBYTES and (
+                self.len_type is None or self.len_type.signed   # or a float
+                or self.len_type.is_bool):
+            raise WireFormatError(
+                f"field {self.name}: varbytes needs an unsigned length type")
 
     @property
     def is_mutable_scalar(self) -> bool:
