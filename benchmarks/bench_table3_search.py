@@ -124,7 +124,7 @@ def test_parallel_hunt_speedup(benchmark):
     engine has it too: every recorded (type, action) probe is kept, so
     pass N+1 only simulates actions pass N never touched, and boot+warmup
     is paid once per prober instead of once per pass.  The pool adds the
-    sharding on top.
+    parallel steps on top.
     """
     import json
     import time

@@ -527,22 +527,24 @@ def build_parser() -> argparse.ArgumentParser:
     def parallel_options(p, with_cache=False):
         p.add_argument("--workers", type=positive_int, default=1,
                        metavar="N",
-                       help="shard the work across N persistent worker "
-                            "processes; output stays byte-identical to a "
-                            "serial run")
+                       help="simulate the pass's steps ahead of it on N "
+                            "persistent worker processes, each pulling the "
+                            "next step when idle; output stays "
+                            "byte-identical to a serial run")
         p.add_argument("--worker-ledger", default=None, metavar="FILE",
                        help="write per-worker time attribution as JSON "
                             "(requires --workers > 1)")
         p.add_argument("--worker-timeout", type=positive_float, default=None,
                        metavar="SECONDS",
-                       help="wall-clock deadline per work unit; a worker "
-                            "that blows it is killed and its task replayed "
-                            "on a respawn (requires --workers > 1; "
+                       help="wall-clock deadline per step (one type's "
+                            "injection seek, one cluster's walk, one "
+                            "scenario); a worker that blows it is killed "
+                            "and its step requeued (requires --workers > 1; "
                             "default: no deadline)")
         p.add_argument("--worker-retries", type=nonnegative_int,
                        default=None, metavar="N",
-                       help="respawns allowed per worker before its shard "
-                            "is reassigned to the survivors (requires "
+                       help="respawns allowed per worker before it is "
+                            "retired and the others pull its steps (requires "
                             "--workers > 1; default 2)")
         p.add_argument("--no-degrade", action="store_true",
                        help="abort the run instead of falling back to "
@@ -550,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "gone (requires --workers > 1)")
         p.add_argument("--worker-health", default=None, metavar="FILE",
                        help="write the self-healing report (crashes, "
-                            "restarts, reassignments, quarantines) as "
+                            "restarts, requeued steps, quarantines) as "
                             "JSON (requires --workers > 1)")
         if with_cache:
             p.add_argument("--injection-cache", action="store_true",

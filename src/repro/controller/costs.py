@@ -70,15 +70,16 @@ class WorkerAttribution:
 
     The merged report's ledger is byte-identical to a serial run (replayed
     from recorded charges), so the per-worker split lives here as a side
-    channel: it shows where the sharded work actually went without
+    channel: it shows where the pool's work actually went without
     perturbing the serial-equivalent accounting.
     """
 
     worker: int
-    #: message types (or scenario shards) this worker was pinned to
+    #: the message types (or ``scenarios``) this worker simulated steps
+    #: of, in first-seen order; a type split across workers is under each
     shards: List[str] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
-    #: real seconds the worker spent processing its tasks
+    #: real seconds the worker spent processing its steps
     wall_seconds: float = 0.0
 
     def to_dict(self) -> Dict:

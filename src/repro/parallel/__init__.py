@@ -1,4 +1,5 @@
-"""Parallel hunt execution: shard, record, replay the serial walk."""
+"""Parallel hunt execution: split into steps, record, replay the serial
+walk."""
 
 from repro.parallel.executor import ScenarioExecutor
 from repro.parallel.health import (HealthMonitor, HealthPolicy, WorkerHealth,

@@ -14,29 +14,33 @@ how a step gets into the cache:
   and steps instead of re-simulating them.
 * **A fork pool is a prefetch.**  With ``workers > 1`` persistent forked
   workers (factories are closures: they cross a process boundary by fork
-  inheritance, never by pickling) probe everything the pass *can* need —
-  message types for weighted/greedy, scenarios for brute force, pinned
-  round-robin in first-seen order so a type keeps hitting the same worker's
-  cache — and their returns are admitted before the walk starts.  With a
-  healthy pool a miss is a "coverage hole" :class:`SearchError`: the
-  superset rule's self-check.  :meth:`worker_breakdown` reports what the
-  workers really spent.
+  inheritance, never by pickling) simulate what the pass *can* need before
+  the walk starts, pulling one :class:`~repro.parallel.worker.Step` at a
+  time: each type's injection seek, then — once it comes back found — each
+  of its action groups the cache does not already answer (a cluster's
+  early-stopping walk under weighted, an action under greedy); brute
+  force's baseline and scenarios.  An idle worker gets the next step,
+  preferring the type it already holds live; results are admitted in step
+  order as far as they have arrived contiguously.  With a healthy pool a
+  miss is a "coverage hole" :class:`SearchError`: the superset rule's
+  self-check.  :meth:`worker_breakdown` reports what the workers really
+  spent.
 * **A store is the cache's persistence.**  ``store.cache`` *is* the
   executor's cache: every admission is journaled first, and a resumed hunt
   starts with the journal's probes already answered.
 
 The pool is **self-healing** (see :mod:`repro.parallel.health`): a crashed
-or hung worker is killed, reaped, and respawned with its task replayed —
-workers are pure functions of ``(factory, seed, params)``, so byte identity
-survives worker death.  An exhausted slot's shard moves to the survivors, a
-task that keeps killing workers is quarantined through the supervision
-ledger, and a collapsed pool degrades to the parent-side prober: what the
-pool left unanswered is just a miss.
+or hung worker is killed, reaped and respawned, and its step goes back to
+the head of the queue — steps are pure functions of the hunt, so byte
+identity survives worker death.  An exhausted worker is retired and the
+others pull what is left, a step that keeps killing workers is quarantined
+through the supervision ledger, and a collapsed pool degrades to the
+parent-side prober: what the pool left unanswered is just a miss.
 
 Three values are **parent-only**: a ``FaultPlan`` (its RNG stream is
-sequence-dependent, so sharding would change which operations fault), the
-harness's injection cache with its snapshot budget (cached passes charge
-less), and the progress line.  Forked workers never see them, and under the
+sequence-dependent, so splitting the pass would change which operations
+fault), the harness's injection cache with its snapshot budget (cached
+passes charge less), and the progress line.  Forked workers never see them, and under the
 first two no probe outlives its ask
 (:class:`~repro.parallel.worker.NoProbeCache`): the engine then does, step
 for step, what the live algorithm does.  ``FaultSchedule`` chaos is fine
@@ -57,52 +61,55 @@ from repro.controller.costs import CostLedger, WorkerAttribution
 from repro.controller.monitor import AttackThreshold
 from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    HealthPolicy, WorkerHealthReport,
-                                   describe_task, quarantined_return,
-                                   task_key, task_units)
+                                   quarantined_return)
 from repro.parallel.merge import REPLAYING
-from repro.parallel.worker import (NoProbeCache, ProbeCache, ProbeParams,
-                                   StartupProbe, WorkerProber, WorkerReturn,
-                                   worker_main)
+from repro.parallel.worker import (ContextProbe, NoProbeCache, ProbeCache,
+                                   ProbeParams, StartupProbe, Step,
+                                   WorkerProber, WorkerReturn, worker_main)
 from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
 from repro.telemetry.summary import summarize
 from repro.telemetry.tracer import Tracer, maybe_span
 
 
-@dataclass
-class _Pending:
-    """One in-flight (or queued) task and where its results belong."""
+@dataclass(eq=False)
+class _Slot:
+    """One step of a pass and what became of it."""
 
-    task: tuple
-    #: the worker slot the task was sharded to; results are recorded under
-    #: this slot no matter which worker finally executes the task
-    slot: int
-    key: tuple
-    units: int
-    #: absolute ``time.monotonic`` deadline; None = no hang detection
+    step: Step
+    #: waiting for an idle worker
+    queued: bool = True
+    #: a worker died running it: it goes to the head of the queue
+    lost: bool = False
+    result: Optional[WorkerReturn] = None
+    #: the result is synthetic (a quarantined poison step): it goes to
+    #: ``poisoned``, never to the executor's cache or the journal —
+    #: replaying it would poison a clean resume
+    synthetic: bool = False
+    #: absolute ``time.monotonic`` deadline while in flight; None = none
     deadline: Optional[float] = None
 
 
 @dataclass
-class _PoolState:
-    """Mutable state of one ``_dispatch`` round."""
+class _Pool:
+    """One pass's dispatch state."""
 
-    #: executing worker -> its current task
-    pending: Dict[int, _Pending] = field(default_factory=dict)
-    #: executing worker -> tasks waiting for it to free up (reassignments)
-    queue: Dict[int, List[_Pending]] = field(default_factory=dict)
-    #: original slot -> result
-    returns: Dict[int, WorkerReturn] = field(default_factory=dict)
-    #: slot order in which results are admitted to the cache (and so
-    #: journaled to a run store); a slot flushes only once every earlier
-    #: slot has returned, so the journal's record order is deterministic
-    #: whatever order workers finish in
-    flush_order: List[int] = field(default_factory=list)
-    #: slots whose result is synthetic (a quarantined poison task): it
-    #: goes to ``poisoned``, never to the executor's cache or the journal —
-    #: replaying it would poison a clean resume
-    synthetic: set = field(default_factory=set)
+    #: the steps not admitted yet, in enumeration order: a context's evals
+    #: steps are inserted right behind it when it comes back found
+    order: List[_Slot]
+    #: message type -> the actions its evals steps split
+    actions: Dict[str, list]
+    #: worker -> its in-flight step
+    pending: Dict[int, _Slot] = field(default_factory=dict)
     poisoned: ProbeCache = field(default_factory=ProbeCache)
+
+    def next_for(self, holding: Optional[str]) -> Optional[_Slot]:
+        """What an idle worker gets: a lost step first, then the next step
+        of the type it holds live, else the next in enumeration order."""
+        queued = [slot for slot in self.order if slot.queued]
+        return min(queued, default=None, key=lambda slot: (
+            not slot.lost,
+            holding is None or slot.step.message_type != holding))
 
 
 class ScenarioExecutor:
@@ -139,11 +146,9 @@ class ScenarioExecutor:
                          if algorithm == "greedy" else {})
         self.tracer = tracer
         self.policy = health or HealthPolicy()
-        #: durable :class:`~repro.store.runstore.RunStore` (duck-typed:
-        #: ``cache`` + ``covers``): journaled probes are answered from
-        #: disk, fresh ones are journaled; None = no durability
-        self.store = store
-        #: every probe recorded so far — the store's when there is one;
+        #: every probe recorded so far — the durable
+        #: :class:`~repro.store.runstore.RunStore`'s when there is one
+        #: (journaled probes are answered from disk, fresh ones journaled);
         #: nothing under the parent-only FaultPlan / injection cache
         self.cache = (store.cache if store is not None
                       else NoProbeCache() if fault_plan is not None
@@ -171,7 +176,6 @@ class ScenarioExecutor:
         self._use_fork = workers > 1 and "fork" in start_methods
         self._health = HealthMonitor(self.policy, workers, tracer=tracer)
         self._degraded = False
-        self._reassigned = 0
         #: the first startup trace ever seen; every worker — including
         #: respawned replacements in later passes — must replay it bitwise.
         #: A store with a journaled startup seeds the reference, so a
@@ -182,27 +186,13 @@ class ScenarioExecutor:
         self._conns: Dict[int, connection.Connection] = {}
         #: the one in-process prober (see :meth:`_parent`)
         self._prober: Optional[WorkerProber] = None
-        #: work unit -> worker id, assigned round-robin in first-seen order
-        #: (stable across passes, so caches stay hot)
-        self._pins: Dict[object, int] = {}
+        #: worker -> the message type it last simulated, whose injection
+        #: context it holds live (see :meth:`_Pool.next_for`)
+        self._holding: Dict[int, str] = {}
         self._attribution: Dict[int, WorkerAttribution] = {}
         self._log_records: list = []
 
     # --------------------------------------------------------------- plumbing
-
-    def _live_slots(self) -> List[int]:
-        """The non-retired worker slots (every one retired idle: start over
-        at 0).  The first carries shard-independent work — the startup boot
-        of an empty pass, the brute-force baseline."""
-        return [w for w in range(self.workers)
-                if not self._health.is_retired(w)] or [0]
-
-    def _pin(self, unit) -> int:
-        worker = self._pins.get(unit)
-        if worker is None or self._health.is_retired(worker):
-            slots = self._live_slots()
-            worker = self._pins[unit] = slots[len(self._pins) % len(slots)]
-        return worker
 
     def _spawn(self, worker: int) -> None:
         context = multiprocessing.get_context("fork")
@@ -216,9 +206,8 @@ class ScenarioExecutor:
         child_conn.close()
         self._procs[worker] = process
         self._conns[worker] = parent_conn
+        self._holding.pop(worker, None)
         self._health.record_spawn(worker)
-
-    # ------------------------------------------------------------- dispatch
 
     def _parent(self) -> WorkerProber:
         """The one in-process prober: it answers the walk's misses whenever
@@ -230,124 +219,165 @@ class ScenarioExecutor:
                                         **self._parent_only)
         return self._prober
 
-    def _prefetch(self, tasks: Dict[int, tuple]) -> _PoolState:
-        """Send one task per worker; gather results, healing failures, and
-        admit them to the cache as they arrive."""
-        state = _PoolState(flush_order=sorted(tasks))
-        for worker, task in sorted(tasks.items()):
-            self._submit(worker, _Pending(task=task, slot=worker,
-                                          key=task_key(task),
-                                          units=task_units(task)), state)
-        while state.pending:
-            self._collect_once(state)
-        # A collapsed pool leaves slots unanswered (misses, to the walk):
-        # admit what did come back behind them.
-        state.flush_order = [slot for slot in state.flush_order
-                             if slot in state.returns]
-        self._flush_journal(state)
-        self._absorb(state.returns)
-        return state
+    # ----------------------------------------------------------------- steps
 
-    def _submit(self, worker: int, entry: _Pending, state: _PoolState) -> None:
-        if self._degraded:
-            return  # left for the walk to ask the parent-side prober
-        if worker in state.pending:
-            state.queue.setdefault(worker, []).append(entry)
-            return
+    def _plan(self, types: Sequence[str], excluded: frozenset,
+              max_scenarios: Optional[int]) -> _Pool:
+        """The pass's steps the cache does not already answer, in
+        enumeration order.  A type's evals steps wait for its context."""
+        if self.algorithm == "brute":
+            records = [s.to_record() for t in types
+                       for s in self._space.scenarios_for(t, excluded)]
+            if max_scenarios is not None:
+                records = records[:max_scenarios]
+            steps = [Step("baseline")] if self.cache.baseline is None else []
+            steps += [Step("scenario", records=(record,))
+                      for record in records
+                      if record not in self.cache.scenarios]
+            return _Pool([_Slot(step) for step in steps], {})
+        actions = {t: self._space.actions_for(t, excluded) for t in types}
+        steps = []
+        for message_type, acts in actions.items():
+            if not acts:
+                continue
+            context = self.cache.contexts.get(message_type)
+            steps += ([Step("context", message_type)] if context is None
+                      else self._eval_steps(message_type, context, acts))
+        # Nothing left to simulate: the lead worker still boots (or
+        # reuses) its testbed, so its startup is cross-checked.
+        return _Pool([_Slot(step) for step in steps or [Step("startup")]],
+                     actions)
+
+    def _eval_steps(self, message_type: str, context: ContextProbe,
+                    actions: list) -> List[Step]:
+        """The evals steps a found context opens: each
+        :meth:`~repro.parallel.worker.ProbeCache.split` group the cache
+        does not cover, shipped with the probes of it the cache holds."""
+        if context.quarantined is not None or not context.found:
+            return []
+        known = self.cache.evals.get(message_type, {})
+        early_stop = self.params.early_stop
+        steps = []
+        for group in ProbeCache.split(actions, early_stop):
+            if self.cache.walk(message_type, group, self.threshold,
+                               early_stop) is None:
+                records = tuple(action.to_record() for action in group)
+                steps.append(Step("evals", message_type, records, tuple(
+                    known[r] for r in records if r in known)))
+        return steps
+
+    # ------------------------------------------------------------- dispatch
+
+    def _prefetch(self, types: Sequence[str], excluded: frozenset,
+                  max_scenarios: Optional[int]) -> ProbeCache:
+        """Pull-based dispatch: an idle worker gets the next step, a result
+        frees its worker for another.  Returns the poisoned probes."""
+        pool = self._plan(types, excluded, max_scenarios)
+        while not self._degraded:
+            self._dispatch(pool)
+            self._flush(pool)  # (after dispatch: no worker waits on fsync)
+            if not pool.pending:
+                break
+            self._collect_once(pool)
+        # A collapsed pool leaves steps unanswered (misses, to the walk):
+        # admit what did come back behind them.
+        self._flush(pool, gaps=True)
+        return pool.poisoned
+
+    def _dispatch(self, pool: _Pool) -> None:
+        """Send every idle worker its next step."""
+        for worker in range(self.workers):
+            # (a send that finds the worker dead respawns it: try again)
+            while not (worker in pool.pending or self._degraded
+                       or self._health.is_retired(worker)):
+                slot = pool.next_for(self._holding.get(worker))
+                if slot is None:
+                    return
+                self._send(worker, slot, pool)
+
+    def _send(self, worker: int, slot: _Slot, pool: _Pool) -> None:
         if worker not in self._procs:
             self._spawn(worker)
-        budget = self.policy.deadline_for(entry.units)
-        entry.deadline = (time.monotonic() + budget
-                          if budget is not None else None)
         try:
-            self._conns[worker].send(entry.task)
+            self._conns[worker].send(slot.step)
         except (BrokenPipeError, OSError):
-            # The worker died *between* tasks (its last task succeeded, so
-            # nothing counts against the poison budget): route through the
-            # same failure path a mid-task death takes.
-            state.queue.setdefault(worker, []).insert(0, entry)
-            self._fail_worker(worker, FAIL_CRASH, "pipe closed on task send",
-                              None, state)
+            # The worker died *between* steps (its last one succeeded, so
+            # nothing counts against the poison budget).
+            self._fail_worker(worker, FAIL_CRASH, "pipe closed on step send",
+                              None, pool)
             return
-        state.pending[worker] = entry
+        slot.queued = False
+        budget = self.policy.deadline_for()
+        slot.deadline = (time.monotonic() + budget
+                         if budget is not None else None)
+        pool.pending[worker] = slot
+        if slot.step.message_type is not None:
+            self._holding[worker] = slot.step.message_type
 
-    def _poll_timeout(self, state: _PoolState) -> float:
+    def _collect_once(self, pool: _Pool) -> None:
+        conns = {self._conns[w]: w for w in pool.pending}
         timeout = self.policy.poll_interval
         now = time.monotonic()
-        for entry in state.pending.values():
-            if entry.deadline is not None:
-                timeout = min(timeout, entry.deadline - now)
-        return max(0.01, timeout)
-
-    def _collect_once(self, state: _PoolState) -> None:
-        for worker in list(state.pending):
-            if worker not in self._conns:  # pragma: no cover - defensive
-                self._fail_worker(worker, FAIL_CRASH, "connection lost",
-                                  state.pending.pop(worker), state)
-                return
-        conns = {self._conns[w]: w for w in state.pending}
-        ready = (connection.wait(list(conns),
-                                 timeout=self._poll_timeout(state))
-                 if conns else [])
-        for conn in ready:
+        for slot in pool.pending.values():
+            if slot.deadline is not None:
+                timeout = min(timeout, slot.deadline - now)
+        for conn in connection.wait(list(conns), timeout=max(0.01, timeout)):
             worker = conns[conn]
-            if worker not in state.pending:
-                continue  # a failure path already consumed this worker
             try:
                 status, payload = conn.recv()
             except (EOFError, OSError):
-                self._fail_worker(worker, FAIL_CRASH, "pipe closed mid-task",
-                                  state.pending.pop(worker), state)
+                self._fail_worker(worker, FAIL_CRASH, "pipe closed mid-step",
+                                  pool.pending.pop(worker), pool)
                 continue
             if status != "ok":
                 raise SearchError(
                     f"parallel worker {worker} failed:\n{payload}")
-            entry = state.pending.pop(worker)
-            self._record(entry.slot, payload, state)
-            queued = state.queue.get(worker)
-            if queued:
-                self._submit(worker, queued.pop(0), state)
-                if not state.queue.get(worker):
-                    state.queue.pop(worker, None)
+            self._record(pool.pending.pop(worker), payload, pool)
         now = time.monotonic()
-        for worker in list(state.pending):
-            entry = state.pending[worker]
-            if entry.deadline is not None and now > entry.deadline:
-                budget = self.policy.deadline_for(entry.units) or 0.0
+        for worker, slot in list(pool.pending.items()):
+            if slot.deadline is not None and now > slot.deadline:
                 self._fail_worker(
                     worker, FAIL_TIMEOUT,
-                    f"deadline expired ({budget:.1f}s for "
-                    f"{entry.units} units)",
-                    state.pending.pop(worker), state)
+                    f"deadline expired ({self.policy.task_timeout:.1f}s "
+                    f"per step)", pool.pending.pop(worker), pool)
 
-    def _record(self, slot: int, payload: WorkerReturn, state: _PoolState,
+    def _record(self, slot: _Slot, payload: WorkerReturn, pool: _Pool,
                 synthetic: bool = False) -> None:
-        if slot in state.returns:  # pragma: no cover - defensive
-            raise SearchError(f"duplicate result for worker slot {slot}")
-        state.returns[slot] = payload
-        if synthetic:
-            state.synthetic.add(slot)
-        self._flush_journal(state)
+        slot.result, slot.synthetic = payload, synthetic
+        step = slot.step
+        if step.kind == "context" and payload.context is not None:
+            at = pool.order.index(slot) + 1
+            pool.order[at:at] = [_Slot(s) for s in self._eval_steps(
+                step.message_type, payload.context,
+                pool.actions[step.message_type])]
 
-    def _flush_journal(self, state: _PoolState) -> None:
-        """Admit finished slots' probes to the cache — which journals them
-        when it is a store's — in slot order, as far as results have
-        arrived contiguously.  Waiting for the prefix — instead of
-        admitting on arrival — keeps the journal's byte content a pure
-        function of the hunt, whatever order the pool finishes in; a kill
-        mid-pass still persists every already-flushed slot."""
-        while state.flush_order and state.flush_order[0] in state.returns:
-            slot = state.flush_order.pop(0)
-            cache = state.poisoned if slot in state.synthetic else self.cache
-            ret = state.returns[slot]
+    def _flush(self, pool: _Pool, gaps: bool = False) -> None:
+        """Admit returned steps' probes to the cache — which journals them
+        when it is a store's — in step order, as far as results have
+        arrived contiguously (with ``gaps``: every one that has).  Waiting
+        for the prefix — instead of admitting on arrival — keeps the
+        journal's byte content a pure function of the hunt, whatever order
+        the pool finishes in; a kill mid-pass still persists every
+        already-flushed step."""
+        while pool.order and (gaps or pool.order[0].result is not None):
+            slot = pool.order.pop(0)
+            ret = slot.result
+            if ret is None:
+                continue
+            cache = pool.poisoned if slot.synthetic else self.cache
+            message_type = slot.step.message_type
             if ret.startup is not None:
+                self._check_startup(ret.startup)
                 cache.add_startup(ret.startup)
-            for probe in ret.types:
-                cache.add_type(probe)
+            if ret.context is not None:
+                cache.add_context(message_type, ret.context)
+            for probe in ret.evals:
+                cache.add_eval(message_type, probe)
             if ret.baseline is not None:
                 cache.add_baseline(ret.baseline)
-            for probe in ret.scenarios:
-                cache.add_scenario(probe)
+            if ret.scenario is not None:
+                cache.add_scenario(ret.scenario)
+            self._absorb(ret, message_type)
 
     # ------------------------------------------------------------- recovery
 
@@ -381,59 +411,36 @@ class ScenarioExecutor:
             pass
 
     def _fail_worker(self, worker: int, kind: str, detail: str,
-                     entry: Optional[_Pending], state: _PoolState) -> None:
-        """Kill and reap a failed worker, then recover its work: quarantine
-        a poison task, replay on a respawn, reassign to a survivor, or
-        degrade to the parent-side prober."""
+                     slot: Optional[_Slot], pool: _Pool) -> None:
+        """Kill and reap a failed worker; quarantine the step it was running
+        as poison, or put it back at the head of the queue for whoever is
+        idle next; then respawn the worker — or retire it once its restart
+        budget is spent, and degrade when none is left."""
         self._reap(worker, kind, detail)
-        redo: List[_Pending] = []
-        if entry is not None:
-            crashes = self._health.note_task_crash(entry.key)
-            if self._health.is_poison(entry.key):
-                label = describe_task(entry.task)
-                self._health.record_quarantine(label, crashes)
-                self._record(entry.slot, quarantined_return(
-                    worker, entry.task,
-                    f"poison task killed {crashes} workers "
-                    f"(last {kind}: {detail})", crashes), state,
+        if not self._health.allow_restart(worker):
+            self._health.retire(worker)
+        if slot is not None:
+            key = slot.step.key
+            crashes = self._health.note_task_crash(key)
+            if self._health.is_poison(key):
+                self._health.record_quarantine(slot.step.describe(), crashes)
+                self._record(slot, quarantined_return(
+                    worker, slot.step,
+                    f"poison step killed {crashes} workers "
+                    f"(last {kind}: {detail})", crashes), pool,
                     synthetic=True)
             else:
-                redo.append(entry)
-        redo.extend(state.queue.pop(worker, ()))
-        if not redo:
-            if not self._health.allow_restart(worker):
-                self._health.retire(worker)
-            return
-        if self._health.allow_restart(worker):
+                slot.queued = slot.lost = True
+                self._health.record_replay(worker)
+        if not self._health.is_retired(worker):
             delay = self._health.record_restart(worker)
             if delay > 0:
                 time.sleep(delay)
             with maybe_span(self.tracer, "executor.worker.respawn",
                             worker=worker):
                 self._spawn(worker)
-            for item in redo:
-                self._health.record_replay(worker, item.units)
-                self._submit(worker, item, state)
-            return
-        self._health.retire(worker)
-        for item in redo:
-            self._reassign(worker, item, state)
-
-    def _reassign(self, worker: int, item: _Pending,
-                  state: _PoolState) -> None:
-        if self._degraded:
-            return
-        survivors = [w for w in sorted(self._procs)
-                     if not self._health.is_retired(w)]
-        if not survivors:
+        elif all(self._health.is_retired(w) for w in range(self.workers)):
             self._collapse()
-            return
-        target = survivors[(worker + 1 + self._reassigned) % len(survivors)]
-        self._reassigned += 1
-        self._health.record_reassignment(worker, target, item.units)
-        for unit in item.task[1]:  # later passes shard them there directly
-            self._pins[unit] = target
-        self._submit(target, item, state)
 
     def _collapse(self) -> None:
         """Every worker is gone: from here on the walk's misses go to the
@@ -452,53 +459,41 @@ class ScenarioExecutor:
 
     # ------------------------------------------------------------ accounting
 
-    def _absorb(self, returns: Dict[int, WorkerReturn]) -> None:
-        """Fold worker accounting, spans, and log records into the parent.
+    def _absorb(self, ret: WorkerReturn,
+                message_type: Optional[str] = None) -> None:
+        """Fold one return's accounting, spans and log records into the
+        parent.  The worker's cumulative ledger only ever grows, so the
+        larger snapshot wins (a respawn restarts it)."""
+        attribution = self._attribution.setdefault(
+            ret.worker, WorkerAttribution(worker=ret.worker))
+        ledger = CostLedger(dict(ret.by_category))
+        if ledger.total() >= attribution.ledger.total():
+            attribution.ledger = ledger
+        attribution.wall_seconds += ret.wall_seconds
+        simulated = (message_type if ret.context or ret.evals
+                     else "scenarios" if ret.scenario else None)
+        if simulated is not None and simulated not in attribution.shards:
+            attribution.shards.append(simulated)
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
+        self._log_records.extend(ret.log_records)
 
-        Attribution is keyed by the worker that *executed* the task
-        (``ret.worker``), which differs from the shard's slot after a
-        reassignment; the worker's cumulative ledger only ever grows, so
-        the larger snapshot wins when one worker returned twice.
-        """
-        for __, ret in sorted(returns.items()):
-            attribution = self._attribution.setdefault(
-                ret.worker, WorkerAttribution(worker=ret.worker))
-            ledger = CostLedger(dict(ret.by_category))
-            if ledger.total() >= attribution.ledger.total():
-                attribution.ledger = ledger
-            attribution.wall_seconds += ret.wall_seconds
-            for probe in ret.types:
-                if probe.message_type not in attribution.shards:
-                    attribution.shards.append(probe.message_type)
-            if ret.scenarios and "scenarios" not in attribution.shards:
-                attribution.shards.append("scenarios")
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
-            self._log_records.extend(ret.log_records)
-
-    def _shared_startup(self, returns: Dict[int, WorkerReturn]
-                        ) -> StartupProbe:
-        """All workers boot the same deterministic world; their startup
+    def _check_startup(self, startup: StartupProbe) -> None:
+        """All probers boot the same deterministic world; their startup
         traces must be identical — anything else means nondeterminism that
-        would silently corrupt the merge, so fail loudly.  The reference
-        persists across passes, so a worker respawned mid-hunt is checked
-        against the original startup too."""
-        startups = [ret.startup for __, ret in sorted(returns.items())
-                    if ret.startup is not None]
-        if not startups:
-            raise SearchError("no worker returned a startup trace")
+        would silently corrupt the merge, so fail loudly.  The first boot
+        seen (a resumed hunt's: the journal's) is the reference for every
+        later one, a worker respawned mid-hunt's included."""
         reference = self._startup_reference
         if reference is None:
-            reference = self._startup_reference = startups[0]
-        for other in startups:
-            if (other.trace.charges != reference.trace.charges
-                    or other.quarantined != reference.quarantined):
-                raise SearchError(
-                    "nondeterministic startup across parallel workers: "
-                    "identical (factory, seed) produced different charges "
-                    "(a respawned worker must replay the serial startup "
-                    "bitwise)")
-        return reference
+            self._startup_reference = startup
+        elif (startup.trace.charges != reference.trace.charges
+                or startup.quarantined != reference.quarantined):
+            raise SearchError(
+                "nondeterministic startup across parallel workers: "
+                "identical (factory, seed) produced different charges "
+                "(a respawned worker must replay the serial startup "
+                "bitwise)")
 
     # ------------------------------------------------------------------ pass
 
@@ -515,17 +510,8 @@ class ScenarioExecutor:
         tracing = self.tracer is not None and self.tracer.enabled
         pass_mark = self.tracer.mark() if tracing else 0
         brute = self.algorithm == "brute"
-        poisoned = ProbeCache()
-        if self._use_fork:
-            state = self._prefetch(
-                self._brute_tasks(types, excluded, max_scenarios) if brute
-                else self._probe_tasks(types, excluded))
-            poisoned = state.poisoned
-            # (a pool that collapsed before anything booted has nothing
-            # to cross-check yet; brute force never takes a warm boot)
-            if not brute and (self._use_fork or any(
-                    r.startup is not None for r in state.returns.values())):
-                self._shared_startup(state.returns)
+        poisoned = (self._prefetch(types, excluded, max_scenarios)
+                    if self._use_fork else ProbeCache())
         # A healthy pool has probed all the walk can need (a miss is a
         # coverage hole); otherwise a miss is the parent-side prober's.
         prober = None if self._use_fork else self._parent()
@@ -536,18 +522,20 @@ class ScenarioExecutor:
             seed=self.seed, threshold=self.threshold,
             space_config=self.params.space_config, tracer=self.tracer,
             progress=self.progress, **options)
+        asked = None
         try:
             report = self.walk.run(
                 message_types=types, exclude=excluded,
                 **({"max_scenarios": max_scenarios} if brute else {}))
         finally:
-            asked = {0: prober.drain()} if prober is not None else {}
-            self._absorb(asked)
-        if self._startup_reference is not None and any(
-                ret.startup is not None for ret in asked.values()):
+            if prober is not None:
+                asked = prober.drain()
+                self._absorb(asked)
+        if (asked is not None and asked.startup is not None
+                and self._startup_reference is not None):
             # another boot of this world is on record — the journal's, or
-            # the late workers': the parent-side prober's must match it
-            self._shared_startup(asked)
+            # the workers': the parent-side prober's must match it
+            self._check_startup(asked.startup)
         if tracing:
             instance = (prober.search.harness.instance
                         if prober is not None else None)
@@ -559,42 +547,6 @@ class ScenarioExecutor:
         # deterministic report, only rendered for humans when eventful.
         report.worker_health = self._health.report_if_eventful()
         return report
-
-    def _probe_tasks(self, types: Sequence[str],
-                     excluded: frozenset) -> Dict[int, tuple]:
-        """What the pool prefetches for a weighted/greedy pass: every type
-        the cache does not already cover, sharded by pin."""
-        shards: Dict[int, List[str]] = {}
-        for message_type in types:
-            actions = self._space.actions_for(message_type, excluded)
-            # Types the journal fully covers are answered from disk.  A
-            # partially covered type is re-probed whole by its worker
-            # (identical traces) and the cache's dedupe absorbs the overlap.
-            if not actions or (self.store is not None and self.store.covers(
-                    message_type, actions, self.threshold,
-                    early_stop=self.params.early_stop) is not None):
-                continue
-            shards.setdefault(self._pin(message_type), []).append(message_type)
-        if not shards:
-            # Nothing left to evaluate — the lead worker still boots (or
-            # reuses) its testbed, so its startup is cross-checked.
-            shards = {self._live_slots()[0]: []}
-        return {worker: ("probe", shard, excluded)
-                for worker, shard in shards.items()}
-
-    def _brute_tasks(self, types: Sequence[str], excluded: frozenset,
-                     max_scenarios: Optional[int]) -> Dict[int, tuple]:
-        scenarios = [s for t in types
-                     for s in self._space.scenarios_for(t, excluded)]
-        if max_scenarios is not None:
-            scenarios = scenarios[:max_scenarios]
-        lead = self._live_slots()[0]
-        shards: Dict[int, List[tuple]] = {lead: []}  # the lead runs baseline
-        for scenario in scenarios:
-            worker = self._pin(scenario.to_record())
-            shards.setdefault(worker, []).append(scenario.to_record())
-        return {worker: ("brute", records, worker == lead)
-                for worker, records in shards.items()}
 
     # ------------------------------------------------------------ accounting
 

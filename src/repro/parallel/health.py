@@ -6,26 +6,27 @@ hang (a runaway loop, a wedged syscall).  Either fate used to abort the
 entire hunt — unacceptable for campaign-length searches.  This module turns
 worker fate into a recoverable event:
 
-* **deadlines** — result collection polls with a wall-clock deadline scaled
-  to the task's size instead of blocking on ``recv()`` forever;
+* **deadlines** — result collection polls with a wall-clock deadline per
+  in-flight step instead of blocking on ``recv()`` forever;
 * **crash and hang detection** — a dead pipe (``EOFError`` /
   ``BrokenPipeError`` on send *or* recv) or a blown deadline marks the
   worker failed; the process is killed and reaped;
 * **deterministic replay** — a worker is a pure function of
-  ``(worker_index, factory, seed, params)`` and a task is a pure function
-  of its shard, so a respawned worker re-runs the lost task from scratch
-  and records *the same traces* the dead worker would have recorded.  The
-  merged report therefore stays byte-identical to the serial run, and the
-  startup-trace cross-check extends to replayed workers for free;
+  ``(worker_index, factory, seed, params)`` and a step is a pure function
+  of the hunt, so the lost step goes back to the head of the queue and
+  whoever runs it next records *the same traces* the dead worker would
+  have recorded.  The merged report therefore stays byte-identical to the
+  serial run, and the startup-trace cross-check extends to respawned
+  workers for free;
 * **bounded restarts** — each worker slot has a retry budget with capped
-  exponential backoff; an exhausted slot is retired and its shard is
-  reassigned round-robin to the survivors.  When no survivors remain the
-  executor degrades to its parent-side prober instead of aborting;
-* **poison quarantine** — a task that kills ``poison_crashes`` workers is
-  handed to the supervision ledger as a quarantined unit, through the same
+  exponential backoff; an exhausted slot is retired, and the survivors
+  simply pull what is left.  When no survivors remain the executor
+  degrades to its parent-side prober instead of aborting;
+* **poison quarantine** — a step that kills ``poison_crashes`` workers is
+  handed to the supervision ledger as quarantined, through the same
   ``EVENT_QUARANTINE`` machinery serial passes use, so one pathological
   scenario cannot sink a hunt;
-* **telemetry** — restarts, timeouts, reassignments, and per-worker
+* **telemetry** — restarts, timeouts, requeued steps, and per-worker
   liveness are tracked in an :class:`InstrumentRegistry` and surfaced as a
   :class:`WorkerHealthReport`.
 
@@ -43,37 +44,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.attacks.actions import AttackScenario
+from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (BaselineProbe, ContextProbe, ScenarioProbe,
-                                   TypeProbe, WorkerReturn)
+from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
+                                   ScenarioProbe, Step, WorkerReturn)
 from repro.telemetry.instruments import InstrumentRegistry
 from repro.telemetry.tracer import Tracer
 
 #: worker failure kinds
 FAIL_CRASH = "crash"          # dead pipe: EOF/BrokenPipe on recv or send
-FAIL_TIMEOUT = "timeout"      # per-task deadline expired; process killed
+FAIL_TIMEOUT = "timeout"      # per-step deadline expired; process killed
 
 
 @dataclass
 class HealthPolicy:
     """Tunable knobs of the self-healing layer.
 
-    ``task_timeout`` is *per work unit* (a message type or a brute-force
-    scenario): a shard of five types gets five times the deadline of a
-    shard of one, so a big shard on a slow box is not mistaken for a hang.
-    ``None`` disables hang detection (crash detection via the pipe is
-    always on).
+    ``task_timeout`` is *per step* (one type's injection seek, one
+    cluster's walk or greedy action, one brute-force scenario) — the unit
+    a worker is sent.  ``None`` disables hang detection (crash detection
+    via the pipe is always on).
     """
 
-    #: wall-clock seconds allowed per work unit; None = no deadline
+    #: wall-clock seconds allowed per step; None = no deadline
     task_timeout: Optional[float] = None
     #: respawns allowed per worker slot before it is retired
     worker_retries: int = 2
     #: degrade to the parent-side prober when every worker is gone
     #: (False: raise SearchError instead)
     degrade: bool = True
-    #: crashes a single task may cause before it is quarantined as poison
+    #: crashes a single step may cause before it is quarantined as poison
     poison_crashes: int = 3
     #: exponential-backoff base/cap between respawns of the same slot
     backoff_base: float = 0.05
@@ -81,8 +81,8 @@ class HealthPolicy:
     #: result-collection poll tick
     poll_interval: float = 0.25
 
-    def deadline_for(self, units: int) -> Optional[float]:
-        """Wall-clock budget for a task of ``units`` work units."""
+    def deadline_for(self, units: int = 1) -> Optional[float]:
+        """Wall-clock budget for ``units`` steps (one is in flight)."""
         if self.task_timeout is None:
             return None
         return self.task_timeout * max(1, units)
@@ -100,8 +100,11 @@ class WorkerHealth:
     restarts: int = 0
     crashes: int = 0
     timeouts: int = 0
+    #: steps this worker lost and put back on the queue while it could
+    #: still be respawned ...
     tasks_replayed: int = 0
-    units_reassigned: int = 0     # work units handed away after retirement
+    #: ... and once it was retired
+    units_reassigned: int = 0
     alive: bool = True
     retired: bool = False
 
@@ -128,7 +131,7 @@ class WorkerHealthReport:
     """What the self-healing layer did across a pass or a whole hunt."""
 
     workers: List[WorkerHealth] = field(default_factory=list)
-    #: poison tasks handed to the quarantine ledger, as human-readable labels
+    #: poison steps handed to the quarantine ledger, as human-readable labels
     quarantined_tasks: List[str] = field(default_factory=list)
     #: the pool collapsed and the executor fell back to in-process probing
     degraded: bool = False
@@ -281,12 +284,20 @@ class HealthMonitor:
                    f" backoff {delay:.2f}s)")
         return delay
 
-    def record_replay(self, worker: int, units: int) -> None:
-        self.state(worker).tasks_replayed += 1
-        self.registry.count("parallel.task.replays")
+    def record_replay(self, worker: int) -> None:
+        """Count one step ``worker`` lost and put back on the queue, for
+        whoever is idle next: a replay, or a reassignment once the worker
+        is retired."""
+        health = self.state(worker)
+        if health.retired:
+            health.units_reassigned += 1
+            self.registry.count("parallel.task.reassignments")
+        else:
+            health.tasks_replayed += 1
+            self.registry.count("parallel.task.replays")
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant("executor.task.replay", worker=worker,
-                                units=units)
+                                retired=health.retired)
 
     def retire(self, worker: int) -> None:
         health = self.state(worker)
@@ -300,18 +311,8 @@ class HealthMonitor:
         health = self._workers.get(worker)
         return health is not None and health.retired
 
-    def record_reassignment(self, worker: int, target: int,
-                            units: int) -> None:
-        self.state(worker).units_reassigned += max(1, units)
-        self.registry.count("parallel.task.reassignments")
-        self._note(f"worker {worker} shard ({units} units) reassigned "
-                   f"to worker {target}")
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("executor.task.reassign", worker=worker,
-                                target=target, units=units)
-
     def note_task_crash(self, key: object) -> int:
-        """Count one worker killed by this task; return the running total."""
+        """Count one worker killed by this step; return the running total."""
         count = self._task_crashes.get(key, 0) + 1
         self._task_crashes[key] = count
         return count
@@ -322,7 +323,7 @@ class HealthMonitor:
     def record_quarantine(self, label: str, crashes: int) -> None:
         self._quarantined.append(label)
         self.registry.count("parallel.task.quarantines")
-        self._note(f"poison task quarantined after killing {crashes} "
+        self._note(f"poison step quarantined after killing {crashes} "
                    f"workers: {label}")
 
     def record_degraded(self) -> None:
@@ -352,62 +353,45 @@ class HealthMonitor:
 
 # -------------------------------------------------------- poison quarantine
 
-def quarantined_return(worker: int, task: tuple, reason: str,
+def quarantined_return(worker: int, step: Step, reason: str,
                        attempts: int) -> WorkerReturn:
-    """Synthesize the :class:`WorkerReturn` of a poison task.
+    """Synthesize the :class:`WorkerReturn` of a poison step.
 
-    Every unit in the task's shard collapses to a quarantined probe whose
-    trace carries no charges — just the ``EVENT_WORKER_FAULT`` +
+    Every probe the step would have recorded — short of those it was
+    shipped as already recorded — collapses to a quarantined one whose
+    trace carries no charges: just the ``EVENT_WORKER_FAULT`` +
     ``EVENT_QUARANTINE`` events the merge replays into the supervision
     ledger, exactly where a serial pass would have recorded a scenario
-    that burned its retry budget.
+    that burned its retry budget.  (A poison ``startup`` step, a
+    cross-check, records nothing.)
     """
     quarantined = (reason, attempts)
     op = f"worker:{worker}"
     ret = WorkerReturn(worker=worker)
-    if task[0] == "probe":
-        for message_type in task[1]:
-            trace = StepTrace.quarantine_only(op, message_type, reason,
-                                              attempts)
-            ret.types.append(TypeProbe(
-                message_type,
-                ContextProbe(found=False, trace=trace,
-                             quarantined=quarantined)))
-        return ret
-    records, include_baseline = task[1], task[2]
-    if include_baseline:
-        ret.baseline = BaselineProbe(
-            None, StepTrace.quarantine_only(op, "baseline", reason, attempts),
-            quarantined)
-    for record in records:
-        label = AttackScenario.from_record(record).describe()
-        ret.scenarios.append(ScenarioProbe(
-            record, None, None,
-            StepTrace.quarantine_only(op, label, reason, attempts),
-            quarantined))
+
+    def trace(label: str) -> StepTrace:
+        return StepTrace.quarantine_only(op, label, reason, attempts)
+
+    if step.kind == "context":
+        ret.context = ContextProbe(found=False,
+                                   trace=trace(step.message_type),
+                                   quarantined=quarantined)
+    elif step.kind == "evals":
+        known = {probe.record for probe in step.known}
+        for record in step.records:
+            if record not in known:
+                label = AttackScenario(
+                    step.message_type,
+                    MaliciousAction.from_record(record)).describe()
+                ret.evals.append(EvalProbe(record, None, None, trace(label),
+                                           quarantined))
+    elif step.kind == "baseline":
+        ret.baseline = BaselineProbe(None, trace("baseline"), quarantined)
+    elif step.kind == "scenario":
+        record = step.records[0]
+        ret.scenario = ScenarioProbe(record, None, None, trace(
+            AttackScenario.from_record(record).describe()), quarantined)
     return ret
-
-
-def task_key(task: tuple) -> tuple:
-    """Stable identity of a task for poison counting: the same shard
-    replayed (or reassigned) after a crash keeps the same key."""
-    return (task[0], tuple(task[1]), task[2])
-
-
-def task_units(task: tuple) -> int:
-    """Work units in a task, for deadline scaling: message types for
-    probe tasks, scenarios (plus the baseline) for brute tasks."""
-    if task[0] == "probe":
-        return max(1, len(task[1]))
-    return max(1, len(task[1]) + (1 if task[2] else 0))
-
-
-def describe_task(task: tuple) -> str:
-    if task[0] == "probe":
-        return f"probe shard [{', '.join(task[1])}]" if task[1] \
-            else "probe shard (startup only)"
-    extra = " + baseline" if task[2] else ""
-    return f"brute shard ({len(task[1])} scenarios{extra})"
 
 
 __all__ = [
@@ -417,8 +401,5 @@ __all__ = [
     "HealthPolicy",
     "WorkerHealth",
     "WorkerHealthReport",
-    "describe_task",
     "quarantined_return",
-    "task_key",
-    "task_units",
 ]

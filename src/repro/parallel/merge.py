@@ -17,21 +17,22 @@ order-sensitive), so every ``found_at`` and ``SupervisorEvent.at`` — both
 "ledger total when it happened" — lands exactly.
 
 With a healthy fork pool nobody answers questions — the workers prefetched
-all the walk can need, and a miss is a "coverage hole" :class:`SearchError`,
-never a silently shorter report.  Why the prefetch suffices:
+all the walk can need (:meth:`~repro.parallel.worker.ProbeCache.split`),
+and a miss is a "coverage hole" :class:`SearchError`, never a silently
+shorter report.  Why the prefetch suffices:
 
 * context acquisitions and greedy evaluations are probed unconditionally;
 * weighted greedy walks actions in descending cluster weight and stops at
   the first attack.  Any action it visits is either (a) a non-attack, which
-  its cluster's probe walked past, or (b) the stopping attack itself, which
+  its cluster's step walked past, or (b) the stopping attack itself, which
   is its cluster's first non-quarantined attack in enumeration order — the
-  exact point where the probe stopped.  Quarantined evaluations stop
+  exact point where the step stopped.  Quarantined evaluations stop
   neither walk, in lockstep.
 
-A poison task (:mod:`repro.parallel.health`) comes back as synthetic probes
+A poison step (:mod:`repro.parallel.health`) comes back as synthetic probes
 whose traces carry no charges, only ``worker-fault`` + ``quarantine``
 events (:meth:`StepTrace.quarantine_only`); replay emits them like any
-recorded supervision event, so the shard surfaces exactly like a scenario
+recorded supervision event, so the step surfaces exactly like a scenario
 that burned its retry budget.  They are handed to the walk beside the
 cache: never admitted (a journaled poison would poison a clean resume),
 never asked again.
@@ -96,7 +97,7 @@ class ReplaySource:
     steps is the live ``_run_pass`` itself.  ``cache`` holds the recorded
     probes; ``prober`` (None: nobody — a miss is a coverage hole) simulates
     the step the cache lacks; ``poisoned`` is a second cache, of synthetic
-    poison-task quarantines, which outranks both.  ``instance`` is an
+    poison-step quarantines, which outranks both.  ``instance`` is an
     unbooted testbed — the name/schema/search-type oracle the walk reads
     off its harness; the walk itself never boots or simulates anything.
     """
@@ -153,9 +154,10 @@ class ReplaySource:
 
     def _measure_action(self, ctx: TypeContext,
                         action: MaliciousAction) -> PerfSample:
-        message_type = ctx.message_type
+        message_type, record = ctx.message_type, action.to_record()
         ev = self._answer(
-            self._cache.evals.get(message_type, {}).get(action.to_record()),
+            self._poisoned.evals.get(message_type, {}).get(record)
+            or self._cache.evals.get(message_type, {}).get(record),
             f"evaluation of {action.describe()} {message_type}",
             lambda prober: prober._evaluate(message_type, action),
             lambda probe: self._cache.add_eval(message_type, probe))

@@ -1,13 +1,13 @@
 """Charge-level recording, the foundation of deterministic merging.
 
-A parallel worker evaluates its shard with a :class:`RecordingLedger`, which
+A parallel worker simulates its steps with a :class:`RecordingLedger`, which
 remembers every individual ``(category, seconds)`` charge in order, and a
 :class:`RecordingSupervisor`, which remembers *where in the charge log* each
 supervision event fired.  The merge step then replays those charges — in the
 order the serial algorithm would have issued them — into a fresh ledger, so
 the merged totals are bitwise identical to a serial run's (floating-point
 accumulation is order-sensitive; replaying per-charge sidesteps that where
-summing per-shard deltas would not), and every ``SupervisorEvent.at``
+summing per-worker deltas would not), and every ``SupervisorEvent.at``
 timestamp lands on exactly the serial ledger total.
 """
 
@@ -80,7 +80,7 @@ class StepTrace:
         ``quarantine`` that increments the quarantine counter, mirroring
         what a serial supervisor records when a scenario burns its retry
         budget.  Used by :mod:`repro.parallel.health` to hand a poison
-        task to the supervision ledger.
+        step to the supervision ledger.
         """
         events: List[PackedEvent] = [
             (0, EVENT_WORKER_FAULT, op, scenario, reason, attempts),

@@ -11,11 +11,11 @@ algorithm's own walk runs over them (:mod:`repro.parallel.merge`).
 
 The parent-side prober answers one step at a time, when the walk misses it
 in the :class:`ProbeCache`.  A forked worker has nobody waiting, so it
-speculates: :meth:`WorkerProber.probe_types` simulates everything a pass
-over its shard *can* need (:meth:`ProbeCache.walk`, the superset rule).
-Either way a recorded probe is never simulated again — later passes replay
-it from the cache, which ``hunt --store`` persists
-(:mod:`repro.store.runstore`).
+simulates ahead of the walk, one :class:`Step` — one of the superset
+rule's independent units (:meth:`ProbeCache.split`) — at a time
+(:meth:`WorkerProber.run_task`).  Either way a recorded probe is never
+simulated again — later passes replay it from the cache, which
+``hunt --store`` persists (:mod:`repro.store.runstore`).
 
 What a prober does *not* keep is live testbed state per type: it holds one
 :class:`~repro.search.base.TypeContext`, the type it last simulated.  A
@@ -30,8 +30,8 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
@@ -97,13 +97,6 @@ class EvalProbe:
 
 
 @dataclass
-class TypeProbe:
-    message_type: str
-    context: ContextProbe
-    evals: List[EvalProbe] = field(default_factory=list)
-
-
-@dataclass
 class BaselineProbe:
     """Brute force's one benign execution."""
 
@@ -123,23 +116,57 @@ class ScenarioProbe:
     quarantined: Quarantine = None
 
 
+class Step(NamedTuple):
+    """One independent unit of a pass: what a forked worker is sent.
+
+    ``startup`` boots (or reuses) the testbed and nothing else;
+    ``context`` seeks one type's injection point; ``evals`` walks one of
+    :meth:`ProbeCache.split`'s groups of that type's actions (``records``),
+    with the probes of them already recorded (``known``) so none is
+    simulated twice; ``baseline`` and ``scenario`` (``records`` holds one)
+    are brute force's.  A step is a pure function of the hunt, so whoever
+    runs it records the same probes.
+    """
+
+    kind: str
+    message_type: Optional[str] = None
+    records: Tuple[tuple, ...] = ()
+    known: Tuple[EvalProbe, ...] = ()
+
+    @property
+    def key(self) -> tuple:
+        """The step's identity — what poison counting is keyed by."""
+        return (self.kind, self.message_type, self.records)
+
+    def describe(self) -> str:
+        if self.kind == "evals":
+            actions = ", ".join(MaliciousAction.from_record(r).describe()
+                                for r in self.records)
+            return f"evals of {self.message_type} [{actions}]"
+        if self.kind == "scenario":
+            return AttackScenario.from_record(self.records[0]).describe()
+        return " ".join(filter(None, (self.kind, self.message_type)))
+
+
 @dataclass
 class WorkerReturn:
-    """One task's results plus the worker's cumulative accounting."""
+    """One step's results plus the worker's cumulative accounting."""
 
     worker: int
+    #: the worker's boot, when the step made it (or asked for it)
     startup: Optional[StartupProbe] = None
-    types: List[TypeProbe] = field(default_factory=list)
+    context: Optional[ContextProbe] = None
+    evals: List[EvalProbe] = field(default_factory=list)
     baseline: Optional[BaselineProbe] = None
-    scenarios: List[ScenarioProbe] = field(default_factory=list)
+    scenario: Optional[ScenarioProbe] = None
     #: the worker's own cumulative ledger (side-channel attribution only;
     #: the merged report's ledger is replayed from traces instead)
     by_category: Dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    #: worker-side tracer output since the last task (tagged on adoption)
+    #: worker-side tracer output since the last step (tagged on adoption)
     spans: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    #: worker-side EventLog records since the last task
+    #: worker-side EventLog records since the last step
     log_records: list = field(default_factory=list)
 
 
@@ -184,12 +211,6 @@ class ProbeCache:
             self.commit("eval", message_type, probe)
             evals[probe.record] = probe
 
-    def add_type(self, probe: TypeProbe) -> None:
-        """Admit a whole TypeProbe (a forked worker's return)."""
-        self.add_context(probe.message_type, probe.context)
-        for ev in probe.evals:
-            self.add_eval(probe.message_type, ev)
-
     def add_baseline(self, probe: BaselineProbe) -> None:
         if self.baseline is None:
             self.baseline = probe
@@ -197,53 +218,50 @@ class ProbeCache:
     def add_scenario(self, probe: ScenarioProbe) -> None:
         self.scenarios.setdefault(probe.record, probe)
 
-    def walk(self, message_type: str, actions: Sequence[MaliciousAction],
-             threshold: AttackThreshold, early_stop: bool,
-             acquire: Optional[Callable[[str], ContextProbe]] = None,
-             measure: Optional[Callable[[str, MaliciousAction],
-                                        EvalProbe]] = None
-             ) -> Optional[TypeProbe]:
-        """The probes a pass over ``actions`` can need — the superset rule.
+    @staticmethod
+    def split(actions: Sequence[MaliciousAction], early_stop: bool
+              ) -> List[List[MaliciousAction]]:
+        """The superset rule: what a pass over a type's ``actions`` can
+        need, as independent groups, each walked by :meth:`walk`.
 
-        Context first; then every action for greedy, and for weighted
-        (``early_stop``) each cluster in enumeration order up to its first
-        non-quarantined attack: the weight-ordered serial walk can never
-        need an action past that one, because it would have stopped there
-        first — whatever the weights.
-
-        A miss is answered by ``acquire(message_type)`` / ``measure(
-        message_type, action)`` and admitted (the prober simulating); with
-        neither given the first miss returns None — "the cache alone does
-        not cover this type".
+        Past the type's context, greedy needs every action (a group each);
+        weighted (``early_stop``) needs each cluster in enumeration order up
+        to its first non-quarantined attack: the weight-ordered serial walk
+        can never need an action past that one, because it would have
+        stopped there first — whatever the weights.
         """
-        context = self.contexts.get(message_type)
-        if context is None:
-            if acquire is None:
-                return None
-            context = acquire(message_type)
-            self.add_context(message_type, context)
-        evals: List[EvalProbe] = []
-        if context.quarantined is not None or not context.found:
-            return TypeProbe(message_type, context, evals)
+        if not early_stop:
+            return [[action] for action in actions]
         groups: Dict[str, List[MaliciousAction]] = {}
         for action in actions:
-            groups.setdefault(action.cluster if early_stop else "",
-                              []).append(action)
-        known = self.evals.setdefault(message_type, {})
-        for group in groups.values():
-            for action in group:
-                probe = known.get(action.to_record())
-                if probe is None:
-                    if measure is None:
-                        return None
-                    probe = measure(message_type, action)
-                    self.add_eval(message_type, probe)
-                evals.append(probe)
-                if (early_stop and probe.quarantined is None
-                        and is_attack_sample(threshold, probe.baseline,
-                                             probe.sample)):
-                    break
-        return TypeProbe(message_type, context, evals)
+            groups.setdefault(action.cluster, []).append(action)
+        return list(groups.values())
+
+    def walk(self, message_type: str, group: Sequence[MaliciousAction],
+             threshold: AttackThreshold, early_stop: bool,
+             measure: Optional[Callable[[str, MaliciousAction],
+                                        EvalProbe]] = None
+             ) -> Optional[List[EvalProbe]]:
+        """The probes of one :meth:`split` group, in order, up to its first
+        non-quarantined attack under ``early_stop``.  A miss is answered by
+        ``measure(message_type, action)`` and admitted (the prober
+        simulating); with no ``measure`` the first miss returns None — "the
+        cache alone does not cover this group"."""
+        known = self.evals.get(message_type, {})
+        evals: List[EvalProbe] = []
+        for action in group:
+            probe = known.get(action.to_record())
+            if probe is None:
+                if measure is None:
+                    return None
+                probe = measure(message_type, action)
+                self.add_eval(message_type, probe)
+            evals.append(probe)
+            if (early_stop and probe.quarantined is None
+                    and is_attack_sample(threshold, probe.baseline,
+                                         probe.sample)):
+                break
+        return evals
 
 
 class NoProbeCache(ProbeCache):
@@ -262,9 +280,10 @@ class NoProbeCache(ProbeCache):
 class WorkerProber:
     """Simulates supervised steps on one private testbed, recording each.
 
-    The body of a forked worker (``run_task``: eager, a whole shard) and
-    the executor's one parent-side prober (a step at a time, when the walk
-    misses).  The booted world and the warm snapshot persist across calls.
+    The body of a forked worker (``run_task``: a :class:`Step` ahead of the
+    walk) and the executor's one parent-side prober (a probe at a time,
+    when the walk misses).  The booted world and the warm snapshot persist
+    across calls.
     ``tracer`` is the parent side's: spans go straight into it (a forked
     worker keeps a private one and ships its spans home).  ``parent_only``
     are the search-stack arguments a forked worker must never see —
@@ -296,9 +315,6 @@ class WorkerProber:
         # positions index into the same charge log.
         self.search.supervisor = RecordingSupervisor(
             ledger, max_retries=params.max_retries)
-        #: what a forked worker has probed so far; the parent-side prober
-        #: leaves admission to the walk that asked
-        self.cache = ProbeCache()
         #: this prober's own (latest) boot.  Never taken from a cache:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
@@ -324,23 +340,6 @@ class WorkerProber:
     def _ensure_started(self) -> StartupProbe:
         return self._startup if self._startup is not None else self._boot()
 
-    def probe_types(self, message_types: Sequence[str],
-                    exclude: FrozenSet[tuple]
-                    ) -> Tuple[StartupProbe, List[TypeProbe]]:
-        """Probe every type in the shard: :meth:`ProbeCache.walk`,
-        simulating whatever the cache does not already hold."""
-        startup = self._ensure_started()
-        probes: List[TypeProbe] = []
-        if startup.quarantined is not None:
-            return startup, probes
-        space = self.search._space()
-        for message_type in message_types:
-            probes.append(self.cache.walk(
-                message_type, space.actions_for(message_type, exclude),
-                self.search.threshold, self.params.early_stop,
-                self._acquire, self._evaluate))
-        return startup, probes
-
     def _acquire(self, message_type: str) -> ContextProbe:
         self._ensure_started()
         self._live = None  # dropped first: never two contexts resident
@@ -353,9 +352,9 @@ class WorkerProber:
                   action: MaliciousAction) -> EvalProbe:
         self._ensure_started()
         if self._live is None or self._live.message_type != message_type:
-            # Recorded earlier (another pass, another type since, or the
-            # journal): cached evals answered so far, a fresh one needs
-            # the live injection point back.  No local may still hold the
+            # Recorded earlier (another pass, another type since, another
+            # worker, or the journal): a fresh evaluation needs the live
+            # injection point back.  No local may still hold the
             # previous type's context while the new one is derived.
             self._live = None
             self._live = self._reacquire_context(message_type)
@@ -407,18 +406,6 @@ class WorkerProber:
         return ScenarioProbe(record, injected_at, sample, step.trace,
                              step.quarantined)
 
-    def probe_brute(self, scenario_records: Sequence[tuple],
-                    include_baseline: bool
-                    ) -> Tuple[Optional[BaselineProbe], List[ScenarioProbe]]:
-        cache = self.cache
-        if include_baseline and cache.baseline is None:
-            cache.add_baseline(self._baseline())
-        for record in scenario_records:
-            if record not in cache.scenarios:
-                cache.add_scenario(self._scenario(record))
-        return (cache.baseline if include_baseline else None,
-                [cache.scenarios[record] for record in scenario_records])
-
     # ------------------------------------------------------------- packaging
 
     def _package(self, payload: WorkerReturn) -> WorkerReturn:
@@ -447,24 +434,40 @@ class WorkerProber:
 
     def drain(self) -> WorkerReturn:
         """The parent-side prober's accounting since the last drain (it
-        answers steps, not tasks; its wall time is the parent's own)."""
+        answers the walk's misses; its wall time is the parent's own)."""
         return self._package(WorkerReturn(worker=self.worker_id,
                                           startup=self._startup))
 
-    def run_task(self, task: tuple) -> WorkerReturn:
-        """Serve one executor task in a forked worker —
-        ``("probe", types, exclude)`` or ``("brute", records,
-        include_baseline)``: the eager superset of the shard."""
+    def run_task(self, step: Step) -> WorkerReturn:
+        """Serve one :class:`Step` in a forked worker.  The boot it needed
+        (or, for ``startup``, the boot it kept) comes back with it, so the
+        executor can cross-check every worker's."""
         started = time.perf_counter()
+        fresh = self._startup is None
         payload = WorkerReturn(worker=self.worker_id)
-        if task[0] == "probe":
-            payload.startup, payload.types = self.probe_types(task[1],
-                                                              task[2])
-        elif task[0] == "brute":
-            payload.baseline, payload.scenarios = self.probe_brute(task[1],
-                                                                   task[2])
+        kind, message_type = step.kind, step.message_type
+        if kind == "startup":
+            self._ensure_started()
+        elif kind == "context":
+            if self._ensure_started().quarantined is None:
+                payload.context = self._acquire(message_type)
+        elif kind == "evals":
+            cache = ProbeCache()
+            for probe in step.known:
+                cache.add_eval(message_type, probe)
+            payload.evals = cache.walk(
+                message_type,
+                [MaliciousAction.from_record(r) for r in step.records],
+                self.search.threshold, self.params.early_stop,
+                self._evaluate)
+        elif kind == "baseline":
+            payload.baseline = self._baseline()
+        elif kind == "scenario":
+            payload.scenario = self._scenario(step.records[0])
         else:
-            raise ValueError(f"unknown worker command {task[0]!r}")
+            raise ValueError(f"unknown worker step {kind!r}")
+        if kind == "startup" or fresh:
+            payload.startup = self._startup
         self._package(payload)
         payload.wall_seconds = time.perf_counter() - started
         return payload
@@ -476,9 +479,9 @@ def _maybe_inject_chaos(worker_id: int) -> None:
     ``REPRO_WORKER_CHAOS`` is ``kill:<worker>:<flag-file>`` or
     ``hang:<worker>:<flag-file>:<seconds>``; ``<worker>`` may be ``*`` to
     target every worker (the pool-collapse case).  The fault fires in the
-    named worker right after it receives a task; the flag file is written
+    named worker right after it receives a step; the flag file is written
     *before* firing, so the fault disarms itself once — an empty flag path
-    means fire every time (the poison-task case).  This lives in the worker
+    means fire every time.  This lives in the worker
     so the chaos smoke in CI exercises the real crash path (SIGKILL,
     nothing flushed) rather than a simulated one.
     """
@@ -502,7 +505,7 @@ def _maybe_inject_chaos(worker_id: int) -> None:
 
 def worker_main(conn, worker_id: int, factory, seed: int,
                 params: ProbeParams) -> None:
-    """Forked worker loop: build the prober lazily, serve tasks until
+    """Forked worker loop: build the prober lazily, serve steps until
     ``stop`` (or the pipe closes)."""
     prober = None
     try:

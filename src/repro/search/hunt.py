@@ -234,11 +234,11 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     the steps actually simulated — are collected into ``result.event_log``.
 
     ``workers > 1`` has a persistent forked pool prefetch each pass's
-    message types; the result — reports, ledger, checkpoints — is
+    steps, pulled one at a time by whichever worker is idle; the result — reports, ledger, checkpoints — is
     byte-identical to a ``workers=1`` hunt's, with the real per-worker
     spend in ``result.worker_breakdown``.  ``health_policy`` tunes the
     pool's self-healing (see :class:`~repro.parallel.health.HealthPolicy`);
-    crash recovery replays tasks deterministically, so byte identity holds
+    crash recovery replays steps deterministically, so byte identity holds
     even when workers die mid-pass.  A pass that still aborts
     (``SearchError``, e.g. a pool collapse under ``degrade=False``)
     checkpoints the completed passes to the store first, so a rerun
@@ -295,8 +295,9 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     if workers > 1 and fault_plan is not None:
         raise ConfigError(
             "workers > 1 cannot run under a FaultPlan: the plan's fault "
-            "stream is sequence-dependent, so sharding would change which "
-            "operations fault (FaultSchedule chaos is supported)")
+            "stream is sequence-dependent, so splitting a pass across "
+            "workers would change which operations fault (FaultSchedule "
+            "chaos is supported)")
     if workers > 1 and injection_cache:
         raise ConfigError(
             "workers > 1 and injection_cache are mutually exclusive: "

@@ -29,15 +29,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.reports import (_sample_from_dict, _sample_to_dict,
                                     record_from_jsonable, record_to_jsonable)
 from repro.common.errors import ConfigError
-from repro.controller.monitor import AttackThreshold
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (ContextProbe, EvalProbe, ProbeCache,
-                                   StartupProbe, TypeProbe)
+                                   StartupProbe)
 from repro.store.journal import Journal, _canonical, atomic_write_json
 from repro.telemetry.instruments import InstrumentRegistry
 
@@ -168,14 +167,6 @@ class RunStore:
                           sample=_sample_or_none(probe.sample))
         self.journal.append(record)
         self.registry.count("store.journal.records_appended")
-
-    def covers(self, message_type: str, actions: Sequence,
-               threshold: AttackThreshold,
-               early_stop: bool = True) -> Optional[TypeProbe]:
-        """The journaled TypeProbe when the journal alone answers this
-        type's serial walk — :meth:`ProbeCache.walk` with nothing to
-        simulate on a miss — else None."""
-        return self.cache.walk(message_type, actions, threshold, early_stop)
 
     # ------------------------------------------------------------ checkpoints
 

@@ -2,15 +2,17 @@
 
 The contract under test: worker death is a recoverable event, and recovery
 preserves byte identity.  A worker SIGKILLed (or hung) mid-pass is detected,
-reaped, and its task replayed on a respawn — and because workers are pure
-functions of ``(factory, seed, params)``, the merged report's JSON stays
-identical to the serial run's.  Escalation is bounded: restart budgets,
-shard reassignment, poison-task quarantine, and a degrade-to-in-process
-fallback when the whole pool collapses.
+reaped and respawned, and its step goes back to the head of the queue —
+and because steps are pure functions of the hunt, the merged report's JSON
+stays identical to the serial run's.  Escalation is bounded: restart
+budgets, retirement (the survivors pull what is left), poison-step
+quarantine, and a degrade-to-in-process fallback when the whole pool
+collapses.
 
 Faults are injected with the ``REPRO_WORKER_CHAOS`` hook inside
 ``worker_main`` (the real crash path — SIGKILL, nothing flushed), armed via
-``monkeypatch.setenv`` so it never leaks into other tests.
+``monkeypatch.setenv`` so it never leaks into other tests — or, to target
+one step, by monkeypatching ``WorkerProber.run_task`` before the fork.
 """
 
 import json
@@ -22,13 +24,15 @@ import pytest
 
 from repro.analysis.reports import (hunt_result_to_dict, render_hunt_markdown,
                                     render_markdown, report_to_dict)
+from repro.attacks.actions import MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.supervisor import EVENT_QUARANTINE, EVENT_WORKER_FAULT
 from repro.parallel import ScenarioExecutor
 from repro.parallel.health import (HealthPolicy, WorkerHealth,
-                                   WorkerHealthReport, describe_task,
-                                   quarantined_return, task_key, task_units)
+                                   WorkerHealthReport, quarantined_return)
+from repro.parallel.recording import StepTrace
+from repro.parallel.worker import EvalProbe, Step, WorkerProber
 from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
 from repro.store.runstore import RunStore
@@ -73,25 +77,41 @@ class TestHealthPolicy:
         assert policy.backoff_for(1) == pytest.approx(0.2)
         assert policy.backoff_for(10) == pytest.approx(0.5)
 
-    def test_task_key_and_units(self):
-        probe = ("probe", ["Accept", "Prepare"], frozenset())
-        brute = ("brute", [("Accept", ("delay", 1.0))], True)
-        assert task_key(probe) == ("probe", ("Accept", "Prepare"),
-                                   frozenset())
-        assert task_units(probe) == 2
-        assert task_units(brute) == 2  # one scenario + the baseline
-        assert "Accept" in describe_task(probe)
-        assert "baseline" in describe_task(brute)
+    DELAY = MaliciousAction.from_record(("delay", 1.0))
+    DROP = MaliciousAction.from_record(("drop", 1.0))
 
-    def test_quarantined_return_covers_the_shard(self):
-        ret = quarantined_return(1, ("probe", ["Accept"], frozenset()),
-                                 "boom", 3)
-        assert [p.message_type for p in ret.types] == ["Accept"]
-        probe = ret.types[0]
-        assert probe.context.quarantined == ("boom", 3)
-        kinds = [e[1] for e in probe.context.trace.events]
+    def test_step_key_and_label(self):
+        known = EvalProbe(self.DELAY.to_record(), None, None, StepTrace())
+        evals = Step("evals", "Accept",
+                     (self.DELAY.to_record(), self.DROP.to_record()),
+                     known=(known,))
+        # what the step carries along is not what it is
+        assert evals.key == ("evals", "Accept", evals.records)
+        assert evals.key == evals._replace(known=()).key
+        assert self.DROP.describe() in evals.describe()
+        assert "Accept" in evals.describe()
+        assert Step("context", "Accept").describe() == "context Accept"
+        assert Step("baseline").describe() == "baseline"
+        scenario = Step("scenario", records=(("Accept",
+                                              self.DROP.to_record()),))
+        assert "Accept" in scenario.describe()
+
+    def test_quarantined_return_covers_the_step(self):
+        ret = quarantined_return(1, Step("context", "Accept"), "boom", 3)
+        assert ret.context.quarantined == ("boom", 3)
+        kinds = [e[1] for e in ret.context.trace.events]
         assert kinds == [EVENT_WORKER_FAULT, EVENT_QUARANTINE]
-        assert probe.context.trace.charges == []
+        assert ret.context.trace.charges == []
+        # an evals step quarantines what it would have simulated, not the
+        # probes it was shipped as already recorded
+        known = EvalProbe(self.DELAY.to_record(), None, None, StepTrace())
+        ret = quarantined_return(1, Step(
+            "evals", "Accept",
+            (self.DELAY.to_record(), self.DROP.to_record()), (known,)),
+            "boom", 3)
+        assert [p.record for p in ret.evals] == [self.DROP.to_record()]
+        assert ret.evals[0].quarantined == ("boom", 3)
+        assert ret.evals[0].sample is None
 
 
 class TestHealthReport:
@@ -154,13 +174,15 @@ class TestCrashRecovery:
         assert report_json(parallel) == report_json(serial_report())
 
     def test_dead_worker_detected_on_send(self):
-        """A worker that dies *between* tasks hits the send() path; the
-        BrokenPipeError is routed through the same recovery."""
+        """A worker that dies *between* steps hits the send() path; the
+        BrokenPipeError is routed through the same recovery.  (Pass 1
+        recorded every step pass 2 needs, so pass 2 sends one: the startup
+        cross-check, to the first idle worker.)"""
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0) as executor:
             first = executor.run_pass(message_types=TYPES)
-            victim = executor._procs[1]
+            victim = executor._procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             exclude = {f.scenario.to_record() for f in first.findings}
@@ -171,9 +193,9 @@ class TestCrashRecovery:
         assert report_json(second) == report_json(
             serial_report(exclude=exclude))
 
-    def test_retired_worker_shard_reassigned(self, monkeypatch):
-        """With no restart budget, a crashed worker is retired and its
-        shard moves round-robin to the survivors."""
+    def test_retired_worker_step_requeued(self, monkeypatch):
+        """With no restart budget, a crashed worker is retired and its step
+        goes back on the queue for the survivors to pull."""
         monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:1:")
         policy = HealthPolicy(worker_retries=0)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
@@ -211,26 +233,36 @@ class TestCrashRecovery:
                 executor.run_pass(message_types=TYPES)
 
     def test_poison_task_quarantined(self, monkeypatch):
-        """A task that keeps killing its worker is quarantined through the
-        supervision ledger instead of sinking the pass."""
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:1:")
+        """A step that kills whichever worker runs it is quarantined
+        through the supervision ledger instead of sinking the pass."""
+        run_task = WorkerProber.run_task
+
+        def deadly(prober, step):
+            if step.key == ("context", "Accept", ()):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_task(prober, step)
+
+        monkeypatch.setattr(WorkerProber, "run_task", deadly)  # pre-fork
         policy = HealthPolicy(worker_retries=5, poison_crashes=3)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0, health=policy) as executor:
             parallel = executor.run_pass(message_types=TYPES)
             health = executor.worker_health()
-        assert health.quarantined_tasks
-        assert parallel.quarantined  # surfaced like any quarantined scenario
-        assert parallel.supervisor.quarantines >= 1
+        assert health.quarantined_tasks == ["context Accept"]
+        assert health.crashes == 3
+        # surfaced like any quarantined scenario
+        assert [q.message_type for q in parallel.quarantined] == ["Accept"]
+        assert parallel.supervisor.quarantines == 1
         kinds = {e.kind for e in parallel.supervisor.events}
         assert EVENT_WORKER_FAULT in kinds
         assert EVENT_QUARANTINE in kinds
-        # worker 0's shard was unaffected: what it found is a subset of
-        # the serial findings (the poisoned shard's are set aside)
+        # the other steps were unaffected: what they found is a subset of
+        # the serial findings (the poisoned step's type is set aside)
         serial = serial_report()
         assert {f.name for f in parallel.findings} <= {
             f.name for f in serial.findings}
+        assert not any("Accept" in f.name for f in parallel.findings)
 
 
 # ------------------------------------------------------------------- hygiene

@@ -1,6 +1,6 @@
 """Tests for parallel hunt execution and the injection-point cache.
 
-The parallel executor's contract is strict: a pass sharded across workers
+The parallel executor's contract is strict: a pass split across workers
 must produce a report *byte-identical* (same JSON serialization) to the
 serial algorithm's — same findings, same float-exact ledger, same
 supervision events.  These tests assert that for all three algorithms, for
@@ -11,7 +11,9 @@ schedule.
 import gc
 import hashlib
 import json
+import time
 import weakref
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from repro.controller.harness import AttackHarness
 from repro.controller.supervisor import FaultPlan, SupervisorEvent
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
-from repro.parallel.worker import ProbeCache
+from repro.parallel.worker import ProbeCache, Step
 from repro.parallel.merge import REPLAYING, ReplaySource
 from repro.search import ALGORITHMS
 from repro.search.base import SearchAlgorithm
@@ -97,15 +99,34 @@ class TestParallelPassIdentity:
         assert report_json(parallel) == report_json(serial)
 
     def test_worker_breakdown_covers_the_shards(self):
+        """Each worker lists the types it simulated steps of, once each; a
+        type split across both is under both, and together they cover the
+        pass."""
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0) as executor:
             executor.run_pass(message_types=TYPES)
             breakdown = executor.worker_breakdown()
         assert [w.worker for w in breakdown] == [0, 1]
-        shards = [t for w in breakdown for t in w.shards]
-        assert sorted(shards) == sorted(TYPES)
+        for attribution in breakdown:
+            assert len(set(attribution.shards)) == len(attribution.shards)
+            assert set(attribution.shards) <= set(TYPES)
+        assert set().union(*(w.shards for w in breakdown)) == set(TYPES)
         assert all(w.ledger.total() > 0 for w in breakdown)
+
+
+def _probe_type(prober, message_type, exclude=frozenset()):
+    """Run every step a pass over ``message_type`` can need on ``prober``,
+    as a forked worker would be sent them: its context, then each
+    :meth:`ProbeCache.split` group.  Returns ``(returns, context, evals)``.
+    """
+    returns = [prober.run_task(Step("context", message_type))]
+    actions = prober.search._space().actions_for(message_type, exclude)
+    for group in ProbeCache.split(actions, prober.params.early_stop):
+        returns.append(prober.run_task(Step(
+            "evals", message_type, tuple(a.to_record() for a in group))))
+    return (returns, returns[0].context,
+            [probe for ret in returns[1:] for probe in ret.evals])
 
 
 def _superset(algorithm, excluded):
@@ -115,10 +136,13 @@ def _superset(algorithm, excluded):
     admits it to another cache."""
     prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
         algorithm=algorithm, space_config=SMALL_SPACE, max_wait=5.0))
-    full = prober.cache
+    full = ProbeCache()
     if algorithm == "brute":
-        prober.probe_brute([r for r in SMALL_SCENARIOS
-                            if r not in excluded], True)
+        full.add_baseline(prober.run_task(Step("baseline")).baseline)
+        for record in SMALL_SCENARIOS:
+            if record not in excluded:
+                full.add_scenario(prober.run_task(Step(
+                    "scenario", records=(record,))).scenario)
         steps = {"baseline": lambda c: c.add_baseline(full.baseline)}
         for record, probe in full.scenarios.items():
             scenario = AttackScenario.from_record(record)
@@ -126,17 +150,34 @@ def _superset(algorithm, excluded):
                   f"{scenario.message_type}"] = (
                 lambda c, probe=probe: c.add_scenario(probe))
         return full, steps
-    startup, __ = prober.probe_types(["Accept"], frozenset(excluded))
+    returns, context, evals = _probe_type(prober, "Accept",
+                                          frozenset(excluded))
+    startup = returns[0].startup
     full.add_startup(startup)
+    full.add_context("Accept", context)
+    for probe in evals:
+        full.add_eval("Accept", probe)
     steps = {"startup": lambda c: c.add_startup(startup)}
     for message_type, context in full.contexts.items():
         steps[f"injection context for {message_type}"] = (
             lambda c, t=message_type, probe=context: c.add_context(t, probe))
-        for record, probe in full.evals[message_type].items():
+        for record, probe in full.evals.get(message_type, {}).items():
             action = MaliciousAction.from_record(record)
             steps[f"evaluation of {action.describe()} {message_type}"] = (
                 lambda c, t=message_type, probe=probe: c.add_eval(t, probe))
     return full, steps
+
+
+def _pace_steps(monkeypatch, delay):
+    """Have every forked step sleep ``delay(step)`` seconds first.  Patched
+    before the pool forks, so its workers inherit it."""
+    run_task = WorkerProber.run_task
+
+    def paced(prober, step):
+        time.sleep(delay(step))
+        return run_task(prober, step)
+
+    monkeypatch.setattr(WorkerProber, "run_task", paced)
 
 
 def _spy_on_asks(monkeypatch):
@@ -315,13 +356,94 @@ class TestParallelHuntIdentity:
             hunt(FACTORY, seed=3, workers=2, injection_cache=True)
 
 
+class TestCompletionOrder:
+    """Whatever order the pool's workers finish in, the hunt is the same:
+    serial's report, one journal byte for byte, no probe simulated twice
+    in a pass, and a pass the cache already answers sends one step — the
+    startup cross-check."""
+
+    #: three step-keyed delays in 0–30 ms, each a different finish order
+    PATTERNS = (
+        lambda crc: crc % 31,
+        lambda crc: 30 - crc % 31,
+        lambda crc: (crc * 7 + 13) % 31,
+    )
+
+    def _instrument(self, monkeypatch, log, pattern):
+        """Before the fork: pace every step by ``pattern``, and log each
+        step sent, each probe simulated and each pass begun to ``log``."""
+        def write(line):
+            with open(log, "a") as fh:
+                fh.write(line + "\n")
+
+        _pace_steps(monkeypatch, lambda step: pattern(
+            zlib.crc32(repr(step.key).encode())) / 1000)
+        run_task = WorkerProber.run_task
+        acquire = WorkerProber._acquire
+        evaluate = WorkerProber._evaluate
+        run_pass = ScenarioExecutor.run_pass
+
+        def sent(prober, step):
+            write(f"step {step.kind}")
+            return run_task(prober, step)
+
+        def acquired(prober, message_type):
+            write(f"probe context {message_type}")
+            return acquire(prober, message_type)
+
+        def evaluated(prober, message_type, action):
+            write(f"probe eval {message_type} {action.describe()}")
+            return evaluate(prober, message_type, action)
+
+        def begun(executor, *args, **kwargs):
+            write("pass")
+            return run_pass(executor, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerProber, "run_task", sent)
+        monkeypatch.setattr(WorkerProber, "_acquire", acquired)
+        monkeypatch.setattr(WorkerProber, "_evaluate", evaluated)
+        monkeypatch.setattr(ScenarioExecutor, "run_pass", begun)
+
+    def test_result_is_independent_of_completion_order(self, tmp_path):
+        common = dict(seed=3, message_types=TYPES, space_config=SPACE,
+                      max_passes=2, max_wait=5.0)
+        serial = hunt_json(hunt(SMALL_FACTORY, **common))
+        assert len(json.loads(serial)["passes"]) == 2
+        journals = set()
+        for index, pattern in enumerate(self.PATTERNS):
+            for workers in (2, 3):
+                for stored in (False, True):
+                    run = tmp_path / f"{index}-{workers}-{stored}"
+                    run.mkdir()
+                    log = run / "log"
+                    with pytest.MonkeyPatch.context() as monkeypatch:
+                        self._instrument(monkeypatch, log, pattern)
+                        result = hunt(SMALL_FACTORY, workers=workers,
+                                      store_dir=(str(run / "store")
+                                                 if stored else None),
+                                      **common)
+                    assert hunt_json(result) == serial, run.name
+                    if stored:
+                        journals.add((run / "store" /
+                                      "journal.jsonl").read_bytes())
+                    passes = log.read_text().split("pass\n")[1:]
+                    assert len(passes) == 2, run.name
+                    for lines in passes:
+                        probes = [line for line in lines.splitlines()
+                                  if line.startswith("probe")]
+                        assert len(probes) == len(set(probes)), run.name
+                    assert "probe eval" in passes[0], run.name
+                    assert passes[1] == "step startup\n", run.name
+        assert len(journals) == 1
+
+
 class TestOneLiveContext:
     """Probers hold one live injection context — the type last simulated —
     and re-derive any other off the books, invisibly to the report."""
 
     #: two delays: pass 1 finds ``Delay 0.5s Accept``, so pass 2 must
     #: evaluate ``Delay 1s Accept`` fresh — after Heartbeat and Learn were
-    #: probed (Accept and Learn share worker 0 of 2)
+    #: probed
     SPACE = ActionSpaceConfig(delays=(0.5, 1.0), drop_probabilities=(1.0,),
                               duplicate_counts=(), include_divert=False,
                               include_lying=False)
@@ -338,19 +460,25 @@ class TestOneLiveContext:
             return original(prober, message_type)
 
         monkeypatch.setattr(WorkerProber, "_reacquire_context", logged)
+        # A slow Heartbeat seek in the pool: by the time it comes back the
+        # other worker has run everything else and sits idle holding
+        # another type, so it pulls one of Heartbeat's evals steps.
+        _pace_steps(monkeypatch, lambda step: 1.0 if step.key == (
+            "context", "Heartbeat", ()) else 0.0)
         common = dict(seed=3, message_types=self.TYPES,
                       space_config=self.SPACE, max_passes=2, max_wait=5.0)
         serial = hunt(SMALL_FACTORY, **common)
         assert len(serial.passes) == 2 and serial.passes[1].findings
-        for engine in (dict(store_dir=str(tmp_path / "store")),  # inline
-                       dict(workers=2)):
+        for engine, expected in (
+                (dict(store_dir=str(tmp_path / "store")), "Accept"),
+                (dict(workers=2), "Heartbeat")):
             reacquired.write_text("")
             result = hunt(SMALL_FACTORY, **common, **engine)
-            assert "Accept" in reacquired.read_text().split(), engine
+            assert expected in reacquired.read_text().split(), engine
             assert hunt_json(result) == hunt_json(serial), engine
 
     def test_previous_types_snapshot_is_released(self, monkeypatch):
-        """After ``probe_types([A, B])`` nothing keeps A's injection-point
+        """After A's steps and then B's, nothing keeps A's injection-point
         ``WorldSnapshot`` alive: retained contexts were the prober's whole
         memory overhead over the live algorithm."""
         snapshots = {}
@@ -364,8 +492,9 @@ class TestOneLiveContext:
         monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
         prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
             space_config=SMALL_SPACE, max_wait=5.0))
-        __, probes = prober.probe_types(["Accept", "Heartbeat"], frozenset())
-        assert all(probe.evals for probe in probes)
+        for message_type in ("Accept", "Heartbeat"):
+            __, __, evals = _probe_type(prober, message_type)
+            assert evals
         gc.collect()
         assert snapshots["Accept"]() is None
         assert snapshots["Heartbeat"]() is not None  # the one live context
@@ -386,8 +515,8 @@ class TestOneLiveContext:
         monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
         prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
             space_config=SMALL_SPACE, max_wait=5.0))
-        __, (accept, __) = prober.probe_types(["Accept", "Heartbeat"],
-                                              frozenset())
+        __, __, accept = _probe_type(prober, "Accept")
+        _probe_type(prober, "Heartbeat")
         resident = []
         reacquire = WorkerProber._reacquire_context
 
@@ -398,9 +527,9 @@ class TestOneLiveContext:
 
         monkeypatch.setattr(WorkerProber, "_reacquire_context", checked)
         again = prober._evaluate("Accept", MaliciousAction.from_record(
-            accept.evals[0].record))
+            accept[0].record))
         assert resident == [False]
-        assert again.trace.charges == accept.evals[0].trace.charges
+        assert again.trace.charges == accept[0].trace.charges
 
 
 class TestStepRecorder:
