@@ -14,7 +14,8 @@ import hashlib
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import CodecError, TargetSystemFault
+from repro.common.errors import (CodecError, TargetSystemFault,
+                                 WireFormatError)
 from repro.common.ids import NodeId
 from repro.common.logging import EventLog
 from repro.common.rng import RandomStream
@@ -173,7 +174,12 @@ class Node:
              transport: Optional[str] = None) -> None:
         if self.crashed:
             return
-        payload = self.codec.encode(message)
+        try:
+            payload = self.codec.encode(message)
+        except WireFormatError:
+            # A value the target computed overflowed its wire type: send
+            # what the original's fixed-width field would hold.
+            payload = self.codec.encode_wrapped(message)
         self.cpu.charge(self.kernel.now, self.cpu.cost_model.send_cost)
         self.transport.send(dst, payload, transport or self.default_transport)
         if self.log.enabled:

@@ -22,7 +22,7 @@ input sanitization.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.common.ids import NodeId
 from repro.systems.common.auth import Authenticator
@@ -43,6 +43,9 @@ class AardvarkReplica(PbftReplica):
     quota_messages = 8
     #: a status gap beyond this is implausible: classify the sender faulty
     catchup_mute_gap = 200
+
+    STATE = PbftReplica.STATE + ("_quota_window_start", "_quota_counts",
+                                 "ingress_dropped", "muted_statuses")
 
     def __init__(self, index: int, config: BftConfig,
                  auth: Optional[Authenticator] = None) -> None:
@@ -81,22 +84,3 @@ class AardvarkReplica(PbftReplica):
             self.muted_statuses += 1
             return
         super()._on_status(src, msg)
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state.update({
-            "quota_window_start": self._quota_window_start,
-            "quota_counts": dict(self._quota_counts),
-            "ingress_dropped": self.ingress_dropped,
-            "muted_statuses": self.muted_statuses,
-        })
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._quota_window_start = state["quota_window_start"]
-        self._quota_counts = dict(state["quota_counts"])
-        self.ingress_dropped = state["ingress_dropped"]
-        self.muted_statuses = state["muted_statuses"]

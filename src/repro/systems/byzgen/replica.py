@@ -19,7 +19,7 @@ from typing import Any, Dict, List
 
 from repro.common.ids import NodeId, replica
 from repro.metrics.collector import UPDATE_DONE
-from repro.runtime.app import Application
+from repro.systems.common.replica import Replica
 from repro.wire.codec import Message
 
 ROUND_TIMER = "round"
@@ -38,13 +38,13 @@ class ByzGeneralsConfig:
         return (self.n - 1) // 2 + 1
 
 
-class ByzGeneral(Application):
+class ByzGeneral(Replica):
     """One general: commander when index 0, lieutenant otherwise."""
 
+    STATE = Replica.STATE + ("round", "rounds", "decisions")
+
     def __init__(self, index: int, config: ByzGeneralsConfig) -> None:
-        super().__init__()
-        self.index = index
-        self.config = config
+        super().__init__(index, config)
         self.round = 0
         # round -> {"votes": [values], "started": float, "decided": bool}
         self.rounds: Dict[int, Dict[str, Any]] = {}
@@ -87,28 +87,30 @@ class ByzGeneral(Application):
             self.rounds[round_no] = entry
         return entry
 
-    def on_message(self, src: NodeId, message: Message) -> None:
+    # The commander does not vote: it ignores orders and relays.
+
+    def _on_order(self, src: NodeId, message: Message) -> None:
+        if self.is_commander or src != replica(0):
+            return
+        entry = self._round_entry(message["round"])
+        entry["order_at"] = message["sent_at"] / 1_000_000
+        entry["votes"].append(message["value"])
+        relay = Message("Relay", {
+            "round": message["round"], "value": message["value"],
+            "relayer": self.index})
+        for peer in self.lieutenants():
+            if peer != self.node_id:
+                self.send(peer, relay)
+        self._maybe_decide(message["round"])
+        self.set_timer(COLLECT_TIMER_PREFIX + str(message["round"]),
+                       self.config.collect_timeout)
+
+    def _on_relay(self, src: NodeId, message: Message) -> None:
         if self.is_commander:
-            return  # the commander does not vote
-        if message.type_name == "Order":
-            if src != replica(0):
-                return
-            entry = self._round_entry(message["round"])
-            entry["order_at"] = message["sent_at"] / 1_000_000
-            entry["votes"].append(message["value"])
-            relay = Message("Relay", {
-                "round": message["round"], "value": message["value"],
-                "relayer": self.index})
-            for peer in self.lieutenants():
-                if peer != self.node_id:
-                    self.send(peer, relay)
-            self._maybe_decide(message["round"])
-            self.set_timer(COLLECT_TIMER_PREFIX + str(message["round"]),
-                           self.config.collect_timeout)
-        elif message.type_name == "Relay":
-            entry = self._round_entry(message["round"])
-            entry["votes"].append(message["value"])
-            self._maybe_decide(message["round"])
+            return
+        entry = self._round_entry(message["round"])
+        entry["votes"].append(message["value"])
+        self._maybe_decide(message["round"])
 
     def _maybe_decide(self, round_no: int) -> None:
         entry = self.rounds.get(round_no)
@@ -138,20 +140,3 @@ class ByzGeneral(Application):
         # keep memory bounded
         for old in [r for r in self.rounds if r < round_no - 64]:
             del self.rounds[old]
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "index": self.index, "round": self.round,
-            "rounds": {r: dict(e, votes=list(e["votes"]))
-                       for r, e in self.rounds.items()},
-            "decisions": self.decisions,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.round = state["round"]
-        self.rounds = {int(r): dict(e, votes=list(e["votes"]))
-                       for r, e in state["rounds"].items()}
-        self.decisions = state["decisions"]

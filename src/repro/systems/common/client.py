@@ -19,6 +19,7 @@ from repro.metrics.collector import UPDATE_DONE
 from repro.runtime.app import Application
 from repro.systems.common.auth import Authenticator
 from repro.systems.common.config import BftConfig
+from repro.systems.common.replica import add_vote
 from repro.wire.codec import Message
 
 RETRY_TIMER = "client-retry"
@@ -26,6 +27,9 @@ RETRY_TIMER = "client-retry"
 
 class BaseClient(Application):
     """Closed-loop client issuing one update at a time."""
+
+    STATE = ("index", "timestamp", "sent_at", "retries", "completed",
+             "_reply_votes")
 
     def __init__(self, index: int, config: BftConfig,
                  auth: Optional[Authenticator] = None) -> None:
@@ -93,33 +97,9 @@ class BaseClient(Application):
         if timestamp != self.timestamp:
             return  # stale reply for an already-completed update
         votes = self._reply_votes.setdefault(result_key, [])
-        if src.index in votes:
-            return
-        votes.append(src.index)
-        if len(votes) >= self.reply_quorum():
+        if add_vote(votes, src.index) >= self.reply_quorum():
             self.cancel_timer(RETRY_TIMER)
             self.completed += 1
             latency = self.now() - self.sent_at
             self.node.emit_metric(UPDATE_DONE, latency)
             self._issue_next()
-
-    # -------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "timestamp": self.timestamp,
-            "sent_at": self.sent_at,
-            "retries": self.retries,
-            "completed": self.completed,
-            "reply_votes": {k: list(v) for k, v in self._reply_votes.items()},
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.timestamp = state["timestamp"]
-        self.sent_at = state["sent_at"]
-        self.retries = state["retries"]
-        self.completed = state["completed"]
-        self._reply_votes = {k: list(v)
-                             for k, v in state["reply_votes"].items()}

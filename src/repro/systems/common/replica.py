@@ -12,13 +12,14 @@ originals did.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.errors import AssertionViolation, SegmentationFault
 from repro.common.ids import NodeId, replica
 from repro.runtime.app import Application
 from repro.systems.common.auth import Authenticator
 from repro.systems.common.config import BftConfig
+from repro.wire.codec import Message
 
 #: an allocation beyond this (in "elements") would exhaust the guest's RAM
 ALLOC_LIMIT = 1 << 27
@@ -28,14 +29,53 @@ def digest_of(payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=32).digest()
 
 
-class BaseReplica(Application):
-    """Common machinery: view arithmetic, auth, and the unsafe helpers."""
+def add_vote(votes: List[int], voter: int) -> int:
+    """Count ``voter`` once in ``votes`` and return how many have voted.
 
-    def __init__(self, index: int, config: BftConfig,
-                 auth: Optional[Authenticator] = None) -> None:
+    Votes stay a list, in arrival order: they are saved state, and a set
+    would change the saved bytes.
+    """
+    if voter not in votes:
+        votes.append(voter)
+    return len(votes)
+
+
+class Replica(Application):
+    """A numbered group member whose message handlers are ``_on_<type>``
+    methods (``_on_preprepare`` handles ``PrePrepare``).
+
+    Each class gets one dispatch table when it is defined, so an override in
+    a subclass replaces its parent's handler; a message type with no handler
+    is ignored.
+    """
+
+    STATE = ("index",)
+    _handlers: Dict[str, Callable[..., None]] = {}
+
+    def __init__(self, index: int, config: Any) -> None:
         super().__init__()
         self.index = index
         self.config = config
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {name[len("_on_"):]: getattr(cls, name)
+                         for name in dir(cls) if name.startswith("_on_")}
+
+    def on_message(self, src: NodeId, message: Message) -> None:
+        handler = self._handlers.get(message.type_name.lower())
+        if handler is not None:
+            handler(self, src, message)
+
+
+class BaseReplica(Replica):
+    """Common machinery: view arithmetic, auth, and the unsafe helpers."""
+
+    STATE = Replica.STATE + ("view",)
+
+    def __init__(self, index: int, config: BftConfig,
+                 auth: Optional[Authenticator] = None) -> None:
+        super().__init__(index, config)
         self.auth = auth or Authenticator("shared-system-key")
         self.view = 0
 
@@ -97,12 +137,3 @@ class BaseReplica(Application):
         """An assert() compiled into the target binary."""
         if not condition:
             raise AssertionViolation(f"{self._identity()}: {what}")
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"index": self.index, "view": self.view}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.view = state["view"]

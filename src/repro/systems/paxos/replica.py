@@ -11,10 +11,13 @@ the slot until the heartbeat timeout elects a new leader).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, List
 
 from repro.common.ids import NodeId, client, replica
+from repro.metrics.collector import UPDATE_DONE
 from repro.runtime.app import Application
+from repro.systems.common.replica import Replica, add_vote
 from repro.wire.codec import Message
 
 HEARTBEAT_TIMER = "heartbeat"
@@ -43,13 +46,15 @@ class PaxosConfig:
         return 1  # crash model: any single reply is authoritative
 
 
-class PaxosReplica(Application):
+class PaxosReplica(Replica):
     """One Multi-Paxos acceptor/learner, leader-capable."""
 
+    STATE = Replica.STATE + (
+        "ballot", "next_slot", "slots", "last_applied", "reply_cache",
+        "promises", "last_heartbeat", "executed_count")
+
     def __init__(self, index: int, config: PaxosConfig) -> None:
-        super().__init__()
-        self.index = index
-        self.config = config
+        super().__init__(index, config)
         self.ballot = 0          # current ballot; leader = ballot % n
         self.next_slot = 0       # leader: next slot to assign
         # slot -> {"value","client","timestamp","acks",
@@ -108,11 +113,6 @@ class PaxosReplica(Application):
 
     # ------------------------------------------------------------- messages
 
-    def on_message(self, src: NodeId, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.type_name.lower()}", None)
-        if handler is not None:
-            handler(src, message)
-
     def _on_heartbeat(self, src: NodeId, msg: Message) -> None:
         if msg["ballot"] >= self.ballot:
             self.ballot = msg["ballot"]
@@ -157,9 +157,7 @@ class PaxosReplica(Application):
         if msg["ballot"] != self.ballot or not self.is_leader:
             return
         votes = self.promises.setdefault(msg["ballot"], [self.index])
-        if msg["node"] not in votes:
-            votes.append(msg["node"])
-        if len(votes) >= self.config.majority:
+        if add_vote(votes, msg["node"]) >= self.config.majority:
             # Leadership established; client retries will re-drive pending
             # values under the new ballot.
             self.set_timer(HEARTBEAT_TIMER, self.config.heartbeat_interval,
@@ -183,9 +181,7 @@ class PaxosReplica(Application):
         entry = self.slots.get(msg["slot"])
         if entry is None or entry["chosen"]:
             return
-        if msg["node"] not in entry["acks"]:
-            entry["acks"].append(msg["node"])
-        if len(entry["acks"]) >= self.config.majority:
+        if add_vote(entry["acks"], msg["node"]) >= self.config.majority:
             entry["chosen"] = True
             self._apply(msg["slot"], entry)
             for peer in self.peers():
@@ -211,42 +207,16 @@ class PaxosReplica(Application):
         self._reply(cli, ts, entry["value"])
 
     def _reply(self, cli: int, ts: int, value: bytes) -> None:
-        import hashlib
         result = hashlib.blake2b(value, digest_size=8).digest()
         self.send(client(cli), Message("ClientReply", {
             "timestamp": ts, "client": cli, "node": self.index,
             "result": result}))
 
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "index": self.index, "ballot": self.ballot,
-            "next_slot": self.next_slot,
-            "slots": {s: dict(e, acks=list(e["acks"]))
-                      for s, e in self.slots.items()},
-            "last_applied": self.last_applied,
-            "reply_cache": dict(self.reply_cache),
-            "promises": {b: list(v) for b, v in self.promises.items()},
-            "last_heartbeat": self.last_heartbeat,
-            "executed_count": self.executed_count,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.ballot = state["ballot"]
-        self.next_slot = state["next_slot"]
-        self.slots = {s: dict(e, acks=list(e["acks"]))
-                      for s, e in state["slots"].items()}
-        self.last_applied = state["last_applied"]
-        self.reply_cache = dict(state["reply_cache"])
-        self.promises = {b: list(v) for b, v in state["promises"].items()}
-        self.last_heartbeat = state["last_heartbeat"]
-        self.executed_count = state["executed_count"]
-
 
 class PaxosClient(Application):
     """Closed-loop Paxos client (crash model: one reply suffices)."""
+
+    STATE = ("index", "timestamp", "sent_at", "completed")
 
     def __init__(self, index: int, config: PaxosConfig) -> None:
         super().__init__()
@@ -287,16 +257,5 @@ class PaxosClient(Application):
             return
         self.cancel_timer("retry")
         self.completed += 1
-        from repro.metrics.collector import UPDATE_DONE
         self.node.emit_metric(UPDATE_DONE, self.now() - self.sent_at)
         self._issue()
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"index": self.index, "timestamp": self.timestamp,
-                "sent_at": self.sent_at, "completed": self.completed}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.timestamp = state["timestamp"]
-        self.sent_at = state["sent_at"]
-        self.completed = state["completed"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.common.ids import NodeId, replica
 from repro.systems.common.client import BaseClient
@@ -11,6 +11,8 @@ from repro.wire.codec import Message
 
 class PbftClient(BaseClient):
     """Tracks the current view from replies to aim requests at the primary."""
+
+    STATE = BaseClient.STATE + ("known_view",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -34,12 +36,3 @@ class PbftClient(BaseClient):
             return None
         self.known_view = max(self.known_view, message["view"])
         return (message["timestamp"], bytes(message["result"]))
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state["known_view"] = self.known_view
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.known_view = state["known_view"]

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.ids import NodeId, client, replica
 from repro.systems.common.auth import Authenticator
 from repro.systems.common.config import BftConfig
-from repro.systems.common.replica import BaseReplica, digest_of
+from repro.systems.common.replica import BaseReplica, add_vote, digest_of
 from repro.wire.codec import Message
 
 STATUS_TIMER = "status"
@@ -41,6 +41,11 @@ WATERMARK_WINDOW = 2048
 
 class PbftReplica(BaseReplica):
     """One PBFT replica."""
+
+    STATE = BaseReplica.STATE + (
+        "next_seq", "last_exec", "stable_seq", "log", "assigned", "pending",
+        "reply_cache", "checkpoint_votes", "vc_votes", "vc_sent_for",
+        "in_view_change", "executed_count", "retransmissions_sent")
 
     def __init__(self, index: int, config: BftConfig,
                  auth: Optional[Authenticator] = None) -> None:
@@ -85,13 +90,6 @@ class PbftReplica(BaseReplica):
     def on_start(self) -> None:
         self.set_timer(STATUS_TIMER, self.config.status_interval,
                        periodic=True)
-
-    # ------------------------------------------------------------- messages
-
-    def on_message(self, src: NodeId, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.type_name.lower()}", None)
-        if handler is not None:
-            handler(src, message)
 
     # Request ------------------------------------------------------------
 
@@ -165,10 +163,8 @@ class PbftReplica(BaseReplica):
                      view=view, preprepare=dict(msg.fields))
         if first_time:
             # The primary's pre-prepare counts as its prepare vote.
-            if src.index not in entry["prepares"]:
-                entry["prepares"].append(src.index)
-            if self.index not in entry["prepares"]:
-                entry["prepares"].append(self.index)
+            add_vote(entry["prepares"], src.index)
+            add_vote(entry["prepares"], self.index)
             prepare = Message("Prepare", {
                 "view": view, "seq": seq, "digest": msg["digest"],
                 "replica": self.index,
@@ -185,9 +181,7 @@ class PbftReplica(BaseReplica):
         if not self.check_auth(msg["sig"], msg["view"], msg["seq"],
                                msg["digest"], msg["replica"]):
             return
-        entry = self._entry(msg["seq"])
-        if msg["replica"] not in entry["prepares"]:
-            entry["prepares"].append(msg["replica"])
+        add_vote(self._entry(msg["seq"])["prepares"], msg["replica"])
         self._check_prepared(msg["seq"])
 
     def _check_prepared(self, seq: int) -> None:
@@ -201,8 +195,7 @@ class PbftReplica(BaseReplica):
         if len(entry["prepares"]) >= self.config.quorum:
             entry["prepared"] = True
             entry["commit_sent"] = True
-            if self.index not in entry["commits"]:
-                entry["commits"].append(self.index)
+            add_vote(entry["commits"], self.index)
             commit = Message("Commit", {
                 "view": entry["view"], "seq": seq, "digest": entry["digest"],
                 "replica": self.index,
@@ -220,9 +213,7 @@ class PbftReplica(BaseReplica):
         if not self.check_auth(msg["sig"], msg["view"], msg["seq"],
                                msg["digest"], msg["replica"]):
             return
-        entry = self._entry(msg["seq"])
-        if msg["replica"] not in entry["commits"]:
-            entry["commits"].append(msg["replica"])
+        add_vote(self._entry(msg["seq"])["commits"], msg["replica"])
         self._check_committed(msg["seq"])
 
     def _check_committed(self, seq: int) -> None:
@@ -286,9 +277,7 @@ class PbftReplica(BaseReplica):
             return
         votes = self.checkpoint_votes.setdefault(seq, {}).setdefault(
             digest, [])
-        if voter not in votes:
-            votes.append(voter)
-        if len(votes) >= self.config.quorum:
+        if add_vote(votes, voter) >= self.config.quorum:
             self.stable_seq = seq
             for old in [s for s in self.log if s <= seq]:
                 del self.log[old]
@@ -406,8 +395,7 @@ class PbftReplica(BaseReplica):
 
     def _record_vc(self, new_view: int, voter: int) -> None:
         votes = self.vc_votes.setdefault(new_view, [])
-        if voter not in votes:
-            votes.append(voter)
+        add_vote(votes, voter)
         # join rule: f+1 view changes for a higher view pull us along
         if (len(votes) >= self.config.f + 1
                 and new_view > self.vc_sent_for):
@@ -446,57 +434,3 @@ class PbftReplica(BaseReplica):
                     self._propose(key, payload)
         elif self.pending:
             self.set_timer(PROGRESS_TIMER, self.config.recovery_timeout)
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state.update({
-            "next_seq": self.next_seq,
-            "last_exec": self.last_exec,
-            "stable_seq": self.stable_seq,
-            "log": {seq: _copy_entry(e) for seq, e in self.log.items()},
-            "assigned": dict(self.assigned),
-            "pending": dict(self.pending),
-            "reply_cache": {c: (ts, dict(f))
-                            for c, (ts, f) in self.reply_cache.items()},
-            "checkpoint_votes": {
-                seq: {d: list(v) for d, v in by_digest.items()}
-                for seq, by_digest in self.checkpoint_votes.items()},
-            "vc_votes": {v: list(votes)
-                         for v, votes in self.vc_votes.items()},
-            "vc_sent_for": self.vc_sent_for,
-            "in_view_change": self.in_view_change,
-            "executed_count": self.executed_count,
-            "retransmissions_sent": self.retransmissions_sent,
-        })
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.next_seq = state["next_seq"]
-        self.last_exec = state["last_exec"]
-        self.stable_seq = state["stable_seq"]
-        self.log = {seq: _copy_entry(e) for seq, e in state["log"].items()}
-        self.assigned = dict(state["assigned"])
-        self.pending = dict(state["pending"])
-        self.reply_cache = {c: (ts, dict(f))
-                            for c, (ts, f) in state["reply_cache"].items()}
-        self.checkpoint_votes = {
-            seq: {d: list(v) for d, v in by_digest.items()}
-            for seq, by_digest in state["checkpoint_votes"].items()}
-        self.vc_votes = {v: list(votes)
-                         for v, votes in state["vc_votes"].items()}
-        self.vc_sent_for = state["vc_sent_for"]
-        self.in_view_change = state["in_view_change"]
-        self.executed_count = state["executed_count"]
-        self.retransmissions_sent = state["retransmissions_sent"]
-
-
-def _copy_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(entry)
-    out["prepares"] = list(entry["prepares"])
-    out["commits"] = list(entry["commits"])
-    if entry["preprepare"] is not None:
-        out["preprepare"] = dict(entry["preprepare"])
-    return out

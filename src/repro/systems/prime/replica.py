@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.ids import NodeId, client, replica
 from repro.systems.common.auth import Authenticator
 from repro.systems.common.config import BftConfig
-from repro.systems.common.replica import BaseReplica, digest_of
+from repro.systems.common.replica import BaseReplica, add_vote, digest_of
 from repro.wire.codec import Message
 
 SUMMARY_TIMER = "po-summary"
@@ -60,6 +60,11 @@ class PrimeReplica(BaseReplica):
     summary_interval = 0.02
     #: turnaround-time bound before the leader is suspected
     tat_threshold = 0.5
+
+    STATE = BaseReplica.STATE + (
+        "po_next", "po_log", "acked_upto", "summaries", "ordered_upto",
+        "last_pp_seq", "order_log", "last_exec", "reply_cache", "suspects",
+        "executed_count", "covered_upto")
 
     def __init__(self, index: int, config: BftConfig,
                  auth: Optional[Authenticator] = None) -> None:
@@ -99,11 +104,6 @@ class PrimeReplica(BaseReplica):
                 self._leader_order()
         elif name == TAT_TIMER:
             self._suspect_leader()
-
-    def on_message(self, src: NodeId, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.type_name.lower()}", None)
-        if handler is not None:
-            handler(src, message)
 
     # Pre-ordering -----------------------------------------------------------
 
@@ -163,9 +163,7 @@ class PrimeReplica(BaseReplica):
         entry = self.po_log.get((originator, seq))
         if entry is None:
             return
-        if voter not in entry["acks"]:
-            entry["acks"].append(voter)
-        if len(entry["acks"]) >= self.config.quorum:
+        if add_vote(entry["acks"], voter) >= self.config.quorum:
             entry["eligible"] = True
             self._arm_tat()
 
@@ -285,9 +283,8 @@ class PrimeReplica(BaseReplica):
         entry = self._order_entry(seq)
         entry.update(digest=msg["digest"], matrix=msg["matrix"],
                      view=msg["view"])
-        for voter in (src.index, self.index):
-            if voter not in entry["prepares"]:
-                entry["prepares"].append(voter)
+        add_vote(entry["prepares"], src.index)
+        add_vote(entry["prepares"], self.index)
         self.broadcast(Message("Prepare", {
             "view": msg["view"], "seq": seq, "digest": msg["digest"],
             "replica": self.index,
@@ -303,17 +300,13 @@ class PrimeReplica(BaseReplica):
     def _on_prepare(self, src: NodeId, msg: Message) -> None:
         if msg["view"] != self.view:
             return
-        entry = self._order_entry(msg["seq"])
-        if msg["replica"] not in entry["prepares"]:
-            entry["prepares"].append(msg["replica"])
+        add_vote(self._order_entry(msg["seq"])["prepares"], msg["replica"])
         self._check_order_quorums(msg["seq"])
 
     def _on_commit(self, src: NodeId, msg: Message) -> None:
         if msg["view"] != self.view:
             return
-        entry = self._order_entry(msg["seq"])
-        if msg["replica"] not in entry["commits"]:
-            entry["commits"].append(msg["replica"])
+        add_vote(self._order_entry(msg["seq"])["commits"], msg["replica"])
         self._check_order_quorums(msg["seq"])
 
     def _check_order_quorums(self, seq: int) -> None:
@@ -323,8 +316,7 @@ class PrimeReplica(BaseReplica):
         if (len(entry["prepares"]) >= self.config.quorum
                 and not entry["commit_sent"]):
             entry["commit_sent"] = True
-            if self.index not in entry["commits"]:
-                entry["commits"].append(self.index)
+            add_vote(entry["commits"], self.index)
             self.broadcast(Message("Commit", {
                 "view": entry["view"], "seq": seq, "digest": entry["digest"],
                 "replica": self.index,
@@ -389,9 +381,7 @@ class PrimeReplica(BaseReplica):
 
     def _record_suspect(self, view: int, voter: int) -> None:
         votes = self.suspects.setdefault(view, [])
-        if voter not in votes:
-            votes.append(voter)
-        if len(votes) >= self.config.f + 1 and view == self.view:
+        if add_vote(votes, voter) >= self.config.f + 1 and view == self.view:
             self.view += 1
             self.last_pp_seq = self.last_exec
             self.covered_upto = dict(self.ordered_upto)
@@ -411,57 +401,13 @@ class PrimeReplica(BaseReplica):
     # ------------------------------------------------------------- snapshot
 
     def snapshot_state(self) -> Dict[str, Any]:
+        # po_log is keyed by (originator, po seq) and saved as "o:s"
         state = super().snapshot_state()
-        state.update({
-            "po_next": self.po_next,
-            "po_log": {f"{o}:{s}": _copy_po(e)
-                       for (o, s), e in self.po_log.items()},
-            "acked_upto": dict(self.acked_upto),
-            "summaries": {r: dict(v) for r, v in self.summaries.items()},
-            "ordered_upto": dict(self.ordered_upto),
-            "last_pp_seq": self.last_pp_seq,
-            "order_log": {s: _copy_order(e)
-                          for s, e in self.order_log.items()},
-            "last_exec": self.last_exec,
-            "reply_cache": dict(self.reply_cache),
-            "suspects": {v: list(l) for v, l in self.suspects.items()},
-            "executed_count": self.executed_count,
-            "covered_upto": dict(self.covered_upto),
-        })
+        state["po_log"] = {f"{o}:{s}": entry
+                           for (o, s), entry in state["po_log"].items()}
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         super().restore_state(state)
-        self.po_next = state["po_next"]
-        self.po_log = {}
-        for key, entry in state["po_log"].items():
-            o, s = key.split(":")
-            self.po_log[(int(o), int(s))] = _copy_po(entry)
-        self.acked_upto = {int(k): v for k, v in state["acked_upto"].items()}
-        self.summaries = {int(r): dict(v)
-                          for r, v in state["summaries"].items()}
-        self.ordered_upto = {int(k): v
-                             for k, v in state["ordered_upto"].items()}
-        self.last_pp_seq = state["last_pp_seq"]
-        self.order_log = {int(s): _copy_order(e)
-                          for s, e in state["order_log"].items()}
-        self.last_exec = state["last_exec"]
-        self.reply_cache = dict(state["reply_cache"])
-        self.suspects = {int(v): list(l)
-                         for v, l in state["suspects"].items()}
-        self.executed_count = state["executed_count"]
-        self.covered_upto = {int(k): v
-                             for k, v in state["covered_upto"].items()}
-
-
-def _copy_po(entry: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(entry)
-    out["acks"] = list(entry["acks"])
-    return out
-
-
-def _copy_order(entry: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(entry)
-    out["prepares"] = list(entry["prepares"])
-    out["commits"] = list(entry["commits"])
-    return out
+        self.po_log = {tuple(map(int, key.split(":"))): entry
+                       for key, entry in self.po_log.items()}

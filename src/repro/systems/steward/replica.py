@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.common.ids import NodeId, client, replica
 from repro.systems.common.auth import Authenticator
-from repro.systems.common.replica import BaseReplica, digest_of
+from repro.systems.common.replica import BaseReplica, add_vote, digest_of
 from repro.wire.codec import Message
 
 PROPOSAL_RETRY_TIMER = "proposal-retry"
@@ -101,17 +101,14 @@ class StewardConfig:
 class StewardReplica(BaseReplica):
     """One Steward replica (leader-site or remote-site)."""
 
+    STATE = BaseReplica.STATE + (
+        "global_view", "next_seq", "last_exec", "log", "assigned",
+        "reply_cache", "remote", "executed_count")
+
     def __init__(self, index: int, config: StewardConfig,
                  auth: Optional[Authenticator] = None) -> None:
-        # BaseReplica wants a BftConfig; we only use its view arithmetic,
-        # which we override below, so stash the Steward config directly.
-        super(BaseReplica, self).__init__()
-        self.index = index
-        self.config = config
-        self.auth = auth or Authenticator("shared-system-key")
-        self.view = 0
+        super().__init__(index, config, auth)
         self.global_view = 0
-        self.site = config.site_of(index)
         self.next_seq = 0
         self.last_exec = 0
         # leader-site ordering state: seq -> entry
@@ -124,6 +121,10 @@ class StewardReplica(BaseReplica):
         self.executed_count = 0
 
     # ----------------------------------------------------------- site roles
+
+    @property
+    def site(self) -> int:
+        return self.config.site_of(self.index)
 
     @property
     def is_leader_site(self) -> bool:
@@ -157,11 +158,6 @@ class StewardReplica(BaseReplica):
             self._send_gvc()
         elif name == PROPOSAL_RETRY_TIMER:
             self._retry_proposals()
-
-    def on_message(self, src: NodeId, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.type_name.lower()}", None)
-        if handler is not None:
-            handler(src, message)
 
     # Request (leader site) --------------------------------------------------
 
@@ -225,9 +221,8 @@ class StewardReplica(BaseReplica):
         entry = self.log.get(msg["seq"])
         if entry is None or entry["digest"] != msg["digest"]:
             return
-        if msg["replica"] not in entry["prepares"]:
-            entry["prepares"].append(msg["replica"])
-        if (len(entry["prepares"]) > self.config.prepare_quorum
+        if (add_vote(entry["prepares"], msg["replica"])
+                > self.config.prepare_quorum
                 and not entry["proposal_sent"]):
             entry["proposal_sent"] = True
             self._send_proposal(msg["seq"], entry)
@@ -321,9 +316,7 @@ class StewardReplica(BaseReplica):
         entry = self.remote.get(seq)
         if entry is None or entry["proposal"] is None:
             return
-        if share_idx not in entry["shares"]:
-            entry["shares"].append(share_idx)
-        if (len(entry["shares"]) >= self.config.site_quorum
+        if (add_vote(entry["shares"], share_idx) >= self.config.site_quorum
                 and not entry["accept_sent"]):
             entry["accept_sent"] = True
             self._send_accept(seq, entry["proposal"]["digest"])
@@ -346,9 +339,8 @@ class StewardReplica(BaseReplica):
         if entry["digest"] != msg["digest"]:
             return
         accepting_site = self.config.site_of(src.index)
-        if accepting_site not in entry["accepts"]:
-            entry["accepts"].append(accepting_site)
-        if len(entry["accepts"]) >= self.config.accept_majority:
+        if (add_vote(entry["accepts"], accepting_site)
+                >= self.config.accept_majority):
             entry["ordered"] = True
             fields = {
                 "global_view": self.global_view, "seq": msg["seq"],
@@ -404,9 +396,6 @@ class StewardReplica(BaseReplica):
             if rep != self.index:
                 self.send(replica(rep), msg)
 
-    def _on_gvc(self, src: NodeId, msg: Message) -> None:
-        self._on_globalviewchange(src, msg)
-
     def _on_globalviewchange(self, src: NodeId, msg: Message) -> None:
         self.unchecked_alloc(msg["nproofs"], "view-change proofs")
         if msg["global_view"] > self.global_view:
@@ -414,48 +403,3 @@ class StewardReplica(BaseReplica):
             self.unchecked_alloc(msg["global_view"] - self.global_view,
                                  "pending global views")
             self.global_view = msg["global_view"]
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "index": self.index, "view": self.view,
-            "global_view": self.global_view,
-            "next_seq": self.next_seq, "last_exec": self.last_exec,
-            "log": {s: _copy_leader_entry(e) for s, e in self.log.items()},
-            "assigned": dict(self.assigned),
-            "reply_cache": dict(self.reply_cache),
-            "remote": {s: _copy_remote_entry(e)
-                       for s, e in self.remote.items()},
-            "executed_count": self.executed_count,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.view = state["view"]
-        self.global_view = state["global_view"]
-        self.site = self.config.site_of(self.index)
-        self.next_seq = state["next_seq"]
-        self.last_exec = state["last_exec"]
-        self.log = {s: _copy_leader_entry(e)
-                    for s, e in state["log"].items()}
-        self.assigned = dict(state["assigned"])
-        self.reply_cache = dict(state["reply_cache"])
-        self.remote = {s: _copy_remote_entry(e)
-                       for s, e in state["remote"].items()}
-        self.executed_count = state["executed_count"]
-
-
-def _copy_leader_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(entry)
-    out["prepares"] = list(entry["prepares"])
-    out["accepts"] = list(entry["accepts"])
-    return out
-
-
-def _copy_remote_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(entry)
-    out["shares"] = list(entry["shares"])
-    if entry["proposal"] is not None:
-        out["proposal"] = dict(entry["proposal"])
-    return out

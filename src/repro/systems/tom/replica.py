@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.common.ids import NodeId, replica
 from repro.metrics.collector import UPDATE_DONE
-from repro.runtime.app import Application
+from repro.systems.common.replica import Replica
 from repro.wire.codec import Message
 
 PUBLISH_TIMER = "publish"
@@ -31,13 +31,14 @@ class TomConfig:
         self.publish_interval = publish_interval
 
 
-class TomMember(Application):
+class TomMember(Replica):
     """One group member; member 0 doubles as the sequencer."""
 
+    STATE = Replica.STATE + ("local_seq", "next_global", "delivered_upto",
+                             "published", "order", "delivered")
+
     def __init__(self, index: int, config: TomConfig) -> None:
-        super().__init__()
-        self.index = index
-        self.config = config
+        super().__init__(index, config)
         self.local_seq = 0
         self.next_global = 0            # sequencer: last assigned
         self.delivered_upto = 0         # member: contiguous deliveries
@@ -74,15 +75,15 @@ class TomMember(Application):
 
     # -------------------------------------------------------------- messages
 
-    def on_message(self, src: NodeId, message: Message) -> None:
-        if message.type_name == "Publish":
-            self._accept_publish(message)
-        elif message.type_name == "Sequence":
-            if src != replica(0):
-                return
-            self.order[message["global_seq"]] = (message["sender"],
-                                                 message["local_seq"])
-            self._try_deliver()
+    def _on_publish(self, src: NodeId, message: Message) -> None:
+        self._accept_publish(message)
+
+    def _on_sequence(self, src: NodeId, message: Message) -> None:
+        if src != replica(0):
+            return
+        self.order[message["global_seq"]] = (message["sender"],
+                                             message["local_seq"])
+        self._try_deliver()
 
     def _accept_publish(self, message: Message) -> None:
         key = (message["sender"], message["local_seq"])
@@ -121,25 +122,15 @@ class TomMember(Application):
     # ------------------------------------------------------------- snapshot
 
     def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "local_seq": self.local_seq,
-            "next_global": self.next_global,
-            "delivered_upto": self.delivered_upto,
-            "published": {f"{s}:{l}": dict(e)
-                          for (s, l), e in self.published.items()},
-            "order": {g: list(k) for g, k in self.order.items()},
-            "delivered": self.delivered,
-        }
+        # (sender, local_seq) keys are saved as "s:l", order's as lists
+        state = super().snapshot_state()
+        state["published"] = {f"{s}:{l}": entry for (s, l), entry
+                              in state["published"].items()}
+        state["order"] = {g: list(key) for g, key in state["order"].items()}
+        return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        self.index = state["index"]
-        self.local_seq = state["local_seq"]
-        self.next_global = state["next_global"]
-        self.delivered_upto = state["delivered_upto"]
-        self.published = {}
-        for key, entry in state["published"].items():
-            s, l = key.split(":")
-            self.published[(int(s), int(l))] = dict(entry)
-        self.order = {int(g): tuple(k) for g, k in state["order"].items()}
-        self.delivered = state["delivered"]
+        super().restore_state(state)
+        self.published = {tuple(map(int, key.split(":"))): entry
+                          for key, entry in self.published.items()}
+        self.order = {g: tuple(key) for g, key in self.order.items()}

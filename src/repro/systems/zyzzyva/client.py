@@ -8,6 +8,7 @@ from typing import Any, Dict, List
 from repro.common.ids import NodeId, replica
 from repro.metrics.collector import UPDATE_DONE
 from repro.systems.common.client import RETRY_TIMER, BaseClient
+from repro.systems.common.replica import add_vote
 from repro.wire.codec import Message
 
 COMMIT_TIMER = "zyzzyva-commit"
@@ -19,6 +20,10 @@ class ZyzzyvaClient(BaseClient):
     #: after the first SpecResponse, wait this long for the full 3f+1
     #: before falling back to the commit phase
     commit_wait = 0.0006
+
+    STATE = BaseClient.STATE + (
+        "known_view", "fast_completions", "slow_completions", "_spec_votes",
+        "_spec_seq", "_commit_votes", "_committing")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -103,10 +108,7 @@ class ZyzzyvaClient(BaseClient):
             return
         if msg["seq"] != self._spec_seq:
             return
-        if src.index in self._commit_votes:
-            return
-        self._commit_votes.append(src.index)
-        if len(self._commit_votes) >= self.config.quorum:
+        if add_vote(self._commit_votes, src.index) >= self.config.quorum:
             self._complete(fast=False)
 
     def _complete(self, fast: bool) -> None:
@@ -123,25 +125,11 @@ class ZyzzyvaClient(BaseClient):
     # ------------------------------------------------------------- snapshot
 
     def snapshot_state(self) -> Dict[str, Any]:
+        # spec_votes is keyed by (history, result) and saved as pairs
         state = super().snapshot_state()
-        state.update({
-            "known_view": self.known_view,
-            "fast_completions": self.fast_completions,
-            "slow_completions": self.slow_completions,
-            "spec_votes": [(k, list(v)) for k, v in self._spec_votes.items()],
-            "spec_seq": self._spec_seq,
-            "commit_votes": list(self._commit_votes),
-            "committing": self._committing,
-        })
+        state["spec_votes"] = list(state["spec_votes"].items())
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         super().restore_state(state)
-        self.known_view = state["known_view"]
-        self.fast_completions = state["fast_completions"]
-        self.slow_completions = state["slow_completions"]
-        self._spec_votes = {tuple(k): list(v)
-                            for k, v in state["spec_votes"]}
-        self._spec_seq = state["spec_seq"]
-        self._commit_votes = list(state["commit_votes"])
-        self._committing = state["committing"]
+        self._spec_votes = dict(self._spec_votes)

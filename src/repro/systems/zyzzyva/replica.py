@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.common.ids import NodeId, client
 from repro.systems.common.auth import Authenticator
 from repro.systems.common.config import BftConfig
-from repro.systems.common.replica import BaseReplica, digest_of
+from repro.systems.common.replica import BaseReplica, add_vote, digest_of
 from repro.wire.codec import Message
 
 PROGRESS_TIMER = "progress"
@@ -29,6 +29,10 @@ PROGRESS_TIMER = "progress"
 
 class ZyzzyvaReplica(BaseReplica):
     """One Zyzzyva replica."""
+
+    STATE = BaseReplica.STATE + (
+        "next_seq", "last_spec", "history", "ordered", "max_committed",
+        "pending", "reply_cache", "ihtp_votes", "vc_votes")
 
     def __init__(self, index: int, config: BftConfig,
                  auth: Optional[Authenticator] = None) -> None:
@@ -44,16 +48,6 @@ class ZyzzyvaReplica(BaseReplica):
         self.reply_cache: Dict[int, int] = {}      # client -> last timestamp
         self.ihtp_votes: Dict[int, list] = {}      # view -> voter list
         self.vc_votes: Dict[int, list] = {}
-
-    # ---------------------------------------------------------------- start
-
-    def on_start(self) -> None:
-        pass
-
-    def on_message(self, src: NodeId, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.type_name.lower()}", None)
-        if handler is not None:
-            handler(src, message)
 
     # Request --------------------------------------------------------------
 
@@ -145,9 +139,7 @@ class ZyzzyvaReplica(BaseReplica):
         if msg["view"] != self.view:
             return
         votes = self.ihtp_votes.setdefault(msg["view"], [])
-        if msg["replica"] not in votes:
-            votes.append(msg["replica"])
-        if len(votes) >= self.config.f + 1:
+        if add_vote(votes, msg["replica"]) >= self.config.f + 1:
             self.broadcast(Message("ViewChange", {
                 "new_view": self.view + 1, "nccs": 1, "replica": self.index,
                 "sig": self.auth.sign(self.view + 1, self.index),
@@ -160,9 +152,7 @@ class ZyzzyvaReplica(BaseReplica):
         if nv <= self.view:
             return
         votes = self.vc_votes.setdefault(nv, [])
-        if msg["replica"] not in votes:
-            votes.append(msg["replica"])
-        if (len(votes) >= self.config.quorum
+        if (add_vote(votes, msg["replica"]) >= self.config.quorum
                 and self.primary_of(nv) == self.node_id):
             self.broadcast(Message("NewView", {
                 "view": nv, "size": len(votes), "primary": self.index,
@@ -179,32 +169,3 @@ class ZyzzyvaReplica(BaseReplica):
             return
         self.view = msg["view"]
         self.cancel_timer(PROGRESS_TIMER)
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state.update({
-            "next_seq": self.next_seq,
-            "last_spec": self.last_spec,
-            "history": self.history,
-            "ordered": {s: dict(f) for s, f in self.ordered.items()},
-            "max_committed": self.max_committed,
-            "pending": dict(self.pending),
-            "reply_cache": dict(self.reply_cache),
-            "ihtp_votes": {v: list(l) for v, l in self.ihtp_votes.items()},
-            "vc_votes": {v: list(l) for v, l in self.vc_votes.items()},
-        })
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.next_seq = state["next_seq"]
-        self.last_spec = state["last_spec"]
-        self.history = state["history"]
-        self.ordered = {s: dict(f) for s, f in state["ordered"].items()}
-        self.max_committed = state["max_committed"]
-        self.pending = dict(state["pending"])
-        self.reply_cache = dict(state["reply_cache"])
-        self.ihtp_votes = {v: list(l) for v, l in state["ihtp_votes"].items()}
-        self.vc_votes = {v: list(l) for v, l in state["vc_votes"].items()}

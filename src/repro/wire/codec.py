@@ -77,6 +77,27 @@ class ProtocolCodec:
             self.schema.message_named(message.type_name)   # raises
         return entry[1](message.fields)
 
+    def encode_wrapped(self, message: Message) -> bytes:
+        """Encode ``message`` with every scalar stored the way a C field
+        would hold it.
+
+        :meth:`encode` rejects an out-of-range scalar.  A node sends this
+        instead when its own code computed one: the originals keep such
+        fields in fixed-width integers, so a Paxos ``ballot + 1`` at the u32
+        maximum wraps to 0 (as :meth:`mutate` wraps a lie) rather than
+        aborting the platform.  A missing field or an over-long varbytes is
+        still a platform bug: :class:`CodecError`, naming the protocol.
+        """
+        spec = self.schema.message_named(message.type_name)
+        fields = dict(message.fields)
+        for f in spec.fields:
+            if f.kind == KIND_SCALAR and f.name in fields:
+                fields[f.name] = f.scalar.wrap(fields[f.name])
+        try:
+            return self._generated[spec.name][1](fields)
+        except CodecError as exc:
+            raise CodecError(f"{self.schema.name}: {exc}") from None
+
     def _lookup(self, data: bytes):
         """The table entry for an encoded buffer's tag, if known."""
         if len(data) < 2:

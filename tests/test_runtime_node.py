@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.errors import SegmentationFault
+from repro.common.errors import (CodecError, SegmentationFault,
+                                 WireFormatError)
 from repro.common.ids import replica
 from repro.common.rng import RngRegistry
 from repro.netem.emulator import NetworkEmulator
@@ -17,6 +18,7 @@ from repro.wire.schema import ProtocolSchema, make_message
 SCHEMA = ProtocolSchema("rt", (
     make_message("Ping", 1, [("n", "u32")]),
     make_message("Boom", 2, [("size", "i32")]),
+    make_message("Blob", 3, [("data", "varbytes<u8>")]),
 ))
 CODEC = ProtocolCodec(SCHEMA)
 
@@ -110,6 +112,25 @@ class TestMessaging:
         assert apps[1].received == []
         kernel.run_until(1.0)
         assert len(apps[1].received) == 1
+
+    def test_computed_overflow_is_sent_wrapped(self):
+        # What the target computed past a field's range is what the
+        # original's fixed-width field would hold, not a platform abort.
+        kernel, nodes, apps = build()
+        nodes[0].send(replica(1), Message("Ping", {"n": 2**32 + 5}))
+        nodes[0].send(replica(1), Message("Boom", {"size": -2**31 - 1}))
+        kernel.run_until(0.1)
+        assert [m[2] for m in apps[1].received] == [
+            {"n": 5}, {"size": 2**31 - 1}]
+
+    def test_unencodable_message_is_a_platform_error(self):
+        __, nodes, __ = build()
+        with pytest.raises(CodecError, match=r"^rt: Ping: missing field"):
+            nodes[0].send(replica(1), Message("Ping", {}))
+        with pytest.raises(CodecError, match=r"^rt: Blob\.data: expected at"):
+            nodes[0].send(replica(1), Message("Blob", {"data": b"x" * 256}))
+        with pytest.raises(WireFormatError):   # a direct encode stays strict
+            CODEC.encode(Message("Ping", {"n": 2**32}))
 
     def test_malformed_payload_dropped(self):
         kernel, nodes, apps = build()
