@@ -192,8 +192,8 @@ def test_parallel_hunt_speedup(benchmark):
 @pytest.mark.benchmark(group="table3")
 def test_injection_cache_cheaper_passes(benchmark):
     """With --injection-cache, hunt pass 2+ charges less execution than
-    pass 1: the testbed is reused (no boot/warmup) and every injection
-    seek is replaced by a cached branch-snapshot restore."""
+    pass 1: it is priced as a platform that kept its warm testbed (no
+    boot/warmup) and its injection-point snapshots (no seek)."""
     from repro.search.hunt import hunt
 
     factory = pbft_testbed(malicious="primary", warmup=2.0, window=3.0)

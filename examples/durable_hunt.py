@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Durable hunts: kill -9 safety and bounded snapshot memory in one script.
+"""Durable hunts: kill -9 safety and the kept-snapshots pricing in one script.
 
 The run store survives not just a polite Ctrl-C but an impolite
 ``kill -9`` mid-pass.  This example demonstrates the durability layer end
@@ -13,10 +13,9 @@ to end:
 3. a hunt SIGKILLed mid-pass via the ``REPRO_STORE_CHAOS`` hook (in a
    subprocess — the chaos hook kills the whole process, that is the
    point), then resumed from its store to the same bytes;
-4. a snapshot-budgeted hunt: the injection-point cache (the only
-   snapshot cache; ``snapshot_budget`` needs ``injection_cache``) capped
-   to one byte, so every admission evicts — the report is still
-   byte-identical, with rebuild time charged to a side channel.
+4. an ``injection_cache`` hunt — pass 2+ priced as a platform that kept
+   its snapshots would charge it — through a store and two workers: the
+   same bytes as the serial cached hunt, and no boot charged in pass 2.
 
 Run:  python examples/durable_hunt.py
 """
@@ -90,19 +89,19 @@ def main() -> int:
         assert a.read() == b.read(), "resume diverged!"
     print("-> SIGKILLed + resumed hunt wrote byte-identical JSON")
 
-    print("\n=== 4. snapshot budget: evict everything, same bytes ===")
-    # Two message types, a one-byte budget: the second admission always
-    # evicts the first, so every revisit is a rebuild-on-miss.
-    budget_kw = dict(KW, message_types=["PrePrepare", "Commit"])
-    cached = hunt(FACTORY, injection_cache=True, **budget_kw)
-    budgeted = hunt(FACTORY, injection_cache=True, snapshot_budget=1,
-                    **budget_kw)
-    assert hunt_json(budgeted) == hunt_json(cached), "budget changed bytes!"
-    print(budgeted.store_report.one_line())
-    counters = budgeted.store_report.counters
-    print(f"-> {int(counters.get('snapshot.cache.evictions', 0))} evictions,"
-          f" {counters.get('snapshot.cache.rebuild_platform_seconds', 0):.2f}s"
-          " of rebuilds charged off the books; report byte-identical")
+    print("\n=== 4. kept snapshots: a cached store hunt, same bytes ===")
+    cached_kw = dict(KW, message_types=["PrePrepare", "Commit"],
+                     injection_cache=True)
+    cached = hunt(FACTORY, **cached_kw)
+    durable = hunt(FACTORY, store_dir=os.path.join(workdir, "cached-store"),
+                   workers=2, **cached_kw)
+    assert hunt_json(durable) == hunt_json(cached), "engine changed bytes!"
+    print(durable.store_report.one_line())
+    later = [p.ledger.get("boot") for p in durable.passes[1:]]
+    assert later and not any(later), "a kept pass charged a boot!"
+    print(f"-> pass 1 {cached.passes[0].ledger.total():.1f}s, pass 2 "
+          f"{cached.passes[1].ledger.total():.1f}s of platform time; "
+          "the store + 2-worker hunt is byte-identical")
     return 0
 
 

@@ -394,10 +394,6 @@ def cmd_search(args) -> int:
 def cmd_hunt(args) -> int:
     from repro.search.hunt import hunt
     factory, space, types = _campaign(args)
-    snapshot_budget = None
-    if args.snapshot_budget is not None:
-        from repro.store.budget import parse_bytes
-        snapshot_budget = parse_bytes(args.snapshot_budget)
     tracer = _tracer(args)
     _forensics_preflight(args)
     progress = _progress(args)
@@ -417,8 +413,7 @@ def cmd_hunt(args) -> int:
                   injection_cache=args.injection_cache,
                   health_policy=_health_policy(args),
                   explain=_wants_forensics(args),
-                  store_dir=args.store,
-                  snapshot_budget=snapshot_budget)
+                  store_dir=args.store)
     progress.done()
     if not result.interrupted:
         result.validation = _validate(args, factory, result.findings)
@@ -556,10 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON (requires --workers > 1)")
         if with_cache:
             p.add_argument("--injection-cache", action="store_true",
-                           help="keep one testbed alive across passes and "
-                                "reuse cached injection-point snapshots "
-                                "(--workers 1 only; pass 2+ is charged no "
-                                "boot, warmup, or injection seek)")
+                           help="charge pass 2+ as a platform that kept its "
+                                "warm testbed and injection-point snapshots "
+                                "would: no boot, warmup, or injection seek")
 
     def forensics_options(p):
         p.add_argument("--explain", action="store_true",
@@ -636,13 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(CRC32 + fsync) and checkpoint every pass to DIR — "
                         "the same engine, plus the appends; re-running with "
                         "the same DIR resumes a killed hunt mid-pass with a "
-                        "byte-identical result (not with --inject-faults "
-                        "or --injection-cache)")
-    p.add_argument("--snapshot-budget", default=None, metavar="BYTES",
-                   help="bound the injection-point snapshot cache (e.g. "
-                        "64k, 2M, 1G); least-recently-used snapshots are "
-                        "evicted and deterministically rebuilt on demand "
-                        "(needs --injection-cache)")
+                        "byte-identical result (not with --inject-faults)")
     p.add_argument("--json", default=None,
                    help="write the hunt result as JSON")
     p.add_argument("--markdown", action="store_true",

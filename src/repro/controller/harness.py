@@ -29,7 +29,6 @@ from repro.controller.monitor import (AttackThreshold, PerfSample,
 from repro.controller.supervisor import OP_BOOT, OP_PROXY, FaultPlan
 from repro.runtime.world import World
 from repro.telemetry.tracer import Tracer, maybe_span
-from repro.vm.snapshots import SnapshotStore
 from repro.wire.schema import ProtocolSchema
 
 
@@ -83,9 +82,7 @@ class AttackHarness:
                  watchdog_limit: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
                  log_events: bool = False,
-                 injection_cache: bool = False,
-                 log_max_records: Optional[int] = None,
-                 snapshot_budget=None) -> None:
+                 log_max_records: Optional[int] = None) -> None:
         self.factory = factory
         self.seed = seed
         self.threshold = threshold or AttackThreshold()
@@ -108,26 +105,10 @@ class AttackHarness:
         #: ring-buffer cap applied to each instance's EventLog when the
         #: log is enabled (None: full retention — what forensics asks for)
         self.log_max_records = log_max_records
-        #: memoize each type's injection point against the warm snapshot
-        #: (the deterministic world reproduces it, so re-seeking from the
-        #: warm state only re-pays execution for an identical answer)
-        self.injection_cache = injection_cache
-        #: optional :class:`~repro.store.budget.SnapshotBudget` bounding the
-        #: injection-point cache by stored bytes; evicted entries rebuild
-        #: deterministically on demand, charged to the budget's own ledger
-        self.snapshot_budget = snapshot_budget
         self.instance: Optional[TestbedInstance] = None
         self.snapshotter: Optional[DistributedSnapshotter] = None
         self.monitor: Optional[PerformanceMonitor] = None
         self.warm_snapshot: Optional[WorldSnapshot] = None
-        #: (message_type, warm epoch) -> InjectionPoint
-        self._injection_points = SnapshotStore(
-            budget=snapshot_budget,
-            size_of=lambda point: point.snapshot.cluster_snapshot
-            .stored_bytes())
-        #: bumped by every (re)build, so cache entries keyed against an old
-        #: warm snapshot can never leak into a rebuilt world
-        self._warm_epoch = 0
 
     # ------------------------------------------------------------- lifecycle
 
@@ -148,8 +129,6 @@ class AttackHarness:
         """Build, boot, and warm up a fresh instance of the testbed."""
         if self.fault_plan is not None:
             self.fault_plan.check(OP_BOOT)
-        self._warm_epoch += 1
-        self._injection_points.clear()
         self.instance = self.factory(self.seed)
         world = self.instance.world
         self._wire_telemetry(self.instance)
@@ -220,50 +199,6 @@ class AttackHarness:
 
     # ------------------------------------------------------------ injection
 
-    def cached_injection(self, message_type: str) -> Optional[InjectionPoint]:
-        """The memoized injection point for ``message_type``, if any.
-
-        Only entries taken against the *current* warm snapshot qualify; a
-        rebuild bumps the warm epoch, invalidating everything cached
-        against the dead world.
-        """
-        if not self.injection_cache:
-            return None
-        return self._injection_points.get((message_type, self._warm_epoch))
-
-    def evicted_injection(self, message_type: str) -> bool:
-        """Whether this type's cache entry was evicted by the byte budget
-        (a capacity miss: the deterministic world can rebuild it)."""
-        return self._injection_points.was_evicted(
-            (message_type, self._warm_epoch))
-
-    def rebuild_injection(self, message_type: str,
-                          max_wait: Optional[float] = None
-                          ) -> Optional[InjectionPoint]:
-        """Re-derive a budget-evicted injection point from the warm state.
-
-        The deterministic world reproduces the identical point, so the
-        only difference from a cache hit is where the time goes: every
-        charge (warm restore, seek execution, snapshot save) lands on the
-        *budget's* side-channel ledger, keeping the report ledger — and
-        therefore the report JSON — byte-identical to an unbudgeted run.
-        Returns None unless this is genuinely a capacity miss.
-        """
-        if self.snapshot_budget is None \
-                or not self.evicted_injection(message_type):
-            return None
-        instance = self._require_instance()
-        ledger = self.ledger
-        self.ledger = sub = CostLedger()
-        try:
-            self.restore(self.warm_snapshot)
-            instance.proxy.clear_policy()
-            point = self.run_to_injection(message_type, max_wait=max_wait)
-        finally:
-            self.ledger = ledger
-            self.snapshot_budget.note_rebuild(sub.total())
-        return point
-
     def run_to_injection(self, message_type: str,
                          max_wait: Optional[float] = None
                          ) -> Optional[InjectionPoint]:
@@ -299,12 +234,8 @@ class AttackHarness:
                     info = interrupt.payload
                     snapshot = self.take_snapshot()
                     span.set(found=True, time=info["time"])
-                    point = InjectionPoint(info["message_type"], info["time"],
-                                           info["src"], info["dst"], snapshot)
-                    if self.injection_cache:
-                        self._injection_points.put(
-                            (message_type, self._warm_epoch), point)
-                    return point
+                    return InjectionPoint(info["message_type"], info["time"],
+                                          info["src"], info["dst"], snapshot)
             except BaseException:
                 # An exception mid-seek (watchdog trip, snapshot fault...)
                 # must not leave the proxy armed or the injection message

@@ -18,10 +18,11 @@ identical to a serial hunt's, and the search output itself is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.controller.costs import CostLedger
-from repro.controller.harness import AttackHarness, TestbedFactory
+from repro.controller.harness import (AttackHarness, InjectionPoint,
+                                      TestbedFactory)
 from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.forensics.causality import CausalRecorder
 from repro.forensics.differential import (DifferentialResult, Divergence,
@@ -161,11 +162,11 @@ class ForensicRunner:
             ledger=self.ledger, fault_schedule=fault_schedule,
             watchdog_limit=watchdog_limit,
             # Full event-log retention: the crash chain comes from here.
-            log_events=True,
-            # One warm testbed serves every finding; each message type's
-            # injection point is sought once and memoized.
-            injection_cache=True)
+            log_events=True)
         self._started = False
+        #: one warm testbed serves every finding, so each message type's
+        #: injection point is sought once: message type -> its point
+        self._points: Dict[str, InjectionPoint] = {}
 
     # -------------------------------------------------------------- branches
 
@@ -196,7 +197,7 @@ class ForensicRunner:
             self.harness.start_run()
             self._started = True
         scenario = finding.scenario
-        point = self.harness.cached_injection(scenario.message_type)
+        point = self._points.get(scenario.message_type)
         if point is None:
             self.harness.restore(self.harness.warm_snapshot)
             point = self.harness.run_to_injection(scenario.message_type,
@@ -210,6 +211,7 @@ class ForensicRunner:
                 injection_time=-1.0, window=self.harness.instance.window,
                 divergence=Divergence("none"), damage=0.0,
                 unreproduced=True)
+        self._points[scenario.message_type] = point
         benign = self._branch(point, None)
         attack = self._branch(point, scenario.action)
         diff: DifferentialResult = diff_branches(benign.recorder,

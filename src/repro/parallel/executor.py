@@ -37,11 +37,10 @@ others pull what is left, a step that keeps killing workers is quarantined
 through the supervision ledger, and a collapsed pool degrades to the
 parent-side prober: what the pool left unanswered is just a miss.
 
-Three values are **parent-only**: a ``FaultPlan`` (its RNG stream is
+Two values are **parent-only**: a ``FaultPlan`` (its RNG stream is
 sequence-dependent, so splitting the pass would change which operations
-fault), the harness's injection cache with its snapshot budget (cached
-passes charge less), and the progress line.  Forked workers never see them, and under the
-first two no probe outlives its ask
+fault) and the progress line.  Forked workers never see them, and under a
+``FaultPlan`` no probe outlives its ask
 (:class:`~repro.parallel.worker.NoProbeCache`): the engine then does, step
 for step, what the live algorithm does.  ``FaultSchedule`` chaos is fine
 everywhere — armed per world before warmup, identical in every prober.
@@ -130,8 +129,7 @@ class ScenarioExecutor:
                  tracer: Optional[Tracer] = None,
                  log_events: bool = False,
                  health: Optional[HealthPolicy] = None,
-                 store=None, fault_plan=None, injection_cache: bool = False,
-                 snapshot_budget=None, progress=None) -> None:
+                 store=None, fault_plan=None, progress=None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if algorithm not in REPLAYING:
@@ -149,13 +147,11 @@ class ScenarioExecutor:
         #: every probe recorded so far — the durable
         #: :class:`~repro.store.runstore.RunStore`'s when there is one
         #: (journaled probes are answered from disk, fresh ones journaled);
-        #: nothing under the parent-only FaultPlan / injection cache
+        #: nothing under the parent-only FaultPlan
         self.cache = (store.cache if store is not None
                       else NoProbeCache() if fault_plan is not None
-                      or injection_cache else ProbeCache())
-        self._parent_only = dict(
-            fault_plan=fault_plan, injection_cache=injection_cache,
-            snapshot_budget=snapshot_budget)
+                      else ProbeCache())
+        self._fault_plan = fault_plan
         self.progress = progress
         #: the current (or last) pass's walk; its ``report`` is the partial
         #: result a caller prints after a KeyboardInterrupt
@@ -212,11 +208,11 @@ class ScenarioExecutor:
     def _parent(self) -> WorkerProber:
         """The one in-process prober: it answers the walk's misses whenever
         no healthy pool has (``workers=1``, no ``fork``, a collapsed pool),
-        and it alone is built with the parent-only values."""
+        and it alone is built with the parent-only ``FaultPlan``."""
         if self._prober is None:
             self._prober = WorkerProber(0, self.factory, self.seed,
                                         self.params, tracer=self.tracer,
-                                        **self._parent_only)
+                                        fault_plan=self._fault_plan)
         return self._prober
 
     # ----------------------------------------------------------------- steps
@@ -500,10 +496,13 @@ class ScenarioExecutor:
     def run_pass(self, message_types: Optional[Sequence[str]] = None,
                  exclude: Optional[Set[tuple]] = None,
                  weights: Optional[ClusterWeights] = None,
-                 max_scenarios: Optional[int] = None) -> SearchReport:
+                 max_scenarios: Optional[int] = None,
+                 kept: bool = False) -> SearchReport:
         """Execute one pass; return the report the live algorithm class
         would.  ``weights`` is mutated exactly as the live weighted pass
-        would mutate it (bump per finding, in order)."""
+        would mutate it (bump per finding, in order).  ``kept`` prices the
+        pass as one whose snapshots the platform kept
+        (:class:`~repro.parallel.merge.ReplaySource`)."""
         excluded = frozenset(exclude or ())
         types = (list(message_types) if message_types is not None
                  else self._instance.search_types())
@@ -521,7 +520,7 @@ class ScenarioExecutor:
             self._instance, self.cache, prober, poisoned, self.factory,
             seed=self.seed, threshold=self.threshold,
             space_config=self.params.space_config, tracer=self.tracer,
-            progress=self.progress, **options)
+            progress=self.progress, kept=kept, **options)
         asked = None
         try:
             report = self.walk.run(

@@ -36,6 +36,15 @@ recorded supervision event, so the step surfaces exactly like a scenario
 that burned its retry budget.  They are handed to the walk beside the
 cache: never admitted (a journaled poison would poison a clean resume),
 never asked again.
+
+A *kept* pass (``hunt --injection-cache``, pass 2 on) is priced as a
+platform that kept pass 1's snapshots would charge it: the warm testbed
+is still up, so the startup replays its crashed-node summary but none of
+its charges, and each type's injection snapshot is still there, so a
+found, clean context replays only its baseline branch — the charges after
+its injection save.  Every other step replays as recorded.  The rule reads
+nothing but the recorded trace, so the probes — and a store's journal —
+are the same with the policy on or off.
 """
 
 from __future__ import annotations
@@ -44,13 +53,14 @@ from typing import List, Optional, Tuple
 
 from repro.attacks.actions import MaliciousAction
 from repro.common.errors import SearchError
-from repro.controller.costs import CostLedger
+from repro.controller.costs import SNAPSHOT_SAVE, CostLedger
 from repro.controller.monitor import PerfSample
 from repro.controller.supervisor import (EVENT_QUARANTINE, EVENT_REBUILD,
                                          EVENT_RETRY, EVENT_WATCHDOG,
                                          ScenarioQuarantined, SupervisorEvent,
                                          SupervisorStats)
 from repro.parallel.recording import StepTrace
+from repro.parallel.worker import ContextProbe, StartupProbe
 from repro.search import ALGORITHMS
 from repro.search.base import TypeContext
 
@@ -100,18 +110,35 @@ class ReplaySource:
     poison-step quarantines, which outranks both.  ``instance`` is an
     unbooted testbed — the name/schema/search-type oracle the walk reads
     off its harness; the walk itself never boots or simulates anything.
+    ``kept`` prices the pass as one whose snapshots the platform kept.
     """
 
     def __init__(self, instance, cache, prober, poisoned, *args,
-                 **kwargs) -> None:
+                 kept: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.harness.instance = instance
         self._cache = cache
         self._prober = prober
         self._poisoned = poisoned
+        self._kept = kept
         #: the last replayed step's crashed-node summary: exactly what a
         #: live ``_note_crashes`` would read off the world at this point
         self._crash_lines: List[str] = []
+
+    def _priced(self, probe) -> StepTrace:
+        """What replaying ``probe`` charges: its recorded trace, less what
+        a kept pass's platform still holds (see the module docstring)."""
+        trace = probe.trace
+        if not self._kept:
+            return trace
+        if isinstance(probe, StartupProbe):
+            return StepTrace(crash_lines=trace.crash_lines)
+        if (isinstance(probe, ContextProbe) and probe.found
+                and probe.quarantined is None and not trace.events):
+            categories = [category for category, __ in trace.charges]
+            saved = categories.index(SNAPSHOT_SAVE) + 1
+            return StepTrace(trace.charges[saved:], [], trace.crash_lines)
+        return trace
 
     def _answer(self, probe, what: str, simulate, admit):
         """Replay one step — ``probe`` as recorded, or on a miss (None) the
@@ -123,8 +150,9 @@ class ReplaySource:
                     f"parallel probe coverage hole: no recorded {what}")
             probe = simulate(self._prober)
             admit(probe)
-        replay_trace(self.ledger, self.supervisor.stats, probe.trace)
-        self._crash_lines = probe.trace.crash_lines
+        trace = self._priced(probe)
+        replay_trace(self.ledger, self.supervisor.stats, trace)
+        self._crash_lines = trace.crash_lines
         if probe.quarantined is not None:
             reason, attempts = probe.quarantined
             raise ScenarioQuarantined("replay", None, Exception(reason),

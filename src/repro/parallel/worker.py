@@ -266,9 +266,9 @@ class ProbeCache:
 
 class NoProbeCache(ProbeCache):
     """Admits nothing, so every step the walk takes is a miss.  Under a
-    ``FaultPlan`` or the harness's injection cache what a step charges
-    depends on what ran before it: a recorded probe may not answer a second
-    ask, and each pass — each greedy round — simulates its own steps."""
+    ``FaultPlan`` what a step charges depends on what ran before it: a
+    recorded probe may not answer a second ask, and each pass — each
+    greedy round — simulates its own steps."""
 
     def _forget(self, *probe) -> None:
         pass
@@ -285,15 +285,14 @@ class WorkerProber:
     when the walk misses).  The booted world and the warm snapshot persist
     across calls.
     ``tracer`` is the parent side's: spans go straight into it (a forked
-    worker keeps a private one and ships its spans home).  ``parent_only``
-    are the search-stack arguments a forked worker must never see —
-    ``fault_plan``, ``injection_cache``, ``snapshot_budget``: state that
-    only means something on the one prober the walk drives in order.
+    worker keeps a private one and ships its spans home).  A forked worker
+    never sees ``fault_plan``: its fault stream only means something on
+    the one prober the walk drives in order.
     """
 
     def __init__(self, worker_id: int, factory, seed: int,
                  params: ProbeParams, tracer: Optional[Tracer] = None,
-                 **parent_only) -> None:
+                 fault_plan=None) -> None:
         self.worker_id = worker_id
         self.params = params
         ledger = RecordingLedger()
@@ -310,7 +309,7 @@ class WorkerProber:
             watchdog_limit=params.watchdog_limit,
             max_retries=params.max_retries,
             tracer=self.tracer, log_events=params.log_events,
-            ledger=ledger, **parent_only)
+            ledger=ledger, fault_plan=fault_plan)
         # The recording supervisor must share the recording ledger so event
         # positions index into the same charge log.
         self.search.supervisor = RecordingSupervisor(
@@ -328,9 +327,8 @@ class WorkerProber:
     # ------------------------------------------------------- weighted/greedy
 
     def _boot(self) -> StartupProbe:
-        """Run the supervised startup and record it — again on every ask:
-        whether that re-boots (a fresh testbed per pass) or keeps the warm
-        one (the injection cache's) is ``_start_run``'s call."""
+        """Run the supervised startup and record it — again on every ask
+        (a fresh testbed per pass)."""
         self._live = None
         with StepRecorder(self.search) as step:
             self.search._start_run()

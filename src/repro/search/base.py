@@ -79,9 +79,7 @@ class SearchAlgorithm:
                  tracer: Optional[Tracer] = None,
                  progress: Optional[ProgressLine] = None,
                  log_events: bool = False,
-                 injection_cache: bool = False,
-                 ledger: Optional[CostLedger] = None,
-                 snapshot_budget=None) -> None:
+                 ledger: Optional[CostLedger] = None) -> None:
         self.factory = factory
         self.seed = seed
         self.threshold = threshold or AttackThreshold()
@@ -99,15 +97,6 @@ class SearchAlgorithm:
         self._span_mark = tracer.mark() if tracer is not None else 0
         self.progress = progress or ProgressLine()
         self.log_events = log_events
-        #: memoize injection points against the warm snapshot (see
-        #: AttackHarness.cached_injection) and keep the booted testbed
-        #: across ``_start_run`` calls instead of re-booting every pass, so
-        #: later passes of a hunt restore the cached branch snapshot
-        #: instead of re-seeking
-        self.injection_cache = injection_cache
-        #: byte budget (a :class:`~repro.store.budget.SnapshotBudget`)
-        #: bounding the injection-point snapshot cache; None = unbounded
-        self.snapshot_budget = snapshot_budget
         self.ledger = ledger if ledger is not None else CostLedger()
         #: crashed nodes observed during this pass: name -> summary line
         self._crashed_seen: dict = {}
@@ -129,9 +118,7 @@ class SearchAlgorithm:
                              fault_schedule=self.fault_schedule,
                              watchdog_limit=self.watchdog_limit,
                              tracer=self.tracer,
-                             log_events=self.log_events,
-                             injection_cache=self.injection_cache,
-                             snapshot_budget=self.snapshot_budget)
+                             log_events=self.log_events)
 
     def _note_crashes(self) -> None:
         """Record every currently crashed node (with its cause) so the
@@ -193,15 +180,7 @@ class SearchAlgorithm:
     # ------------------------------------------------------ supervised plane
 
     def _start_run(self) -> None:
-        """Boot (or re-boot) the testbed under supervision.
-
-        With ``injection_cache`` a warm testbed from a previous pass is
-        kept alive: later hunt passes skip boot+warmup entirely and their
-        injection-point cache entries stay valid.
-        """
-        if (self.injection_cache and self.harness.instance is not None
-                and self.harness.warm_snapshot is not None):
-            return
+        """Boot (or re-boot) the testbed under supervision."""
         self.supervisor.run("start_run", self.harness.start_run)
 
     def _rebuild_testbed(self) -> None:
@@ -220,22 +199,7 @@ class SearchAlgorithm:
             self.ledger.charge(REBUILD, sub.total())
 
     def _seek_injection(self, message_type: str) -> Optional[InjectionPoint]:
-        """Rewind to the warm state and run until the type is intercepted.
-
-        A cached injection point (``injection_cache``) skips the rewind and
-        the seek entirely: ``branch_measure`` restores the cached branch
-        snapshot itself, so no execution or snapshot time is re-charged.
-        """
-        cached = self.harness.cached_injection(message_type)
-        if cached is not None:
-            return cached
-        # A budget-evicted entry is a *capacity* miss: rebuild it from the
-        # warm state with every charge routed to the budget's side-channel
-        # ledger, so the report ledger matches an unbudgeted run's exactly.
-        rebuilt = self.harness.rebuild_injection(message_type,
-                                                 max_wait=self.max_wait)
-        if rebuilt is not None:
-            return rebuilt
+        """Rewind to the warm state and run until the type is intercepted."""
         self.harness.restore(self.harness.warm_snapshot)
         self.harness.proxy.clear_policy()
         return self.harness.run_to_injection(message_type,

@@ -54,7 +54,7 @@ from repro.telemetry.tracer import Tracer, maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.health import HealthPolicy, WorkerHealthReport
-    from repro.store.budget import StoreReport
+    from repro.store.runstore import StoreReport
 
 #: schema of the pass-boundary state the run store checkpoints; a store
 #: holding any other version is refused (``RunStore.resume_checkpoint``)
@@ -96,9 +96,9 @@ class HuntResult:
     #: computed post-merge with ``explain=True``, never serialized — the
     #: result JSON is byte-identical with forensics on or off)
     explanations: Optional[list] = None
-    #: what the durable store and snapshot budgets did (side channel: an
-    #: interrupted-and-resumed hunt differs from an uninterrupted one here,
-    #: so serializing it would break the byte-identity contract)
+    #: what the durable store did (side channel: an interrupted-and-resumed
+    #: hunt differs from an uninterrupted one here, so serializing it would
+    #: break the byte-identity contract)
     store_report: Optional["StoreReport"] = None
 
     def absorb(self, report: SearchReport) -> None:
@@ -160,14 +160,15 @@ class HuntResult:
 
 # ------------------------------------------------------------- checkpointing
 
-def _checkpoint_dict(system: str, seed: int, excluded: Set[tuple],
-                     weights: ClusterWeights,
+def _checkpoint_dict(system: str, seed: int, injection_cache: bool,
+                     excluded: Set[tuple], weights: ClusterWeights,
                      result: HuntResult) -> Dict:
     from repro.analysis.reports import record_to_jsonable, report_to_dict
     return {
         "version": CHECKPOINT_VERSION,
         "system": system,
         "seed": seed,
+        "injection_cache": injection_cache,
         "excluded": [record_to_jsonable(r) for r in sorted(excluded)],
         "weights": dict(weights.weights),
         "ledger": dict(result.total_ledger.by_category),
@@ -177,7 +178,7 @@ def _checkpoint_dict(system: str, seed: int, excluded: Set[tuple],
     }
 
 
-def _restore_from_checkpoint(data: Dict, seed: int,
+def _restore_from_checkpoint(data: Dict, seed: int, injection_cache: bool,
                              excluded: Set[tuple],
                              weights: ClusterWeights,
                              result: HuntResult) -> None:
@@ -186,6 +187,13 @@ def _restore_from_checkpoint(data: Dict, seed: int,
         raise ConfigError(
             f"checkpoint was written by a hunt with seed {data['seed']}, "
             f"cannot resume with seed {seed}")
+    # (a checkpoint older than the key was written without the policy)
+    written = data.get("injection_cache", False)
+    if written != injection_cache:
+        raise ConfigError(
+            f"checkpoint was written by a hunt with injection_cache="
+            f"{written}, cannot resume with injection_cache="
+            f"{injection_cache}: its passes are priced the other way")
     excluded.update(tuple(record_from_jsonable(r)) for r in data["excluded"])
     weights.weights = dict(data["weights"])
     result.total_ledger = CostLedger(dict(data["ledger"]))
@@ -215,8 +223,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
          injection_cache: bool = False,
          health_policy: Optional["HealthPolicy"] = None,
          explain: bool = False,
-         store_dir: Optional[str] = None,
-         snapshot_budget: Optional[int] = None) -> HuntResult:
+         store_dir: Optional[str] = None) -> HuntResult:
     """Run weighted-greedy passes until a pass finds nothing new.
 
     The cluster weights persist across passes, so what pass 1 learned about
@@ -244,17 +251,14 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     checkpoints the completed passes to the store first, so a rerun
     salvages them.
 
-    ``injection_cache`` keeps one testbed (and its injection-point
-    snapshots) alive across passes, so pass 2+ *charges* no boot, warmup,
-    or injection seek either — which is why it excludes ``workers > 1`` and
-    ``store_dir``, whose contract is the cache-less ledger.  Under it, or a
-    ``fault_plan`` (sequence-dependent, so excluded likewise), no recorded
-    step outlives its ask: each pass simulates its own steps, in order.
-    ``snapshot_budget`` bounds (in bytes) those injection-point snapshots —
-    the one snapshot cache there is; probers hold a single live context.
-    Eviction is LRU and deterministic, and an evicted entry rebuilds from
-    the warm snapshot with the time charged to the budget's side-channel
-    ledger, so the report is byte-identical to an unbudgeted run's.
+    ``injection_cache`` is a pricing policy, not a second engine: pass 2+
+    is charged as a platform that kept its warm testbed and injection-point
+    snapshots would charge it — no boot, warmup, or injection seek (see
+    :class:`~repro.parallel.merge.ReplaySource`).  It composes with
+    ``workers`` and ``store_dir``; a store refuses to resume under the
+    other setting.  Under a ``fault_plan`` (sequence-dependent, so it
+    excludes ``workers > 1`` and ``store_dir``) no recorded step outlives
+    its ask: each pass simulates its own steps, in order.
 
     ``store_dir`` makes the campaign **durable**: the same engine with a
     persistent probe cache — every probe committed to a write-ahead journal
@@ -280,16 +284,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             "--store cannot run under a FaultPlan: the plan's fault stream "
             "is sequence-dependent, so a resumed hunt that skips journaled "
             "work would fault different operations than the original")
-    if store_dir is not None and injection_cache:
-        raise ConfigError(
-            "--store and injection_cache are mutually exclusive: cached "
-            "passes charge less than the serial ledger the store's replay "
-            "reproduces")
-    if snapshot_budget is not None and not injection_cache:
-        raise ConfigError(
-            "--snapshot-budget bounds the injection-point snapshot cache "
-            "and needs --injection-cache (probers under --workers/--store "
-            "hold one live context and cache no snapshots)")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > 1 and fault_plan is not None:
@@ -298,11 +292,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             "stream is sequence-dependent, so splitting a pass across "
             "workers would change which operations fault (FaultSchedule "
             "chaos is supported)")
-    if workers > 1 and injection_cache:
-        raise ConfigError(
-            "workers > 1 and injection_cache are mutually exclusive: "
-            "cached passes charge less than the serial ledger the "
-            "parallel merge reproduces")
     if workers == 1 and health_policy is not None:
         raise ConfigError(
             "worker health options (--worker-timeout/--worker-retries/"
@@ -315,17 +304,14 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     system = "unknown"
 
     store = None
-    budget = None
     passes = range(max_passes)
-    if snapshot_budget is not None:
-        from repro.store.budget import SnapshotBudget
-        budget = SnapshotBudget(snapshot_budget)
     if store_dir is not None:
         from repro.store.runstore import RunStore
         store = RunStore(store_dir, seed=seed)
         data = store.resume_checkpoint(CHECKPOINT_VERSION)
         if data is not None:
-            _restore_from_checkpoint(data, seed, excluded, weights, result)
+            _restore_from_checkpoint(data, seed, injection_cache, excluded,
+                                     weights, result)
             system = data["system"]
             # A campaign that already converged has nothing to redo (but
             # its restored findings can still be explained on request).
@@ -335,7 +321,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     def checkpoint() -> None:
         if store is not None:
             store.save_checkpoint(_checkpoint_dict(
-                system, seed, excluded, weights, result))
+                system, seed, injection_cache, excluded, weights, result))
 
     from repro.parallel.executor import ScenarioExecutor
     executor = ScenarioExecutor(
@@ -345,7 +331,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
         fault_schedule=fault_schedule, watchdog_limit=watchdog_limit,
         max_retries=max_retries, tracer=tracer, log_events=log_events,
         health=health_policy, store=store, fault_plan=fault_plan,
-        injection_cache=injection_cache, snapshot_budget=budget,
         progress=progress)
 
     try:
@@ -356,7 +341,8 @@ def hunt(factory: TestbedFactory, seed: int = 0,
                                 index=pass_index + 1) as span:
                     report = executor.run_pass(
                         message_types=message_types, exclude=excluded,
-                        weights=weights)
+                        weights=weights,
+                        kept=injection_cache and pass_index > 0)
                     span.set(findings=len(report.findings))
                     pass_mark = tracer.mark() if tracer is not None else 0
                 if report.telemetry is not None and tracer is not None:
@@ -386,15 +372,10 @@ def hunt(factory: TestbedFactory, seed: int = 0,
         result.worker_breakdown = executor.worker_breakdown()
         result.worker_health = executor.worker_health()
         executor.close()
-        if store is not None or budget is not None:
-            from repro.store.budget import StoreReport
-            store_report = StoreReport()
-            if store is not None:
-                store_report.merge_counters(store.counters())
-                store.close()
-            if budget is not None:
-                store_report.merge_counters(budget.counters())
-            result.store_report = store_report
+        if store is not None:
+            from repro.store.runstore import StoreReport
+            result.store_report = StoreReport(store.counters())
+            store.close()
     if explain and result.findings and not result.interrupted:
         # Post-merge forensics: the finding list is already identical
         # across worker counts, so explaining it on a dedicated serial

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.reports import (_sample_from_dict, _sample_to_dict,
@@ -268,3 +269,33 @@ class RunStore:
 
     def close(self) -> None:
         self.journal.close()
+
+
+@dataclass
+class StoreReport:
+    """What the durable store did during a hunt.
+
+    A **side channel**, like ``worker_health``: resume activity differs
+    between an interrupted and an uninterrupted run, so serializing this
+    into the result JSON would break the byte-identity contract.  It is
+    rendered for humans only.
+    """
+
+    counters: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def eventful(self) -> bool:
+        return any(value for value in self.counters.values())
+
+    def one_line(self) -> str:
+        interesting = (
+            ("store.resume.evals_seeded", "evals replayed"),
+            ("store.resume.types_seeded", "types replayed"),
+            ("store.resume.passes_restored", "passes restored"),
+            ("store.journal.records_appended", "journaled"),
+            ("store.journal.torn_bytes_dropped", "torn bytes dropped"),
+            ("store.checkpoint.fallbacks", "checkpoint fallbacks"),
+        )
+        parts = [f"{int(self.counters[name])} {label}"
+                 for name, label in interesting if self.counters.get(name)]
+        return "store: " + (", ".join(parts) if parts else "clean")

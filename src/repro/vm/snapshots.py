@@ -155,58 +155,6 @@ class DeltaClusterSnapshot:
                 "pages_removed": sum(len(d.removed) for d in self.vm_deltas)}
 
 
-class SnapshotStore:
-    """A keyed store of snapshot-bearing values, optionally byte-budgeted.
-
-    With ``budget=None`` it is a plain dict (the pre-budget behaviour:
-    unbounded retention).  With a :class:`~repro.store.budget.
-    SnapshotBudget` every insertion is charged by ``size_of(value)`` and
-    least-recently-used entries are evicted to stay under the budget;
-    evicted keys are remembered so the owner can tell a capacity miss
-    (rebuild the deterministic snapshot) from a genuine never-seen miss.
-    The budget object is duck-typed on purpose — this layer stays free of
-    upward imports.
-    """
-
-    def __init__(self, budget=None, size_of=None) -> None:
-        self.budget = budget
-        self._size_of = size_of or (lambda value: value.stored_bytes())
-        self._entries: Dict[object, object] = {}
-        self._evicted: set = set()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if self.budget is not None:
-            if value is not None:
-                self.budget.touch(key)
-            else:
-                self.budget.miss()
-        return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._evicted.discard(key)
-        if self.budget is not None:
-            self.budget.admit(key, self._size_of(value), self._drop)
-
-    def _drop(self, key) -> None:
-        self._entries.pop(key, None)
-        self._evicted.add(key)
-
-    def was_evicted(self, key) -> bool:
-        """True when ``key`` was present once but evicted for capacity."""
-        return key in self._evicted
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._evicted.clear()
-        if self.budget is not None:
-            self.budget.invalidate_all()
-
-
 class SnapshotManager:
     """Implements save/load for a set of guests, with optional page sharing."""
 

@@ -500,7 +500,8 @@ class TestCliSupervision:
 
     def test_retired_checkpoint_flags_rejected(self, capsys):
         from repro.cli import main
-        for flags in (["--resume"], ["--checkpoint", "/tmp/x.json"]):
+        for flags in (["--resume"], ["--checkpoint", "/tmp/x.json"],
+                      ["--snapshot-budget", "64k"]):
             with pytest.raises(SystemExit):
                 main(["hunt", "pbft"] + flags)
             assert "unrecognized arguments" in capsys.readouterr().err

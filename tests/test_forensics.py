@@ -194,6 +194,30 @@ class TestDropForensics:
         assert [e.divergence.kind for e in explanations] == \
             ["absent", "delayed"]
 
+    def test_one_seek_per_type_same_explanations(self, monkeypatch):
+        """The runner seeks a type's injection point once and reuses it:
+        two findings of one type cost one ``run_to_injection``, and explain
+        exactly as a fresh runner per finding would."""
+        from repro.controller.harness import AttackHarness
+        findings = [make_finding(DropAction(1.0)),
+                    make_finding(DelayAction(1.0))]
+        fresh = [json.dumps(ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+                            .explain(f).to_dict(), sort_keys=True)
+                 for f in findings]
+        seeks = []
+        original = AttackHarness.run_to_injection
+
+        def counted(harness, message_type, max_wait=None):
+            seeks.append(message_type)
+            return original(harness, message_type, max_wait)
+
+        monkeypatch.setattr(AttackHarness, "run_to_injection", counted)
+        runner = ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        shared = [json.dumps(runner.explain(f).to_dict(), sort_keys=True)
+                  for f in findings]
+        assert seeks == ["PrePrepare"]
+        assert shared == fresh
+
 
 class TestReportRendering:
     def test_markdown_and_chrome_trace(self, tmp_path):

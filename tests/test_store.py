@@ -1,10 +1,10 @@
-"""Tests for the durable run store, snapshot budgets, and checkpointing.
+"""Tests for the durable run store and checkpointing.
 
 The store's contract mirrors the parallel executor's: whatever the journal
-replays and whatever the budget evicts, the hunt's serialized result must
-stay *byte-identical* to a plain uninterrupted, unbudgeted run.  Process-
-kill durability (SIGKILL mid-hunt, torn journal tails, corrupt checkpoint
-generations) is exercised separately in ``test_store_durability.py``.
+replays, the hunt's serialized result must stay *byte-identical* to a
+plain uninterrupted run.  Process-kill durability (SIGKILL mid-hunt, torn
+journal tails, corrupt checkpoint generations) is exercised separately in
+``test_store_durability.py``.
 """
 
 import json
@@ -16,16 +16,14 @@ from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ConfigError
 from repro.controller.costs import CostLedger
+from repro.controller.supervisor import FaultPlan
 from repro.search.hunt import (CHECKPOINT_VERSION, HuntResult,
                                _checkpoint_dict, hunt)
 from repro.search.weighted import ClusterWeights
-from repro.store.budget import (CACHE_REBUILD, SnapshotBudget, StoreReport,
-                                parse_bytes)
 from repro.store.journal import (Journal, atomic_write_json, decode_line,
                                  encode_record, recover_journal)
-from repro.store.runstore import RunStore
+from repro.store.runstore import RunStore, StoreReport
 from repro.systems.paxos.testbed import paxos_testbed
-from repro.vm.snapshots import SnapshotStore
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
                           duplicate_counts=(), include_divert=False,
@@ -97,104 +95,10 @@ class TestJournal:
         assert not os.path.exists(path + ".tmp")
 
 
-# ------------------------------------------------------------------- budget
-
-class TestParseBytes:
-    def test_suffixes(self):
-        assert parse_bytes("4096") == 4096
-        assert parse_bytes("64k") == 64 * 1024
-        assert parse_bytes("2M") == 2 * 1024 * 1024
-        assert parse_bytes("1g") == 1 << 30
-        assert parse_bytes("1.5k") == 1536
-
-    def test_rejects_bad_specs(self):
-        for bad in ("", "abc", "12q", "-5", "0"):
-            with pytest.raises(ConfigError):
-                parse_bytes(bad)
-
-
-class TestSnapshotBudget:
-    def test_lru_eviction_is_deterministic(self):
-        def run_sequence():
-            budget = SnapshotBudget(100)
-            evicted = []
-            for key, size in (("a", 40), ("b", 40), ("c", 40)):
-                budget.admit(key, size, evicted.append)
-            budget.touch("b")
-            budget.admit("d", 40, evicted.append)
-            return evicted
-
-        first, second = run_sequence(), run_sequence()
-        assert first == second == ["a", "c"]
-
-    def test_newest_entry_survives_its_own_admission(self):
-        budget = SnapshotBudget(10)
-        evicted = []
-        budget.admit("big", 500, evicted.append)
-        assert evicted == []
-        assert budget.held_bytes == 500
-        budget.admit("bigger", 600, evicted.append)
-        assert evicted == ["big"]
-
-    def test_rebuild_charges_side_ledger_only(self):
-        budget = SnapshotBudget(100)
-        budget.note_rebuild(2.5)
-        budget.note_rebuild(1.5)
-        assert budget.ledger.get(CACHE_REBUILD) == pytest.approx(4.0)
-        counters = budget.counters()
-        assert counters["snapshot.cache.rebuilds"] == 2
-        assert counters["snapshot.cache.rebuild_platform_seconds"] == \
-            pytest.approx(4.0)
-
-    def test_counters_track_bytes(self):
-        budget = SnapshotBudget(100)
-        budget.admit("a", 60, lambda k: None)
-        budget.admit("b", 60, lambda k: None)
-        budget.miss()
-        counters = budget.counters()
-        assert counters["snapshot.cache.insertions"] == 2
-        assert counters["snapshot.cache.evictions"] == 1
-        assert counters["snapshot.cache.bytes_evicted"] == 60
-        assert counters["snapshot.cache.bytes_held"] == 60
-        assert counters["snapshot.cache.misses"] == 1
-
-    def test_rejects_nonpositive_limit(self):
-        with pytest.raises(ConfigError):
-            SnapshotBudget(0)
-
-
-class TestSnapshotStore:
-    class _Value:
-        def __init__(self, n):
-            self.n = n
-
-    def test_unbudgeted_store_never_evicts(self):
-        store = SnapshotStore()
-        for i in range(100):
-            store.put(i, self._Value(i))
-        assert len(store) == 100
-        assert store.get(5).n == 5
-        assert not store.was_evicted(5)
-
-    def test_budgeted_store_evicts_and_remembers(self):
-        budget = SnapshotBudget(100)
-        store = SnapshotStore(budget=budget, size_of=lambda v: 60)
-        store.put("a", self._Value(1))
-        store.put("b", self._Value(2))
-        assert store.get("a") is None
-        assert store.was_evicted("a")
-        assert not store.was_evicted("b")
-        store.put("a", self._Value(3))       # rebuilt and re-admitted
-        assert not store.was_evicted("a")
-        store.clear()
-        assert len(store) == 0
-        assert not store.was_evicted("b")
-
-
 # -------------------------------------------------------------- checkpoints
 
 def _dummy_state():
-    return ("paxos", 3, {("Accept", "delay", 1.0)}, ClusterWeights(),
+    return ("paxos", 3, False, {("Accept", "delay", 1.0)}, ClusterWeights(),
             HuntResult(total_ledger=CostLedger({"boot": 1.0})))
 
 
@@ -300,11 +204,12 @@ class TestRunStore:
         report = StoreReport()
         assert not report.eventful
         assert report.one_line() == "store: clean"
-        report.merge_counters({"store.resume.evals_seeded": 3,
-                               "snapshot.cache.evictions": 2})
+        report = StoreReport({"store.resume.evals_seeded": 3,
+                              "store.resume.passes_restored": 1,
+                              "store.journal.records_loaded": 9})
         assert report.eventful
-        assert "3 evals replayed" in report.one_line()
-        assert "2 evictions" in report.one_line()
+        assert report.one_line() == \
+            "store: 3 evals replayed, 1 passes restored"
 
 
 # --------------------------------------------------------------- hunt-level
@@ -344,17 +249,48 @@ class TestDurableHunt:
         assert hunt_json(resumed) == hunt_json(plain)
 
     def test_guards(self, tmp_path):
+        """A store refuses only a FaultPlan; the kept-snapshots pricing is
+        a policy it journals the same probes under."""
         kwargs = dict(seed=3, message_types=["Accept"], space_config=SPACE,
                       max_wait=5.0, max_passes=1)
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, store_dir=str(tmp_path), injection_cache=True,
+        with pytest.raises(ConfigError, match="FaultPlan"):
+            hunt(FACTORY, store_dir=str(tmp_path / "planned"),
+                 fault_plan=FaultPlan.from_spec("restore=0.5", seed=1),
                  **kwargs)
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, snapshot_budget=1024, **kwargs)
-        # ...and probers have no snapshot cache for a budget to bound
-        for engine in (dict(workers=2), dict(store_dir=str(tmp_path))):
-            with pytest.raises(ConfigError, match="--injection-cache"):
-                hunt(FACTORY, snapshot_budget=1024, **engine, **kwargs)
+        journals = []
+        for injection_cache in (False, True):
+            store = tmp_path / f"cache-{injection_cache}"
+            hunt(FACTORY, store_dir=str(store),
+                 injection_cache=injection_cache, **kwargs)
+            journals.append((store / "journal.jsonl").read_bytes())
+        assert journals[0] == journals[1]
+
+    @pytest.mark.parametrize("written", [False, True])
+    def test_resume_under_the_other_pricing_rejected(self, tmp_path,
+                                                     written):
+        kwargs = dict(seed=3, message_types=["Accept"], space_config=SPACE,
+                      max_wait=5.0, store_dir=str(tmp_path))
+        hunt(FACTORY, max_passes=1, injection_cache=written, **kwargs)
+        with pytest.raises(ConfigError) as err:
+            hunt(FACTORY, max_passes=2, injection_cache=not written,
+                 **kwargs)
+        assert f"injection_cache={written}" in str(err.value)
+        assert f"injection_cache={not written}" in str(err.value)
+
+    def test_checkpoint_without_the_key_resumes_as_off(self, tmp_path,
+                                                       plain):
+        kwargs = dict(seed=3, message_types=["Accept"], space_config=SPACE,
+                      max_wait=5.0, store_dir=str(tmp_path))
+        hunt(FACTORY, max_passes=1, **kwargs)
+        store = RunStore(str(tmp_path), seed=3)
+        data = store.load_checkpoint()
+        del data["injection_cache"]  # as written before the key existed
+        store.save_checkpoint(data)
+        store.close()
+        with pytest.raises(ConfigError, match="injection_cache=False"):
+            hunt(FACTORY, max_passes=2, injection_cache=True, **kwargs)
+        resumed = hunt(FACTORY, max_passes=2, **kwargs)
+        assert hunt_json(resumed) == hunt_json(plain)
 
 
 class TestJournalCoverage:
@@ -417,17 +353,3 @@ class TestJournalCoverage:
         assert branches.count(None) == 1
         assert len(boots) == 1  # cross-checked against the journaled one
 
-
-class TestBudgetedHunt:
-    def test_budgeted_cache_hunt_identical_with_evictions(self):
-        kwargs = dict(seed=3, message_types=["Accept", "Heartbeat"],
-                      space_config=SPACE, max_wait=5.0, max_passes=2,
-                      injection_cache=True)
-        unbudgeted = hunt(FACTORY, **kwargs)
-        budgeted = hunt(FACTORY, snapshot_budget=1, **kwargs)
-        assert hunt_json(budgeted) == hunt_json(unbudgeted)
-        counters = budgeted.store_report.counters
-        assert counters["snapshot.cache.evictions"] > 0
-        assert counters["snapshot.cache.rebuilds"] > 0
-        # rebuild time went to the side channel, not the report ledger
-        assert counters["snapshot.cache.rebuild_platform_seconds"] > 0
