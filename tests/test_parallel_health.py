@@ -34,7 +34,6 @@ from repro.parallel.health import (HealthPolicy, WorkerHealth,
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import EvalProbe, Step, WorkerProber
 from repro.search.hunt import hunt
-from repro.search.weighted import WeightedGreedySearch
 from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
 
@@ -54,9 +53,11 @@ def hunt_json(result) -> str:
 
 
 def serial_report(seed=3, types=TYPES, exclude=None):
-    return WeightedGreedySearch(
-        FACTORY, seed=seed, space_config=SPACE,
-        max_wait=5.0).run(message_types=types, exclude=exclude)
+    """The pass over an empty probe cache and one in-process prober."""
+    with ScenarioExecutor(FACTORY, seed=seed, algorithm="weighted",
+                          workers=1, space_config=SPACE,
+                          max_wait=5.0) as executor:
+        return executor.run_pass(message_types=types, exclude=exclude)
 
 
 # ------------------------------------------------------------- policy units

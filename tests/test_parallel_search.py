@@ -31,8 +31,6 @@ from repro.parallel.worker import ProbeCache, Step
 from repro.parallel.merge import REPLAYING, ReplaySource
 from repro.search import ALGORITHMS
 from repro.search.base import SearchAlgorithm
-from repro.search.brute import BruteForceSearch
-from repro.search.greedy import GreedySearch
 from repro.search.hunt import hunt
 from repro.search.weighted import (DEFAULT_WEIGHTS, ClusterWeights,
                                    WeightedGreedySearch)
@@ -64,38 +62,46 @@ def hunt_json(result) -> str:
     return json.dumps(hunt_result_to_dict(result), sort_keys=True)
 
 
+#: report sha256 of each pass below, as the live algorithm classes reported
+#: it while they still simulated through a plane of their own (commit
+#: ``e62344e``): the external reference every engine is held to
+PASS_PINS = {
+    "weighted":
+        "fdc115da695568ed455625371c2b51db4b154acce00706f52ec4e0ae8b07dba7",
+    "greedy":
+        "66a8036850289d4b2a84fa202bbd3ce88bfc812a618d81f8928cbe3c6665c64a",
+    "brute":
+        "b4b70739737f9ea0fcc46621c619b2c60b844b8b21141f827ce6b23174351a07",
+}
+
+
+def report_sha(report) -> str:
+    return hashlib.sha256(report_json(report).encode()).hexdigest()
+
+
 class TestParallelPassIdentity:
     def test_weighted_matches_serial(self):
-        serial = WeightedGreedySearch(
-            FACTORY, seed=3, space_config=SPACE,
-            max_wait=5.0).run(message_types=TYPES)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0) as executor:
             parallel = executor.run_pass(message_types=TYPES)
-        assert report_json(parallel) == report_json(serial)
+        assert report_sha(parallel) == PASS_PINS["weighted"]
         assert parallel.findings  # the pass actually found something
 
     def test_greedy_matches_serial(self):
-        serial = GreedySearch(
-            FACTORY, seed=3, space_config=SPACE, max_wait=5.0,
-            rounds=2, confirmations=2).run(message_types=["Accept"])
         with ScenarioExecutor(FACTORY, seed=3, algorithm="greedy",
                               workers=2, space_config=SPACE, max_wait=5.0,
                               rounds=2, confirmations=2) as executor:
             parallel = executor.run_pass(message_types=["Accept"])
-        assert report_json(parallel) == report_json(serial)
+        assert report_sha(parallel) == PASS_PINS["greedy"]
 
     def test_brute_matches_serial(self):
-        serial = BruteForceSearch(
-            FACTORY, seed=3, space_config=SPACE,
-            max_wait=5.0).run(message_types=["Accept"], max_scenarios=3)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="brute",
                               workers=2, space_config=SPACE,
                               max_wait=5.0) as executor:
             parallel = executor.run_pass(message_types=["Accept"],
                                          max_scenarios=3)
-        assert report_json(parallel) == report_json(serial)
+        assert report_sha(parallel) == PASS_PINS["brute"]
 
     def test_worker_breakdown_covers_the_shards(self):
         """Each worker lists the types it simulated steps of, once each; a
@@ -265,17 +271,17 @@ class TestReplaySource:
                                               weights, recorded):
         """One walk, however its steps got recorded: whatever the pass and
         whichever of its steps the cache already holds (none … all), the
-        executor reports (and learns) what the live algorithm does, and
-        simulates each missing step exactly once."""
+        executor reports (and learns) what it reports over an empty cache
+        and one prober, and simulates each missing step exactly once."""
         serial_weights = ClusterWeights(dict(weights))
         replay_weights = ClusterWeights(dict(weights))
         common = dict(seed=3, space_config=SMALL_SPACE, max_wait=5.0)
-        options = {"weighted": {"weights": serial_weights},
-                   "greedy": {"rounds": 1, "confirmations": 1},
-                   "brute": {}}[algorithm]
-        expected = ALGORITHMS[algorithm](
-            SMALL_FACTORY, **common, **options).run(
-                message_types=["Accept"], exclude=excluded)
+        with ScenarioExecutor(SMALL_FACTORY, algorithm=algorithm, workers=1,
+                              rounds=1, confirmations=1,
+                              **common) as executor:
+            expected = executor.run_pass(message_types=["Accept"],
+                                         exclude=excluded,
+                                         weights=serial_weights)
         memo = (algorithm, frozenset(excluded))
         if memo not in self._supersets:
             self._supersets[memo] = _superset(algorithm, excluded)[1]
