@@ -251,8 +251,8 @@ class SupervisorStats:
 class ScenarioSupervisor:
     """Classify-retry-quarantine wrapper around platform operations.
 
-    One supervisor lives on each :class:`~repro.search.base.SearchAlgorithm`
-    and guards every injection-seek and branch-measure.  Transient failures
+    One supervisor lives on each :class:`~repro.parallel.worker.WorkerProber`
+    and guards every step it simulates.  Transient failures
     (see module docstring) are retried up to ``max_retries`` times; between
     attempts the optional ``rebuild`` callback replaces the testbed (the
     caller charges that to the ledger's ``rebuild`` category).  When the

@@ -1,30 +1,29 @@
-"""ScenarioExecutor: the one hunt engine — walk, probe cache, prober.
+"""ScenarioExecutor: the one hunt engine — walk, step source, probe cache,
+prober.
 
-``run_pass`` returns the :class:`~repro.search.results.SearchReport` the
-live algorithm class would — same findings, ledger and supervision events —
-because it *is* that algorithm: its own ``_run_pass`` runs over a replaying
-step source (:mod:`repro.parallel.merge`) that answers each step from the
-executor's :class:`~repro.parallel.worker.ProbeCache`.  All that varies is
-how a step gets into the cache:
+A pass is the algorithm's walk (:mod:`repro.search.base`) over a cached
+step source (:class:`~repro.parallel.merge.CachedSteps`) that answers each
+step from the executor's :class:`~repro.parallel.worker.ProbeCache`.  The
+library's ``WeightedGreedySearch(...).run()`` is this engine at
+``workers=1`` too.  All that varies is how a step gets into the cache:
 
 * **A miss is a question.**  In-process (``workers=1``, no ``fork``, a
-  collapsed pool) the walk asks the one parent-side
+  collapsed pool) the source asks the one parent-side
   :class:`~repro.parallel.worker.WorkerProber` to simulate the step it
-  lacks, admits it and replays it; later passes replay the recorded boot
-  and steps instead of re-simulating them.
+  lacks, admits it and the walk replays it; later passes replay the
+  recorded boot and steps instead of re-simulating them.
 * **A fork pool is a prefetch.**  With ``workers > 1`` persistent forked
   workers (factories are closures: they cross a process boundary by fork
   inheritance, never by pickling) simulate what the pass *can* need before
   the walk starts, pulling one :class:`~repro.parallel.worker.Step` at a
   time: each type's injection seek, then — once it comes back found — each
-  of its action groups the cache does not already answer (a cluster's
-  early-stopping walk under weighted, an action under greedy); brute
-  force's baseline and scenarios.  An idle worker gets the next step,
-  preferring the type it already holds live; results are admitted in step
-  order as far as they have arrived contiguously.  With a healthy pool a
-  miss is a "coverage hole" :class:`SearchError`: the superset rule's
-  self-check.  :meth:`worker_breakdown` reports what the workers really
-  spent.
+  of its :meth:`~repro.parallel.worker.ProbeCache.split` groups the cache
+  does not already answer; brute force's baseline and scenarios.  An idle
+  worker gets the next step, preferring the type it already holds live;
+  results are admitted in step order as far as they have arrived
+  contiguously.  With a healthy pool a miss is a "coverage hole"
+  :class:`SearchError`: the superset rule's self-check.
+  :meth:`worker_breakdown` reports what the workers really spent.
 * **A store is the cache's persistence.**  ``store.cache`` *is* the
   executor's cache: every admission is journaled first, and a resumed hunt
   starts with the journal's probes already answered.
@@ -41,9 +40,9 @@ Two values are **parent-only**: a ``FaultPlan`` (its RNG stream is
 sequence-dependent, so splitting the pass would change which operations
 fault) and the progress line.  Forked workers never see them, and under a
 ``FaultPlan`` no probe outlives its ask
-(:class:`~repro.parallel.worker.NoProbeCache`): the engine then does, step
-for step, what the live algorithm does.  ``FaultSchedule`` chaos is fine
-everywhere — armed per world before warmup, identical in every prober.
+(:class:`~repro.parallel.worker.NoProbeCache`): every step the walk takes
+is simulated, in order.  ``FaultSchedule`` chaos is fine everywhere —
+armed per world before warmup, identical in every prober.
 """
 
 from __future__ import annotations
@@ -61,10 +60,11 @@ from repro.controller.monitor import AttackThreshold
 from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    HealthPolicy, WorkerHealthReport,
                                    quarantined_return)
-from repro.parallel.merge import REPLAYING
+from repro.parallel.merge import CachedSteps
 from repro.parallel.worker import (ContextProbe, NoProbeCache, ProbeCache,
                                    ProbeParams, StartupProbe, Step,
                                    WorkerProber, WorkerReturn, worker_main)
+from repro.search import ALGORITHMS
 from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
 from repro.telemetry.summary import summarize
@@ -132,9 +132,9 @@ class ScenarioExecutor:
                  store=None, fault_plan=None, progress=None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if algorithm not in REPLAYING:
+        if algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algorithm!r}; "
-                              f"expected one of {tuple(REPLAYING)}")
+                              f"expected one of {tuple(ALGORITHMS)}")
         self.factory = factory
         self.seed = seed
         self.algorithm = algorithm
@@ -156,8 +156,8 @@ class ScenarioExecutor:
         #: the current (or last) pass's walk; its ``report`` is the partial
         #: result a caller prints after a KeyboardInterrupt
         self.walk = None
-        #: an unbooted instance: the schema/name/search-type oracle the
-        #: serial algorithm reads off its own harness
+        #: an unbooted instance: the name/schema/search-type oracle the
+        #: step source hands the walk
         self._instance = factory(seed)
         self._space = ActionSpace(self._instance.schema, space_config)
         self.params = ProbeParams(
@@ -498,34 +498,44 @@ class ScenarioExecutor:
                  weights: Optional[ClusterWeights] = None,
                  max_scenarios: Optional[int] = None,
                  kept: bool = False) -> SearchReport:
-        """Execute one pass; return the report the live algorithm class
-        would.  ``weights`` is mutated exactly as the live weighted pass
-        would mutate it (bump per finding, in order).  ``kept`` prices the
-        pass as one whose snapshots the platform kept
-        (:class:`~repro.parallel.merge.ReplaySource`)."""
+        """Execute one pass of a fresh walk of the executor's algorithm.
+        ``weights`` is mutated as the weighted walk learns (bump per
+        finding, in order)."""
+        options = dict(self._options, **(
+            {"weights": weights} if self.algorithm == "weighted" else {}))
+        walk = ALGORITHMS[self.algorithm](
+            self.factory, seed=self.seed, threshold=self.threshold,
+            space_config=self.params.space_config, tracer=self.tracer,
+            progress=self.progress, **options)
+        return self.run_walk(walk, message_types, exclude,
+                             max_scenarios=max_scenarios, kept=kept)
+
+    def run_walk(self, walk, message_types: Optional[Sequence[str]] = None,
+                 exclude: Optional[Set[tuple]] = None,
+                 max_scenarios: Optional[int] = None,
+                 kept: bool = False) -> SearchReport:
+        """Execute one pass of ``walk`` over the cached step source.
+        ``kept`` prices the pass as one whose snapshots the platform kept
+        (:class:`~repro.parallel.merge.CachedSteps`)."""
         excluded = frozenset(exclude or ())
         types = (list(message_types) if message_types is not None
                  else self._instance.search_types())
         tracing = self.tracer is not None and self.tracer.enabled
         pass_mark = self.tracer.mark() if tracing else 0
-        brute = self.algorithm == "brute"
         poisoned = (self._prefetch(types, excluded, max_scenarios)
-                    if self._use_fork else ProbeCache())
+                    if self._use_fork else None)
         # A healthy pool has probed all the walk can need (a miss is a
         # coverage hole); otherwise a miss is the parent-side prober's.
         prober = None if self._use_fork else self._parent()
-        options = dict(self._options, **(
-            {"weights": weights} if self.algorithm == "weighted" else {}))
-        self.walk = REPLAYING[self.algorithm](
-            self._instance, self.cache, prober, poisoned, self.factory,
-            seed=self.seed, threshold=self.threshold,
-            space_config=self.params.space_config, tracer=self.tracer,
-            progress=self.progress, kept=kept, **options)
+        self.walk = walk
         asked = None
         try:
-            report = self.walk.run(
+            report = walk.run(
                 message_types=types, exclude=excluded,
-                **({"max_scenarios": max_scenarios} if brute else {}))
+                steps=CachedSteps(self._instance, self.cache, prober,
+                                  poisoned, kept),
+                **({"max_scenarios": max_scenarios}
+                   if self.algorithm == "brute" else {}))
         finally:
             if prober is not None:
                 asked = prober.drain()
@@ -536,8 +546,7 @@ class ScenarioExecutor:
             # the workers': the parent-side prober's must match it
             self._check_startup(asked.startup)
         if tracing:
-            instance = (prober.search.harness.instance
-                        if prober is not None else None)
+            instance = prober.harness.instance if prober is not None else None
             report.telemetry = summarize(
                 self.tracer,
                 instance.world.instruments if instance is not None else None,

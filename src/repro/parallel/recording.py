@@ -1,14 +1,14 @@
-"""Charge-level recording, the foundation of deterministic merging.
+"""Charge-level recording, the foundation of deterministic replay.
 
-A parallel worker simulates its steps with a :class:`RecordingLedger`, which
+A prober simulates its steps with a :class:`RecordingLedger`, which
 remembers every individual ``(category, seconds)`` charge in order, and a
 :class:`RecordingSupervisor`, which remembers *where in the charge log* each
-supervision event fired.  The merge step then replays those charges — in the
-order the serial algorithm would have issued them — into a fresh ledger, so
-the merged totals are bitwise identical to a serial run's (floating-point
-accumulation is order-sensitive; replaying per-charge sidesteps that where
-summing per-worker deltas would not), and every ``SupervisorEvent.at``
-timestamp lands on exactly the serial ledger total.
+supervision event fired.  The walk then replays those charges — in the
+order it asks for the steps — into its own ledger, so its totals are bitwise
+identical whoever simulated which step (floating-point accumulation is
+order-sensitive; replaying per-charge sidesteps that where summing
+per-worker deltas would not), and every ``SupervisorEvent.at`` timestamp
+lands on exactly the ledger total it had when the event fired.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class StepTrace:
     ``charges`` are the ledger charges the step issued, in order; ``events``
     are the supervision events it recorded, each pinned to its position in
     ``charges``; ``crash_lines`` is the world's crashed-node summary at the
-    end of the step (what ``_note_crashes`` would have seen serially).
+    end of the step (the crashed nodes the walk reports).
     """
 
     charges: List[Tuple[str, float]] = field(default_factory=list)
@@ -90,28 +90,28 @@ class StepTrace:
 
 
 class StepRecorder:
-    """Context manager capturing one supervised step as a :class:`StepTrace`.
+    """Context manager capturing one step of a prober as a :class:`StepTrace`.
 
-    A :class:`ScenarioQuarantined` raised inside the block is swallowed and
-    surfaced as ``(reason, attempts)`` on :attr:`quarantined` — mirroring
-    how every serial search loop catches it and records the quarantine.
+    Reads the prober's ``ledger`` (a :class:`RecordingLedger`),
+    ``supervisor`` (a :class:`RecordingSupervisor`) and ``harness``.  A
+    :class:`ScenarioQuarantined` raised inside the block is swallowed and
+    surfaced as ``(reason, attempts)`` on :attr:`quarantined`, for the walk
+    to re-raise when it replays the step.
     """
 
-    def __init__(self, search) -> None:
-        self._search = search
+    def __init__(self, prober) -> None:
+        self._prober = prober
         self.trace: Optional[StepTrace] = None
         self.quarantined: Optional[Tuple[str, int]] = None
 
     def __enter__(self) -> "StepRecorder":
-        ledger: RecordingLedger = self._search.ledger
-        supervisor: RecordingSupervisor = self._search.supervisor
-        self._c0 = len(ledger.log)
-        self._e0 = len(supervisor.stats.events)
+        self._c0 = len(self._prober.ledger.log)
+        self._e0 = len(self._prober.supervisor.stats.events)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        ledger: RecordingLedger = self._search.ledger
-        supervisor: RecordingSupervisor = self._search.supervisor
+        ledger: RecordingLedger = self._prober.ledger
+        supervisor: RecordingSupervisor = self._prober.supervisor
         charges = list(ledger.log[self._c0:])
         events: List[PackedEvent] = []
         for position, event in zip(supervisor.event_positions[self._e0:],
@@ -119,7 +119,7 @@ class StepRecorder:
             events.append((position - self._c0, event.kind, event.op,
                            event.scenario, event.error, event.attempt))
         crash_lines: List[str] = []
-        instance = self._search.harness.instance
+        instance = self._prober.harness.instance
         if instance is not None:
             crash_lines = list(instance.world.crashed_node_summaries())
         self.trace = StepTrace(charges, events, crash_lines)

@@ -1,30 +1,27 @@
-"""Probers: simulate supervised steps on a private testbed, record each.
+"""Probers: the live step source — simulate one step, record it.
 
-A prober owns a full testbed built from the same ``(factory, seed)`` as
-every other.  Because the worlds are deterministic simulations and every
-message type's processing starts from a restore of the warm snapshot, the
-platform operations it performs for a step — and every ledger charge they
-produce — are bitwise identical whoever performs them, and in whatever
-order.  So a prober returns *recorded traces*
-(:mod:`repro.parallel.recording`), not report fragments, and the
-algorithm's own walk runs over them (:mod:`repro.parallel.merge`).
+A prober owns a supervised testbed (an
+:class:`~repro.controller.harness.AttackHarness` on a
+:class:`~repro.parallel.recording.RecordingLedger`, guarded by a
+:class:`~repro.parallel.recording.RecordingSupervisor`) built from the
+same ``(factory, seed)`` as every other.  The worlds are deterministic and
+every type's processing starts from a restore of the warm snapshot, so the
+charges a step produces are bitwise identical whoever simulates it, in
+whatever order: a prober answers a walk's questions with *recorded*
+probes, which the walk replays (:class:`~repro.parallel.merge.CachedSteps`).
 
 The parent-side prober answers one step at a time, when the walk misses it
-in the :class:`ProbeCache`.  A forked worker has nobody waiting, so it
-simulates ahead of the walk, one :class:`Step` — one of the superset
-rule's independent units (:meth:`ProbeCache.split`) — at a time
-(:meth:`WorkerProber.run_task`).  Either way a recorded probe is never
-simulated again — later passes replay it from the cache, which
-``hunt --store`` persists (:mod:`repro.store.runstore`).
-
-What a prober does *not* keep is live testbed state per type: it holds one
-:class:`~repro.search.base.TypeContext`, the type it last simulated.  A
-fresh evaluation of any other type re-derives its injection point from the
-warm snapshot, off the books (:meth:`WorkerProber._reacquire_context`).
+in the :class:`ProbeCache`.  A forked worker simulates ahead of the walk,
+one :class:`Step` at a time (:meth:`WorkerProber.run_task`).  Either way a
+recorded probe is never simulated again.  A prober holds one live
+:class:`TypeContext`, the type it last simulated; any other type's is
+re-derived from the warm snapshot, off the books
+(:meth:`WorkerProber._reacquire_context`).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import time
@@ -35,13 +32,14 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
-from repro.common.errors import SearchError
+from repro.common.errors import ProxyError, SearchError
+from repro.controller.costs import EXECUTION, REBUILD, CostLedger
+from repro.controller.harness import AttackHarness, InjectionPoint
 from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
                                       StepRecorder, StepTrace)
-from repro.search.base import SearchAlgorithm, TypeContext, is_attack_sample
-from repro.search.brute import BruteForceSearch
-from repro.telemetry.tracer import Tracer
+from repro.search.base import is_attack_sample
+from repro.telemetry.tracer import Tracer, maybe_span
 
 #: what a quarantined step collapses to: (reason, attempts)
 Quarantine = Optional[Tuple[str, int]]
@@ -49,7 +47,7 @@ Quarantine = Optional[Tuple[str, int]]
 
 @dataclass
 class ProbeParams:
-    """Everything a worker needs to build its search stack (fork-inherited)."""
+    """Everything a prober needs to build its testbed (fork-inherited)."""
 
     algorithm: str = "weighted"        # weighted | greedy | brute
     threshold: Optional[AttackThreshold] = None
@@ -277,17 +275,30 @@ class NoProbeCache(ProbeCache):
     add_baseline = add_scenario = _forget
 
 
-class WorkerProber:
-    """Simulates supervised steps on one private testbed, recording each.
+@dataclass
+class TypeContext:
+    """Everything needed to branch one message type: injection + baseline.
+    ``stale``: the testbed was rebuilt since (the snapshot belongs to a dead
+    world), so the next measurement re-acquires both first."""
 
-    The body of a forked worker (``run_task``: a :class:`Step` ahead of the
-    walk) and the executor's one parent-side prober (a probe at a time,
-    when the walk misses).  The booted world and the warm snapshot persist
-    across calls.
-    ``tracer`` is the parent side's: spans go straight into it (a forked
-    worker keeps a private one and ships its spans home).  A forked worker
-    never sees ``fault_plan``: its fault stream only means something on
-    the one prober the walk drives in order.
+    message_type: str
+    injection: InjectionPoint
+    baseline: PerfSample
+    stale: bool = False
+
+
+class WorkerProber:
+    """The live step source: each answer simulated on one private,
+    supervised testbed and recorded by a :class:`StepRecorder`.
+
+    The body of a forked worker (``run_task``) and the executor's one
+    parent-side prober (a probe at a time, when the walk misses).  The
+    booted world and the warm snapshot persist across calls.  ``tracer``
+    is the parent side's (a forked worker keeps a private one and ships
+    its spans home); ``fault_plan`` is the parent side's alone, its fault
+    stream meaningful only on the one prober the walk drives in order.  A
+    transient platform fault costs a bounded retry under the supervisor —
+    a testbed rebuild charged to ``rebuild`` — instead of failing the step.
     """
 
     def __init__(self, worker_id: int, factory, seed: int,
@@ -295,25 +306,23 @@ class WorkerProber:
                  fault_plan=None) -> None:
         self.worker_id = worker_id
         self.params = params
-        ledger = RecordingLedger()
         self._ships_spans = tracer is None and params.trace
         self.tracer = Tracer(enabled=True) if self._ships_spans else tracer
-        cls = BruteForceSearch if params.algorithm == "brute" \
-            else SearchAlgorithm
-        self.search = cls(
-            factory, seed=seed, threshold=params.threshold,
-            space_config=params.space_config, max_wait=params.max_wait,
-            shared_pages=params.shared_pages,
-            delta_snapshots=params.delta_snapshots,
-            fault_schedule=params.fault_schedule,
-            watchdog_limit=params.watchdog_limit,
-            max_retries=params.max_retries,
-            tracer=self.tracer, log_events=params.log_events,
-            ledger=ledger, fault_plan=fault_plan)
-        # The recording supervisor must share the recording ledger so event
+        self.ledger = RecordingLedger()
+        # The recording supervisor shares the recording ledger so event
         # positions index into the same charge log.
-        self.search.supervisor = RecordingSupervisor(
-            ledger, max_retries=params.max_retries)
+        self.supervisor = RecordingSupervisor(
+            self.ledger, max_retries=params.max_retries)
+        #: a fresh, unbooted harness on this prober's ledger (brute force
+        #: takes one per execution)
+        self._new_harness = functools.partial(
+            AttackHarness, factory, seed, params.threshold,
+            shared_pages=params.shared_pages,
+            delta_snapshots=params.delta_snapshots, ledger=self.ledger,
+            fault_plan=fault_plan, fault_schedule=params.fault_schedule,
+            watchdog_limit=params.watchdog_limit, tracer=self.tracer,
+            log_events=params.log_events)
+        self.harness = self._new_harness()
         #: this prober's own (latest) boot.  Never taken from a cache:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
@@ -324,30 +333,94 @@ class WorkerProber:
         self._logged = None
         self._log_mark = 0
 
+    # ----------------------------------------------------- supervised plane
+
+    def _rebuild_testbed(self) -> None:
+        """Replace the testbed with a fresh build of the same factory+seed,
+        all its platform time charged to the ``rebuild`` category."""
+        sub = CostLedger()
+        self.harness.ledger = sub
+        try:
+            self.harness.start_run()
+        finally:
+            self.harness.ledger = self.ledger
+            self.ledger.charge(REBUILD, sub.total())
+
+    def _seek_context(self, message_type: str) -> Optional[TypeContext]:
+        """Rewind to the warm state, run until the type is intercepted and
+        branch its baseline; None when it never appears within
+        ``max_wait``."""
+        harness = self.harness
+        harness.restore(harness.warm_snapshot)
+        harness.proxy.clear_policy()
+        injection = harness.run_to_injection(message_type,
+                                             max_wait=self.params.max_wait)
+        if injection is None:
+            return None
+        return TypeContext(message_type, injection,
+                           harness.branch_measure(injection, None))
+
+    def _measure_action(self, ctx: TypeContext,
+                        action: MaliciousAction) -> PerfSample:
+        """Supervised branch-measure of one action against ``ctx``,
+        re-acquiring ``ctx`` first when a retry rebuilt the testbed."""
+        def attempt() -> PerfSample:
+            if ctx.stale:
+                fresh = self._seek_context(ctx.message_type)
+                if fresh is None:
+                    # Deterministic worlds reproduce their injection points;
+                    # losing one after a rebuild is itself a (transient)
+                    # platform anomaly.
+                    raise ProxyError(f"injection point for "
+                                     f"{ctx.message_type} lost after rebuild")
+                ctx.injection, ctx.baseline = fresh.injection, fresh.baseline
+                ctx.stale = False
+            return self.harness.branch_measure(ctx.injection, action)
+
+        def rebuild() -> None:
+            self._rebuild_testbed()
+            ctx.stale = True
+
+        label = f"{action.describe()} {ctx.message_type}"
+        with maybe_span(self.tracer, "search.scenario",
+                        message_type=ctx.message_type,
+                        scenario=label) as span:
+            sample = self.supervisor.run(f"branch:{ctx.message_type}",
+                                         attempt, rebuild=rebuild,
+                                         scenario=label)
+            span.set(throughput=sample.throughput,
+                     crashed=sample.crashed_nodes)
+        return sample
+
     # ------------------------------------------------------- weighted/greedy
 
-    def _boot(self) -> StartupProbe:
+    def startup(self) -> StartupProbe:
         """Run the supervised startup and record it — again on every ask
         (a fresh testbed per pass)."""
         self._live = None
-        with StepRecorder(self.search) as step:
-            self.search._start_run()
+        with StepRecorder(self) as step:
+            self.supervisor.run("start_run", self.harness.start_run)
         self._startup = StartupProbe(step.trace, step.quarantined)
         return self._startup
 
     def _ensure_started(self) -> StartupProbe:
-        return self._startup if self._startup is not None else self._boot()
+        return self._startup if self._startup is not None else self.startup()
 
-    def _acquire(self, message_type: str) -> ContextProbe:
+    def context(self, message_type: str) -> ContextProbe:
+        """Supervised injection-seek plus baseline branch.  Not found is an
+        honest no-injection-point outcome, charged as wasted execution."""
         self._ensure_started()
         self._live = None  # dropped first: never two contexts resident
-        with StepRecorder(self.search) as step:
-            self._live = self.search._acquire_context(message_type)
+        with StepRecorder(self) as step:
+            self._live = self.supervisor.run(
+                f"injection:{message_type}",
+                lambda: self._seek_context(message_type),
+                rebuild=self._rebuild_testbed, scenario=message_type)
         return ContextProbe(found=self._live is not None, trace=step.trace,
                             quarantined=step.quarantined)
 
-    def _evaluate(self, message_type: str,
-                  action: MaliciousAction) -> EvalProbe:
+    def evaluate(self, message_type: str,
+                 action: MaliciousAction) -> EvalProbe:
         self._ensure_started()
         if self._live is None or self._live.message_type != message_type:
             # Recorded earlier (another pass, another type since, another
@@ -358,49 +431,94 @@ class WorkerProber:
             self._live = self._reacquire_context(message_type)
         ctx = self._live
         sample = None
-        with StepRecorder(self.search) as step:
-            sample = self.search._measure_action(ctx, action)
+        with StepRecorder(self) as step:
+            sample = self._measure_action(ctx, action)
         # Read the baseline *after* the measurement: a mid-step rebuild
-        # refreshes ctx.baseline, and the serial loop compares against
-        # the refreshed one.
+        # refreshes ctx.baseline, and the walk compares against the
+        # refreshed one.
         baseline = ctx.baseline if step.quarantined is None else None
         return EvalProbe(action.to_record(), baseline,
                          sample if step.quarantined is None else None,
                          step.trace, step.quarantined)
 
     def _reacquire_context(self, message_type: str) -> TypeContext:
-        """Re-derive the live injection context of an already-recorded type.
-
-        Runs **off the books**: outside any :class:`StepRecorder`, so none
-        of its ledger charges enter recorded traces — the merged report
-        stays byte-identical to a run that never lost the context.  The
-        deterministic world reproduces the identical injection point from
-        the warm state; losing it now means the world diverged, which is a
-        hard error rather than a quietly different report.
-        """
-        search = self.search
-        injection = search._seek_injection(message_type)
-        if injection is None:
+        """Re-derive the live injection context of an already-recorded type,
+        **off the books** (outside any :class:`StepRecorder`, so the report
+        stays byte-identical to a run that never lost it).  A deterministic
+        world reproduces the point; losing it is a hard error."""
+        ctx = self._seek_context(message_type)
+        if ctx is None:
             raise SearchError(
                 f"injection point for {message_type} disappeared on "
                 f"re-acquisition; deterministic world diverged")
-        baseline = search.harness.branch_measure(injection, None)
-        return TypeContext(message_type, injection, baseline)
+        return ctx
 
     # ----------------------------------------------------------------- brute
 
-    def _baseline(self) -> BaselineProbe:
+    def _fresh_run(self):
+        """A fresh execution — boot and warmup paid every time, no warm
+        snapshot.  Each attempt is already a full rebuild, so the
+        supervisor retries the callable directly."""
+        self.harness = self._new_harness()
+        return self.harness.start_run(take_warm_snapshot=False)
+
+    def _scenario_attempt(self, scenario: AttackScenario
+                          ) -> Tuple[Optional[float], Optional[PerfSample]]:
+        instance = self._fresh_run()
+        instance.proxy.set_policy(scenario.message_type, scenario.action)
+        instance.proxy.reset_counters()
+        max_wait = (self.params.max_wait if self.params.max_wait is not None
+                    else AttackHarness.DEFAULT_MAX_WAIT)
+
+        # Run until the action has actually been applied (the injection
+        # point), or waste the full execution if the type never occurs.
+        world = instance.world
+        deadline = world.kernel.now + max_wait
+        injected_at = None
+        while world.kernel.now < deadline:
+            start = world.kernel.now
+            step = min(0.5, deadline - start)
+            try:
+                world.run_for(step)
+            finally:
+                self.ledger.charge(EXECUTION, world.kernel.now - start)
+            if instance.proxy.first_injection_time is not None:
+                injected_at = instance.proxy.first_injection_time
+                break
+        if injected_at is None:
+            return None, None
+
+        # Measure the window from the injection point.
+        window_end = injected_at + instance.window
+        start = world.kernel.now
+        try:
+            world.run_until(window_end)
+        finally:
+            self.ledger.charge(EXECUTION, world.kernel.now - start)
+        crashed = len(world.crashed_nodes())
+        return injected_at, self.harness.monitor.sample(
+            injected_at, window_end, crashed_nodes=crashed)
+
+    def baseline(self) -> BaselineProbe:
+        """Brute force's one benign execution."""
+        def attempt() -> PerfSample:
+            self._fresh_run()
+            return self.harness.measure_window()
+
         sample = None
-        with StepRecorder(self.search) as step:
-            sample = self.search._measure_baseline()
+        with StepRecorder(self) as step:
+            sample = self.supervisor.run("baseline", attempt)
         return BaselineProbe(sample if step.quarantined is None else None,
                              step.trace, step.quarantined)
 
-    def _scenario(self, record: tuple) -> ScenarioProbe:
+    def scenario(self, record: tuple) -> ScenarioProbe:
+        scenario = AttackScenario.from_record(record)
         injected_at = sample = None
-        with StepRecorder(self.search) as step:
-            injected_at, sample = self.search._measure_scenario(
-                AttackScenario.from_record(record))
+        with StepRecorder(self) as step:
+            injected_at, sample = self.supervisor.run(
+                f"scenario:{scenario.message_type}",
+                lambda: self._scenario_attempt(scenario),
+                scenario=scenario.describe())
         return ScenarioProbe(record, injected_at, sample, step.trace,
                              step.quarantined)
 
@@ -410,13 +528,13 @@ class WorkerProber:
         """Stamp the cumulative ledger, and move tracer output (a private
         tracer's only) and EventLog records since the last call onto
         ``payload``."""
-        payload.by_category = dict(self.search.ledger.by_category)
+        payload.by_category = dict(self.ledger.by_category)
         if self._ships_spans:
             payload.spans = list(self.tracer.spans)
             payload.events = list(self.tracer.events)
             self.tracer.clear()
         if self.params.log_events:
-            instance = self.search.harness.instance
+            instance = self.harness.instance
             records = (instance.world.log.records
                        if instance is not None else [])
             if instance is not self._logged:  # a (re)built world: new log
@@ -448,7 +566,7 @@ class WorkerProber:
             self._ensure_started()
         elif kind == "context":
             if self._ensure_started().quarantined is None:
-                payload.context = self._acquire(message_type)
+                payload.context = self.context(message_type)
         elif kind == "evals":
             cache = ProbeCache()
             for probe in step.known:
@@ -456,12 +574,12 @@ class WorkerProber:
             payload.evals = cache.walk(
                 message_type,
                 [MaliciousAction.from_record(r) for r in step.records],
-                self.search.threshold, self.params.early_stop,
-                self._evaluate)
+                self.harness.threshold, self.params.early_stop,
+                self.evaluate)
         elif kind == "baseline":
-            payload.baseline = self._baseline()
+            payload.baseline = self.baseline()
         elif kind == "scenario":
-            payload.scenario = self._scenario(step.records[0])
+            payload.scenario = self.scenario(step.records[0])
         else:
             raise ValueError(f"unknown worker step {kind!r}")
         if kind == "startup" or fresh:

@@ -1,6 +1,6 @@
 """Attack-finding algorithms: brute force, greedy, weighted greedy."""
 
-from repro.search.base import SearchAlgorithm, TypeContext
+from repro.search.base import SearchAlgorithm
 from repro.search.brute import BruteForceSearch
 from repro.search.greedy import GreedySearch
 from repro.search.hunt import HuntResult, hunt
@@ -13,7 +13,7 @@ ALGORITHMS = {"weighted": WeightedGreedySearch, "greedy": GreedySearch,
               "brute": BruteForceSearch}
 
 __all__ = [
-    "ALGORITHMS", "SearchAlgorithm", "TypeContext", "BruteForceSearch",
+    "ALGORITHMS", "SearchAlgorithm", "BruteForceSearch",
     "GreedySearch", "HuntResult", "hunt", "AttackFinding", "SearchReport",
     "DEFAULT_WEIGHTS", "ClusterWeights", "WeightedGreedySearch",
 ]

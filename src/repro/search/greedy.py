@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.attacks.actions import AttackScenario
-from repro.controller.supervisor import ScenarioQuarantined
 from repro.search.base import SearchAlgorithm
 from repro.search.results import AttackFinding, SearchReport
 
@@ -38,8 +37,9 @@ class GreedySearch(SearchAlgorithm):
 
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None) -> SearchReport:
-        self._start_run()
         report = self._make_report()
+        if self._ask(self.steps.startup(), note_crashes=False) is None:
+            return report
         space = self._space()
 
         for message_type in self._search_types(message_types):
@@ -53,14 +53,12 @@ class GreedySearch(SearchAlgorithm):
             type_quarantined = False
 
             for __ in range(self.rounds):
-                try:
-                    ctx = self._acquire_context(message_type)
-                except ScenarioQuarantined as q:
-                    report.quarantined.append(
-                        self._quarantine_entry(q, message_type, None))
+                context = self._ask(self.steps.context(message_type),
+                                    message_type)
+                if context is None:
                     type_quarantined = True
                     break
-                if ctx is None:
+                if not context.found:
                     break
                 saw_injection = True
                 report.injection_points += 1
@@ -68,13 +66,12 @@ class GreedySearch(SearchAlgorithm):
                 worst_key = None
                 worst_damage = -1.0
                 for action in actions:
-                    try:
-                        sample = self._measure_action(ctx, action)
-                    except ScenarioQuarantined as q:
-                        report.quarantined.append(
-                            self._quarantine_entry(q, message_type, action))
+                    probe = self._ask(
+                        self.steps.evaluate(message_type, action),
+                        message_type, action)
+                    if probe is None:
                         continue
-                    baseline = ctx.baseline
+                    baseline, sample = probe.baseline, probe.sample
                     report.scenarios_evaluated += 1
                     damage = self.threshold.damage(baseline, sample)
                     if sample.crashed_nodes > baseline.crashed_nodes:
@@ -105,4 +102,4 @@ class GreedySearch(SearchAlgorithm):
                         found_at=self.ledger.total(),
                         confirmations=count))
                 break  # greedy keeps only the strongest attack per type
-        return self._finalize_report(report)
+        return report

@@ -22,13 +22,12 @@ Long campaigns are supervised and resumable:
   ``interrupted=True``) after writing a final checkpoint instead of
   propagating a bare traceback.
 
-One engine, two ways a step gets recorded: every pass is
-:class:`~repro.search.weighted.WeightedGreedySearch`'s ``_run_pass`` run by
-:class:`~repro.parallel.executor.ScenarioExecutor` over the steps recorded
-in its probe cache.  A step the cache lacks is simulated on the live
-harness the moment the walk asks for it (``workers=1``) or was prefetched
-by a forked worker before the walk started (``workers > 1``); ``store_dir``
-merely makes the cache durable.
+One engine: every pass is the weighted-greedy walk
+(:mod:`repro.search.weighted`), run by :class:`~repro.parallel.executor.ScenarioExecutor` over its
+cached step source — the probe cache, then, on a miss, the prober that
+simulates the step on its live harness the moment the walk asks for it
+(``workers=1``); with ``workers > 1`` a forked pool prefetched it before
+the walk started.  ``store_dir`` merely makes the cache durable.
 """
 
 from __future__ import annotations
@@ -254,7 +253,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     ``injection_cache`` is a pricing policy, not a second engine: pass 2+
     is charged as a platform that kept its warm testbed and injection-point
     snapshots would charge it — no boot, warmup, or injection seek (see
-    :class:`~repro.parallel.merge.ReplaySource`).  It composes with
+    :meth:`~repro.parallel.merge.CachedSteps._priced`).  It composes with
     ``workers`` and ``store_dir``; a store refuses to resume under the
     other setting.  Under a ``fault_plan`` (sequence-dependent, so it
     excludes ``workers > 1`` and ``store_dir``) no recorded step outlives

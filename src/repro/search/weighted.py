@@ -25,7 +25,6 @@ from repro.attacks.actions import (CLUSTER_DELAY, CLUSTER_DIVERT,
                                    CLUSTER_LIE_BOUNDARY, CLUSTER_LIE_RANDOM,
                                    CLUSTER_LIE_RELATIVE, AttackScenario,
                                    MaliciousAction)
-from repro.controller.supervisor import ScenarioQuarantined
 from repro.search.base import SearchAlgorithm, is_attack_sample
 from repro.search.results import AttackFinding, SearchReport
 
@@ -81,21 +80,20 @@ class WeightedGreedySearch(SearchAlgorithm):
 
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None) -> SearchReport:
-        self._start_run()
         report = self._make_report()
+        if self._ask(self.steps.startup(), note_crashes=False) is None:
+            return report
         space = self._space()
 
         for message_type in self._search_types(message_types):
             actions = space.actions_for(message_type, exclude)
             if not actions:
                 continue
-            try:
-                ctx = self._acquire_context(message_type)
-            except ScenarioQuarantined as q:
-                report.quarantined.append(
-                    self._quarantine_entry(q, message_type, None))
+            context = self._ask(self.steps.context(message_type),
+                                message_type)
+            if context is None:
                 continue
-            if ctx is None:
+            if not context.found:
                 report.types_without_injection.append(message_type)
                 continue
             report.injection_points += 1
@@ -104,16 +102,14 @@ class WeightedGreedySearch(SearchAlgorithm):
             worst: Optional[AttackFinding] = None
             found = False
             for action in ordered:
-                try:
-                    sample = self._measure_action(ctx, action)
-                except ScenarioQuarantined as q:
-                    report.quarantined.append(
-                        self._quarantine_entry(q, message_type, action))
+                probe = self._ask(self.steps.evaluate(message_type, action),
+                                  message_type, action)
+                if probe is None:
                     continue
                 report.scenarios_evaluated += 1
-                # ctx.baseline tracks any mid-type rebuild, so damage is
-                # always computed against the same world the sample saw.
-                baseline = ctx.baseline
+                # Each probe carries the baseline its sample was measured
+                # against (a mid-type rebuild re-measures it).
+                baseline, sample = probe.baseline, probe.sample
                 damage = self.threshold.damage(baseline, sample)
                 crashed = sample.crashed_nodes > baseline.crashed_nodes
                 finding = AttackFinding(
@@ -135,4 +131,4 @@ class WeightedGreedySearch(SearchAlgorithm):
                 # weak selection, not a confirmed attack.
                 worst.found_at = self.ledger.total()
                 report.weak_selections.append(worst)
-        return self._finalize_report(report)
+        return report

@@ -25,6 +25,7 @@ from repro.controller.supervisor import (FAULT_OPS, OP_PROXY,
                                          ScenarioQuarantined,
                                          ScenarioSupervisor, SupervisorStats)
 from repro.parallel.executor import ScenarioExecutor
+from repro.parallel.worker import WorkerProber
 from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
 from repro.store.runstore import RunStore
@@ -345,15 +346,20 @@ class TestSupervisedSearch:
             assert report.ledger.get(REBUILD) > 0
 
     def test_snapshot_options_plumbed_to_harness(self):
+        """...through the search's engine to the harness its prober
+        simulates on."""
+        def harness(search):
+            return search.engine()._parent().harness
+
         search = WeightedGreedySearch(FACTORY, seed=1,
                                       space_config=TINY_SPACE,
                                       shared_pages=False,
                                       delta_snapshots=True)
-        assert search.harness.shared_pages is False
-        assert search.harness.delta_snapshots is True
+        assert harness(search).shared_pages is False
+        assert harness(search).delta_snapshots is True
         default = WeightedGreedySearch(FACTORY, seed=1)
-        assert default.harness.shared_pages is True
-        assert default.harness.delta_snapshots is False
+        assert harness(default).shared_pages is True
+        assert harness(default).delta_snapshots is False
 
 
 class TestSupervisedHunt:
@@ -461,19 +467,18 @@ def _raise_keyboard_interrupt(self, message_types=None, exclude=None,
 
 
 def _interrupt_live_measurement(monkeypatch, when):
-    """Raise KeyboardInterrupt from the live ``_measure_action`` (the one a
-    prober simulates with) once ``when(calls so far)`` holds."""
-    from repro.search.base import SearchAlgorithm
-    measure = SearchAlgorithm._measure_action
+    """Raise KeyboardInterrupt from the prober's live ``_measure_action``
+    once ``when(calls so far)`` holds."""
+    measure = WorkerProber._measure_action
     calls = []
 
-    def interrupted(search, ctx, action):
+    def interrupted(prober, ctx, action):
         calls.append(action)
         if when(len(calls)):
             raise KeyboardInterrupt
-        return measure(search, ctx, action)
+        return measure(prober, ctx, action)
 
-    monkeypatch.setattr(SearchAlgorithm, "_measure_action", interrupted)
+    monkeypatch.setattr(WorkerProber, "_measure_action", interrupted)
 
 
 # --------------------------------------------------------------------- CLI

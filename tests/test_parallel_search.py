@@ -28,9 +28,8 @@ from repro.controller.supervisor import FaultPlan, SupervisorEvent
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
 from repro.parallel.worker import ProbeCache, Step
-from repro.parallel.merge import REPLAYING, ReplaySource
+from repro.parallel.merge import CachedSteps
 from repro.search import ALGORITHMS
-from repro.search.base import SearchAlgorithm
 from repro.search.hunt import hunt
 from repro.search.weighted import (DEFAULT_WEIGHTS, ClusterWeights,
                                    WeightedGreedySearch)
@@ -126,7 +125,9 @@ def _probe_type(prober, message_type, exclude=frozenset()):
     :meth:`ProbeCache.split` group.  Returns ``(returns, context, evals)``.
     """
     returns = [prober.run_task(Step("context", message_type))]
-    actions = prober.search._space().actions_for(message_type, exclude)
+    actions = ActionSpace(prober.harness.instance.schema,
+                          prober.params.space_config).actions_for(
+                              message_type, exclude)
     for group in ProbeCache.split(actions, prober.params.early_stop):
         returns.append(prober.run_task(Step(
             "evals", message_type, tuple(a.to_record() for a in group))))
@@ -188,44 +189,43 @@ def _pace_steps(monkeypatch, delay):
 def _spy_on_asks(monkeypatch):
     """Log every step a walk misses and has the prober simulate."""
     asked = []
-    original = ReplaySource._answer
+    original = CachedSteps._answer
 
-    def logged(walk, probe, what, simulate, admit):
+    def logged(source, probe, what, simulate, admit):
         if probe is None:
             asked.append(what)
-        return original(walk, probe, what, simulate, admit)
+        return original(source, probe, what, simulate, admit)
 
-    monkeypatch.setattr(ReplaySource, "_answer", logged)
+    monkeypatch.setattr(CachedSteps, "_answer", logged)
     return asked
 
 
 class TestReplaySource:
-    """The executor runs each algorithm's own ``_run_pass`` over recorded
-    probes.  A step nobody recorded is a question for the prober — and,
-    with no prober to ask, an error."""
+    """Each algorithm's walk runs over recorded probes.  A step nobody
+    recorded is a question for the prober — and, with no prober to ask, an
+    error."""
 
     @staticmethod
-    def _walk(algorithm, cache, prober=None, **options):
-        return REPLAYING[algorithm](
-            SMALL_FACTORY(3), cache, prober, ProbeCache(), SMALL_FACTORY,
-            seed=3, space_config=SMALL_SPACE, **options)
+    def _run(algorithm, cache, prober=None, **options):
+        walk = ALGORITHMS[algorithm](SMALL_FACTORY, seed=3,
+                                     space_config=SMALL_SPACE, **options)
+        return walk.run(message_types=["Accept"], steps=CachedSteps(
+            SMALL_FACTORY(3), cache, prober))
 
     def test_missing_eval_is_a_coverage_hole(self):
         cache, __ = _superset("greedy", ())
         gone = MaliciousAction.from_record(
             cache.evals["Accept"].popitem()[0])
-        walk = self._walk("greedy", cache, rounds=1, confirmations=1)
         with pytest.raises(SearchError) as err:
-            walk.run(message_types=["Accept"])
+            self._run("greedy", cache, rounds=1, confirmations=1)
         assert "coverage hole" in str(err.value)
         assert f"{gone.describe()} Accept" in str(err.value)
 
     def test_missing_scenario_is_a_coverage_hole(self):
         cache, __ = _superset("brute", {SMALL_SCENARIOS[1]})
         gone = AttackScenario.from_record(SMALL_SCENARIOS[1])
-        walk = self._walk("brute", cache)
         with pytest.raises(SearchError) as err:
-            walk.run(message_types=["Accept"])
+            self._run("brute", cache)
         assert "coverage hole" in str(err.value)
         assert f"{gone.action.describe()} Accept" in str(err.value)
 
@@ -235,15 +235,13 @@ class TestReplaySource:
         store = RunStore(str(tmp_path), seed=3)
         prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
             space_config=SMALL_SPACE, max_wait=5.0))
-        first = self._walk("weighted", store.cache, prober).run(
-            message_types=["Accept"])
+        first = self._run("weighted", store.cache, prober)
         asked = list(simulated)
         assert {"startup", "injection context for Accept"} <= set(asked)
         assert len(asked) == len(set(asked))
         journaled = store.counters()["store.journal.records_appended"]
         assert journaled == len(asked)  # each before it was replayed
-        again = self._walk("weighted", store.cache, prober).run(
-            message_types=["Accept"])
+        again = self._run("weighted", store.cache, prober)
         store.close()
         assert simulated == asked  # the second walk asked for nothing
         assert report_json(again) == report_json(first)
@@ -388,8 +386,8 @@ class TestCompletionOrder:
         _pace_steps(monkeypatch, lambda step: pattern(
             zlib.crc32(repr(step.key).encode())) / 1000)
         run_task = WorkerProber.run_task
-        acquire = WorkerProber._acquire
-        evaluate = WorkerProber._evaluate
+        acquire = WorkerProber.context
+        evaluate = WorkerProber.evaluate
         run_pass = ScenarioExecutor.run_pass
 
         def sent(prober, step):
@@ -409,8 +407,8 @@ class TestCompletionOrder:
             return run_pass(executor, *args, **kwargs)
 
         monkeypatch.setattr(WorkerProber, "run_task", sent)
-        monkeypatch.setattr(WorkerProber, "_acquire", acquired)
-        monkeypatch.setattr(WorkerProber, "_evaluate", evaluated)
+        monkeypatch.setattr(WorkerProber, "context", acquired)
+        monkeypatch.setattr(WorkerProber, "evaluate", evaluated)
         monkeypatch.setattr(ScenarioExecutor, "run_pass", begun)
 
     def test_result_is_independent_of_completion_order(self, tmp_path):
@@ -491,14 +489,14 @@ class TestOneLiveContext:
         ``WorldSnapshot`` alive: retained contexts were the prober's whole
         memory overhead over the live algorithm."""
         snapshots = {}
-        original = SearchAlgorithm._acquire_context
+        original = WorkerProber._seek_context
 
-        def watched(search, message_type):
-            ctx = original(search, message_type)
+        def watched(prober, message_type):
+            ctx = original(prober, message_type)
             snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
             return ctx
 
-        monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
+        monkeypatch.setattr(WorkerProber, "_seek_context", watched)
         prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
             space_config=SMALL_SPACE, max_wait=5.0))
         for message_type in ("Accept", "Heartbeat"):
@@ -514,14 +512,14 @@ class TestOneLiveContext:
         ``_reacquire_context`` runs, the previous type's snapshot is
         already garbage — no local of ``_evaluate`` still holds it."""
         snapshots = {}
-        original = SearchAlgorithm._acquire_context
+        original = WorkerProber._seek_context
 
-        def watched(search, message_type):
-            ctx = original(search, message_type)
+        def watched(prober, message_type):
+            ctx = original(prober, message_type)
             snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
             return ctx
 
-        monkeypatch.setattr(SearchAlgorithm, "_acquire_context", watched)
+        monkeypatch.setattr(WorkerProber, "_seek_context", watched)
         prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
             space_config=SMALL_SPACE, max_wait=5.0))
         __, __, accept = _probe_type(prober, "Accept")
@@ -535,7 +533,7 @@ class TestOneLiveContext:
             return reacquire(prober, message_type)
 
         monkeypatch.setattr(WorkerProber, "_reacquire_context", checked)
-        again = prober._evaluate("Accept", MaliciousAction.from_record(
+        again = prober.evaluate("Accept", MaliciousAction.from_record(
             accept[0].record))
         assert resident == [False]
         assert again.trace.charges == accept[0].trace.charges
@@ -660,10 +658,11 @@ class TestSupervisorStatsReset:
         finalize) must not leak into the next pass's report."""
         search = WeightedGreedySearch(FACTORY, seed=3, space_config=SPACE,
                                       max_wait=5.0)
+        search.run(message_types=["Accept"])
         stale = SupervisorEvent("retry", "injection:Accept", "Accept",
                                 "interrupted mid-pass", 1, at=1.0)
-        search.supervisor.stats.events.append(stale)
-        search.supervisor.stats.retries = 1
+        search.report.supervisor.events.append(stale)
+        search.report.supervisor.retries = 1
         report = search.run(message_types=["Accept"])
         assert stale not in report.supervisor.events
         assert report.supervisor.retries == 0
