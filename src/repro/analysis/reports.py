@@ -51,7 +51,7 @@ def _sample_from_dict(data: Dict[str, Any]) -> PerfSample:
 
 def _finding_to_dict(finding: AttackFinding) -> Dict[str, Any]:
     return {
-        "scenario": _record_to_jsonable(finding.scenario.to_record()),
+        "scenario": record_to_jsonable(finding.scenario.to_record()),
         "baseline": _sample_to_dict(finding.baseline),
         "attacked": _sample_to_dict(finding.attacked),
         "damage": finding.damage,
@@ -77,11 +77,6 @@ def record_from_jsonable(data: Any) -> Any:
     if isinstance(data, dict) and "__bytes__" in data:
         return bytes.fromhex(data["__bytes__"])
     return data
-
-
-# Backwards-compatible aliases (pre-supervision internal names).
-_record_to_jsonable = record_to_jsonable
-_record_from_jsonable = record_from_jsonable
 
 
 def _quarantine_to_dict(q: QuarantinedScenario) -> Dict[str, Any]:
@@ -129,7 +124,7 @@ def _supervisor_from_dict(data: Dict[str, Any]) -> SupervisorStats:
 def _finding_from_dict(data: Dict[str, Any]) -> AttackFinding:
     return AttackFinding(
         scenario=AttackScenario.from_record(
-            _record_from_jsonable(data["scenario"])),
+            record_from_jsonable(data["scenario"])),
         baseline=_sample_from_dict(data["baseline"]),
         attacked=_sample_from_dict(data["attacked"]),
         damage=data["damage"],
@@ -219,26 +214,6 @@ def hunt_result_to_dict(result) -> Dict[str, Any]:
         "validation": (None if result.validation is None
                        else result.validation.to_dict()),
     }
-
-
-def hunt_result_from_dict(data: Dict[str, Any]):
-    from repro.search.hunt import HuntResult
-    result = HuntResult(
-        passes=[report_from_dict(p) for p in data["passes"]],
-        total_ledger=CostLedger(dict(data["ledger"])),
-        quarantined=[_quarantine_from_dict(q)
-                     for q in data.get("quarantined", [])],
-        supervisor=_supervisor_from_dict(data.get("supervisor", {})),
-        interrupted=data.get("interrupted", False),
-        resumed_passes=data.get("resumed_passes", 0),
-        telemetry=(TelemetrySummary.from_dict(data["telemetry"])
-                   if data.get("telemetry") else None),
-        validation=(ValidationReport.from_dict(data["validation"])
-                    if data.get("validation") else None),
-    )
-    for report in result.passes:
-        result.findings.extend(report.findings)
-    return result
 
 
 # ----------------------------------------------------------------- rendering

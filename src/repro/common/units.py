@@ -24,10 +24,6 @@ def micros(us: float) -> float:
     return us / 1_000_000.0
 
 
-def seconds_to_millis(s: float) -> float:
-    return s * 1000.0
-
-
 def mbit_per_sec(mbps: float) -> float:
     """Megabits per second to bytes per second."""
     return mbps * 1_000_000 / 8.0

@@ -182,11 +182,3 @@ class CausalGraph:
             order.append(seq)
             frontier.extend(self.children.get(seq, ()))
         return order
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def message_count(self) -> int:
-        return len(self.messages)

@@ -31,7 +31,7 @@ import json
 import os
 import signal
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -212,12 +212,6 @@ class Journal:
     def checkpoint_chaos(self) -> bool:
         """Whether the ``ckpt`` chaos mode wants this checkpoint corrupted."""
         return self._chaos.on_checkpoint()
-
-    def iter_records(self, kind: Optional[str] = None
-                     ) -> Iterator[Dict[str, Any]]:
-        for record in self.records:
-            if kind is None or record.get("kind") == kind:
-                yield record
 
     def close(self) -> None:
         if self._fh is not None:

@@ -49,11 +49,6 @@ class BftConfig:
         return 2 * self.f + 1
 
     @property
-    def prepared_quorum(self) -> int:
-        """2f matching prepares (plus the pre-prepare) prove preparedness."""
-        return 2 * self.f
-
-    @property
     def reply_quorum(self) -> int:
         """f+1 matching replies convince a client."""
         return self.f + 1

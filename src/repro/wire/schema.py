@@ -117,16 +117,6 @@ class ProtocolSchema:
             raise WireFormatError(
                 f"schema {self.name} has no message {name!r}") from None
 
-    def message_by_id(self, type_id: int) -> MessageSpec:
-        try:
-            return self._by_id[type_id]
-        except KeyError:
-            raise WireFormatError(
-                f"schema {self.name} has no message with id {type_id}") from None
-
-    def has_message_id(self, type_id: int) -> bool:
-        return type_id in self._by_id
-
     def message_names(self) -> List[str]:
         return [m.name for m in self.messages]
 
