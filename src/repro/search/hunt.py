@@ -253,7 +253,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     ``injection_cache`` is a pricing policy, not a second engine: pass 2+
     is charged as a platform that kept its warm testbed and injection-point
     snapshots would charge it — no boot, warmup, or injection seek (see
-    :meth:`~repro.parallel.merge.CachedSteps._priced`).  It composes with
+    :class:`~repro.parallel.merge.CachedSteps`).  It composes with
     ``workers`` and ``store_dir``; a store refuses to resume under the
     other setting.  Under a ``fault_plan`` (sequence-dependent, so it
     excludes ``workers > 1`` and ``store_dir``) no recorded step outlives
