@@ -153,8 +153,9 @@ class ScenarioExecutor:
                       else ProbeCache())
         self._fault_plan = fault_plan
         self.progress = progress
-        #: the current (or last) pass's walk; its ``report`` is the partial
-        #: result a caller prints after a KeyboardInterrupt
+        #: the current (or last) :meth:`run_pass`'s walk; its ``report`` is
+        #: the partial result a caller prints after a KeyboardInterrupt
+        #: (not a :meth:`run_walk` caller's walk: no search-engine cycle)
         self.walk = None
         #: an unbooted instance: the name/schema/search-type oracle the
         #: step source hands the walk
@@ -503,39 +504,42 @@ class ScenarioExecutor:
         finding, in order)."""
         options = dict(self._options, **(
             {"weights": weights} if self.algorithm == "weighted" else {}))
-        walk = ALGORITHMS[self.algorithm](
+        self.walk = ALGORITHMS[self.algorithm](
             self.factory, seed=self.seed, threshold=self.threshold,
             space_config=self.params.space_config, tracer=self.tracer,
             progress=self.progress, **options)
-        return self.run_walk(walk, message_types, exclude,
-                             max_scenarios=max_scenarios, kept=kept)
+        return self.run_walk(
+            self.walk, message_types, exclude, kept=kept, walk_kwargs=(
+                {"max_scenarios": max_scenarios}
+                if self.algorithm == "brute" else {}))
 
     def run_walk(self, walk, message_types: Optional[Sequence[str]] = None,
                  exclude: Optional[Set[tuple]] = None,
-                 max_scenarios: Optional[int] = None,
+                 walk_kwargs: Optional[dict] = None,
                  kept: bool = False) -> SearchReport:
-        """Execute one pass of ``walk`` over the cached step source.
-        ``kept`` prices the pass as one whose snapshots the platform kept
+        """Execute one pass of ``walk`` over the cached step source;
+        ``walk_kwargs`` go to ``walk.run`` unchanged.  ``kept`` prices the
+        pass as one whose snapshots the platform kept
         (:class:`~repro.parallel.merge.CachedSteps`)."""
+        walk_kwargs = walk_kwargs or {}
         excluded = frozenset(exclude or ())
         types = (list(message_types) if message_types is not None
                  else self._instance.search_types())
         tracing = self.tracer is not None and self.tracer.enabled
         pass_mark = self.tracer.mark() if tracing else 0
-        poisoned = (self._prefetch(types, excluded, max_scenarios)
+        poisoned = (self._prefetch(types, excluded,
+                                   walk_kwargs.get("max_scenarios"))
                     if self._use_fork else None)
         # A healthy pool has probed all the walk can need (a miss is a
         # coverage hole); otherwise a miss is the parent-side prober's.
         prober = None if self._use_fork else self._parent()
-        self.walk = walk
         asked = None
         try:
             report = walk.run(
                 message_types=types, exclude=excluded,
                 steps=CachedSteps(self._instance, self.cache, prober,
                                   poisoned, kept),
-                **({"max_scenarios": max_scenarios}
-                   if self.algorithm == "brute" else {}))
+                **walk_kwargs)
         finally:
             if prober is not None:
                 asked = prober.drain()

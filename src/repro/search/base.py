@@ -63,6 +63,8 @@ class SearchAlgorithm:
     """
 
     name = "search"
+    #: the walk's executor name (a key of :data:`repro.search.ALGORITHMS`)
+    key: Optional[str] = None
 
     def __init__(self, factory: TestbedFactory, seed: int = 0,
                  threshold: Optional[AttackThreshold] = None,
@@ -106,11 +108,8 @@ class SearchAlgorithm:
         built on first use and kept (probe cache and all) for later runs."""
         if self._engine is None:
             from repro.parallel.executor import ScenarioExecutor
-            from repro.search import ALGORITHMS
-            algorithm = next(key for key, cls in ALGORITHMS.items()
-                             if isinstance(self, cls))
             self._engine = ScenarioExecutor(
-                algorithm=algorithm, workers=1, threshold=self.threshold,
+                algorithm=self.key, workers=1, threshold=self.threshold,
                 space_config=self.space_config, tracer=self.tracer,
                 progress=self.progress, **self._platform)
         return self._engine
@@ -195,10 +194,11 @@ class SearchAlgorithm:
             exclude: Optional[Set[tuple]] = None, steps=None,
             **kwargs) -> SearchReport:
         """One pass of the walk over the step source ``steps`` (None: over
-        :meth:`engine`), in one ``search.pass`` span."""
+        :meth:`engine`), in one ``search.pass`` span.  ``kwargs`` are
+        the walk's own (brute force's ``max_scenarios``)."""
         if steps is None:
             return self.engine().run_walk(self, message_types, exclude,
-                                          **kwargs)
+                                          walk_kwargs=kwargs)
         self.steps = steps
         with maybe_span(self.tracer, "search.pass",
                         algorithm=self.name) as span:

@@ -22,6 +22,7 @@ class BruteForceSearch(SearchAlgorithm):
     """Fresh execution per scenario; no snapshots, no branching."""
 
     name = "brute-force"
+    key = "brute"
 
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None,

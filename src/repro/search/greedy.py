@@ -26,6 +26,7 @@ class GreedySearch(SearchAlgorithm):
     """Branch at each injection point; evaluate all actions; pick the worst."""
 
     name = "greedy"
+    key = "greedy"
 
     def __init__(self, *args, rounds: int = 3, confirmations: int = 2,
                  **kwargs) -> None:

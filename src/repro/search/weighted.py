@@ -72,6 +72,7 @@ class WeightedGreedySearch(SearchAlgorithm):
     """Cluster-weighted ordering with early stop on the first attack found."""
 
     name = "weighted-greedy"
+    key = "weighted"
 
     def __init__(self, *args, weights: Optional[ClusterWeights] = None,
                  **kwargs) -> None:

@@ -23,8 +23,9 @@ from repro.analysis.reports import hunt_result_to_dict, report_to_dict
 from repro.attacks.actions import (CLUSTER_DROP, AttackScenario,
                                    MaliciousAction)
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
-from repro.common.errors import ConfigError, SearchError
-from repro.controller.supervisor import FaultPlan, SupervisorEvent
+from repro.common.errors import ConfigError, ProxyError, SearchError
+from repro.controller.harness import AttackHarness
+from repro.controller.supervisor import FaultPlan
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import ProbeParams, ScenarioExecutor, WorkerProber
 from repro.parallel.worker import ProbeCache, Step
@@ -653,16 +654,76 @@ class TestInjectionCache:
 
 
 class TestSupervisorStatsReset:
-    def test_interrupted_pass_does_not_double_count(self):
-        """Events left over from an aborted pass (stats were only reset at
-        finalize) must not leak into the next pass's report."""
+    def test_interrupted_pass_does_not_double_count(self, monkeypatch):
+        """A Ctrl-C out of a step whose retry was already recorded (here:
+        out of the testbed rebuild that retry asks for) leaves none of the
+        step's events in the prober's long-lived supervisor: running the
+        search again reports what a fresh search does."""
+        def search():
+            return WeightedGreedySearch(FACTORY, seed=3, space_config=SPACE,
+                                        max_wait=5.0)
+
+        fresh = report_json(search().run(message_types=["Accept"]))
+        branch = AttackHarness.branch_measure
+        aborted = []
+
+        def flaky(harness, injection, action):
+            if action is not None:
+                monkeypatch.setattr(AttackHarness, "branch_measure", branch)
+                raise ProxyError("transient fault mid-step")
+            return branch(harness, injection, action)
+
+        def interrupted(prober):
+            aborted.extend(e.kind for e in prober.supervisor.stats.events)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AttackHarness, "branch_measure", flaky)
+        monkeypatch.setattr(WorkerProber, "_rebuild_testbed", interrupted)
+        interrupted_search = search()
+        with pytest.raises(KeyboardInterrupt):
+            interrupted_search.run(message_types=["Accept"])
+        monkeypatch.undo()
+        assert aborted == ["retry", "rebuild"]
+        prober = interrupted_search.engine()._parent()
+        assert prober.supervisor.stats.events == []
+        report = interrupted_search.run(message_types=["Accept"])
+        assert report.supervisor.events == []
+        assert report.supervisor.retries == 0
+        assert report_json(report) == fresh
+
+
+class TestLibraryRun:
+    """``SearchAlgorithm.run()`` over its one-prober engine."""
+
+    def test_unknown_keywords_fail(self):
+        """Only the walk's own keywords reach it: ``kept`` is hunt()'s
+        pricing rule, and ``max_scenarios`` is brute force's alone."""
+        search = WeightedGreedySearch(FACTORY, seed=3, space_config=SPACE)
+        for keyword in ("kept", "max_scenarios", "walk_kwargs"):
+            with pytest.raises(TypeError, match=keyword):
+                search.run(message_types=["Accept"], **{keyword: True})
+
+    def test_a_walk_without_an_executor_name_is_rejected(self):
+        class Custom(WeightedGreedySearch):
+            key = None
+
+        with pytest.raises(ConfigError, match="unknown algorithm None"):
+            Custom(FACTORY, seed=3).run(message_types=["Accept"])
+
+    def test_search_and_engine_are_freed_without_the_cycle_collector(self):
+        """The engine does not point back at the search: dropping the search
+        frees its engine and the prober's harness (warm snapshot, probe
+        cache) by reference counting alone."""
         search = WeightedGreedySearch(FACTORY, seed=3, space_config=SPACE,
                                       max_wait=5.0)
         search.run(message_types=["Accept"])
-        stale = SupervisorEvent("retry", "injection:Accept", "Accept",
-                                "interrupted mid-pass", 1, at=1.0)
-        search.report.supervisor.events.append(stale)
-        search.report.supervisor.retries = 1
-        report = search.run(message_types=["Accept"])
-        assert stale not in report.supervisor.events
-        assert report.supervisor.retries == 0
+        engine = weakref.ref(search.engine())
+        harness = weakref.ref(search.engine()._parent().harness)
+        gc.collect()
+        gc.disable()
+        try:
+            del search
+            assert engine() is None
+            assert harness() is None
+        finally:
+            gc.enable()
