@@ -12,10 +12,44 @@ boot and warmup.  The executions are the prober's
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.controller.costs import EXECUTION
 from repro.search.base import SearchAlgorithm
 from repro.search.results import AttackFinding, SearchReport
+
+#: the longest run between two checks for the first injection
+CHUNK = 0.5
+
+
+def price(boot: Sequence[Tuple[str, float]], warmup: float, window: float,
+          max_wait: float, injected_at: Optional[float]
+          ) -> List[Tuple[str, float]]:
+    """The charges of one scenario's fresh execution.
+
+    ``boot`` is what booting and warming up charged (a startup's charges
+    less its warm snapshot save).  The run then goes on from ``warmup`` in
+    :data:`CHUNK`-second steps until the action has first applied
+    (``injected_at``: the first step ending at or after it, since the
+    kernel runs an event that falls on a deadline) and measures the window
+    from there — or, with no injection point (None), runs out
+    ``max_wait``.  The float operations are the execution's own, in its
+    order, so replaying these charges adds up bitwise to what simulating
+    it would have.
+    """
+    charges = list(boot)
+    t = warmup
+    deadline = t + max_wait
+    while t < deadline:
+        s = t
+        t = s + min(CHUNK, deadline - s)
+        charges.append((EXECUTION, t - s))
+        if injected_at is not None and injected_at <= t:
+            # (the kernel clock never goes back: a window ending inside
+            # the last step costs nothing more)
+            charges.append((EXECUTION, max(t, injected_at + window) - t))
+            break
+    return charges
 
 
 class BruteForceSearch(SearchAlgorithm):
