@@ -18,7 +18,7 @@ library's ``WeightedGreedySearch(...).run()`` is this engine at
   the walk starts, pulling one :class:`~repro.parallel.worker.Step` at a
   time: each type's injection seek, then — once it comes back found — each
   of its :meth:`~repro.parallel.worker.ProbeCache.split` groups the cache
-  does not already answer; brute force's baseline and scenarios.  An idle
+  does not already answer; brute force's baseline too.  An idle
   worker gets the next step, preferring the type it already holds live;
   results are admitted in step order as far as they have arrived
   contiguously.  With a healthy pool a miss is a "coverage hole"
@@ -221,18 +221,13 @@ class ScenarioExecutor:
     def _plan(self, types: Sequence[str], excluded: frozenset,
               max_scenarios: Optional[int]) -> _Pool:
         """The pass's steps the cache does not already answer, in
-        enumeration order.  A type's evals steps wait for its context."""
-        if self.algorithm == "brute":
-            records = [s.to_record() for t in types
-                       for s in self._space.scenarios_for(t, excluded)]
-            if max_scenarios is not None:
-                records = records[:max_scenarios]
-            steps = [Step("baseline")] if self.cache.baseline is None else []
-            steps += [Step("scenario", records=(record,))
-                      for record in records
-                      if record not in self.cache.scenarios]
-            return _Pool([_Slot(step) for step in steps], {})
-        actions = {t: self._space.actions_for(t, excluded) for t in types}
+        enumeration order.  A type's evals steps wait for its context.
+        Brute force asks what greedy asks, of its first ``max_scenarios``
+        scenarios only, and its baseline."""
+        scenarios = [s for t in dict.fromkeys(types)
+                     for s in self._space.scenarios_for(t, excluded)]
+        actions = {t: [s.action for s in scenarios[:max_scenarios]
+                       if s.message_type == t] for t in types}
         steps = []
         for message_type, acts in actions.items():
             if not acts:
@@ -242,8 +237,10 @@ class ScenarioExecutor:
                       else self._eval_steps(message_type, context, acts))
         # Nothing left to simulate: the lead worker still boots (or
         # reuses) its testbed, so its startup is cross-checked.
-        return _Pool([_Slot(step) for step in steps or [Step("startup")]],
-                     actions)
+        steps = steps or [Step("startup")]
+        if self.algorithm == "brute" and self.cache.baseline is None:
+            steps.insert(0, Step("baseline"))
+        return _Pool([_Slot(step) for step in steps], actions)
 
     def _eval_steps(self, message_type: str, context: ContextProbe,
                     actions: list) -> List[Step]:
@@ -372,8 +369,6 @@ class ScenarioExecutor:
                 cache.add_eval(message_type, probe)
             if ret.baseline is not None:
                 cache.add_baseline(ret.baseline)
-            if ret.scenario is not None:
-                cache.add_scenario(ret.scenario)
             self._absorb(ret, message_type)
 
     # ------------------------------------------------------------- recovery
@@ -467,10 +462,9 @@ class ScenarioExecutor:
         if ledger.total() >= attribution.ledger.total():
             attribution.ledger = ledger
         attribution.wall_seconds += ret.wall_seconds
-        simulated = (message_type if ret.context or ret.evals
-                     else "scenarios" if ret.scenario else None)
-        if simulated is not None and simulated not in attribution.shards:
-            attribution.shards.append(simulated)
+        if ((ret.context or ret.evals)
+                and message_type not in attribution.shards):
+            attribution.shards.append(message_type)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
         self._log_records.extend(ret.log_records)
@@ -538,7 +532,7 @@ class ScenarioExecutor:
             report = walk.run(
                 message_types=types, exclude=excluded,
                 steps=CachedSteps(self._instance, self.cache, prober,
-                                  poisoned, kept),
+                                  poisoned, kept, self.params.max_wait),
                 **walk_kwargs)
         finally:
             if prober is not None:

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
-                                   ScenarioProbe, Step, WorkerReturn)
+                                   Step, WorkerReturn)
 from repro.telemetry.instruments import InstrumentRegistry
 from repro.telemetry.tracer import Tracer
 
@@ -61,8 +61,8 @@ class HealthPolicy:
     """Tunable knobs of the self-healing layer.
 
     ``task_timeout`` is *per step* (one type's injection seek, one
-    cluster's walk or greedy action, one brute-force scenario) — the unit
-    a worker is sent.  ``None`` disables hang detection (crash detection
+    cluster's walk or greedy action, brute force's baseline) — the unit a
+    worker is sent.  ``None`` disables hang detection (crash detection
     via the pipe is always on).
     """
 
@@ -387,10 +387,6 @@ def quarantined_return(worker: int, step: Step, reason: str,
                                            quarantined))
     elif step.kind == "baseline":
         ret.baseline = BaselineProbe(None, trace("baseline"), quarantined)
-    elif step.kind == "scenario":
-        record = step.records[0]
-        ret.scenario = ScenarioProbe(record, None, None, trace(
-            AttackScenario.from_record(record).describe()), quarantined)
     return ret
 
 

@@ -1,8 +1,9 @@
 """The cached step source: what every walk in a hunt runs over.
 
-A search walk (:mod:`repro.search.base`) asks a step source five questions
-and replays each probe it gets back into its own ledger.
-:class:`CachedSteps` answers from the poisoned probes, then the
+A search walk (:mod:`repro.search.base`) asks a step source four questions
+and replays each probe it gets back into its own ledger (brute force
+prices them first, :func:`repro.search.brute.price`).  :class:`CachedSteps`
+answers from the poisoned probes, then the
 :class:`~repro.parallel.worker.ProbeCache`.  A step the cache lacks is a
 *question* for the prober (:class:`~repro.parallel.worker.WorkerProber`):
 it simulates that one step on its live harness, the probe is admitted — a
@@ -24,13 +25,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.attacks.actions import MaliciousAction
 from repro.common.errors import SearchError
 from repro.controller.costs import SNAPSHOT_SAVE
+from repro.controller.harness import AttackHarness
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
-                                   ProbeCache, ScenarioProbe, StartupProbe,
-                                   WorkerProber)
+                                   ProbeCache, StartupProbe, WorkerProber)
 
 
 class CachedSteps:
@@ -40,17 +41,22 @@ class CachedSteps:
     is a coverage hole) simulates the step the cache lacks; ``poisoned`` is
     a second cache, of synthetic poison-step quarantines, which outranks
     both.  ``instance`` is an unbooted testbed, read only for the system's
-    name, schema and search types.  ``kept`` prices the pass as one whose
+    name, schema, search types, warmup and window (with ``max_wait``, what
+    brute force prices by).  ``kept`` prices the pass as one whose
     snapshots the platform kept.
     """
 
     def __init__(self, instance, cache: ProbeCache,
                  prober: Optional[WorkerProber] = None,
                  poisoned: Optional[ProbeCache] = None,
-                 kept: bool = False) -> None:
+                 kept: bool = False,
+                 max_wait: Optional[float] = None) -> None:
         self.system = instance.name
         self.schema = instance.schema
         self.search_types = instance.search_types
+        self.warmup, self.window = instance.warmup, instance.window
+        self.max_wait = (AttackHarness.DEFAULT_MAX_WAIT if max_wait is None
+                         else max_wait)
         self._cache = cache
         self._prober = prober
         self._poisoned = poisoned if poisoned is not None else ProbeCache()
@@ -120,10 +126,3 @@ class CachedSteps:
         return self._answer(
             self._poisoned.baseline or self._cache.baseline, "baseline",
             WorkerProber.baseline, self._cache.add_baseline)
-
-    def scenario(self, record: tuple) -> ScenarioProbe:
-        return self._answer(
-            self._poisoned.scenarios.get(record)
-            or self._cache.scenarios.get(record),
-            f"evaluation of {AttackScenario.from_record(record).describe()}",
-            lambda prober: prober.scenario(record), self._cache.add_scenario)

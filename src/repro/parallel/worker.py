@@ -21,7 +21,7 @@ re-derived from the warm snapshot, off the books
 
 from __future__ import annotations
 
-import functools
+import copy
 import os
 import signal
 import time
@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.attacks.actions import MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ProxyError, SearchError
-from repro.controller.costs import EXECUTION, REBUILD, CostLedger
+from repro.controller.costs import REBUILD, CostLedger
 from repro.controller.harness import AttackHarness, InjectionPoint
 from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
@@ -103,17 +103,6 @@ class BaselineProbe:
     quarantined: Quarantine = None
 
 
-@dataclass
-class ScenarioProbe:
-    """One brute-force scenario: fresh execution, run-to-injection, window."""
-
-    record: tuple                      # AttackScenario.to_record()
-    injected_at: Optional[float]
-    sample: Optional[PerfSample]
-    trace: StepTrace
-    quarantined: Quarantine = None
-
-
 class Step(NamedTuple):
     """One independent unit of a pass: what a forked worker is sent.
 
@@ -121,9 +110,9 @@ class Step(NamedTuple):
     ``context`` seeks one type's injection point; ``evals`` walks one of
     :meth:`ProbeCache.split`'s groups of that type's actions (``records``),
     with the probes of them already recorded (``known``) so none is
-    simulated twice; ``baseline`` and ``scenario`` (``records`` holds one)
-    are brute force's.  A step is a pure function of the hunt, so whoever
-    runs it records the same probes.
+    simulated twice; ``baseline`` is brute force's one fresh execution.  A
+    step is a pure function of the hunt, so whoever runs it records the
+    same probes.
     """
 
     kind: str
@@ -141,8 +130,6 @@ class Step(NamedTuple):
             actions = ", ".join(MaliciousAction.from_record(r).describe()
                                 for r in self.records)
             return f"evals of {self.message_type} [{actions}]"
-        if self.kind == "scenario":
-            return AttackScenario.from_record(self.records[0]).describe()
         return " ".join(filter(None, (self.kind, self.message_type)))
 
 
@@ -156,7 +143,6 @@ class WorkerReturn:
     context: Optional[ContextProbe] = None
     evals: List[EvalProbe] = field(default_factory=list)
     baseline: Optional[BaselineProbe] = None
-    scenario: Optional[ScenarioProbe] = None
     #: the worker's own cumulative ledger (side-channel attribution only;
     #: the merged report's ledger is replayed from traces instead)
     by_category: Dict[str, float] = field(default_factory=dict)
@@ -185,9 +171,8 @@ class ProbeCache:
         self.contexts: Dict[str, ContextProbe] = {}
         #: message type -> {action record: EvalProbe}
         self.evals: Dict[str, Dict[tuple, EvalProbe]] = {}
-        #: brute force's benign execution and per-scenario probes
+        #: brute force's benign execution
         self.baseline: Optional[BaselineProbe] = None
-        self.scenarios: Dict[tuple, ScenarioProbe] = {}
         #: ``commit(kind, message_type, probe)`` runs before a *new*
         #: startup/context/eval probe is admitted (default: memory only)
         self.commit: Callable[[str, Optional[str], Any], None] = (
@@ -212,9 +197,6 @@ class ProbeCache:
     def add_baseline(self, probe: BaselineProbe) -> None:
         if self.baseline is None:
             self.baseline = probe
-
-    def add_scenario(self, probe: ScenarioProbe) -> None:
-        self.scenarios.setdefault(probe.record, probe)
 
     @staticmethod
     def split(actions: Sequence[MaliciousAction], early_stop: bool
@@ -271,8 +253,7 @@ class NoProbeCache(ProbeCache):
     def _forget(self, *probe) -> None:
         pass
 
-    add_startup = add_context = add_eval = _forget
-    add_baseline = add_scenario = _forget
+    add_startup = add_context = add_eval = add_baseline = _forget
 
 
 @dataclass
@@ -313,16 +294,13 @@ class WorkerProber:
         # positions index into the same charge log.
         self.supervisor = RecordingSupervisor(
             self.ledger, max_retries=params.max_retries)
-        #: a fresh, unbooted harness on this prober's ledger (brute force
-        #: takes one per execution)
-        self._new_harness = functools.partial(
-            AttackHarness, factory, seed, params.threshold,
+        self.harness = AttackHarness(
+            factory, seed, params.threshold,
             shared_pages=params.shared_pages,
             delta_snapshots=params.delta_snapshots, ledger=self.ledger,
             fault_plan=fault_plan, fault_schedule=params.fault_schedule,
             watchdog_limit=params.watchdog_limit, tracer=self.tracer,
             log_events=params.log_events)
-        self.harness = self._new_harness()
         #: this prober's own (latest) boot.  Never taken from a cache:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
@@ -455,72 +433,25 @@ class WorkerProber:
 
     # ----------------------------------------------------------------- brute
 
-    def _fresh_run(self):
-        """A fresh execution — boot and warmup paid every time, no warm
-        snapshot.  Each attempt is already a full rebuild, so the
-        supervisor retries the callable directly."""
-        self.harness = self._new_harness()
-        return self.harness.start_run(take_warm_snapshot=False)
-
-    def _scenario_attempt(self, scenario: AttackScenario
-                          ) -> Tuple[Optional[float], Optional[PerfSample]]:
-        instance = self._fresh_run()
-        instance.proxy.set_policy(scenario.message_type, scenario.action)
-        instance.proxy.reset_counters()
-        max_wait = (self.params.max_wait if self.params.max_wait is not None
-                    else AttackHarness.DEFAULT_MAX_WAIT)
-
-        # Run until the action has actually been applied (the injection
-        # point), or waste the full execution if the type never occurs.
-        world = instance.world
-        deadline = world.kernel.now + max_wait
-        injected_at = None
-        while world.kernel.now < deadline:
-            start = world.kernel.now
-            step = min(0.5, deadline - start)
-            try:
-                world.run_for(step)
-            finally:
-                self.ledger.charge(EXECUTION, world.kernel.now - start)
-            if instance.proxy.first_injection_time is not None:
-                injected_at = instance.proxy.first_injection_time
-                break
-        if injected_at is None:
-            return None, None
-
-        # Measure the window from the injection point.
-        window_end = injected_at + instance.window
-        start = world.kernel.now
-        try:
-            world.run_until(window_end)
-        finally:
-            self.ledger.charge(EXECUTION, world.kernel.now - start)
-        crashed = len(world.crashed_nodes())
-        return injected_at, self.harness.monitor.sample(
-            injected_at, window_end, crashed_nodes=crashed)
-
     def baseline(self) -> BaselineProbe:
-        """Brute force's one benign execution."""
+        """Brute force's one benign execution: a fresh boot and warmup, no
+        warm snapshot, then a window.  It runs on a throwaway copy of the
+        testbed, so the warm snapshot later steps branch from stays."""
+        kept = self.harness
+
         def attempt() -> PerfSample:
-            self._fresh_run()
+            self.harness = copy.copy(kept)
+            self.harness.start_run(take_warm_snapshot=False)
             return self.harness.measure_window()
 
         sample = None
-        with StepRecorder(self) as step:
-            sample = self.supervisor.run("baseline", attempt)
+        try:
+            with StepRecorder(self) as step:
+                sample = self.supervisor.run("baseline", attempt)
+        finally:
+            self.harness = kept
         return BaselineProbe(sample if step.quarantined is None else None,
                              step.trace, step.quarantined)
-
-    def scenario(self, record: tuple) -> ScenarioProbe:
-        scenario = AttackScenario.from_record(record)
-        injected_at = sample = None
-        with StepRecorder(self) as step:
-            injected_at, sample = self.supervisor.run(
-                f"scenario:{scenario.message_type}",
-                lambda: self._scenario_attempt(scenario),
-                scenario=scenario.describe())
-        return ScenarioProbe(record, injected_at, sample, step.trace,
-                             step.quarantined)
 
     # ------------------------------------------------------------- packaging
 
@@ -539,13 +470,8 @@ class WorkerProber:
                        if instance is not None else [])
             if instance is not self._logged:  # a (re)built world: new log
                 self._logged, self._log_mark = instance, 0
-            if self.params.algorithm == "brute":
-                # Brute replaces its world per scenario; ship the final
-                # world's records, matching what the serial CLI exports.
-                payload.log_records = list(records)
-            else:
-                payload.log_records = records[self._log_mark:]
-                self._log_mark = len(records)
+            payload.log_records = records[self._log_mark:]
+            self._log_mark = len(records)
         return payload
 
     def drain(self) -> WorkerReturn:
@@ -578,8 +504,6 @@ class WorkerProber:
                 self.evaluate)
         elif kind == "baseline":
             payload.baseline = self.baseline()
-        elif kind == "scenario":
-            payload.scenario = self.scenario(step.records[0])
         else:
             raise ValueError(f"unknown worker step {kind!r}")
         if kind == "startup" or fresh:

@@ -1,16 +1,18 @@
 """Shared machinery for the attack-finding algorithms.
 
 Each algorithm is a *walk*: its ``_run_pass`` decides which step to take
-next and asks a **step source** for it.  A source has five questions —
-``startup()``, ``context(type)``, ``evaluate(type, action)``,
-``baseline()`` and ``scenario(record)`` (the last two brute force's) — and
-answers each with a probe: a result plus the
-:class:`~repro.parallel.recording.StepTrace` of what the step charged,
-which the walk replays into its own :class:`CostLedger` and
-:class:`SupervisorStats` (:meth:`SearchAlgorithm._ask`).  The walk never
-simulates anything, so it needs no world: it reads the system's name,
-schema and search types off the source (``system``, ``schema``,
-``search_types()``) too.
+next and asks a **step source** for it.  A source has four questions —
+``startup()``, ``context(type)``, ``evaluate(type, action)`` and
+``baseline()`` (brute force's one fresh execution) — and answers each with
+a probe: a result plus the :class:`~repro.parallel.recording.StepTrace` of
+what the step charged, which the walk replays into its own
+:class:`CostLedger` and :class:`SupervisorStats`
+(:meth:`SearchAlgorithm._ask`).  Brute force asks what greedy asks and
+replays each scenario priced as a fresh execution
+(:func:`repro.search.brute.price`).  The walk never simulates anything, so
+it needs no world: it reads the system's name, schema and search types off
+the source (``system``, ``schema``, ``search_types()``) too, and brute
+force its ``warmup``, ``window`` and ``max_wait``.
 
 Every run's source is the engine's: the probe cache, then, on a miss, a
 prober that simulates the step on its supervised harness

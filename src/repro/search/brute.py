@@ -6,50 +6,49 @@ scenario's action installed from the start, and measure the window after the
 first injection.  It needs no branching support, but it pays for that
 simplicity exactly as the paper describes: executions where the target
 message type never appears are entirely wasted, and every scenario re-pays
-boot and warmup.  The executions are the prober's
-(:meth:`repro.parallel.worker.WorkerProber.scenario`); the walk only asks.
+boot and warmup.  That cost is a ledger fact, not a reason to simulate
+again: a branch from a checkpoint of the whole system behaves like a fresh
+execution (``tests/test_brute_pricing.py`` pins it), so the walk asks what
+greedy asks and replays each scenario priced as its execution
+(:func:`price`).  Only the baseline is a live fresh execution.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Optional, Sequence, Set
 
-from repro.controller.costs import EXECUTION
+from repro.controller.costs import EXECUTION, SNAPSHOT_SAVE
 from repro.search.base import SearchAlgorithm
 from repro.search.results import AttackFinding, SearchReport
 
-#: the longest run between two checks for the first injection
-CHUNK = 0.5
 
-
-def price(boot: Sequence[Tuple[str, float]], warmup: float, window: float,
-          max_wait: float, injected_at: Optional[float]
-          ) -> List[Tuple[str, float]]:
-    """The charges of one scenario's fresh execution.
-
-    ``boot`` is what booting and warming up charged (a startup's charges
-    less its warm snapshot save).  The run then goes on from ``warmup`` in
-    :data:`CHUNK`-second steps until the action has first applied
-    (``injected_at``: the first step ending at or after it, since the
-    kernel runs an event that falls on a deadline) and measures the window
-    from there — or, with no injection point (None), runs out
-    ``max_wait``.  The float operations are the execution's own, in its
-    order, so replaying these charges adds up bitwise to what simulating
-    it would have.
+def price(boot, warmup: float, window: float, max_wait: float,
+          injected_at: Optional[float]) -> list:
+    """One scenario's fresh execution, as charges: ``boot`` (a startup's
+    less its warm snapshot save), then 0.5 s steps from ``warmup`` on, up
+    to the first ending at or after ``injected_at`` (the kernel runs an
+    event due on a deadline), then the rest of the window — or, with no
+    injection point (None), ``max_wait`` of steps.  The float operations
+    are the execution's, in its order, so a replay adds up bit for bit.
     """
     charges = list(boot)
     t = warmup
     deadline = t + max_wait
     while t < deadline:
-        s = t
-        t = s + min(CHUNK, deadline - s)
+        s, t = t, t + min(0.5, deadline - t)
         charges.append((EXECUTION, t - s))
         if injected_at is not None and injected_at <= t:
-            # (the kernel clock never goes back: a window ending inside
-            # the last step costs nothing more)
+            # (the clock never goes back: a window ending inside the step
+            # costs nothing more)
             charges.append((EXECUTION, max(t, injected_at + window) - t))
             break
     return charges
+
+
+def _supervised(probe) -> bool:
+    """Replayed as recorded, never priced: the supervisor stepped in."""
+    return probe.quarantined is not None or bool(probe.trace.events)
 
 
 class BruteForceSearch(SearchAlgorithm):
@@ -61,38 +60,50 @@ class BruteForceSearch(SearchAlgorithm):
     def _run_pass(self, message_types: Optional[Sequence[str]] = None,
                   exclude: Optional[Set[tuple]] = None,
                   max_scenarios: Optional[int] = None) -> SearchReport:
-        report = self._make_report()
-        probe = self._ask(self.steps.baseline(), note_crashes=False)
+        report, steps = self._make_report(), self.steps
+        probe = self._ask(steps.baseline(), note_crashes=False)
         if probe is None:
             return report
         baseline = probe.sample
 
-        types = self._search_types(message_types)
         space = self._space()
-        scenarios = [s for t in types
-                     for s in space.scenarios_for(t, exclude)]
-        if max_scenarios is not None:
-            scenarios = scenarios[:max_scenarios]
+        scenarios = [s for t in self._search_types(message_types)
+                     for s in space.scenarios_for(t, exclude)][:max_scenarios]
+        startup = steps.startup()
+        if _supervised(startup) and self._ask(startup,
+                                              note_crashes=False) is None:
+            return report
+        boot = [c for c in startup.trace.charges if c[0] != SNAPSHOT_SAVE]
 
         for scenario in scenarios:
             # (a fresh world per execution: only the last one's crashed
             # nodes are the report's)
-            probe = self._ask(self.steps.scenario(scenario.to_record()),
-                              scenario.message_type, scenario.action,
-                              note_crashes=False)
-            if probe is None:
+            message_type, action = scenario.message_type, scenario.action
+            probes = [steps.context(message_type)]
+            if probes[0].found:
+                probes.append(steps.evaluate(message_type, action))
+            replayed, last = probes, probes[-1]
+            if not any(map(_supervised, probes)):
+                charges = price(boot, steps.warmup, steps.window,
+                                steps.max_wait, last.sample.start
+                                if len(probes) > 1 else None)
+                replayed = [replace(last, trace=replace(last.trace,
+                                                        charges=charges))]
+            if not all(self._ask(p, message_type, action, note_crashes=False)
+                       for p in replayed):
                 continue
             report.scenarios_evaluated += 1
-            if probe.injected_at is None:
-                if scenario.message_type not in report.types_without_injection:
-                    report.types_without_injection.append(scenario.message_type)
+            if len(probes) == 1:
+                if message_type not in report.types_without_injection:
+                    report.types_without_injection.append(message_type)
                 continue
             report.injection_points += 1
 
-            if self.threshold.is_attack(baseline, probe.sample):
+            sample = probes[1].sample
+            if self.threshold.is_attack(baseline, sample):
                 report.findings.append(AttackFinding(
-                    scenario, baseline, probe.sample,
-                    damage=self.threshold.damage(baseline, probe.sample),
-                    crashes=probe.sample.crashed_nodes,
+                    scenario, baseline, sample,
+                    damage=self.threshold.damage(baseline, sample),
+                    crashes=sample.crashed_nodes,
                     found_at=self.ledger.total()))
         return report

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.actions import AttackScenario
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
 from repro.common.rng import RngRegistry
-from repro.controller.costs import SNAPSHOT_SAVE
+from repro.controller.costs import EXECUTION, SNAPSHOT_SAVE
+from repro.controller.harness import AttackHarness
 from repro.faults.schedule import FaultSchedule
+from repro.parallel.recording import RecordingLedger
 from repro.parallel.worker import ProbeParams, WorkerProber
-from repro.search.brute import CHUNK, price
+from repro.search.brute import price
 from repro.systems.registry import get_system, system_names
 
 WARMUP, WINDOW, MAX_WAIT = 1.0, 1.0, 5.0
@@ -45,8 +46,8 @@ def _factory(system):
     return entry.build(entry.default_role, WARMUP, WINDOW)
 
 
-def _params(schedule, algorithm="greedy"):
-    return ProbeParams(algorithm=algorithm, space_config=SPACE,
+def _params(schedule):
+    return ProbeParams(algorithm="greedy", space_config=SPACE,
                        max_wait=MAX_WAIT, fault_schedule=schedule)
 
 
@@ -82,12 +83,33 @@ def priced(system, message_type, action, schedule, rule=price,
 
 
 def fresh(system, message_type, action, schedule):
-    """The scenario as a fresh execution runs it (the reference)."""
-    prober = WorkerProber(0, _factory(system), 1,
-                          _params(schedule, algorithm="brute"))
-    probe = prober.scenario(AttackScenario(message_type, action).to_record())
-    return (probe.trace.charges, probe.injected_at, probe.sample,
-            probe.trace.crash_lines)
+    """The scenario as a fresh execution runs it: boot, warm up, install the
+    action, run in half-second steps until it first applies, measure the
+    window.  This is the reference implementation the rule is held to."""
+    ledger = RecordingLedger()
+    harness = AttackHarness(_factory(system), 1, ledger=ledger,
+                            fault_schedule=schedule)
+    instance = harness.start_run(take_warm_snapshot=False)
+    instance.proxy.set_policy(message_type, action)
+    world = instance.world
+    deadline = world.kernel.now + MAX_WAIT
+    injected_at = sample = None
+    while world.kernel.now < deadline:
+        start = world.kernel.now
+        world.run_for(min(0.5, deadline - start))
+        ledger.charge(EXECUTION, world.kernel.now - start)
+        injected_at = instance.proxy.first_injection_time
+        if injected_at is not None:
+            break
+    if injected_at is not None:
+        window_end = injected_at + instance.window
+        start = world.kernel.now
+        world.run_until(window_end)
+        ledger.charge(EXECUTION, world.kernel.now - start)
+        sample = harness.monitor.sample(
+            injected_at, window_end, crashed_nodes=len(world.crashed_nodes()))
+    return (ledger.log, injected_at, sample,
+            list(world.crashed_node_summaries()))
 
 
 def check(system, message_type, action, schedule, **priced_options):
@@ -155,8 +177,7 @@ def test_property_catches_a_restore_that_drops_an_rng_stream(monkeypatch):
 def test_the_injection_lands_in_a_chunk():
     """The seek is charged step by step, the window from the injection."""
     charges = price([("boot", 8.0)], 1.0, 2.0, 5.0, injected_at=1.7)
-    assert charges == [("boot", 8.0), ("execution", CHUNK),
-                       ("execution", CHUNK), ("execution", 1.7 + 2.0 - 2.0)]
+    assert charges == [("boot", 8.0), ("execution", 0.5),
+                       ("execution", 0.5), ("execution", 1.7 + 2.0 - 2.0)]
     assert price([], 1.0, 2.0, 1.2, None) == [
-        ("execution", CHUNK), ("execution", CHUNK),
-        ("execution", 2.2 - 2.0)]
+        ("execution", 0.5), ("execution", 0.5), ("execution", 2.2 - 2.0)]

@@ -93,9 +93,6 @@ class TestHealthPolicy:
         assert "Accept" in evals.describe()
         assert Step("context", "Accept").describe() == "context Accept"
         assert Step("baseline").describe() == "baseline"
-        scenario = Step("scenario", records=(("Accept",
-                                              self.DROP.to_record()),))
-        assert "Accept" in scenario.describe()
 
     def test_quarantined_return_covers_the_step(self):
         ret = quarantined_return(1, Step("context", "Accept"), "boom", 3)

@@ -140,23 +140,11 @@ def _superset(algorithm, excluded):
     """Everything a pass over ``Accept`` can need, as a forked worker
     would prefetch it: ``(cache, steps)`` where ``steps`` maps each
     recorded step — named the way a walk names a miss — to the call that
-    admits it to another cache."""
+    admits it to another cache.  Brute force needs greedy's, and its
+    baseline."""
     prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
         algorithm=algorithm, space_config=SMALL_SPACE, max_wait=5.0))
     full = ProbeCache()
-    if algorithm == "brute":
-        full.add_baseline(prober.run_task(Step("baseline")).baseline)
-        for record in SMALL_SCENARIOS:
-            if record not in excluded:
-                full.add_scenario(prober.run_task(Step(
-                    "scenario", records=(record,))).scenario)
-        steps = {"baseline": lambda c: c.add_baseline(full.baseline)}
-        for record, probe in full.scenarios.items():
-            scenario = AttackScenario.from_record(record)
-            steps[f"evaluation of {scenario.action.describe()} "
-                  f"{scenario.message_type}"] = (
-                lambda c, probe=probe: c.add_scenario(probe))
-        return full, steps
     returns, context, evals = _probe_type(prober, "Accept",
                                           frozenset(excluded))
     startup = returns[0].startup
@@ -172,6 +160,9 @@ def _superset(algorithm, excluded):
             action = MaliciousAction.from_record(record)
             steps[f"evaluation of {action.describe()} {message_type}"] = (
                 lambda c, t=message_type, probe=probe: c.add_eval(t, probe))
+    if algorithm == "brute":
+        full.add_baseline(prober.run_task(Step("baseline")).baseline)
+        steps["baseline"] = lambda c: c.add_baseline(full.baseline)
     return full, steps
 
 
@@ -223,8 +214,10 @@ class TestReplaySource:
         assert f"{gone.describe()} Accept" in str(err.value)
 
     def test_missing_scenario_is_a_coverage_hole(self):
-        cache, __ = _superset("brute", {SMALL_SCENARIOS[1]})
+        """A brute-force scenario is priced from its evaluation."""
+        cache, __ = _superset("brute", ())
         gone = AttackScenario.from_record(SMALL_SCENARIOS[1])
+        del cache.evals["Accept"][gone.action.to_record()]
         with pytest.raises(SearchError) as err:
             self._run("brute", cache)
         assert "coverage hole" in str(err.value)

@@ -6,9 +6,10 @@ message type, whether its injection context is found, absent or
 quarantined, and per action whether the branch is an attack, a crash,
 benign or quarantined.  The property fills a :class:`ProbeCache` the way a
 fork pool prefetches it — each type's context, then
-:meth:`ProbeCache.split` and :meth:`ProbeCache.walk` per found one — and
-then runs the walk over that cache with no prober: a miss would be a
-coverage hole.  It must find none, and must report what the same walk
+:meth:`ProbeCache.split` and :meth:`ProbeCache.walk` per found one, and
+brute force's baseline — and then runs the walk over that cache with no
+prober: a miss would be a coverage hole.  Brute force asks what greedy
+asks, so one prefetch covers both.  It must find none, and must report what the same walk
 reports asking the table directly.
 """
 
@@ -27,7 +28,7 @@ from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.parallel.merge import CachedSteps
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
-                                   ProbeCache, ScenarioProbe, StartupProbe)
+                                   ProbeCache, StartupProbe)
 from repro.search import ALGORITHMS
 from repro.search.weighted import DEFAULT_WEIGHTS, ClusterWeights
 from repro.systems.paxos.schema import PAXOS_SCHEMA
@@ -62,6 +63,7 @@ class ScriptedSteps:
 
     system = "scripted"
     schema = PAXOS_SCHEMA
+    warmup, window, max_wait = 2.0, 1.0, 3.0
 
     def __init__(self, table) -> None:
         self.table = table
@@ -93,16 +95,6 @@ class ScriptedSteps:
     def baseline(self):
         return BaselineProbe(BASELINE, _trace(3.0))
 
-    def scenario(self, record):
-        scenario = AttackScenario.from_record(record)
-        outcome = self._outcome(scenario.message_type, scenario.action)
-        if outcome == "quarantined":
-            return ScenarioProbe(record, None, None, _trace(0.5),
-                                 ("scripted fault", 3))
-        if self.table[scenario.message_type][0] != "found":
-            return ScenarioProbe(record, None, None, _trace(5.0))
-        return ScenarioProbe(record, 1.0, SAMPLES[outcome], _trace(4.0))
-
 
 def prefetch(steps: ScriptedSteps, algorithm: str, excluded) -> ProbeCache:
     """Every probe a fork pool records for the pass before its walk."""
@@ -110,10 +102,6 @@ def prefetch(steps: ScriptedSteps, algorithm: str, excluded) -> ProbeCache:
     space = ActionSpace(steps.schema, SPACE)
     if algorithm == "brute":
         cache.add_baseline(steps.baseline())
-        for message_type in steps.search_types():
-            for scenario in space.scenarios_for(message_type, excluded):
-                cache.add_scenario(steps.scenario(scenario.to_record()))
-        return cache
     early_stop = algorithm == "weighted"
     cache.add_startup(steps.startup())
     for message_type in steps.search_types():
@@ -144,10 +132,12 @@ def check_superset(table, algorithm, weights, excluded) -> None:
     steps = ScriptedSteps(table)
     cache = prefetch(steps, algorithm, excluded)
     instance = SimpleNamespace(name=steps.system, schema=steps.schema,
-                               search_types=steps.search_types)
+                               search_types=steps.search_types,
+                               warmup=steps.warmup, window=steps.window)
     try:
         cached = walk_report(algorithm, weights, excluded,
-                             CachedSteps(instance, cache))
+                             CachedSteps(instance, cache,
+                                         max_wait=steps.max_wait))
     except SearchError as hole:
         raise AssertionError(f"{algorithm}: {hole}") from hole
     assert cached == walk_report(algorithm, weights, excluded, steps)

@@ -503,6 +503,17 @@ class TestCli:
         assert all(r["type"] == "log" and r["event"] == "deliver"
                    for r in log_lines)
 
+    def test_brute_log_events_ships_the_branched_worlds(self, capsys):
+        """Brute force prices its scenarios from branches, so what it ships
+        is the records of the worlds its prober branched, as greedy's."""
+        assert main(BASE_ARGS + ["--algorithm", "brute",
+                                 "--log-events", "netem:deliver"]) == 0
+        log_lines = [json.loads(line)
+                     for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("{")]
+        assert log_lines
+        assert all(r["event"] == "deliver" for r in log_lines)
+
     def test_hunt_trace_flag(self, capsys, tmp_path):
         path = str(tmp_path / "hunt_trace.json")
         code = main(["hunt", "paxos", "--types", "Accept", "--fast",
