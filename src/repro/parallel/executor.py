@@ -18,10 +18,10 @@ library's ``WeightedGreedySearch(...).run()`` is this engine at
   the walk starts, pulling one :class:`~repro.parallel.worker.Step` at a
   time: each type's injection seek, then — once it comes back found — each
   of its :meth:`~repro.parallel.worker.ProbeCache.split` groups the cache
-  does not already answer; brute force's baseline too.  An idle
-  worker gets the next step, preferring the type it already holds live;
-  results are admitted in step order as far as they have arrived
-  contiguously.  With a healthy pool a miss is a "coverage hole"
+  does not already answer (brute force's are greedy's, plus its
+  baseline).  An idle worker gets the next step, preferring the type it
+  already holds live; results are admitted in step order as far as they
+  have arrived contiguously.  With a healthy pool a miss is a "coverage hole"
   :class:`SearchError`: the superset rule's self-check.
   :meth:`worker_breakdown` reports what the workers really spent.
 * **A store is the cache's persistence.**  ``store.cache`` *is* the

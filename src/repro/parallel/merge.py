@@ -32,6 +32,7 @@ from repro.controller.harness import AttackHarness
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
                                    ProbeCache, StartupProbe, WorkerProber)
+from repro.search.base import supervised
 
 
 class CachedSteps:
@@ -82,7 +83,7 @@ class CachedSteps:
             return replace(probe, trace=StepTrace(
                 crash_lines=trace.crash_lines))
         if (isinstance(probe, ContextProbe) and probe.found
-                and probe.quarantined is None and not trace.events):
+                and not supervised(probe)):
             categories = [category for category, __ in trace.charges]
             saved = categories.index(SNAPSHOT_SAVE) + 1
             return replace(probe, trace=StepTrace(

@@ -9,6 +9,8 @@ every type's processing starts from a restore of the warm snapshot, so the
 charges a step produces are bitwise identical whoever simulates it, in
 whatever order: a prober answers a walk's questions with *recorded*
 probes, which the walk replays (:class:`~repro.parallel.merge.CachedSteps`).
+The one fresh execution left is brute force's baseline; its scenarios are
+priced from these probes (:func:`repro.search.brute.price`).
 
 The parent-side prober answers one step at a time, when the walk misses it
 in the :class:`ProbeCache`.  A forked worker simulates ahead of the walk,

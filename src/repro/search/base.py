@@ -57,6 +57,12 @@ def is_attack_sample(threshold: AttackThreshold, baseline: PerfSample,
             or threshold.is_attack(baseline, sample))
 
 
+def supervised(probe) -> bool:
+    """A probe the supervisor stepped in on (quarantined, or with events):
+    the pricing rules replay it as recorded, never priced."""
+    return probe.quarantined is not None or bool(probe.trace.events)
+
+
 class SearchAlgorithm:
     """Base class: the walk's report, with its ledger and supervision stats.
 

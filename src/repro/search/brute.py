@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, Set
 
 from repro.controller.costs import EXECUTION, SNAPSHOT_SAVE
-from repro.search.base import SearchAlgorithm
+from repro.search.base import SearchAlgorithm, supervised
 from repro.search.results import AttackFinding, SearchReport
 
 
@@ -46,11 +46,6 @@ def price(boot, warmup: float, window: float, max_wait: float,
     return charges
 
 
-def _supervised(probe) -> bool:
-    """Replayed as recorded, never priced: the supervisor stepped in."""
-    return probe.quarantined is not None or bool(probe.trace.events)
-
-
 class BruteForceSearch(SearchAlgorithm):
     """Fresh execution per scenario; no snapshots, no branching."""
 
@@ -70,8 +65,8 @@ class BruteForceSearch(SearchAlgorithm):
         scenarios = [s for t in self._search_types(message_types)
                      for s in space.scenarios_for(t, exclude)][:max_scenarios]
         startup = steps.startup()
-        if _supervised(startup) and self._ask(startup,
-                                              note_crashes=False) is None:
+        if supervised(startup) and self._ask(startup,
+                                             note_crashes=False) is None:
             return report
         boot = [c for c in startup.trace.charges if c[0] != SNAPSHOT_SAVE]
 
@@ -83,7 +78,7 @@ class BruteForceSearch(SearchAlgorithm):
             if probes[0].found:
                 probes.append(steps.evaluate(message_type, action))
             replayed, last = probes, probes[-1]
-            if not any(map(_supervised, probes)):
+            if not any(map(supervised, probes)):
                 charges = price(boot, steps.warmup, steps.window,
                                 steps.max_wait, last.sample.start
                                 if len(probes) > 1 else None)

@@ -8,9 +8,9 @@ benign or quarantined.  The property fills a :class:`ProbeCache` the way a
 fork pool prefetches it — each type's context, then
 :meth:`ProbeCache.split` and :meth:`ProbeCache.walk` per found one, and
 brute force's baseline — and then runs the walk over that cache with no
-prober: a miss would be a coverage hole.  Brute force asks what greedy
-asks, so one prefetch covers both.  It must find none, and must report what the same walk
-reports asking the table directly.
+prober: a miss would be a coverage hole.  It must find none, and must
+report what the same walk reports asking the table directly.  Brute force
+asks what greedy asks, so greedy's prefetch covers it too.
 """
 
 import json
