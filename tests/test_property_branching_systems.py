@@ -5,6 +5,11 @@ The controller's conclusions are only valid if a restored snapshot replays
 from the same snapshot, and require byte-identical world digests and
 identical measured throughput.  This is the platform-wide regression net
 for forgotten state in any app's ``snapshot_state``.
+
+A snapshot is also data: pickled and restored into a second world, booted
+and warmed on its own from the same factory and seed, it must replay the
+same window.  That is what lets any prober branch from a context another
+one sought, and what catches state a snapshot leaves behind in its world.
 """
 
 import hashlib
@@ -44,22 +49,87 @@ def world_digest(world):
     return h.digest()
 
 
+def mid_execution_snapshot(harness):
+    """Boot and warm ``harness``, run on past the warm point (where a second
+    world's restore starts from) and snapshot there."""
+    harness.start_run()
+    harness.world.run_for(0.25)
+    return harness.take_snapshot()
+
+
+def replay(harness, snapshot, window=1.0):
+    """Restore ``snapshot`` and run ``window``: (digest, throughput)."""
+    harness.restore(snapshot)
+    harness.world.run_for(window)
+    return (world_digest(harness.world), harness.world.metrics.throughput(
+        snapshot.taken_at, snapshot.taken_at + window))
+
+
+def replay_in_second_world(harness, snapshot, window=1.0):
+    """:func:`replay` of ``snapshot``, round-tripped through ``pickle``, in
+    a separately booted and warmed harness of the same factory and seed."""
+    other = AttackHarness(harness.factory, harness.seed,
+                          shared_pages=harness.shared_pages,
+                          delta_snapshots=harness.delta_snapshots,
+                          fault_schedule=harness.fault_schedule)
+    other.start_run()
+    return replay(other, pickle.loads(pickle.dumps(snapshot)), window), other
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_branch_replay_is_exact(name):
     harness = AttackHarness(FACTORIES[name](), seed=13)
-    harness.start_run()
-    snapshot = harness.take_snapshot()
+    snapshot = mid_execution_snapshot(harness)
 
-    digests, throughputs = [], []
-    for __ in range(2):
-        harness.restore(snapshot)
-        harness.world.run_for(1.0)
-        digests.append(world_digest(harness.world))
-        throughputs.append(harness.world.metrics.throughput(
-            snapshot.taken_at, snapshot.taken_at + 1.0))
-    assert digests[0] == digests[1], f"{name}: branch replay diverged"
-    assert throughputs[0] == throughputs[1]
-    assert throughputs[0] > 0, f"{name}: no progress measured"
+    runs = [replay(harness, snapshot) for __ in range(2)]
+    assert runs[0][0] == runs[1][0], f"{name}: branch replay diverged"
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][1] > 0, f"{name}: no progress measured"
+    assert replay_in_second_world(harness, snapshot)[0] == runs[0], \
+        f"{name}: the snapshot replayed differently in a second world"
+
+
+@pytest.mark.parametrize("mode", [
+    pytest.param(dict(shared_pages=False), id="plain"),
+    pytest.param(dict(delta_snapshots=True), id="delta"),
+])
+def test_branch_replays_in_a_second_world_in_every_snapshot_mode(mode):
+    harness = AttackHarness(FACTORIES["pbft"](), seed=13, **mode)
+    snapshot = mid_execution_snapshot(harness)
+    assert replay_in_second_world(harness, snapshot)[0] == \
+        replay(harness, snapshot)
+
+
+def test_second_world_catches_state_left_in_the_world(monkeypatch):
+    """A planted bug one world cannot see: the component states leave the
+    netem in-flight table out, and the world keeps the table of its last
+    save to put back on restore.  Branching twice in the world that took
+    the snapshot replays exactly; the second world, whose last save is its
+    warm snapshot, re-schedules the wrong packets."""
+    from repro.runtime.world import World
+
+    save, load = World.save_component_states, World.load_component_states
+
+    def save_without_in_flight(world):
+        state = save(world)
+        world.kept_in_flight = state["netem"]["in_flight"]
+        state["netem"]["in_flight"] = []
+        return state
+
+    def load_with_kept_in_flight(world, state):
+        state = dict(state, netem=dict(state["netem"],
+                                       in_flight=world.kept_in_flight))
+        load(world, state)
+
+    monkeypatch.setattr(World, "save_component_states",
+                        save_without_in_flight)
+    monkeypatch.setattr(World, "load_component_states",
+                        load_with_kept_in_flight)
+    harness = AttackHarness(FACTORIES["pbft"](), seed=13)
+    snapshot = mid_execution_snapshot(harness)
+    first = replay(harness, snapshot)
+    assert replay(harness, snapshot) == first  # one world: undetected
+    assert replay_in_second_world(harness, snapshot)[0] != first
 
 
 def test_branch_replay_is_exact_under_chaos_schedule():
@@ -73,19 +143,19 @@ def test_branch_replay_is_exact_under_chaos_schedule():
     schedule.add("flap", 1.2, a="replica2", b="replica3", down_for=0.6)
     harness = AttackHarness(FACTORIES["pbft"](), seed=13,
                             fault_schedule=schedule)
-    harness.start_run()
-    snapshot = harness.take_snapshot()
+    snapshot = mid_execution_snapshot(harness)
 
     runs = []
     for __ in range(2):
-        harness.restore(snapshot)
-        harness.world.run_for(1.0)
-        runs.append((world_digest(harness.world),
+        runs.append((replay(harness, snapshot),
                      harness.world.emulator.stats.as_tuple()))
     assert runs[0] == runs[1], "pbft: chaos-schedule branch diverged"
     # the environment was genuinely faulty, not a no-op schedule
     stats = harness.world.emulator.stats
     assert stats.packets_dropped_loss > 0
+    digest, other = replay_in_second_world(harness, snapshot)
+    assert (digest, other.world.emulator.stats.as_tuple()) == runs[0], \
+        "pbft: chaos-schedule snapshot replayed differently in a second world"
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
