@@ -55,7 +55,7 @@ class MaliciousProxy:
         # After the injection point triggers, sibling copies of the same
         # broadcast (sent within the same event) are parked too, so the
         # branch can subject the *whole* send to the candidate action.
-        self._holding_type: Optional[str] = None
+        self._parked_type: Optional[str] = None
         self._held_count = 0
         self.intercepted = 0
         self.injections = 0
@@ -74,11 +74,6 @@ class MaliciousProxy:
         ins = self.emulator.instruments
         if ins is not None and ins.enabled:
             ins.count("proxy.injections")
-
-    def reset_counters(self) -> None:
-        self.intercepted = 0
-        self.injections = 0
-        self.first_injection_time = None
 
     # -------------------------------------------------------- configuration
 
@@ -107,12 +102,12 @@ class MaliciousProxy:
         """Watch for the next ``message_type`` sent by a malicious node."""
         self._armed_type = message_type
         self._arm_after = after
-        self._holding_type = None
+        self._parked_type = None
         self._held_count = 0
 
     def disarm(self) -> None:
         self._armed_type = None
-        self._holding_type = None
+        self._parked_type = None
 
     def abort_injection(self) -> None:
         """Error cleanup: disarm and drop any parked injection messages.
@@ -122,7 +117,7 @@ class MaliciousProxy:
         Safe to call when nothing is armed or held.
         """
         self._armed_type = None
-        self._holding_type = None
+        self._parked_type = None
         for tag in self._injection_tags():
             self.emulator.discard_held(tag)
 
@@ -146,7 +141,7 @@ class MaliciousProxy:
         if ins is not None and ins.enabled:
             ins.count("proxy.intercepted")
 
-        if self._holding_type == spec.name:
+        if self._parked_type == spec.name:
             # Sibling copy of the held broadcast: park it alongside.
             self._held_count += 1
             return Verdict.hold(_held_tag(self._held_count))
@@ -155,7 +150,7 @@ class MaliciousProxy:
                 and self.emulator.kernel.now >= self._arm_after):
             # Attack injection point: park the message, stop the world.
             self._armed_type = None
-            self._holding_type = spec.name
+            self._parked_type = spec.name
             self._held_count = 1
             self.emulator.kernel.interrupt(INJECTION_POINT, payload={
                 "message_type": spec.name,
@@ -192,7 +187,7 @@ class MaliciousProxy:
         as it will be applied to every subsequent message of that type via
         the policy.
         """
-        self._holding_type = None
+        self._parked_type = None
         for tag in self._injection_tags():
             if action is None:
                 self.emulator.release_held(tag)

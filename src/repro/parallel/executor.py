@@ -19,10 +19,10 @@ library's ``WeightedGreedySearch(...).run()`` is this engine at
   time: each type's injection seek, then — once it comes back found — each
   of its :meth:`~repro.parallel.worker.ProbeCache.split` groups the cache
   does not already answer (brute force's are greedy's, plus its
-  baseline).  An idle worker gets the next step, preferring the type it
-  already holds live; results are admitted in step order as far as they
-  have arrived contiguously.  With a healthy pool a miss is a "coverage hole"
-  :class:`SearchError`: the superset rule's self-check.
+  baseline).  Any worker branches from the context an evals step ships, so
+  an idle worker gets the next step; results are admitted in step order as
+  far as they have arrived contiguously.  With a healthy pool a miss is a
+  "coverage hole" :class:`SearchError`: the superset rule's self-check.
   :meth:`worker_breakdown` reports what the workers really spent.
 * **A store is the cache's persistence.**  ``store.cache`` *is* the
   executor's cache: every admission is journaled first, and a resumed hunt
@@ -102,13 +102,11 @@ class _Pool:
     pending: Dict[int, _Slot] = field(default_factory=dict)
     poisoned: ProbeCache = field(default_factory=ProbeCache)
 
-    def next_for(self, holding: Optional[str]) -> Optional[_Slot]:
-        """What an idle worker gets: a lost step first, then the next step
-        of the type it holds live, else the next in enumeration order."""
+    def next_slot(self) -> Optional[_Slot]:
+        """What an idle worker gets: a lost step first, then the next in
+        enumeration order."""
         queued = [slot for slot in self.order if slot.queued]
-        return min(queued, default=None, key=lambda slot: (
-            not slot.lost,
-            holding is None or slot.step.message_type != holding))
+        return min(queued, default=None, key=lambda slot: not slot.lost)
 
 
 class ScenarioExecutor:
@@ -183,9 +181,6 @@ class ScenarioExecutor:
         self._conns: Dict[int, connection.Connection] = {}
         #: the one in-process prober (see :meth:`_parent`)
         self._prober: Optional[WorkerProber] = None
-        #: worker -> the message type it last simulated, whose injection
-        #: context it holds live (see :meth:`_Pool.next_for`)
-        self._holding: Dict[int, str] = {}
         self._attribution: Dict[int, WorkerAttribution] = {}
         self._log_records: list = []
 
@@ -203,7 +198,6 @@ class ScenarioExecutor:
         child_conn.close()
         self._procs[worker] = process
         self._conns[worker] = parent_conn
-        self._holding.pop(worker, None)
         self._health.record_spawn(worker)
 
     def _parent(self) -> WorkerProber:
@@ -246,7 +240,7 @@ class ScenarioExecutor:
                     actions: list) -> List[Step]:
         """The evals steps a found context opens: each
         :meth:`~repro.parallel.worker.ProbeCache.split` group the cache
-        does not cover, shipped with the probes of it the cache holds."""
+        does not cover, shipped with the context and its cached probes."""
         if context.quarantined is not None or not context.found:
             return []
         known = self.cache.evals.get(message_type, {})
@@ -257,7 +251,7 @@ class ScenarioExecutor:
                                early_stop) is None:
                 records = tuple(action.to_record() for action in group)
                 steps.append(Step("evals", message_type, records, tuple(
-                    known[r] for r in records if r in known)))
+                    known[r] for r in records if r in known), context))
         return steps
 
     # ------------------------------------------------------------- dispatch
@@ -284,7 +278,7 @@ class ScenarioExecutor:
             # (a send that finds the worker dead respawns it: try again)
             while not (worker in pool.pending or self._degraded
                        or self._health.is_retired(worker)):
-                slot = pool.next_for(self._holding.get(worker))
+                slot = pool.next_slot()
                 if slot is None:
                     return
                 self._send(worker, slot, pool)
@@ -305,8 +299,6 @@ class ScenarioExecutor:
         slot.deadline = (time.monotonic() + budget
                          if budget is not None else None)
         pool.pending[worker] = slot
-        if slot.step.message_type is not None:
-            self._holding[worker] = slot.step.message_type
 
     def _collect_once(self, pool: _Pool) -> None:
         conns = {self._conns[w]: w for w in pool.pending}

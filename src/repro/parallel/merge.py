@@ -6,8 +6,10 @@ prices them first, :func:`repro.search.brute.price`).  :class:`CachedSteps`
 answers from the poisoned probes, then the
 :class:`~repro.parallel.worker.ProbeCache`.  A step the cache lacks is a
 *question* for the prober (:class:`~repro.parallel.worker.WorkerProber`):
-it simulates that one step on its live harness, the probe is admitted — a
-run store journals it before it is used — and replayed like any other.
+it simulates that one step on its live harness (an evaluation branches
+from the context probe this pass answered for its type), the probe is
+admitted — a run store journals it before it is used — and replayed like
+any other.
 Replaying individual charges in the walk's order makes its ledger bitwise
 identical whichever probes were recorded when, and by whom.
 
@@ -23,7 +25,7 @@ events; they are handed to the source beside the cache — never admitted
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.attacks.actions import MaliciousAction
 from repro.common.errors import SearchError
@@ -62,6 +64,9 @@ class CachedSteps:
         self._prober = prober
         self._poisoned = poisoned if poisoned is not None else ProbeCache()
         self._kept = kept
+        #: message type -> the context probe this pass answered for it (a
+        #: priced copy keeps its point): what a missed evaluation branches from
+        self._contexts: Dict[str, ContextProbe] = {}
 
     def _priced(self, probe):
         """``probe`` as replaying it charges.
@@ -106,12 +111,13 @@ class CachedSteps:
                             WorkerProber.startup, self._cache.add_startup)
 
     def context(self, message_type: str) -> ContextProbe:
-        return self._answer(
+        self._contexts[message_type] = self._answer(
             self._poisoned.contexts.get(message_type)
             or self._cache.contexts.get(message_type),
             f"injection context for {message_type}",
             lambda prober: prober.context(message_type),
             lambda probe: self._cache.add_context(message_type, probe))
+        return self._contexts[message_type]
 
     def evaluate(self, message_type: str,
                  action: MaliciousAction) -> EvalProbe:
@@ -120,7 +126,8 @@ class CachedSteps:
             self._poisoned.evals.get(message_type, {}).get(record)
             or self._cache.evals.get(message_type, {}).get(record),
             f"evaluation of {action.describe()} {message_type}",
-            lambda prober: prober.evaluate(message_type, action),
+            lambda prober: prober.evaluate(
+                message_type, self._contexts[message_type], action),
             lambda probe: self._cache.add_eval(message_type, probe))
 
     def baseline(self) -> BaselineProbe:

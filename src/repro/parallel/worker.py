@@ -15,10 +15,14 @@ priced from these probes (:func:`repro.search.brute.price`).
 The parent-side prober answers one step at a time, when the walk misses it
 in the :class:`ProbeCache`.  A forked worker simulates ahead of the walk,
 one :class:`Step` at a time (:meth:`WorkerProber.run_task`).  Either way a
-recorded probe is never simulated again.  A prober holds one live
-:class:`TypeContext`, the type it last simulated; any other type's is
-re-derived from the warm snapshot, off the books
-(:meth:`WorkerProber._reacquire_context`).
+recorded probe is never simulated again.
+
+Contexts are data: a found :class:`ContextProbe` carries its injection
+point — a snapshot of the whole system — and its baseline sample, and any
+prober of the same ``(factory, seed)`` branches an evaluation from it by
+restoring that snapshot into its own world.  The one seek off the books
+left is for a context loaded from the journal, which has no point: a
+prober seeks it once, the first time it needs it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 
 from repro.attacks.actions import MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
-from repro.common.errors import ProxyError, SearchError
+from repro.common.errors import SearchError
 from repro.controller.costs import REBUILD, CostLedger
 from repro.controller.harness import AttackHarness, InjectionPoint
 from repro.controller.monitor import AttackThreshold, PerfSample
@@ -78,11 +82,21 @@ class StartupProbe:
 
 @dataclass
 class ContextProbe:
-    """One supervised injection-seek + baseline branch for a type."""
+    """One supervised injection-seek + baseline branch for a type.
+
+    Found as sought, it also carries what an evaluation branches from: the
+    injection point (its snapshot restores into any prober's world) and the
+    baseline sample.  Neither is part of the trace, the report or the
+    journal; a context loaded from the journal has neither.
+    """
 
     found: bool
     trace: StepTrace
     quarantined: Quarantine = None
+    injection: Optional[InjectionPoint] = field(default=None, compare=False,
+                                                repr=False)
+    baseline: Optional[PerfSample] = field(default=None, compare=False,
+                                           repr=False)
 
 
 @dataclass
@@ -110,17 +124,18 @@ class Step(NamedTuple):
 
     ``startup`` boots (or reuses) the testbed and nothing else;
     ``context`` seeks one type's injection point; ``evals`` walks one of
-    :meth:`ProbeCache.split`'s groups of that type's actions (``records``),
-    with the probes of them already recorded (``known``) so none is
-    simulated twice; ``baseline`` is brute force's one fresh execution.  A
-    step is a pure function of the hunt, so whoever runs it records the
-    same probes.
+    :meth:`ProbeCache.split`'s groups of that type's actions (``records``)
+    from the type's ``context``, with the probes of them already recorded
+    (``known``) so none is simulated twice; ``baseline`` is brute force's
+    one fresh execution.  A step is a pure function of the hunt, so whoever
+    runs it records the same probes.
     """
 
     kind: str
     message_type: Optional[str] = None
     records: Tuple[tuple, ...] = ()
     known: Tuple[EvalProbe, ...] = ()
+    context: Optional[ContextProbe] = None
 
     @property
     def key(self) -> tuple:
@@ -258,18 +273,6 @@ class NoProbeCache(ProbeCache):
     add_startup = add_context = add_eval = add_baseline = _forget
 
 
-@dataclass
-class TypeContext:
-    """Everything needed to branch one message type: injection + baseline.
-    ``stale``: the testbed was rebuilt since (the snapshot belongs to a dead
-    world), so the next measurement re-acquires both first."""
-
-    message_type: str
-    injection: InjectionPoint
-    baseline: PerfSample
-    stale: bool = False
-
-
 class WorkerProber:
     """The live step source: each answer simulated on one private,
     supervised testbed and recorded by a :class:`StepRecorder`.
@@ -307,8 +310,9 @@ class WorkerProber:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
         self._startup: Optional[StartupProbe] = None
-        #: the one live injection context: the type last simulated
-        self._live: Optional[TypeContext] = None
+        #: message type -> (injection, baseline) of a journaled context,
+        #: sought once (see :meth:`evaluate`)
+        self._sought: Dict[str, Optional[tuple]] = {}
         #: the world whose EventLog ``_log_mark`` counts into
         self._logged = None
         self._log_mark = 0
@@ -326,7 +330,8 @@ class WorkerProber:
             self.harness.ledger = self.ledger
             self.ledger.charge(REBUILD, sub.total())
 
-    def _seek_context(self, message_type: str) -> Optional[TypeContext]:
+    def _seek_context(self, message_type: str
+                      ) -> Optional[Tuple[InjectionPoint, PerfSample]]:
         """Rewind to the warm state, run until the type is intercepted and
         branch its baseline; None when it never appears within
         ``max_wait``."""
@@ -337,37 +342,21 @@ class WorkerProber:
                                              max_wait=self.params.max_wait)
         if injection is None:
             return None
-        return TypeContext(message_type, injection,
-                           harness.branch_measure(injection, None))
+        return injection, harness.branch_measure(injection, None)
 
-    def _measure_action(self, ctx: TypeContext,
+    def _measure_action(self, injection: InjectionPoint,
                         action: MaliciousAction) -> PerfSample:
-        """Supervised branch-measure of one action against ``ctx``,
-        re-acquiring ``ctx`` first when a retry rebuilt the testbed."""
-        def attempt() -> PerfSample:
-            if ctx.stale:
-                fresh = self._seek_context(ctx.message_type)
-                if fresh is None:
-                    # Deterministic worlds reproduce their injection points;
-                    # losing one after a rebuild is itself a (transient)
-                    # platform anomaly.
-                    raise ProxyError(f"injection point for "
-                                     f"{ctx.message_type} lost after rebuild")
-                ctx.injection, ctx.baseline = fresh.injection, fresh.baseline
-                ctx.stale = False
-            return self.harness.branch_measure(ctx.injection, action)
-
-        def rebuild() -> None:
-            self._rebuild_testbed()
-            ctx.stale = True
-
-        label = f"{action.describe()} {ctx.message_type}"
+        """Supervised branch-measure of one action from ``injection``.  A
+        retry after a rebuild restores the same snapshot into the new
+        world."""
+        message_type = injection.message_type
+        label = f"{action.describe()} {message_type}"
         with maybe_span(self.tracer, "search.scenario",
-                        message_type=ctx.message_type,
-                        scenario=label) as span:
-            sample = self.supervisor.run(f"branch:{ctx.message_type}",
-                                         attempt, rebuild=rebuild,
-                                         scenario=label)
+                        message_type=message_type, scenario=label) as span:
+            sample = self.supervisor.run(
+                f"branch:{message_type}",
+                lambda: self.harness.branch_measure(injection, action),
+                rebuild=self._rebuild_testbed, scenario=label)
             span.set(throughput=sample.throughput,
                      crashed=sample.crashed_nodes)
         return sample
@@ -377,7 +366,6 @@ class WorkerProber:
     def startup(self) -> StartupProbe:
         """Run the supervised startup and record it — again on every ask
         (a fresh testbed per pass)."""
-        self._live = None
         with StepRecorder(self) as step:
             self.supervisor.run("start_run", self.harness.start_run)
         self._startup = StartupProbe(step.trace, step.quarantined)
@@ -390,48 +378,39 @@ class WorkerProber:
         """Supervised injection-seek plus baseline branch.  Not found is an
         honest no-injection-point outcome, charged as wasted execution."""
         self._ensure_started()
-        self._live = None  # dropped first: never two contexts resident
+        found = None
         with StepRecorder(self) as step:
-            self._live = self.supervisor.run(
+            found = self.supervisor.run(
                 f"injection:{message_type}",
                 lambda: self._seek_context(message_type),
                 rebuild=self._rebuild_testbed, scenario=message_type)
-        return ContextProbe(found=self._live is not None, trace=step.trace,
-                            quarantined=step.quarantined)
+        return ContextProbe(found is not None, step.trace, step.quarantined,
+                            *(found or ()))
 
-    def evaluate(self, message_type: str,
+    def evaluate(self, message_type: str, context: ContextProbe,
                  action: MaliciousAction) -> EvalProbe:
+        """Supervised branch-measure of ``action`` from the type's found
+        ``context``, whoever sought it.  One loaded from the journal has no
+        point: the first ask seeks it **off the books** (outside any
+        :class:`StepRecorder`, so the report cannot tell) and this prober
+        keeps it for the type."""
         self._ensure_started()
-        if self._live is None or self._live.message_type != message_type:
-            # Recorded earlier (another pass, another type since, another
-            # worker, or the journal): a fresh evaluation needs the live
-            # injection point back.  No local may still hold the
-            # previous type's context while the new one is derived.
-            self._live = None
-            self._live = self._reacquire_context(message_type)
-        ctx = self._live
+        point = context.injection, context.baseline
+        if context.injection is None:
+            if message_type not in self._sought:
+                self._sought[message_type] = self._seek_context(message_type)
+            point = self._sought[message_type]
+            if point is None:  # a deterministic world reproduces its points
+                raise SearchError(f"injection point for {message_type} "
+                                  f"disappeared on re-seek")
+        injection, baseline = point
         sample = None
         with StepRecorder(self) as step:
-            sample = self._measure_action(ctx, action)
-        # Read the baseline *after* the measurement: a mid-step rebuild
-        # refreshes ctx.baseline, and the walk compares against the
-        # refreshed one.
-        baseline = ctx.baseline if step.quarantined is None else None
-        return EvalProbe(action.to_record(), baseline,
-                         sample if step.quarantined is None else None,
-                         step.trace, step.quarantined)
-
-    def _reacquire_context(self, message_type: str) -> TypeContext:
-        """Re-derive the live injection context of an already-recorded type,
-        **off the books** (outside any :class:`StepRecorder`, so the report
-        stays byte-identical to a run that never lost it).  A deterministic
-        world reproduces the point; losing it is a hard error."""
-        ctx = self._seek_context(message_type)
-        if ctx is None:
-            raise SearchError(
-                f"injection point for {message_type} disappeared on "
-                f"re-acquisition; deterministic world diverged")
-        return ctx
+            sample = self._measure_action(injection, action)
+        if step.quarantined is not None:
+            baseline = None
+        return EvalProbe(action.to_record(), baseline, sample, step.trace,
+                         step.quarantined)
 
     # ----------------------------------------------------------------- brute
 
@@ -503,7 +482,8 @@ class WorkerProber:
                 message_type,
                 [MaliciousAction.from_record(r) for r in step.records],
                 self.harness.threshold, self.params.early_stop,
-                self.evaluate)
+                lambda message_type, action: self.evaluate(
+                    message_type, step.context, action))
         elif kind == "baseline":
             payload.baseline = self.baseline()
         else:

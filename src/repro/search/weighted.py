@@ -108,8 +108,8 @@ class WeightedGreedySearch(SearchAlgorithm):
                 if probe is None:
                     continue
                 report.scenarios_evaluated += 1
-                # Each probe carries the baseline its sample was measured
-                # against (a mid-type rebuild re-measures it).
+                # Each probe carries the baseline its sample is measured
+                # against: its type's context's.
                 baseline, sample = probe.baseline, probe.sample
                 damage = self.threshold.damage(baseline, sample)
                 crashed = sample.crashed_nodes > baseline.crashed_nodes

@@ -1,7 +1,7 @@
 """Tests for the malicious proxy."""
 
 
-from repro.attacks.actions import DelayAction, DropAction, DuplicateAction
+from repro.attacks.actions import DropAction, DuplicateAction
 from repro.attacks.proxy import INJECTION_POINT, MaliciousProxy
 from repro.common.ids import replica
 from repro.common.rng import RandomStream
@@ -103,14 +103,6 @@ class TestPolicies:
         emulator.transmit(BAD, OTHER, "udp", payload())
         kernel.run_until(0.1)
         assert len(inboxes[OTHER]) == 2
-
-    def test_reset_counters(self):
-        kernel, emulator, proxy, __ = build()
-        proxy.set_policy("A", DelayAction(0.1))
-        emulator.transmit(BAD, OTHER, "udp", payload())
-        proxy.reset_counters()
-        assert proxy.intercepted == 0
-        assert proxy.first_injection_time is None
 
 
 class TestArming:

@@ -73,7 +73,7 @@ def priced(system, message_type, action, schedule, rule=price,
     probe = context = contexts[message_type]
     injected_at = sample = None
     if context.found:
-        probe = prober.evaluate(message_type, action)
+        probe = prober.evaluate(message_type, context, action)
         injected_at, sample = probe.sample.start, probe.sample
     boot = [c for c in startup.trace.charges if c[0] != SNAPSHOT_SAVE]
     instance = prober.harness.instance

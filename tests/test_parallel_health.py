@@ -32,7 +32,7 @@ from repro.parallel import ScenarioExecutor
 from repro.parallel.health import (HealthPolicy, WorkerHealth,
                                    WorkerHealthReport, quarantined_return)
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import EvalProbe, Step, WorkerProber
+from repro.parallel.worker import ContextProbe, EvalProbe, Step, WorkerProber
 from repro.search.hunt import hunt
 from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
@@ -85,10 +85,11 @@ class TestHealthPolicy:
         known = EvalProbe(self.DELAY.to_record(), None, None, StepTrace())
         evals = Step("evals", "Accept",
                      (self.DELAY.to_record(), self.DROP.to_record()),
-                     known=(known,))
+                     known=(known,),
+                     context=ContextProbe(True, StepTrace()))
         # what the step carries along is not what it is
         assert evals.key == ("evals", "Accept", evals.records)
-        assert evals.key == evals._replace(known=()).key
+        assert evals.key == evals._replace(known=(), context=None).key
         assert self.DROP.describe() in evals.describe()
         assert "Accept" in evals.describe()
         assert Step("context", "Accept").describe() == "context Accept"

@@ -11,6 +11,8 @@ schedule.
 import gc
 import hashlib
 import json
+import os
+import pickle
 import time
 import weakref
 import zlib
@@ -52,6 +54,11 @@ SMALL_SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
 SMALL_FACTORY = paxos_testbed(malicious_index=0, warmup=0.5, window=1.0)
 SMALL_SCENARIOS = [s.to_record() for s in ActionSpace(
     SMALL_FACTORY(3).schema, SMALL_SPACE).scenarios_for("Accept")]
+#: two delays: pass 1 finds ``Delay 0.5s Accept``, so pass 2 must evaluate
+#: ``Delay 1s Accept`` fresh — after Heartbeat and Learn were probed
+TWO_DELAYS = ActionSpaceConfig(delays=(0.5, 1.0), drop_probabilities=(1.0,),
+                               duplicate_counts=(), include_divert=False,
+                               include_lying=False)
 
 
 def report_json(report) -> str:
@@ -131,7 +138,8 @@ def _probe_type(prober, message_type, exclude=frozenset()):
                               message_type, exclude)
     for group in ProbeCache.split(actions, prober.params.early_stop):
         returns.append(prober.run_task(Step(
-            "evals", message_type, tuple(a.to_record() for a in group))))
+            "evals", message_type, tuple(a.to_record() for a in group),
+            context=returns[0].context)))
     return (returns, returns[0].context,
             [probe for ret in returns[1:] for probe in ret.evals])
 
@@ -392,9 +400,9 @@ class TestCompletionOrder:
             write(f"probe context {message_type}")
             return acquire(prober, message_type)
 
-        def evaluated(prober, message_type, action):
+        def evaluated(prober, message_type, context, action):
             write(f"probe eval {message_type} {action.describe()}")
-            return evaluate(prober, message_type, action)
+            return evaluate(prober, message_type, context, action)
 
         def begun(executor, *args, **kwargs):
             write("pass")
@@ -438,99 +446,128 @@ class TestCompletionOrder:
         assert len(journals) == 1
 
 
-class TestOneLiveContext:
-    """Probers hold one live injection context — the type last simulated —
-    and re-derive any other off the books, invisibly to the report."""
+class TestContextsAreData:
+    """A found context carries its injection snapshot, and any prober
+    branches from it in its own world: each type is sought once per hunt,
+    whoever evaluates it.  Only a context loaded from the journal, which
+    has no snapshot, is sought again — once per prober."""
 
-    #: two delays: pass 1 finds ``Delay 0.5s Accept``, so pass 2 must
-    #: evaluate ``Delay 1s Accept`` fresh — after Heartbeat and Learn were
-    #: probed
-    SPACE = ActionSpaceConfig(delays=(0.5, 1.0), drop_probabilities=(1.0,),
-                              duplicate_counts=(), include_divert=False,
-                              include_lying=False)
     TYPES = ["Accept", "Heartbeat", "Learn"]
 
-    def test_reacquire_is_exercised_and_invisible(self, tmp_path,
-                                                  monkeypatch):
-        reacquired = tmp_path / "reacquired"  # a file: forked workers too
-        original = WorkerProber._reacquire_context
+    @staticmethod
+    def _log_probes(monkeypatch, log):
+        """Before the fork: log each seek and each evaluation to ``log`` (a
+        file: forked workers too) as ``kind pid type``."""
+        seek, evaluate = WorkerProber._seek_context, WorkerProber.evaluate
 
-        def logged(prober, message_type):
-            with open(reacquired, "a") as fh:
-                fh.write(message_type + "\n")
-            return original(prober, message_type)
+        def write(kind, message_type):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()} {message_type}\n")
 
-        monkeypatch.setattr(WorkerProber, "_reacquire_context", logged)
+        def sought(prober, message_type):
+            write("seek", message_type)
+            return seek(prober, message_type)
+
+        def evaluated(prober, message_type, context, action):
+            write("eval", message_type)
+            return evaluate(prober, message_type, context, action)
+
+        monkeypatch.setattr(WorkerProber, "_seek_context", sought)
+        monkeypatch.setattr(WorkerProber, "evaluate", evaluated)
+
+    @staticmethod
+    def _read(log, kind):
+        return [tuple(line.split()[1:]) for line in log.read_text().split(
+            "\n") if line.startswith(kind + " ")]
+
+    def _hunt(self, **options):
+        return hunt(SMALL_FACTORY, seed=3, message_types=self.TYPES,
+                    space_config=TWO_DELAYS, max_passes=2, max_wait=5.0,
+                    **options)
+
+    def test_each_type_is_sought_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "probes"
+        self._log_probes(monkeypatch, log)
         # A slow Heartbeat seek in the pool: by the time it comes back the
-        # other worker has run everything else and sits idle holding
-        # another type, so it pulls one of Heartbeat's evals steps.
+        # other worker has run everything else and sits idle, so it pulls
+        # one of Heartbeat's evals steps and branches from a context it
+        # never sought.
         _pace_steps(monkeypatch, lambda step: 1.0 if step.key == (
             "context", "Heartbeat", ()) else 0.0)
-        common = dict(seed=3, message_types=self.TYPES,
-                      space_config=self.SPACE, max_passes=2, max_wait=5.0)
-        serial = hunt(SMALL_FACTORY, **common)
-        assert len(serial.passes) == 2 and serial.passes[1].findings
-        for engine, expected in (
-                (dict(store_dir=str(tmp_path / "store")), "Accept"),
-                (dict(workers=2), "Heartbeat")):
-            reacquired.write_text("")
-            result = hunt(SMALL_FACTORY, **common, **engine)
-            assert expected in reacquired.read_text().split(), engine
+        serial = None
+        for engine in ({}, dict(workers=2)):
+            log.write_text("")
+            result = self._hunt(**engine)
+            serial = serial or result
+            assert len(result.passes) == 2 and result.passes[1].findings
+            assert sorted(t for __, t in self._read(log, "seek")) == \
+                sorted(self.TYPES), engine
             assert hunt_json(result) == hunt_json(serial), engine
+        sought = set(self._read(log, "seek"))
+        assert set(self._read(log, "eval")) - sought  # another's context
 
-    def test_previous_types_snapshot_is_released(self, monkeypatch):
-        """After A's steps and then B's, nothing keeps A's injection-point
-        ``WorldSnapshot`` alive: retained contexts were the prober's whole
-        memory overhead over the live algorithm."""
-        snapshots = {}
-        original = WorkerProber._seek_context
+    def test_a_journaled_context_is_sought_once_per_prober(self, tmp_path,
+                                                          monkeypatch):
+        """A store holding a found context but none of its evals (a hunt
+        killed right after the seek) resumes to the bytes the same engine
+        writes uninterrupted, re-seeking that type at most once in each
+        prober."""
+        log = tmp_path / "probes"
+        self._log_probes(monkeypatch, log)
+        for workers in (1, 2):
+            whole = tmp_path / f"whole-{workers}"
+            store = tmp_path / f"resumed-{workers}"
+            uninterrupted = hunt_json(self._hunt(store_dir=str(whole),
+                                                 workers=workers))
+            journal = (whole / "journal.jsonl").read_bytes()
+            lines = journal.splitlines(keepends=True)
+            cut = next(i for i, line in enumerate(lines)
+                       if b'"kind":"context"' in line
+                       and b'"found":true' in line) + 1
+            journaled = json.loads(lines[cut - 1])["r"]["type"]
+            store.mkdir()
+            (store / "journal.jsonl").write_bytes(b"".join(lines[:cut]))
+            log.write_text("")
+            result = self._hunt(store_dir=str(store), workers=workers)
+            assert result.store_report.counters[
+                "store.resume.types_seeded"] == 1
+            assert hunt_json(result) == uninterrupted, workers
+            assert (store / "journal.jsonl").read_bytes() == journal
+            seeks = self._read(log, "seek")
+            assert len(seeks) == len(set(seeks)), workers
+            assert journaled in {t for __, t in seeks}, workers
 
-        def watched(prober, message_type):
-            ctx = original(prober, message_type)
-            snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
-            return ctx
+    def test_a_rebuild_restores_the_context_into_the_new_world(
+            self, monkeypatch):
+        """A context sought by one prober, pickled (as a pipe ships it),
+        branches in another.  A transient fault in the branch rebuilds the
+        testbed and restores the same snapshot into the new world: the
+        fault-free sample, a ``rebuild`` charge and no seek."""
+        params = ProbeParams(space_config=SMALL_SPACE, max_wait=5.0)
+        seeker = WorkerProber(0, SMALL_FACTORY, 3, params)
+        context = seeker.context("Accept")
+        action = ActionSpace(SMALL_FACTORY(3).schema,
+                             SMALL_SPACE).actions_for("Accept")[0]
+        clean = seeker.evaluate("Accept", context, action)
+        prober = WorkerProber(1, SMALL_FACTORY, 3, params)
+        prober.startup()
+        shipped = pickle.loads(pickle.dumps(context))
+        monkeypatch.setattr(WorkerProber, "_seek_context", None)  # no seek
+        assert prober.evaluate("Accept", shipped, action) == clean
+        branch = AttackHarness.branch_measure
 
-        monkeypatch.setattr(WorkerProber, "_seek_context", watched)
-        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
-            space_config=SMALL_SPACE, max_wait=5.0))
-        for message_type in ("Accept", "Heartbeat"):
-            __, __, evals = _probe_type(prober, message_type)
-            assert evals
-        gc.collect()
-        assert snapshots["Accept"]() is None
-        assert snapshots["Heartbeat"]() is not None  # the one live context
+        def flaky(harness, injection, action):
+            monkeypatch.setattr(AttackHarness, "branch_measure", branch)
+            raise ProxyError("transient fault mid-branch")
 
-    def test_reacquisition_starts_with_no_context_resident(self,
-                                                           monkeypatch):
-        """...nor while the next one is re-derived: by the time
-        ``_reacquire_context`` runs, the previous type's snapshot is
-        already garbage — no local of ``_evaluate`` still holds it."""
-        snapshots = {}
-        original = WorkerProber._seek_context
-
-        def watched(prober, message_type):
-            ctx = original(prober, message_type)
-            snapshots[message_type] = weakref.ref(ctx.injection.snapshot)
-            return ctx
-
-        monkeypatch.setattr(WorkerProber, "_seek_context", watched)
-        prober = WorkerProber(0, SMALL_FACTORY, 3, ProbeParams(
-            space_config=SMALL_SPACE, max_wait=5.0))
-        __, __, accept = _probe_type(prober, "Accept")
-        _probe_type(prober, "Heartbeat")
-        resident = []
-        reacquire = WorkerProber._reacquire_context
-
-        def checked(prober, message_type):
-            gc.collect()
-            resident.append(snapshots["Heartbeat"]() is not None)
-            return reacquire(prober, message_type)
-
-        monkeypatch.setattr(WorkerProber, "_reacquire_context", checked)
-        again = prober.evaluate("Accept", MaliciousAction.from_record(
-            accept[0].record))
-        assert resident == [False]
-        assert again.trace.charges == accept[0].trace.charges
+        monkeypatch.setattr(AttackHarness, "branch_measure", flaky)
+        faulted = prober.evaluate("Accept", shipped, action)
+        assert faulted.quarantined is None
+        assert (faulted.baseline, faulted.sample) == (clean.baseline,
+                                                      clean.sample)
+        charged = [category for category, __ in faulted.trace.charges]
+        assert "rebuild" in charged
+        assert "snapshot_save" not in charged
 
 
 class TestStepRecorder:
@@ -567,7 +604,7 @@ class TestLiveOnlyHuntsPinned:
     the injection cache — plus a chaos hunt, pinned to the hunt-JSON
     sha256 that arm produced at commit ``80b16b7``."""
 
-    SPACE = TestOneLiveContext.SPACE
+    SPACE = TWO_DELAYS
     PINNED = {
         "fault_plan":
             "79d64cb98945232bc446e42ad1ebca1d1494fee9ffc0aff099101eaeda91843e",
