@@ -10,9 +10,10 @@ to end:
    the store's probe cache, so probes are committed to a CRC32
    write-ahead journal as they complete, and re-running with the same
    store answers them from disk to the *byte-identical* report;
-3. a hunt SIGKILLed mid-pass via the ``REPRO_STORE_CHAOS`` hook (in a
-   subprocess — the chaos hook kills the whole process, that is the
-   point), then resumed from its store to the same bytes;
+3. a hunt SIGKILLed mid-pass at the ``journal.append`` site of the
+   ``REPRO_CHAOS`` hook (in a subprocess — the chaos hook kills the whole
+   process, that is the point), then resumed from its store to the same
+   bytes;
 4. an ``injection_cache`` hunt — pass 2+ priced as a platform that kept
    its snapshots would charge it — through a store and two workers: the
    same bytes as the serial cached hunt, and no boot charged in pass 2.
@@ -52,7 +53,7 @@ def run_cli(extra, chaos=None):
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
     if chaos:
-        env["REPRO_STORE_CHAOS"] = chaos
+        env["REPRO_CHAOS"] = chaos
     return subprocess.run([sys.executable, "-m", "repro"] + CLI + extra,
                           env=env, capture_output=False)
 
@@ -80,7 +81,7 @@ def main() -> int:
     ref = os.path.join(workdir, "ref.json")
     out = os.path.join(workdir, "resumed.json")
     run_cli(["--json", ref])
-    killed = run_cli(["--store", crash_store], chaos=f"crash:3:{flag}")
+    killed = run_cli(["--store", crash_store], chaos=f"journal.append:crash:3:{flag}")
     assert killed.returncode == -signal.SIGKILL, "chaos should SIGKILL"
     print("hunt SIGKILLed after the 3rd journal append; resuming...")
     resumed = run_cli(["--store", crash_store, "--json", out])

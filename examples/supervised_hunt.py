@@ -7,9 +7,11 @@ the supervision layer end to end:
 
 1. a *fault-free* PBFT hunt as the reference;
 2. the same hunt under a deterministic :class:`FaultPlan` that fails 15%
-   of snapshot restores (with the kernel watchdog armed) — the supervisor
-   retries with fresh testbed rebuilds and the hunt finds the *identical*
-   attack set;
+   of snapshot restores (with the kernel watchdog armed), first serially,
+   then on two workers with a run store — the supervisor retries with
+   fresh testbed rebuilds, the hunt finds the *identical* attack set, and
+   the plan, keyed by the probe it faults, faults the same operations in
+   every engine;
 3. a hunt interrupted after its first pass and resumed from its run store
    (``store_dir``, the only resume path) — findings and the merged cost
    ledger match the uninterrupted run.
@@ -19,6 +21,7 @@ Run:  python examples/supervised_hunt.py
 
 import tempfile
 
+from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.space import ActionSpaceConfig
 from repro.controller.supervisor import FaultPlan
 from repro.search.hunt import hunt
@@ -38,17 +41,23 @@ def main() -> int:
     print(clean.describe())
 
     print("\n=== 2. same hunt, 15% of snapshot restores fail ===")
-    plan = FaultPlan(seed=11, snapshot_restore_rate=0.15, max_faults=4)
+    plan = FaultPlan(seed=12, snapshot_restore_rate=0.15, max_faults=3)
     print(plan.describe())
     faulty = hunt(FACTORY, max_passes=3, fault_plan=plan,
                   watchdog_limit=2_000_000, max_retries=3, **KW)
     print(faulty.describe())
-    print(f"injected faults: {plan.total_injected}")
     assert faulty.attack_names() == clean.attack_names(), \
         "fault plan changed the attack set!"
     print("-> identical attack set; faults cost only "
           f"{faulty.total_ledger.get('retry'):.2f}s retry + "
           f"{faulty.total_ledger.get('rebuild'):.1f}s rebuild time")
+    with tempfile.TemporaryDirectory(prefix="hunt-store-") as store:
+        pooled = hunt(FACTORY, max_passes=3, fault_plan=plan,
+                      watchdog_limit=2_000_000, max_retries=3, workers=2,
+                      store_dir=store, **KW)
+    assert hunt_result_to_dict(pooled) == hunt_result_to_dict(faulty), \
+        "the plan faulted differently on two workers with a store!"
+    print("-> two workers + a run store: the same report, fault for fault")
 
     print("\n=== 3. interrupt after pass 1, resume from the run store ===")
     with tempfile.TemporaryDirectory(prefix="hunt-store-") as store:

@@ -341,11 +341,6 @@ def cmd_search(args) -> int:
         from repro.analysis.reports import excluded_scenarios, load_report
         exclude = excluded_scenarios(load_report(args.exclude_from))
 
-    fault_plan = _fault_plan(args)
-    if args.workers > 1 and fault_plan is not None:
-        raise ConfigError("--workers > 1 cannot run with --inject-faults "
-                          "(the fault plan's stream is sequence-"
-                          "dependent; use --faults chaos instead)")
     from repro.parallel.executor import ScenarioExecutor
     with ScenarioExecutor(
             factory, seed=args.seed, algorithm=args.algorithm,
@@ -357,7 +352,7 @@ def cmd_search(args) -> int:
             fault_schedule=_fault_schedule(args),
             watchdog_limit=args.watchdog, max_retries=args.max_retries,
             tracer=tracer, log_events=args.log_events is not None,
-            health=_health_policy(args), fault_plan=fault_plan,
+            health=_health_policy(args), fault_plan=_fault_plan(args),
             progress=progress) as executor:
         try:
             report = executor.run_pass(message_types=types, exclude=exclude)

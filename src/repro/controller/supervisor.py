@@ -8,8 +8,9 @@ scenario evaluated so far.  This module makes the harness itself
 fault-tolerant:
 
 * :class:`FaultPlan` — a deterministic platform fault-injection plan,
-  driven by :mod:`repro.common.rng`, that makes snapshot save/restore,
-  boot, and proxy operations fail at configured rates (or exact counts).
+  driven by :mod:`repro.common.rng` and keyed by the probe being
+  simulated, that makes snapshot save/restore, boot, and proxy operations
+  fail at configured rates (capped per probe).
   It exists so the recovery paths below are *provable* in tests rather
   than exercised only when real hardware misbehaves.
 * :class:`ScenarioSupervisor` — wraps every branch-measure and
@@ -93,15 +94,21 @@ class ScenarioQuarantined(TurretError):
 
 @dataclass
 class FaultPlan:
-    """Deterministic plan for injecting platform faults.
+    """Deterministic plan for injecting platform faults, keyed by probe.
 
-    Each targeted operation fails with its configured probability, drawn
-    from a private :class:`RandomStream` so the injected faults never
-    perturb the experiment's own randomness (the attack set found under a
-    fault plan is therefore identical to the fault-free one, as long as
-    every scenario survives quarantine).  ``max_faults`` bounds the total
-    number of injected failures, which makes recovery tests terminate
-    provably.
+    The prober names each probe before simulating it (:meth:`begin`) by
+    the key the probe cache files it under — ``("startup",)``,
+    ``("context", type)``, ``("eval", type, action record)`` or
+    ``("baseline",)`` — and every check until the next :meth:`begin`
+    draws from a private :class:`RandomStream` forked for that key,
+    restarted at its first draw.  Which operations fault is therefore a
+    pure function of what is simulated, not of the order probes run in or
+    of who runs them: a forked worker, a resumed hunt and a second ask of
+    a recorded probe all see the faults the first simulation saw.  The
+    draws never perturb the experiment's own randomness, so the attack set
+    found under a plan is the fault-free one as long as every scenario
+    survives quarantine.  ``max_faults`` caps the failures injected into
+    one probe, which makes recovery tests terminate provably.
     """
 
     seed: int = 0
@@ -112,13 +119,12 @@ class FaultPlan:
     max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self._stream = RandomStream(self.seed, "fault-plan")
-        self.injected: Dict[str, int] = {op: 0 for op in FAULT_OPS}
-        self.checks = 0
+        self.begin(())
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
+    def begin(self, key: tuple) -> None:
+        """Restart the draws for the probe ``key``."""
+        self._stream = RandomStream(self.seed, "fault-plan").fork(repr(key))
+        self._faults = 0
 
     def _rate(self, operation: str) -> float:
         return {
@@ -131,23 +137,21 @@ class FaultPlan:
     def check(self, operation: str) -> None:
         """Fail ``operation`` (by raising its platform error) per the plan.
 
-        Every check consumes one draw from the private stream regardless of
-        outcome, so the fault sequence is a pure function of the plan's
-        seed and the sequence of operations attempted.
+        Every check of a targeted operation consumes one draw regardless
+        of outcome, so a probe's faults are a pure function of the plan's
+        seed, the probe's key and the operations it attempts.
         """
         rate = self._rate(operation)
-        self.checks += 1
         if rate <= 0.0:
             return
         draw = self._stream.random()
         if draw >= rate:
             return
-        if (self.max_faults is not None
-                and self.total_injected >= self.max_faults):
+        if self.max_faults is not None and self._faults >= self.max_faults:
             return
-        self.injected[operation] += 1
+        self._faults += 1
         raise _ERROR_FOR_OP[operation](
-            f"[injected fault #{self.total_injected}] {operation} failed "
+            f"[injected fault #{self._faults}] {operation} failed "
             f"(plan seed {self.seed})")
 
     @classmethod
@@ -183,7 +187,8 @@ class FaultPlan:
     def describe(self) -> str:
         rates = ", ".join(f"{op}={self._rate(op):.0%}" for op in FAULT_OPS
                           if self._rate(op) > 0)
-        cap = f", max {self.max_faults}" if self.max_faults is not None else ""
+        cap = (f", max {self.max_faults} per probe"
+               if self.max_faults is not None else "")
         return f"fault plan(seed {self.seed}: {rates or 'no faults'}{cap})"
 
 

@@ -36,13 +36,12 @@ others pull what is left, a step that keeps killing workers is quarantined
 through the supervision ledger, and a collapsed pool degrades to the
 parent-side prober: what the pool left unanswered is just a miss.
 
-Two values are **parent-only**: a ``FaultPlan`` (its RNG stream is
-sequence-dependent, so splitting the pass would change which operations
-fault) and the progress line.  Forked workers never see them, and under a
-``FaultPlan`` no probe outlives its ask
-(:class:`~repro.parallel.worker.NoProbeCache`): every step the walk takes
-is simulated, in order.  ``FaultSchedule`` chaos is fine everywhere —
-armed per world before warmup, identical in every prober.
+Platform faults compose with all of it.  A ``FaultPlan`` is keyed by the
+probe being simulated (its draws restart for each probe), so a probe
+faults the same in whichever prober, pass or resumed hunt simulates it,
+and a recorded one answers a second ask as re-simulating it would.
+``FaultSchedule`` chaos is armed per world before warmup, identical in
+every prober.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    HealthPolicy, WorkerHealthReport,
                                    quarantined_return)
 from repro.parallel.merge import CachedSteps
-from repro.parallel.worker import (ContextProbe, NoProbeCache, ProbeCache,
-                                   ProbeParams, StartupProbe, Step,
-                                   WorkerProber, WorkerReturn, worker_main)
+from repro.parallel.worker import (ContextProbe, ProbeCache, ProbeParams,
+                                   StartupProbe, Step, WorkerProber,
+                                   WorkerReturn, worker_main)
 from repro.search import ALGORITHMS
 from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
@@ -144,12 +143,8 @@ class ScenarioExecutor:
         self.policy = health or HealthPolicy()
         #: every probe recorded so far — the durable
         #: :class:`~repro.store.runstore.RunStore`'s when there is one
-        #: (journaled probes are answered from disk, fresh ones journaled);
-        #: nothing under the parent-only FaultPlan
-        self.cache = (store.cache if store is not None
-                      else NoProbeCache() if fault_plan is not None
-                      else ProbeCache())
-        self._fault_plan = fault_plan
+        #: (journaled probes are answered from disk, fresh ones journaled)
+        self.cache = store.cache if store is not None else ProbeCache()
         self.progress = progress
         #: the current (or last) :meth:`run_pass`'s walk; its ``report`` is
         #: the partial result a caller prints after a KeyboardInterrupt
@@ -163,8 +158,8 @@ class ScenarioExecutor:
             algorithm=algorithm, threshold=self.threshold,
             space_config=space_config, max_wait=max_wait,
             shared_pages=shared_pages, delta_snapshots=delta_snapshots,
-            fault_schedule=fault_schedule, watchdog_limit=watchdog_limit,
-            max_retries=max_retries,
+            fault_plan=fault_plan, fault_schedule=fault_schedule,
+            watchdog_limit=watchdog_limit, max_retries=max_retries,
             trace=tracer is not None and tracer.enabled,
             log_events=log_events)
         start_methods = multiprocessing.get_all_start_methods()
@@ -192,7 +187,7 @@ class ScenarioExecutor:
         process = context.Process(
             target=worker_main,
             args=(child_conn, worker, self.factory, self.seed,
-                  self.params),
+                  self.params, [parent_conn, *self._conns.values()]),
             daemon=True)
         process.start()
         child_conn.close()
@@ -202,12 +197,11 @@ class ScenarioExecutor:
 
     def _parent(self) -> WorkerProber:
         """The one in-process prober: it answers the walk's misses whenever
-        no healthy pool has (``workers=1``, no ``fork``, a collapsed pool),
-        and it alone is built with the parent-only ``FaultPlan``."""
+        no healthy pool has (``workers=1``, no ``fork``, a collapsed
+        pool)."""
         if self._prober is None:
             self._prober = WorkerProber(0, self.factory, self.seed,
-                                        self.params, tracer=self.tracer,
-                                        fault_plan=self._fault_plan)
+                                        self.params, tracer=self.tracer)
         return self._prober
 
     # ----------------------------------------------------------------- steps

@@ -28,8 +28,6 @@ prober seeks it once, the first time it needs it.
 from __future__ import annotations
 
 import copy
-import os
-import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -38,6 +36,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 
 from repro.attacks.actions import MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
+from repro.common import chaos
 from repro.common.errors import SearchError
 from repro.controller.costs import REBUILD, CostLedger
 from repro.controller.harness import AttackHarness, InjectionPoint
@@ -61,6 +60,9 @@ class ProbeParams:
     max_wait: Optional[float] = None
     shared_pages: bool = True
     delta_snapshots: bool = False
+    #: a keyed :class:`~repro.controller.supervisor.FaultPlan` (None: no
+    #: injected faults) — each prober names the probe it simulates
+    fault_plan: Any = None
     fault_schedule: Any = None
     watchdog_limit: Optional[int] = None
     max_retries: int = 2
@@ -261,18 +263,6 @@ class ProbeCache:
         return evals
 
 
-class NoProbeCache(ProbeCache):
-    """Admits nothing, so every step the walk takes is a miss.  Under a
-    ``FaultPlan`` what a step charges depends on what ran before it: a
-    recorded probe may not answer a second ask, and each pass — each
-    greedy round — simulates its own steps."""
-
-    def _forget(self, *probe) -> None:
-        pass
-
-    add_startup = add_context = add_eval = add_baseline = _forget
-
-
 class WorkerProber:
     """The live step source: each answer simulated on one private,
     supervised testbed and recorded by a :class:`StepRecorder`.
@@ -281,15 +271,15 @@ class WorkerProber:
     parent-side prober (a probe at a time, when the walk misses).  The
     booted world and the warm snapshot persist across calls.  ``tracer``
     is the parent side's (a forked worker keeps a private one and ships
-    its spans home); ``fault_plan`` is the parent side's alone, its fault
-    stream meaningful only on the one prober the walk drives in order.  A
+    its spans home).  Each probe is named to the fault plan before it is
+    simulated (:meth:`_probe`), so it faults the same in every prober.  A
     transient platform fault costs a bounded retry under the supervisor —
     a testbed rebuild charged to ``rebuild`` — instead of failing the step.
     """
 
     def __init__(self, worker_id: int, factory, seed: int,
-                 params: ProbeParams, tracer: Optional[Tracer] = None,
-                 fault_plan=None) -> None:
+                 params: ProbeParams, tracer: Optional[Tracer] = None
+                 ) -> None:
         self.worker_id = worker_id
         self.params = params
         self._ships_spans = tracer is None and params.trace
@@ -303,21 +293,28 @@ class WorkerProber:
             factory, seed, params.threshold,
             shared_pages=params.shared_pages,
             delta_snapshots=params.delta_snapshots, ledger=self.ledger,
-            fault_plan=fault_plan, fault_schedule=params.fault_schedule,
+            fault_plan=params.fault_plan,
+            fault_schedule=params.fault_schedule,
             watchdog_limit=params.watchdog_limit, tracer=self.tracer,
             log_events=params.log_events)
         #: this prober's own (latest) boot.  Never taken from a cache:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
         self._startup: Optional[StartupProbe] = None
-        #: message type -> (injection, baseline) of a journaled context,
-        #: sought once (see :meth:`evaluate`)
-        self._sought: Dict[str, Optional[tuple]] = {}
+        #: message type -> the re-seek of a journaled context, sought once
+        #: (see :meth:`evaluate`)
+        self._sought: Dict[str, ContextProbe] = {}
         #: the world whose EventLog ``_log_mark`` counts into
         self._logged = None
         self._log_mark = 0
 
     # ----------------------------------------------------- supervised plane
+
+    def _probe(self, *key) -> None:
+        """Name the probe about to be simulated — the key the probe cache
+        files it under — so the fault plan's draws restart for it."""
+        if self.params.fault_plan is not None:
+            self.params.fault_plan.begin(key)
 
     def _rebuild_testbed(self) -> None:
         """Replace the testbed with a fresh build of the same factory+seed,
@@ -366,6 +363,7 @@ class WorkerProber:
     def startup(self) -> StartupProbe:
         """Run the supervised startup and record it — again on every ask
         (a fresh testbed per pass)."""
+        self._probe("startup")
         with StepRecorder(self) as step:
             self.supervisor.run("start_run", self.harness.start_run)
         self._startup = StartupProbe(step.trace, step.quarantined)
@@ -378,6 +376,7 @@ class WorkerProber:
         """Supervised injection-seek plus baseline branch.  Not found is an
         honest no-injection-point outcome, charged as wasted execution."""
         self._ensure_started()
+        self._probe("context", message_type)
         found = None
         with StepRecorder(self) as step:
             found = self.supervisor.run(
@@ -391,19 +390,19 @@ class WorkerProber:
                  action: MaliciousAction) -> EvalProbe:
         """Supervised branch-measure of ``action`` from the type's found
         ``context``, whoever sought it.  One loaded from the journal has no
-        point: the first ask seeks it **off the books** (outside any
-        :class:`StepRecorder`, so the report cannot tell) and this prober
-        keeps it for the type."""
+        point: the first ask simulates the context probe again **off the
+        books** (its trace is dropped, so the report cannot tell) and this
+        prober keeps it for the type."""
         self._ensure_started()
-        point = context.injection, context.baseline
         if context.injection is None:
             if message_type not in self._sought:
-                self._sought[message_type] = self._seek_context(message_type)
-            point = self._sought[message_type]
-            if point is None:  # a deterministic world reproduces its points
+                self._sought[message_type] = self.context(message_type)
+            context = self._sought[message_type]
+            if context.injection is None:  # a deterministic world
                 raise SearchError(f"injection point for {message_type} "
                                   f"disappeared on re-seek")
-        injection, baseline = point
+        injection, baseline = context.injection, context.baseline
+        self._probe("eval", message_type, action.to_record())
         sample = None
         with StepRecorder(self) as step:
             sample = self._measure_action(injection, action)
@@ -419,6 +418,7 @@ class WorkerProber:
         warm snapshot, then a window.  It runs on a throwaway copy of the
         testbed, so the warm snapshot later steps branch from stays."""
         kept = self.harness
+        self._probe("baseline")
 
         def attempt() -> PerfSample:
             self.harness = copy.copy(kept)
@@ -495,40 +495,17 @@ class WorkerProber:
         return payload
 
 
-def _maybe_inject_chaos(worker_id: int) -> None:
-    """Deterministic fault injection for the self-healing layer's tests.
-
-    ``REPRO_WORKER_CHAOS`` is ``kill:<worker>:<flag-file>`` or
-    ``hang:<worker>:<flag-file>:<seconds>``; ``<worker>`` may be ``*`` to
-    target every worker (the pool-collapse case).  The fault fires in the
-    named worker right after it receives a step; the flag file is written
-    *before* firing, so the fault disarms itself once — an empty flag path
-    means fire every time.  This lives in the worker
-    so the chaos smoke in CI exercises the real crash path (SIGKILL,
-    nothing flushed) rather than a simulated one.
-    """
-    spec = os.environ.get("REPRO_WORKER_CHAOS")
-    if not spec:
-        return
-    parts = spec.split(":")
-    if len(parts) < 3 or parts[1] not in (str(worker_id), "*"):
-        return
-    mode, __, flag = parts[0], parts[1], parts[2]
-    if flag:
-        if os.path.exists(flag):
-            return  # already fired once
-        with open(flag, "w") as handle:
-            handle.write("fired\n")
-    if mode == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif mode == "hang":
-        time.sleep(float(parts[3]) if len(parts) > 3 else 3600.0)
-
-
 def worker_main(conn, worker_id: int, factory, seed: int,
-                params: ProbeParams) -> None:
+                params: ProbeParams, inherited=()) -> None:
     """Forked worker loop: build the prober lazily, serve steps until
-    ``stop`` (or the pipe closes)."""
+    ``stop`` (or the pipe closes).
+
+    ``inherited`` are the parent's ends of the pool's pipes, this worker's
+    own among them, which fork copied in: they are closed first, so that
+    the parent's death — even by ``SIGKILL`` — leaves no open writer on
+    this worker's pipe and its ``recv`` sees EOF."""
+    for end in inherited:
+        end.close()
     prober = None
     try:
         while True:
@@ -538,14 +515,18 @@ def worker_main(conn, worker_id: int, factory, seed: int,
                 break
             if message[0] == "stop":
                 break
-            _maybe_inject_chaos(worker_id)
             try:
+                fault = chaos.fault("worker.step", worker_id)
+                if fault is not None and fault.mode == "kill":
+                    chaos.kill_self()
+                elif fault is not None:
+                    time.sleep(fault.seconds)
                 if prober is None:
                     prober = WorkerProber(worker_id, factory, seed, params)
                 conn.send(("ok", prober.run_task(message)))
             except Exception:
                 conn.send(("err", traceback.format_exc()))
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, OSError):
         pass
     finally:
         try:

@@ -10,8 +10,9 @@ Long campaigns are supervised and resumable:
 
 * every pass runs under the search stack's classify-retry-quarantine
   supervision (see :mod:`repro.controller.supervisor`), optionally with a
-  deterministic :class:`~repro.controller.supervisor.FaultPlan` injected and
-  a kernel watchdog armed;
+  deterministic, probe-keyed :class:`~repro.controller.supervisor.FaultPlan`
+  injected (at any ``workers``, with or without a store) and a kernel
+  watchdog armed;
 * with ``store_dir`` set, every completed probe is journaled and the
   excluded scenarios, cluster weights, ledger, and completed passes are
   checkpointed after every pass (see :mod:`repro.store.runstore`); pointing
@@ -255,9 +256,10 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     snapshots would charge it — no boot, warmup, or injection seek (see
     :class:`~repro.parallel.merge.CachedSteps`).  It composes with
     ``workers`` and ``store_dir``; a store refuses to resume under the
-    other setting.  Under a ``fault_plan`` (sequence-dependent, so it
-    excludes ``workers > 1`` and ``store_dir``) no recorded step outlives
-    its ask: each pass simulates its own steps, in order.
+    other setting.  A ``fault_plan`` composes with both too: it is keyed
+    by the probe being simulated, so a probe faults the same whoever
+    simulates it, whenever — in a forked worker, in a later pass, in a
+    resumed hunt.
 
     ``store_dir`` makes the campaign **durable**: the same engine with a
     persistent probe cache — every probe committed to a write-ahead journal
@@ -278,19 +280,8 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     result never includes, so the hunt JSON is byte-identical with
     forensics on or off.
     """
-    if store_dir is not None and fault_plan is not None:
-        raise ConfigError(
-            "--store cannot run under a FaultPlan: the plan's fault stream "
-            "is sequence-dependent, so a resumed hunt that skips journaled "
-            "work would fault different operations than the original")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and fault_plan is not None:
-        raise ConfigError(
-            "workers > 1 cannot run under a FaultPlan: the plan's fault "
-            "stream is sequence-dependent, so splitting a pass across "
-            "workers would change which operations fault (FaultSchedule "
-            "chaos is supported)")
     if workers == 1 and health_policy is not None:
         raise ConfigError(
             "worker health options (--worker-timeout/--worker-retries/"

@@ -8,38 +8,23 @@ leaves at most one torn line at the end of the file; :func:`recover_journal`
 truncates the file back to the last valid record, so the journal's committed
 prefix is always readable.
 
-``REPRO_STORE_CHAOS`` injects deterministic durability faults for tests and
-CI, mirroring ``REPRO_WORKER_CHAOS`` from the self-healing layer:
-
-* ``torn:<n>:<flag-file>`` — the ``n``-th append in this process writes only
-  half of the record's bytes, skips the fsync, and SIGKILLs the process
-  (the torn-tail case recovery must truncate);
-* ``crash:<n>:<flag-file>`` — the ``n``-th append commits normally (write +
-  fsync) and then SIGKILLs the process (the clean-kill case: everything
-  journaled so far must survive);
-* ``ckpt:<n>:<flag-file>`` — the ``n``-th checkpoint write truncates the
-  freshly renamed generation file to half its bytes and SIGKILLs (the
-  corrupt-generation case: load must fall back to the previous good one).
-
-The flag file is written *before* firing, so the fault disarms itself after
-one shot — a resumed process with the same environment runs clean.
+The ``journal.append`` site of :mod:`repro.common.chaos` tears or kills
+the ``n``-th append in a process (and its ``checkpoint.write`` site, the
+``n``-th checkpoint of a :class:`~repro.store.runstore.RunStore`), for
+tests and CI.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError
+from repro.common import chaos
 
 #: bump when the record envelope format changes
 JOURNAL_VERSION = 1
-
-CHAOS_ENV = "REPRO_STORE_CHAOS"
-_CHAOS_MODES = ("torn", "crash", "ckpt")
 
 
 def _canonical(record: Dict[str, Any]) -> str:
@@ -71,57 +56,6 @@ def decode_line(line: bytes) -> Optional[Dict[str, Any]]:
     return record
 
 
-class _ChaosHook:
-    """Parsed ``REPRO_STORE_CHAOS`` spec with fire-once flag semantics."""
-
-    def __init__(self) -> None:
-        self.mode: Optional[str] = None
-        self.nth = 0
-        self.flag = ""
-        self._appends = 0
-        self._checkpoints = 0
-        spec = os.environ.get(CHAOS_ENV)
-        if not spec:
-            return
-        parts = spec.split(":")
-        if len(parts) < 3 or parts[0] not in _CHAOS_MODES:
-            raise ConfigError(
-                f"bad {CHAOS_ENV} spec {spec!r}; expected "
-                f"<torn|crash|ckpt>:<n>:<flag-file>")
-        self.mode = parts[0]
-        try:
-            self.nth = int(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad {CHAOS_ENV} count {parts[1]!r}") from None
-        self.flag = parts[2]
-
-    def _fire(self) -> bool:
-        """Arm-check the flag file; True means the fault should fire now."""
-        if self.flag:
-            if os.path.exists(self.flag):
-                return False  # already fired once
-            with open(self.flag, "w") as handle:
-                handle.write("fired\n")
-        return True
-
-    def on_append(self) -> Optional[str]:
-        """Return 'torn'/'crash' when this append should fault, else None."""
-        if self.mode not in ("torn", "crash"):
-            return None
-        self._appends += 1
-        if self._appends != self.nth:
-            return None
-        return self.mode if self._fire() else None
-
-    def on_checkpoint(self) -> bool:
-        if self.mode != "ckpt":
-            return False
-        self._checkpoints += 1
-        if self._checkpoints != self.nth:
-            return False
-        return self._fire()
-
-
 def _fsync_dir(path: str) -> None:
     """fsync a directory so a rename/append inside it is durable."""
     fd = os.open(path, os.O_RDONLY)
@@ -129,10 +63,6 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _sigkill_self() -> None:  # pragma: no cover - ends the process
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def atomic_write_json(path: str, data: Any, indent: int = 2) -> None:
@@ -189,7 +119,6 @@ class Journal:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._chaos = _ChaosHook()
         self.records, self.recovered_bytes = recover_journal(path)
         self.appended = 0
         self._fh = open(path, "ab")
@@ -197,21 +126,17 @@ class Journal:
     def append(self, record: Dict[str, Any]) -> None:
         """Commit one record: write, flush, fsync (the WAL contract)."""
         payload = encode_record(record)
-        chaos = self._chaos.on_append()
-        if chaos == "torn":  # pragma: no cover - SIGKILLs the process
+        fault = chaos.fault("journal.append", self.appended + 1)
+        if fault is not None and fault.mode == "torn":  # pragma: no cover
             self._fh.write(payload[:max(1, len(payload) // 2)])
             self._fh.flush()
-            _sigkill_self()
+            chaos.kill_self()
         self._fh.write(payload)
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self.appended += 1
-        if chaos == "crash":  # pragma: no cover - SIGKILLs the process
-            _sigkill_self()
-
-    def checkpoint_chaos(self) -> bool:
-        """Whether the ``ckpt`` chaos mode wants this checkpoint corrupted."""
-        return self._chaos.on_checkpoint()
+        if fault is not None:  # pragma: no cover - "crash": SIGKILLs
+            chaos.kill_self()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.reports import (_sample_from_dict, _sample_to_dict,
                                     record_from_jsonable, record_to_jsonable)
+from repro.common import chaos
 from repro.common.errors import ConfigError
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (ContextProbe, EvalProbe, ProbeCache,
@@ -105,6 +106,9 @@ class RunStore:
         #: journal's: a probe it already holds is never appended twice)
         self.cache = ProbeCache()
         self._generation = self._latest_generation()
+        #: checkpoints this process wrote (what ``checkpoint.write`` chaos
+        #: counts)
+        self.checkpoints_written = 0
         self._load_journal(seed)
         self.cache.commit = self._journal_probe
 
@@ -202,14 +206,16 @@ class RunStore:
         wrapper = {"crc": zlib.crc32(body.encode("utf-8")),
                    "checkpoint": data}
         atomic_write_json(path, wrapper)
+        self.checkpoints_written += 1
         self.registry.count("store.checkpoint.writes")
-        if self.journal.checkpoint_chaos():  # pragma: no cover - SIGKILLs
+        if chaos.fault("checkpoint.write",
+                       self.checkpoints_written):  # pragma: no cover
             size = os.path.getsize(path)
             with open(path, "r+b") as fh:
                 fh.truncate(max(1, size // 2))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.kill(os.getpid(), __import__("signal").SIGKILL)
+            chaos.kill_self()
         for generation in self._generations_on_disk():
             if generation <= self._generation - KEPT_GENERATIONS:
                 try:

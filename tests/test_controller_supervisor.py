@@ -8,6 +8,7 @@ resumed from its store must produce identical findings and a merged
 ledger.
 """
 
+import json
 import os
 
 import pytest
@@ -73,15 +74,48 @@ class TestFaultPlan:
         assert outcomes_a == outcomes_b
 
     def test_max_faults_caps_total(self):
+        """``max_faults`` caps each probe's faults; the next probe's draws
+        start over."""
         plan = FaultPlan(seed=3, snapshot_restore_rate=1.0, max_faults=2)
-        hits = 0
-        for _ in range(10):
-            try:
-                plan.check(OP_SNAPSHOT_RESTORE)
-            except SnapshotError:
-                hits += 1
-        assert hits == 2
-        assert plan.total_injected == 2
+
+        def hits(key):
+            plan.begin(key)
+            count = 0
+            for _ in range(10):
+                try:
+                    plan.check(OP_SNAPSHOT_RESTORE)
+                except SnapshotError:
+                    count += 1
+            return count
+
+        assert [hits(("context", "A")), hits(("context", "B")),
+                hits(("context", "A"))] == [2, 2, 2]
+
+    def test_a_probe_faults_the_same_in_any_order(self):
+        """The faulted ``(key, op)`` of a probe depend on its key alone: the
+        same probes simulated in two orders fault the same operations."""
+        keys = [("startup",)] + [
+            (kind, "T", *extra) for kind, extra in
+            [("context", ())] + [("eval", (("delay", n),)) for n in range(8)]]
+
+        def faulted(order):
+            plan = FaultPlan(seed=4, boot_rate=0.2, snapshot_save_rate=0.2,
+                             snapshot_restore_rate=0.3, proxy_rate=0.1,
+                             max_faults=2)
+            seen = set()
+            for key in order:
+                plan.begin(key)
+                for attempt, op in enumerate(FAULT_OPS * 3):
+                    try:
+                        plan.check(op)
+                    except Exception:
+                        seen.add((key, attempt, op))
+            return seen
+
+        forward = faulted(keys)
+        assert forward  # the plan does fault something
+        assert faulted(reversed(keys)) == forward
+        assert faulted(keys[::2] + keys[1::2]) == forward
 
     def test_raises_real_platform_errors(self):
         plan = FaultPlan(seed=0, snapshot_save_rate=1.0, boot_rate=1.0)
@@ -312,16 +346,17 @@ class TestSupervisedSearch:
         clean = WeightedGreedySearch(FACTORY, seed=1, space_config=TINY_SPACE)
         clean_report = clean.run(message_types=["PrePrepare"])
 
-        plan = FaultPlan(seed=5, snapshot_restore_rate=0.15, max_faults=3)
+        # (a seed whose plan faults this pass's few restores; max_faults
+        # per probe <= max_retries, so nothing is quarantined)
+        plan = FaultPlan(seed=8, snapshot_restore_rate=0.15, max_faults=3)
         faulty = WeightedGreedySearch(FACTORY, seed=1,
                                       space_config=TINY_SPACE,
                                       fault_plan=plan, max_retries=3)
         faulty_report = faulty.run(message_types=["PrePrepare"])
         assert faulty_report.attack_names() == clean_report.attack_names()
         assert faulty_report.quarantined == []
-        if plan.total_injected:
-            assert faulty_report.supervisor.retries >= plan.total_injected
-            assert faulty_report.ledger.get(RETRY) > 0
+        assert faulty_report.supervisor.retries > 0
+        assert faulty_report.ledger.get(RETRY) > 0
 
     def test_persistent_faults_quarantine_not_crash(self):
         # Every restore fails and retries are exhausted immediately: the
@@ -368,14 +403,15 @@ class TestSupervisedHunt:
         # watchdog armed -> identical attack names to the fault-free hunt.
         clean = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                      space_config=TINY_SPACE, max_passes=2, max_wait=5.0)
-        plan = FaultPlan(seed=11, snapshot_restore_rate=0.10, max_faults=4)
+        plan = FaultPlan(seed=12, snapshot_restore_rate=0.10, max_faults=3)
         faulty = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                       space_config=TINY_SPACE, max_passes=2, max_wait=5.0,
                       fault_plan=plan, watchdog_limit=2_000_000,
                       max_retries=3)
         assert faulty.attack_names() == clean.attack_names()
         assert faulty.quarantined == []
-        assert "supervision" in faulty.describe() or plan.total_injected == 0
+        assert faulty.supervisor.retries > 0
+        assert "supervision" in faulty.describe()
 
 
 def _newest_checkpoint(store_dir: str) -> bytes:
@@ -526,16 +562,23 @@ class TestCliSupervision:
             call()
 
     @pytest.mark.parametrize("command", ["search", "hunt"])
-    def test_workers_with_fault_plan_is_a_usage_error(self, command, capsys):
-        """Exit 2 with an ``error:`` line from both subcommands — not
-        search's old exit 1, which reads as "nothing found"."""
+    def test_workers_with_fault_plan_match_serial(self, command, tmp_path,
+                                                  capsys):
+        """``--inject-faults`` runs at any ``--workers``, to the serial
+        run's bytes, on both subcommands."""
         from repro.cli import main
-        code = main([command, "pbft", "--workers", "2",
-                     "--inject-faults", "restore=0.1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "workers > 1 cannot run" in err
+        reports = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            code = main([command, "pbft", "--types", "PrePrepare", "--fast",
+                         "--no-lying", "--warmup", "1", "--window", "2",
+                         "--max-wait", "5", "--allow-empty",
+                         "--inject-faults", "restore=0.3,max=2",
+                         "--workers", workers, "--json", str(path)])
+            assert code == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["supervisor"]["retries"] > 0
 
     def test_search_interrupt_prints_partial_report(self, capsys,
                                                     monkeypatch):

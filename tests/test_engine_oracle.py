@@ -2,12 +2,13 @@
 
 Any engine configuration — one parent-side prober or a fork pool of two or
 three workers, a journaled probe cache or none — must report, for any
-algorithm and any excluded subset, what the reference configuration
-reports: one prober over an empty, unjournaled cache.  Hypothesis draws
-the configuration; the reference report it is compared with is computed
-once per ``(algorithm, exclude)`` and cached for the session, and its
-``exclude=∅`` bytes are pinned.  Each drawn executor runs the pass twice:
-the second pass is answered by the probes the first recorded.
+algorithm, any excluded subset and with or without a fault plan, what the
+reference configuration reports: one prober over an empty, unjournaled
+cache.  Hypothesis draws the configuration; the reference report it is
+compared with is computed once per ``(algorithm, exclude, plan)`` and
+cached for the session, and its fault-free ``exclude=∅`` bytes are pinned.
+Each drawn executor runs the pass twice: the second pass is answered by the
+probes the first recorded.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.reports import report_to_dict
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
+from repro.controller.supervisor import FaultPlan
 from repro.parallel import ScenarioExecutor
 from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
@@ -38,6 +40,10 @@ OPTIONS = {
     "greedy": ({"rounds": 1, "confirmations": 1}, {}),
     "brute": ({}, {"max_scenarios": 4}),
 }
+#: the fault plans a configuration runs under (None: no injected faults),
+#: each seeded with :data:`PLAN_SEED`
+PLANS = [None, "restore=0.15,max=2"]
+PLAN_SEED = 1
 
 
 def report_json(report) -> str:
@@ -57,10 +63,13 @@ PINNED = {
 }
 
 
-def run_passes(algorithm, exclude, workers=1, store=None, passes=1):
+def run_passes(algorithm, exclude, plan=None, workers=1, store=None,
+               passes=1):
     built, run = OPTIONS[algorithm]
+    fault_plan = FaultPlan.from_spec(plan, seed=PLAN_SEED) if plan else None
     with ScenarioExecutor(FACTORY, algorithm=algorithm, workers=workers,
-                          store=store, **COMMON, **built) as executor:
+                          store=store, fault_plan=fault_plan, **COMMON,
+                          **built) as executor:
         return [report_json(executor.run_pass(
             message_types=TYPES, exclude=set(exclude), **run))
             for __ in range(passes)]
@@ -68,14 +77,14 @@ def run_passes(algorithm, exclude, workers=1, store=None, passes=1):
 
 @pytest.fixture(scope="session")
 def reference():
-    """``(algorithm, exclude)`` -> the reference configuration's report
-    JSON: one prober, no store, a fresh cache."""
+    """``(algorithm, exclude, plan)`` -> the reference configuration's
+    report JSON: one prober, no store, a fresh cache."""
     reports = {}
 
-    def report(algorithm, exclude):
-        key = (algorithm, exclude)
+    def report(algorithm, exclude, plan=None):
+        key = (algorithm, exclude, plan)
         if key not in reports:
-            reports[key] = run_passes(algorithm, exclude)[0]
+            reports[key] = run_passes(algorithm, exclude, plan)[0]
         return reports[key]
 
     return report
@@ -88,20 +97,29 @@ def test_reference_is_pinned(reference, algorithm):
     assert digest == PINNED[algorithm]
 
 
+@pytest.mark.parametrize("algorithm", sorted(OPTIONS))
+def test_the_plan_faults(reference, algorithm):
+    """The planned configurations are not fault-free ones in disguise."""
+    stats = json.loads(reference(algorithm, frozenset(), PLANS[1]))[
+        "supervisor"]
+    assert stats["retries"] > 0 and stats["quarantines"] == 0
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(workers=st.sampled_from([1, 2, 3]), stored=st.booleans(),
        algorithm=st.sampled_from(sorted(OPTIONS)),
-       exclude=st.frozensets(st.sampled_from(SCENARIOS), max_size=3))
+       exclude=st.frozensets(st.sampled_from(SCENARIOS), max_size=3),
+       plan=st.sampled_from(PLANS))
 def test_every_engine_configuration_reports_serially(
-        reference, workers, stored, algorithm, exclude):
+        reference, workers, stored, algorithm, exclude, plan):
     assume(workers > 1 or stored)  # (the reference configuration itself)
     with tempfile.TemporaryDirectory() as directory:
         store = RunStore(directory, seed=3) if stored else None
         try:
-            reports = run_passes(algorithm, exclude, workers, store,
+            reports = run_passes(algorithm, exclude, plan, workers, store,
                                  passes=2)
         finally:
             if store is not None:
                 store.close()
-    assert reports == [reference(algorithm, exclude)] * 2
+    assert reports == [reference(algorithm, exclude, plan)] * 2

@@ -9,8 +9,8 @@ budgets, retirement (the survivors pull what is left), poison-step
 quarantine, and a degrade-to-in-process fallback when the whole pool
 collapses.
 
-Faults are injected with the ``REPRO_WORKER_CHAOS`` hook inside
-``worker_main`` (the real crash path — SIGKILL, nothing flushed), armed via
+Faults are injected at the ``worker.step`` site of the ``REPRO_CHAOS`` hook
+inside ``worker_main`` (the real crash path — SIGKILL, nothing flushed), armed via
 ``monkeypatch.setenv`` so it never leaks into other tests — or, to target
 one step, by monkeypatching ``WorkerProber.run_task`` before the fork.
 """
@@ -136,7 +136,7 @@ class TestCrashRecovery:
         """Acceptance: --workers 4 with one worker SIGKILLed mid-pass
         completes and the merged report JSON is byte-identical to serial."""
         flag = tmp_path / "fired"
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", f"kill:1:{flag}")
+        monkeypatch.setenv("REPRO_CHAOS", f"worker.step:kill:1:{flag}")
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=4, space_config=SPACE,
                               max_wait=5.0) as executor:
@@ -159,7 +159,8 @@ class TestCrashRecovery:
         """A worker sleeping past the deadline is killed and its task
         replayed; the hunt needs no manual intervention."""
         flag = tmp_path / "fired"
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", f"hang:1:{flag}:120")
+        monkeypatch.setenv("REPRO_CHAOS",
+                           f"worker.step:hang:1:{flag}:120")
         policy = HealthPolicy(task_timeout=5.0)
         started = time.monotonic()
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
@@ -195,7 +196,7 @@ class TestCrashRecovery:
     def test_retired_worker_step_requeued(self, monkeypatch):
         """With no restart budget, a crashed worker is retired and its step
         goes back on the queue for the survivors to pull."""
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:1:")
+        monkeypatch.setenv("REPRO_CHAOS", "worker.step:kill:1:")
         policy = HealthPolicy(worker_retries=0)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
@@ -211,7 +212,7 @@ class TestCrashRecovery:
     def test_pool_collapse_degrades_to_inline(self, monkeypatch):
         """When every worker is gone, the pass finishes in-process —
         same factory, same seed, same bytes."""
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:*:")
+        monkeypatch.setenv("REPRO_CHAOS", "worker.step:kill:*:")
         policy = HealthPolicy(worker_retries=0)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
@@ -223,7 +224,7 @@ class TestCrashRecovery:
         assert report_json(parallel) == report_json(serial_report())
 
     def test_no_degrade_raises_search_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:*:")
+        monkeypatch.setenv("REPRO_CHAOS", "worker.step:kill:*:")
         policy = HealthPolicy(worker_retries=0, degrade=False)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
@@ -329,7 +330,7 @@ class TestHuntRecovery:
         serial = hunt(FACTORY, seed=3, message_types=TYPES,
                       space_config=SPACE, max_wait=5.0, max_passes=2)
         flag = tmp_path / "fired"
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", f"kill:1:{flag}")
+        monkeypatch.setenv("REPRO_CHAOS", f"worker.step:kill:1:{flag}")
         parallel = hunt(FACTORY, seed=3, message_types=TYPES,
                         space_config=SPACE, max_wait=5.0, max_passes=2,
                         workers=2, health_policy=HealthPolicy())
@@ -348,7 +349,7 @@ class TestHuntRecovery:
         clean = hunt(FACTORY, seed=3, message_types=TYPES,
                      space_config=SPACE, max_wait=5.0, max_passes=1,
                      store_dir=store_dir)
-        monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:*:")
+        monkeypatch.setenv("REPRO_CHAOS", "worker.step:kill:*:")
         with pytest.raises(SearchError):
             hunt(FACTORY, seed=3, message_types=TYPES,
                  space_config=SPACE, max_wait=5.0, max_passes=3,
@@ -360,7 +361,7 @@ class TestHuntRecovery:
         data = store.load_checkpoint()
         store.close()
         assert len(data["passes"]) == len(clean.passes)
-        monkeypatch.delenv("REPRO_WORKER_CHAOS")
+        monkeypatch.delenv("REPRO_CHAOS")
         resumed = hunt(FACTORY, seed=3, message_types=TYPES,
                        space_config=SPACE, max_wait=5.0, max_passes=3,
                        store_dir=store_dir)

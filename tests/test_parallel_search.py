@@ -351,10 +351,17 @@ class TestParallelHuntIdentity:
                         fault_schedule=schedule, workers=2)
         assert hunt_json(parallel) == hunt_json(serial)
 
-    def test_workers_reject_fault_plan(self):
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, seed=3, workers=2,
-                 fault_plan=FaultPlan.from_spec("restore=0.5", seed=1))
+    def test_workers_run_a_fault_plan_like_serial(self):
+        """A plan keyed by probe faults the same operations whichever
+        worker simulates them: the pool reports the serial hunt's bytes."""
+        common = dict(seed=3, message_types=["Accept", "Prepare"],
+                      space_config=SPACE, max_passes=2, max_wait=5.0,
+                      fault_plan=FaultPlan.from_spec("restore=0.3,max=2",
+                                                     seed=1))
+        serial = hunt(FACTORY, **common)
+        assert serial.supervisor.retries > 0
+        assert hunt_json(hunt(FACTORY, workers=2, **common)) == \
+            hunt_json(serial)
 
     def test_workers_price_kept_passes_like_serial(self):
         common = dict(seed=3, message_types=["Accept"], space_config=SPACE,
@@ -602,12 +609,13 @@ class TestStepRecorder:
 class TestLiveOnlyHuntsPinned:
     """The hunts the old live-harness arm alone could run — a FaultPlan,
     the injection cache — plus a chaos hunt, pinned to the hunt-JSON
-    sha256 that arm produced at commit ``80b16b7``."""
+    sha256 that arm produced at commit ``80b16b7``.  The FaultPlan pin is
+    the probe-keyed plan's, the one pin its keying moved."""
 
     SPACE = TWO_DELAYS
     PINNED = {
         "fault_plan":
-            "79d64cb98945232bc446e42ad1ebca1d1494fee9ffc0aff099101eaeda91843e",
+            "1fbf03196e7b113a31e77ec1eda1a3fe351532c339ef01123e13a265ad932d0d",
         "injection_cache":
             "7de092e25b018907ab912796d8d9e9efed6484bdd528edfe6b0a82128577a488",
         "chaos":
@@ -622,13 +630,7 @@ class TestLiveOnlyHuntsPinned:
         assert len(result.passes) == max_passes and result.passes[-1].findings
         return result, hashlib.sha256(hunt_json(result).encode()).hexdigest()
 
-    def test_fault_plan_hunt(self):
-        result, digest = self._hunt(fault_plan=FaultPlan.from_spec(
-            "restore=0.15,max=3", seed=1))
-        assert result.supervisor.total_events == 6
-        assert digest == self.PINNED["fault_plan"]
-
-    @pytest.mark.parametrize("workers,stored,resumed", [
+    ENGINES = pytest.mark.parametrize("workers,stored,resumed", [
         pytest.param(1, False, False, id="serial"),
         pytest.param(2, False, False, id="workers2"),
         pytest.param(3, False, False, id="workers3"),
@@ -636,11 +638,11 @@ class TestLiveOnlyHuntsPinned:
         pytest.param(2, True, False, id="workers2-store"),
         pytest.param(1, True, True, id="store-resumed"),
     ])
-    def test_injection_cache_hunt(self, tmp_path, workers, stored, resumed):
-        """Every engine configuration prices pass 2 as a platform that kept
-        its snapshots would — no boot — and yields the live arm's bytes,
-        a store hunt resumed after pass 1 included."""
-        options = dict(injection_cache=True, workers=workers,
+
+    def _engine_hunt(self, tmp_path, workers, stored, resumed, **options):
+        """The hunt under one engine configuration; ``resumed`` runs pass 1
+        on the store first."""
+        options.update(workers=workers,
                        store_dir=str(tmp_path) if stored else None)
         if resumed:
             self._hunt(max_passes=1, **options)
@@ -648,6 +650,28 @@ class TestLiveOnlyHuntsPinned:
         if resumed:
             counters = result.store_report.counters
             assert counters["store.resume.passes_restored"] == 1
+        return result, digest
+
+    @ENGINES
+    def test_fault_plan_hunt(self, tmp_path, workers, stored, resumed):
+        """A probe-keyed plan faults the same operations under every
+        engine configuration, and finds the fault-free attacks."""
+        result, digest = self._engine_hunt(
+            tmp_path, workers, stored, resumed,
+            fault_plan=FaultPlan.from_spec("restore=0.15,max=3", seed=1))
+        assert result.supervisor.total_events == 12
+        assert result.quarantined == []
+        assert result.attack_names() == ["Delay 0.5s Accept",
+                                         "Delay 1s Accept"]
+        assert digest == self.PINNED["fault_plan"]
+
+    @ENGINES
+    def test_injection_cache_hunt(self, tmp_path, workers, stored, resumed):
+        """Every engine configuration prices pass 2 as a platform that kept
+        its snapshots would — no boot — and yields the live arm's bytes,
+        a store hunt resumed after pass 1 included."""
+        result, digest = self._engine_hunt(tmp_path, workers, stored,
+                                           resumed, injection_cache=True)
         assert result.passes[1].ledger.get("boot") == 0.0
         assert result.passes[0].ledger.get("boot") > 0.0
         assert digest == self.PINNED["injection_cache"]

@@ -249,14 +249,20 @@ class TestDurableHunt:
         assert hunt_json(resumed) == hunt_json(plain)
 
     def test_guards(self, tmp_path):
-        """A store refuses only a FaultPlan; the kept-snapshots pricing is
-        a policy it journals the same probes under."""
+        """A store refuses neither a FaultPlan nor the kept-snapshots
+        pricing: a planned hunt journals its probes, faults and all, and
+        reports what the same hunt reports with no store; the pricing is a
+        policy the store journals the same probes under."""
         kwargs = dict(seed=3, message_types=["Accept"], space_config=SPACE,
                       max_wait=5.0, max_passes=1)
-        with pytest.raises(ConfigError, match="FaultPlan"):
-            hunt(FACTORY, store_dir=str(tmp_path / "planned"),
-                 fault_plan=FaultPlan.from_spec("restore=0.5", seed=1),
-                 **kwargs)
+        planned = dict(kwargs, max_passes=2,
+                       fault_plan=FaultPlan.from_spec("restore=0.3,max=2",
+                                                      seed=1))
+        plain = hunt(FACTORY, **planned)
+        assert plain.supervisor.retries > 0
+        stored = hunt(FACTORY, store_dir=str(tmp_path / "planned"),
+                      **planned)
+        assert hunt_json(stored) == hunt_json(plain)
         journals = []
         for injection_cache in (False, True):
             store = tmp_path / f"cache-{injection_cache}"
