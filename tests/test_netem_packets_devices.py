@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import NetworkError
 from repro.common.ids import replica
 from repro.netem.devices import BundledDevice, CsmaDevice, make_device
 from repro.netem.packets import (HEADER_BYTES, MTU, MessageEnvelope,
@@ -55,12 +54,15 @@ class TestReassembly:
         done = buf.add(packets[1])
         assert done.payload == b"z" * (MTU * 2 + 5)
 
-    def test_duplicate_fragment_rejected(self):
+    def test_duplicate_fragment_starts_another_copy(self):
         buf = ReassemblyBuffer()
         packets = fragment(envelope(b"w" * (MTU * 2)))
         buf.add(packets[0])
-        with pytest.raises(NetworkError):
-            buf.add(packets[0])
+        assert buf.add(packets[0]) is None
+        assert buf.pending_messages() == 2
+        assert buf.add(packets[1]).payload == b"w" * (MTU * 2)
+        assert buf.add(packets[1]).payload == b"w" * (MTU * 2)
+        assert buf.pending_messages() == 0
 
     def test_interleaved_messages(self):
         buf = ReassemblyBuffer()
