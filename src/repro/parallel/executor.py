@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -174,6 +174,10 @@ class ScenarioExecutor:
             store.cache.startup if store is not None else None)
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._conns: Dict[int, connection.Connection] = {}
+        #: worker -> the types whose found context (snapshot and baseline)
+        #: that worker holds since its last spawn: it sought or was sent
+        #: it, so later evals steps ship the context without them
+        self._holds: Dict[int, Set[str]] = {}
         #: the one in-process prober (see :meth:`_parent`)
         self._prober: Optional[WorkerProber] = None
         self._attribution: Dict[int, WorkerAttribution] = {}
@@ -193,6 +197,7 @@ class ScenarioExecutor:
         child_conn.close()
         self._procs[worker] = process
         self._conns[worker] = parent_conn
+        self._holds[worker] = set()
         self._health.record_spawn(worker)
 
     def _parent(self) -> WorkerProber:
@@ -280,14 +285,21 @@ class ScenarioExecutor:
     def _send(self, worker: int, slot: _Slot, pool: _Pool) -> None:
         if worker not in self._procs:
             self._spawn(worker)
+        step, holds = slot.step, self._holds[worker]
+        if step.kind == "evals" and step.message_type in holds:
+            # (the slot keeps the full step: a respawn may need it again)
+            step = step._replace(context=replace(
+                step.context, injection=None, baseline=None))
         try:
-            self._conns[worker].send(slot.step)
+            self._conns[worker].send(step)
         except (BrokenPipeError, OSError):
             # The worker died *between* steps (its last one succeeded, so
             # nothing counts against the poison budget).
             self._fail_worker(worker, FAIL_CRASH, "pipe closed on step send",
                               None, pool)
             return
+        if step.kind == "evals":
+            holds.add(step.message_type)
         slot.queued = False
         budget = self.policy.deadline_for()
         slot.deadline = (time.monotonic() + budget
@@ -312,6 +324,9 @@ class ScenarioExecutor:
             if status != "ok":
                 raise SearchError(
                     f"parallel worker {worker} failed:\n{payload}")
+            context = payload.context
+            if context is not None and context.injection is not None:
+                self._holds[worker].add(pool.pending[worker].step.message_type)
             self._record(pool.pending.pop(worker), payload, pool)
         now = time.monotonic()
         for worker, slot in list(pool.pending.items()):

@@ -301,8 +301,9 @@ class WorkerProber:
         #: simulating anything needs a live world, and the executor
         #: cross-checks the boot's trace against the startup reference.
         self._startup: Optional[StartupProbe] = None
-        #: message type -> the re-seek of a journaled context, sought once
-        #: (see :meth:`evaluate`)
+        #: message type -> the found context this prober holds: one it
+        #: sought itself, was shipped, or re-sought for a journaled
+        #: context (see :meth:`evaluate`)
         self._sought: Dict[str, ContextProbe] = {}
         #: the world whose EventLog ``_log_mark`` counts into
         self._logged = None
@@ -389,12 +390,16 @@ class WorkerProber:
     def evaluate(self, message_type: str, context: ContextProbe,
                  action: MaliciousAction) -> EvalProbe:
         """Supervised branch-measure of ``action`` from the type's found
-        ``context``, whoever sought it.  One loaded from the journal has no
-        point: the first ask simulates the context probe again **off the
-        books** (its trace is dropped, so the report cannot tell) and this
-        prober keeps it for the type."""
+        ``context``, whoever sought it.  This prober keeps the first found
+        context it sees per type, so a context without its point (shipped
+        stripped to a worker that holds it, or loaded from the journal) is
+        filled from there.  Failing that, the first ask simulates the
+        context probe again **off the books** (its trace is dropped, so
+        the report cannot tell)."""
         self._ensure_started()
-        if context.injection is None:
+        if context.injection is not None:
+            self._sought.setdefault(message_type, context)
+        else:
             if message_type not in self._sought:
                 self._sought[message_type] = self.context(message_type)
             context = self._sought[message_type]
@@ -473,7 +478,9 @@ class WorkerProber:
             self._ensure_started()
         elif kind == "context":
             if self._ensure_started().quarantined is None:
-                payload.context = self.context(message_type)
+                payload.context = context = self.context(message_type)
+                if context.injection is not None:
+                    self._sought.setdefault(message_type, context)
         elif kind == "evals":
             cache = ProbeCache()
             for probe in step.known:

@@ -513,6 +513,31 @@ class TestContextsAreData:
         sought = set(self._read(log, "seek"))
         assert set(self._read(log, "eval")) - sought  # another's context
 
+    def test_each_context_is_shipped_once_per_worker(self, monkeypatch):
+        """A worker keeps the contexts it found or was sent, so an evals
+        step carries a type's snapshot to a worker at most once (per
+        spawn); later ones ship the probe without it, and the bytes are
+        the serial hunt's."""
+        from multiprocessing.connection import Connection
+        shipped, stripped = {}, []
+        send = Connection.send
+
+        def counted(conn, obj):
+            if isinstance(obj, Step) and obj.kind == "evals":
+                if obj.context.injection is None:
+                    stripped.append(obj.message_type)
+                else:
+                    key = (id(conn), obj.message_type)
+                    shipped[key] = shipped.get(key, 0) + 1
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", counted)
+        serial = hunt_json(self._hunt())
+        assert not shipped and not stripped
+        assert hunt_json(self._hunt(workers=2)) == serial
+        assert shipped and set(shipped.values()) == {1}, shipped
+        assert stripped
+
     def test_a_journaled_context_is_sought_once_per_prober(self, tmp_path,
                                                           monkeypatch):
         """A store holding a found context but none of its evals (a hunt
