@@ -79,10 +79,11 @@ class NetDevice:
         Returns the time the packet is on the wire, or None when the backlog
         exceeded capacity and the packet was tail-dropped.
         """
-        if self.backlog(now) >= self.queue_capacity:
+        busy = self._busy_until      # (``backlog`` inlined: once a packet)
+        if (busy - now) / self.process_delay >= self.queue_capacity:
             self.stats.dropped_overflow += 1
             return None
-        start = max(now, self._busy_until)
+        start = busy if busy > now else now
         self._busy_until = start + self.process_delay
         self.stats.enqueued += 1
         self.stats.processed += 1

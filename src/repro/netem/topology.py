@@ -47,7 +47,7 @@ class Topology:
         self._overrides[(src, dst)] = spec
 
     def path(self, src: NodeId, dst: NodeId) -> PathSpec:
-        if src == dst:
+        if src.name == dst.name:
             return self.loopback
         if not self._overrides:
             return self.default
@@ -120,10 +120,6 @@ class Topology:
 class LanTopology(Topology):
     """The paper's evaluation network: 1 ms between every pair of hosts."""
 
-    def __init__(self, delay: float = millis(1),
-                 bandwidth: float = mbit_per_sec(100)) -> None:
-        super().__init__(delay, bandwidth)
-
 
 class SiteTopology(Topology):
     """Hosts grouped into sites: fast intra-site, slow inter-site paths.
@@ -142,7 +138,7 @@ class SiteTopology(Topology):
         self.inter = PathSpec(inter_delay, wan_bandwidth)
 
     def path(self, src: NodeId, dst: NodeId) -> PathSpec:
-        if src == dst:
+        if src.name == dst.name:
             return self.loopback
         src_site = self.site_of.get(src)
         dst_site = self.site_of.get(dst)

@@ -14,27 +14,25 @@ message-oriented facades over the emulator:
   (Section IV-B), a message dropped or delayed by the proxy does not stall
   the rest of the stream — delivery order is the proxy's release order.
 
-Both are fully serializable; flow state participates in emulator save/load
-via :meth:`HostTransport.save_state`.
+A transport is the sending half: a host's one receiver (set with
+:meth:`NetworkEmulator.set_receiver`) gets both services' messages.  Flow
+state participates in emulator save/load via :meth:`HostTransport.save_state`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
 from repro.netem.emulator import NetworkEmulator
-from repro.netem.packets import MessageEnvelope
 
 UDP = "udp"
 TCP = "tcp"
 
-MessageHandler = Callable[[NodeId, bytes], None]
-
 
 class HostTransport:
-    """Per-host transport endpoint multiplexing UDP and TCP services."""
+    """Per-host sending endpoint for the UDP and TCP services."""
 
     #: one round trip of handshake before the first byte of a new TCP flow
     TCP_HANDSHAKE_RTTS = 1.0
@@ -42,35 +40,27 @@ class HostTransport:
     def __init__(self, emulator: NetworkEmulator, node_id: NodeId) -> None:
         self.emulator = emulator
         self.node_id = node_id
-        self._handlers: Dict[str, MessageHandler] = {}
         self._tcp_established: Dict[str, bool] = {}
-        emulator.set_receiver(node_id, self._on_envelope)
-
-    # ------------------------------------------------------------------ bind
-
-    def bind(self, transport: str, handler: MessageHandler) -> None:
-        if transport not in (UDP, TCP):
-            raise TransportError(f"unknown transport {transport!r}")
-        self._handlers[transport] = handler
 
     # ------------------------------------------------------------------ send
 
-    def send(self, dst: NodeId, data: bytes, transport: str = UDP) -> int:
+    def setup_delay(self, dst: NodeId, transport: str) -> float:
+        """What sending to ``dst`` over ``transport`` waits before egress:
+        a new TCP flow's handshake, which this call then counts as done."""
         if transport == UDP:
-            return self.emulator.transmit(self.node_id, dst, UDP, data)
-        if transport == TCP:
-            key = self._flow_key(dst)
-            delay = 0.0
-            if not self._tcp_established.get(key, False):
-                path = self.emulator.topology.path(self.node_id, dst)
-                delay = self.TCP_HANDSHAKE_RTTS * 2 * path.delay
-                self._tcp_established[key] = True
-            return self.emulator.transmit(self.node_id, dst, TCP, data,
-                                          delay=delay)
-        raise TransportError(f"unknown transport {transport!r}")
+            return 0.0
+        if transport != TCP:
+            raise TransportError(f"unknown transport {transport!r}")
+        key = f"{dst.role}:{dst.index}"
+        if self._tcp_established.get(key, False):
+            return 0.0
+        path = self.emulator.topology.path(self.node_id, dst)
+        self._tcp_established[key] = True
+        return self.TCP_HANDSHAKE_RTTS * 2 * path.delay
 
-    def _flow_key(self, dst: NodeId) -> str:
-        return f"{dst.role}:{dst.index}"
+    def send(self, dst: NodeId, data: bytes, transport: str = UDP) -> int:
+        return self.emulator.transmit(self.node_id, dst, transport, data,
+                                      self.setup_delay(dst, transport))
 
     def reset_flows(self) -> None:
         """Forget all established TCP flows (the host crashed or rebooted).
@@ -79,14 +69,6 @@ class HostTransport:
         as a restarted process re-connecting would.
         """
         self._tcp_established.clear()
-
-    # --------------------------------------------------------------- receive
-
-    def _on_envelope(self, envelope: MessageEnvelope) -> None:
-        handler = self._handlers.get(envelope.transport)
-        if handler is None:
-            return  # no bound service: the datagram is silently discarded
-        handler(envelope.src, envelope.payload)
 
     # -------------------------------------------------------------- snapshot
 

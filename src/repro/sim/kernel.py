@@ -37,7 +37,9 @@ class SimKernel:
     """Discrete-event scheduler owning virtual time."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: virtual time: a plain attribute, read on every event, that only
+        #: the run loop and :meth:`load_state` advance
+        self.now = 0.0
         self._seq = 0
         self._heap: List[Event] = []
         self._interrupt: Optional[Interrupt] = None
@@ -56,12 +58,6 @@ class SimKernel:
         #: ``kernel.window`` span per run window (platform-side, not rewound)
         self.tracer = None
 
-    # ------------------------------------------------------------------ time
-
-    @property
-    def now(self) -> float:
-        return self._now
-
     # -------------------------------------------------------------- schedule
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any,
@@ -69,7 +65,7 @@ class SimKernel:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, fn, *args, priority=priority)
+        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any,
                     priority: int = PRIORITY_TIMER) -> Event:
@@ -78,9 +74,9 @@ class SimKernel:
         The returned :class:`Event` is the heap entry itself; ``cancel()``
         on it is how a caller withdraws the callback.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}")
+                f"cannot schedule in the past: {time} < now {self.now}")
         self._seq = seq = self._seq + 1
         event = Event((time, priority, seq, fn, args))
         heappush(self._heap, event)
@@ -114,9 +110,9 @@ class SimKernel:
         if self.peek_time() is None:
             return False
         time, __, __seq, fn, args = heappop(self._heap)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError("event queue went backwards in time")
-        self._now = time
+        self.now = time
         self.events_executed += 1
         fn(*args)
         return True
@@ -146,19 +142,19 @@ class SimKernel:
                 while heap and heap[0][3] is None:
                     heappop(heap)
                 if not heap or heap[0][0] > deadline:
-                    self._now = max(self._now, deadline)
+                    self.now = max(self.now, deadline)
                     return None
                 if limit is not None and window_events >= limit:
                     self.watchdog_trips += 1
                     raise WatchdogTimeout(
-                        f"watchdog: window at t={self._now:.3f} executed "
+                        f"watchdog: window at t={self.now:.3f} executed "
                         f"{window_events} events (limit {limit})"
                         "; likely an event storm",
                         events=window_events, limit=limit)
                 time, __, __seq, fn, args = heappop(heap)
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError("event queue went backwards in time")
-                self._now = time
+                self.now = time
                 self.events_executed += 1
                 window_events += 1
                 fn(*args)
@@ -174,7 +170,7 @@ class SimKernel:
                 span.__exit__(None, None, None)
 
     def run_for(self, duration: float) -> Optional[Interrupt]:
-        return self.run_until(self._now + duration)
+        return self.run_until(self.now + duration)
 
     def drain(self, max_events: int = 1_000_000) -> int:
         """Run until the queue empties; returns events executed."""
@@ -194,11 +190,11 @@ class SimKernel:
     # event queue and each object knows how to save and re-create itself.
 
     def save_state(self) -> dict:
-        return {"now": self._now, "seq": self._seq,
+        return {"now": self.now, "seq": self._seq,
                 "events_executed": self.events_executed}
 
     def load_state(self, state: dict) -> None:
-        self._now = state["now"]
+        self.now = state["now"]
         self._seq = state["seq"]
         self.events_executed = state["events_executed"]
         self._heap.clear()

@@ -21,20 +21,29 @@ SIGNATURE_LEN = 16
 ZERO_SIGNATURE = b"\x00" * SIGNATURE_LEN
 
 
+def _part(value: Any) -> bytes:
+    """One field's canonical bytes, for any type."""
+    if isinstance(value, bytes):
+        return b"b" + value
+    if isinstance(value, bool):
+        return b"o1" if value else b"o0"
+    if isinstance(value, int):
+        return b"i" + str(value).encode()
+    if isinstance(value, float):
+        return b"f" + repr(value).encode()
+    return b"s" + str(value).encode()
+
+
+#: what :func:`_part` makes of a value of exactly these types, as one
+#: ``%`` format each (``%r`` of a float is its ASCII ``repr``)
+_FORMATS = {bytes: b"b%s", bool: b"o%d", int: b"i%d", float: b"f%r"}
+
+
 def _canonical(fields: Tuple[Any, ...]) -> bytes:
-    parts = []
-    for value in fields:
-        if isinstance(value, bytes):
-            parts.append(b"b" + value)
-        elif isinstance(value, bool):
-            parts.append(b"o1" if value else b"o0")
-        elif isinstance(value, int):
-            parts.append(b"i" + str(value).encode())
-        elif isinstance(value, float):
-            parts.append(b"f" + repr(value).encode())
-        else:
-            parts.append(b"s" + str(value).encode())
-    return b"|".join(parts)
+    formats = _FORMATS
+    return b"|".join([formats[type(value)] % value
+                      if type(value) in formats else _part(value)
+                      for value in fields])
 
 
 class Authenticator:

@@ -46,11 +46,13 @@ class Replica(Application):
 
     Each class gets one dispatch table when it is defined, so an override in
     a subclass replaces its parent's handler; a message type with no handler
-    is ignored.
+    is ignored.  Lookups are cached per exact type name, so each name is
+    lower-cased once per class.
     """
 
     STATE = ("index",)
     _handlers: Dict[str, Callable[..., None]] = {}
+    _by_type: Dict[str, Optional[Callable[..., None]]] = {}
 
     def __init__(self, index: int, config: Any) -> None:
         super().__init__()
@@ -61,9 +63,15 @@ class Replica(Application):
         super().__init_subclass__(**kwargs)
         cls._handlers = {name[len("_on_"):]: getattr(cls, name)
                          for name in dir(cls) if name.startswith("_on_")}
+        cls._by_type = {}
 
     def on_message(self, src: NodeId, message: Message) -> None:
-        handler = self._handlers.get(message.type_name.lower())
+        name = message.type_name
+        by_type = self._by_type
+        if name in by_type:
+            handler = by_type[name]
+        else:
+            handler = by_type[name] = self._handlers.get(name.lower())
         if handler is not None:
             handler(self, src, message)
 

@@ -71,6 +71,12 @@ class ProtocolCodec:
                 spec, cls.encode, cls.decode)
         return table
 
+    @cached_property
+    def specs(self) -> Dict[str, MessageSpec]:
+        """Each message type's spec by name: what a sender tags its
+        envelope with, so the receiving side need not parse the tag."""
+        return {spec.name: spec for spec in self.schema.messages}
+
     def encode(self, message: Message) -> bytes:
         entry = self._generated.get(message.type_name)
         if entry is None:
@@ -109,8 +115,13 @@ class ProtocolCodec:
         entry = self._lookup(data)
         return None if entry is None else entry[0]
 
-    def decode(self, data: bytes) -> Message:
-        entry = self._lookup(data)
+    def decode(self, data: bytes,
+               spec: Optional[MessageSpec] = None) -> Message:
+        """Decode ``data``; ``spec`` is the type its sender tagged it with
+        (None: unknown, so the tag is parsed from the bytes)."""
+        entry = None if spec is None else self._generated.get(spec.type_id)
+        if entry is None or entry[0] is not spec:
+            entry = self._lookup(data)
         if entry is None:
             raise CodecError("unknown or truncated message type tag")
         return Message(entry[0].name, entry[2](data))

@@ -22,11 +22,17 @@ def build():
     return kernel, emulator, ta, tb
 
 
+def bind(emulator, host, handler):
+    """Deliveries to ``host`` go to ``handler(src, data)``: one receiver
+    per host serves both transports."""
+    emulator.set_receiver(host, lambda env: handler(env.src, env.payload))
+
+
 class TestUdp:
     def test_udp_delivery(self):
-        kernel, __, ta, tb = build()
+        kernel, emulator, ta, tb = build()
         got = []
-        tb.bind(UDP, lambda src, data: got.append((src, data)))
+        bind(emulator, B, lambda src, data: got.append((src, data)))
         ta.send(B, b"dgram")
         kernel.run_until(0.1)
         assert got == [(A, b"dgram")]
@@ -38,26 +44,25 @@ class TestUdp:
         assert emulator.stats.messages_delivered == 1  # delivered, discarded
 
     def test_unknown_transport_rejected(self):
-        __, __, ta, __ = build()
+        __, emulator, ta, __ = build()
         with pytest.raises(TransportError):
             ta.send(B, b"x", transport="sctp")
-        with pytest.raises(TransportError):
-            ta.bind("sctp", lambda s, d: None)
+        assert emulator.stats.messages_sent == 0
 
 
 class TestTcp:
     def test_tcp_delivery(self):
-        kernel, __, ta, tb = build()
+        kernel, emulator, ta, tb = build()
         got = []
-        tb.bind(TCP, lambda src, data: got.append(data))
+        bind(emulator, B, lambda src, data: got.append(data))
         ta.send(B, b"stream", transport=TCP)
         kernel.run_until(0.1)
         assert got == [b"stream"]
 
     def test_first_message_pays_handshake(self):
-        kernel, __, ta, tb = build()
+        kernel, emulator, ta, tb = build()
         times = []
-        tb.bind(TCP, lambda src, data: times.append(kernel.now))
+        bind(emulator, B, lambda src, data: times.append(kernel.now))
         ta.send(B, b"first", transport=TCP)
         kernel.run_until(0.1)
         first_latency = times[0]
@@ -74,14 +79,14 @@ class TestTcp:
         emulator.register_host(C)
         tc = HostTransport(emulator, C)
         got = []
-        tc.bind(TCP, lambda src, data: got.append(data))
+        bind(emulator, C, lambda src, data: got.append(data))
         ta.send(C, b"x", transport=TCP)
         kernel.run_until(0.1)
         assert got == [b"x"]
 
     def test_flow_state_save_load(self):
-        kernel, __, ta, tb = build()
-        tb.bind(TCP, lambda src, data: None)
+        kernel, emulator, ta, tb = build()
+        bind(emulator, B, lambda src, data: None)
         ta.send(B, b"x", transport=TCP)
         state = ta.save_state()
         other_state = dict(state)
@@ -98,7 +103,7 @@ class TestTcp:
         ta = HostTransport(emulator, A)
         tb = HostTransport(emulator, B)
         got = []
-        tb.bind(TCP, lambda src, data: got.append(data))
+        bind(emulator, B, lambda src, data: got.append(data))
         for i in range(10):
             ta.send(B, bytes([i]), transport=TCP)
         kernel.run_until(5.0)
@@ -114,7 +119,7 @@ class TestTcp:
         ta = HostTransport(emulator, A)
         tb = HostTransport(emulator, B)
         got = []
-        tb.bind(UDP, lambda src, data: got.append(data))
+        bind(emulator, B, lambda src, data: got.append(data))
         for i in range(10):
             ta.send(B, bytes([i]))
         kernel.run_until(5.0)
