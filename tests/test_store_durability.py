@@ -185,9 +185,11 @@ def test_killed_pool_leaves_no_workers(tmp_path):
     workers = set()
     try:
         deadline = time.monotonic() + 240
+        # (the second worker lives only ~30 ms before the 4th append kills
+        # the hunt, so the poll must be much finer than that)
         while proc.poll() is None and time.monotonic() < deadline:
             workers |= live_members(proc.pid) - {proc.pid}
-            time.sleep(0.02)
+            time.sleep(0.002)
         assert proc.wait(timeout=1) == -signal.SIGKILL
         assert len(workers) == 2, workers
         deadline = time.monotonic() + 10
