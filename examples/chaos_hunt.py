@@ -25,6 +25,7 @@ from types import SimpleNamespace
 from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.actions import AttackScenario, DelayAction
 from repro.attacks.space import ActionSpaceConfig
+from repro.controller.config import HuntConfig
 from repro.faults.schedule import FaultSchedule
 from repro.faults.validation import validate_findings
 from repro.search.hunt import hunt
@@ -70,9 +71,9 @@ def main() -> int:
     false_positive = SimpleNamespace(
         scenario=AttackScenario("PrePrepare", DelayAction(0.001)))
     candidates = list(result.findings) + [false_positive]
-    validation = validate_findings(FACTORY, candidates, environments=3,
-                                   seed=KW["seed"], base_seed=KW["seed"],
-                                   max_wait=5.0)
+    validation = validate_findings(FACTORY, candidates,
+                                   HuntConfig(seed=KW["seed"], max_wait=5.0),
+                                   environments=3, seed=KW["seed"])
     print(validation.describe())
     fp = validation.result_named(false_positive.scenario.describe())
     assert fp.score == 0.0, "the false positive should not survive"

@@ -17,13 +17,13 @@ identical to a serial hunt's, and the search output itself is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.controller.config import HuntConfig
 from repro.controller.costs import CostLedger
-from repro.controller.harness import (AttackHarness, InjectionPoint,
-                                      TestbedFactory)
-from repro.controller.monitor import AttackThreshold, PerfSample
+from repro.controller.harness import InjectionPoint, TestbedFactory
+from repro.controller.monitor import PerfSample
 from repro.forensics.causality import CausalRecorder
 from repro.forensics.differential import (DifferentialResult, Divergence,
                                           PerfTimeline, diff_branches,
@@ -145,24 +145,16 @@ class AttackExplanation:
 class ForensicRunner:
     """Replays findings from their injection points and explains them."""
 
-    def __init__(self, factory: TestbedFactory, seed: int = 0,
-                 threshold: Optional[AttackThreshold] = None,
-                 max_wait: Optional[float] = None,
-                 fault_schedule=None,
-                 shared_pages: bool = True,
-                 delta_snapshots: bool = False,
-                 watchdog_limit: Optional[int] = None) -> None:
-        self.threshold = threshold or AttackThreshold()
-        self.max_wait = max_wait
+    def __init__(self, factory: TestbedFactory,
+                 config: Optional[HuntConfig] = None) -> None:
+        self.config = config = config or HuntConfig()
         #: private ledger: forensic replay cost never reaches search reports
         self.ledger = CostLedger()
-        self.harness = AttackHarness(
-            factory, seed=seed, threshold=self.threshold,
-            shared_pages=shared_pages, delta_snapshots=delta_snapshots,
-            ledger=self.ledger, fault_schedule=fault_schedule,
-            watchdog_limit=watchdog_limit,
-            # Full event-log retention: the crash chain comes from here.
-            log_events=True)
+        # No platform faults: a replay explains the finding, it is not
+        # supervised.  Full event-log retention: the crash chain comes
+        # from there.
+        self.harness = replace(config, fault_plan=None).harness(
+            factory, ledger=self.ledger, log_events=True)
         self._started = False
         #: one warm testbed serves every finding, so each message type's
         #: injection point is sought once: message type -> its point
@@ -201,7 +193,7 @@ class ForensicRunner:
         if point is None:
             self.harness.restore(self.harness.warm_snapshot)
             point = self.harness.run_to_injection(scenario.message_type,
-                                                  self.max_wait)
+                                                  self.config.max_wait)
         if point is None:
             return AttackExplanation(
                 scenario=scenario.describe(),
@@ -227,7 +219,7 @@ class ForensicRunner:
             injection_time=point.time,
             window=self.harness.instance.window,
             divergence=diff.divergence,
-            damage=self.threshold.damage(benign.sample, attack.sample),
+            damage=self.config.threshold.damage(benign.sample, attack.sample),
             suppressed_types=diff.suppressed_types,
             delivery_deltas=diff.delivery_deltas,
             lost_descendants=diff.lost_descendants,
@@ -242,14 +234,8 @@ class ForensicRunner:
 
 
 def explain_findings(factory: TestbedFactory,
-                     findings: List[AttackFinding], *,
-                     seed: int = 0,
-                     threshold: Optional[AttackThreshold] = None,
-                     max_wait: Optional[float] = None,
-                     fault_schedule=None,
-                     shared_pages: bool = True,
-                     delta_snapshots: bool = False,
-                     watchdog_limit: Optional[int] = None
+                     findings: List[AttackFinding],
+                     config: Optional[HuntConfig] = None
                      ) -> List[AttackExplanation]:
     """Explain every finding, in finding order, on one warm testbed.
 
@@ -258,8 +244,5 @@ def explain_findings(factory: TestbedFactory,
     time — two calls with the same findings produce identical
     explanations, regardless of how many workers found them.
     """
-    runner = ForensicRunner(
-        factory, seed=seed, threshold=threshold, max_wait=max_wait,
-        fault_schedule=fault_schedule, shared_pages=shared_pages,
-        delta_snapshots=delta_snapshots, watchdog_limit=watchdog_limit)
+    runner = ForensicRunner(factory, config)
     return [runner.explain(finding) for finding in findings]

@@ -6,7 +6,7 @@ from repro.parallel.health import (HealthMonitor, HealthPolicy, WorkerHealth,
                                    WorkerHealthReport)
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
                                       StepRecorder, StepTrace)
-from repro.parallel.worker import ProbeParams, WorkerProber
+from repro.parallel.worker import WorkerProber
 
 __all__ = [
     "ScenarioExecutor",
@@ -14,7 +14,6 @@ __all__ = [
     "HealthPolicy",
     "WorkerHealth",
     "WorkerHealthReport",
-    "ProbeParams",
     "WorkerProber",
     "RecordingLedger",
     "RecordingSupervisor",

@@ -95,10 +95,10 @@ class BruteForceSearch(SearchAlgorithm):
             report.injection_points += 1
 
             sample = probes[1].sample
-            if self.threshold.is_attack(baseline, sample):
+            if self.config.threshold.is_attack(baseline, sample):
                 report.findings.append(AttackFinding(
                     scenario, baseline, sample,
-                    damage=self.threshold.damage(baseline, sample),
+                    damage=self.config.threshold.damage(baseline, sample),
                     crashes=sample.crashed_nodes,
                     found_at=self.ledger.total()))
         return report

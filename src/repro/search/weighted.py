@@ -111,14 +111,14 @@ class WeightedGreedySearch(SearchAlgorithm):
                 # Each probe carries the baseline its sample is measured
                 # against: its type's context's.
                 baseline, sample = probe.baseline, probe.sample
-                damage = self.threshold.damage(baseline, sample)
+                damage = self.config.threshold.damage(baseline, sample)
                 crashed = sample.crashed_nodes > baseline.crashed_nodes
                 finding = AttackFinding(
                     AttackScenario(message_type, action), baseline, sample,
                     damage=1.0 if crashed else damage,
                     crashes=sample.crashed_nodes,
                     found_at=self.ledger.total())
-                if is_attack_sample(self.threshold, baseline, sample):
+                if is_attack_sample(self.config.threshold, baseline, sample):
                     # Stop immediately: this action is an attack.  Learn.
                     self.weights.bump(action.cluster)
                     report.findings.append(finding)

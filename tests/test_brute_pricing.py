@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
 from repro.common.rng import RngRegistry
+from repro.controller.config import HuntConfig
 from repro.controller.costs import EXECUTION, SNAPSHOT_SAVE
 from repro.controller.harness import AttackHarness
 from repro.faults.schedule import FaultSchedule
 from repro.parallel.recording import RecordingLedger
-from repro.parallel.worker import ProbeParams, WorkerProber
+from repro.parallel.worker import WorkerProber
 from repro.search.brute import price
 from repro.systems.registry import get_system, system_names
 
@@ -46,9 +47,9 @@ def _factory(system):
     return entry.build(entry.default_role, WARMUP, WINDOW)
 
 
-def _params(schedule):
-    return ProbeParams(algorithm="greedy", space_config=SPACE,
-                       max_wait=MAX_WAIT, fault_schedule=schedule)
+def _config(schedule):
+    return HuntConfig(seed=1, algorithm="greedy", space_config=SPACE,
+                      max_wait=MAX_WAIT, fault_schedule=schedule)
 
 
 CHAOS_SYSTEMS = [name for name in system_names()
@@ -65,7 +66,7 @@ def priced(system, message_type, action, schedule, rule=price,
     sample, crash lines)`` from a branching prober's probes."""
     key = (system, schedule is not None)
     if key not in probers:
-        prober = WorkerProber(0, _factory(system), 1, _params(schedule))
+        prober = WorkerProber(0, _factory(system), _config(schedule))
         probers[key] = (prober, prober.startup(), {})
     prober, startup, contexts = probers[key]
     if message_type not in contexts:

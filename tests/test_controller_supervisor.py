@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import (ConfigError, ProxyError, SimulationError,
                                  SnapshotError, WatchdogTimeout)
+from repro.controller.config import HuntConfig
 from repro.controller.costs import REBUILD, RETRY, CostLedger
 from repro.controller.harness import AttackHarness
 from repro.controller.supervisor import (FAULT_OPS, OP_PROXY,
@@ -468,14 +469,16 @@ class TestCheckpointResume:
         assert again.total_time == pytest.approx(first.total_time)
 
     def test_seed_mismatch_rejected(self, tmp_path):
-        RunStore(str(tmp_path), seed=1).close()
-        with pytest.raises(ConfigError):
+        store = RunStore(str(tmp_path))
+        store.bind(HuntConfig(seed=1, max_wait=5.0).key(FACTORY(1))["probe"])
+        store.close()
+        with pytest.raises(ConfigError, match="seed=1"):
             hunt(FACTORY, seed=2, message_types=["PrePrepare"],
                  space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
                  store_dir=str(tmp_path))
 
     def test_version_mismatch_rejected(self, tmp_path):
-        store = RunStore(str(tmp_path), seed=1)
+        store = RunStore(str(tmp_path))
         store.save_checkpoint({"version": 99, "seed": 1, "passes": []})
         store.close()
         with pytest.raises(ConfigError, match="version 99"):
@@ -490,7 +493,7 @@ class TestCheckpointResume:
                       store_dir=str(tmp_path))
         assert result.interrupted
         assert result.passes == []
-        store = RunStore(str(tmp_path), seed=1)
+        store = RunStore(str(tmp_path))
         data = store.load_checkpoint()
         store.close()
         assert data["passes"] == []
@@ -631,7 +634,7 @@ class TestCliSupervision:
                       max_passes=3, max_wait=5.0, store_dir=str(tmp_path))
         assert result.interrupted
         assert len(result.passes) == 1 and result.passes[0].findings
-        store = RunStore(str(tmp_path), seed=3)
+        store = RunStore(str(tmp_path))
         data = store.load_checkpoint()
         store.close()
         assert data["written_at_pass"] == 1 and not data["complete"]

@@ -115,7 +115,7 @@ def test_every_engine_configuration_reports_serially(
         reference, workers, stored, algorithm, exclude, plan):
     assume(workers > 1 or stored)  # (the reference configuration itself)
     with tempfile.TemporaryDirectory() as directory:
-        store = RunStore(directory, seed=3) if stored else None
+        store = RunStore(directory) if stored else None
         try:
             reports = run_passes(algorithm, exclude, plan, workers, store,
                                  passes=2)

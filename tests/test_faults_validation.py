@@ -11,6 +11,7 @@ scenario scores near zero, while a real protocol attack keeps winning.
 from types import SimpleNamespace
 
 from repro.attacks.actions import AttackScenario, DelayAction
+from repro.controller.config import HuntConfig
 from repro.controller.monitor import AttackThreshold
 from repro.faults.validation import (EnvironmentOutcome, RobustnessResult,
                                      ValidationReport, validate_findings)
@@ -30,8 +31,9 @@ class TestValidateFindings:
         false_positive = finding("PrePrepare", DelayAction(0.001))
         report = validate_findings(
             factory, [true_attack, false_positive],
-            threshold=AttackThreshold(delta=0.25),
-            environments=2, seed=0, base_seed=1, max_wait=5.0)
+            HuntConfig(seed=1, max_wait=5.0,
+                       threshold=AttackThreshold(delta=0.25)),
+            environments=2, seed=0)
 
         strong = report.result_named(true_attack.scenario.describe())
         weak = report.result_named(false_positive.scenario.describe())
@@ -56,8 +58,8 @@ class TestValidateFindings:
 
         def run_once():
             return validate_findings(
-                factory, [candidate], environments=2, seed=7,
-                base_seed=1, max_wait=5.0).to_dict()
+                factory, [candidate], HuntConfig(seed=1, max_wait=5.0),
+                environments=2, seed=7).to_dict()
 
         assert run_once() == run_once()
 
@@ -65,8 +67,9 @@ class TestValidateFindings:
         factory = pbft_testbed(warmup=1.0, window=2.0)
         a = finding("PrePrepare", DelayAction(1.0))
         b = finding("PrePrepare", DelayAction(1.0))
-        report = validate_findings(factory, [a, b], environments=1,
-                                   seed=0, base_seed=1, max_wait=5.0)
+        report = validate_findings(factory, [a, b],
+                                   HuntConfig(seed=1, max_wait=5.0),
+                                   environments=1, seed=0)
         assert len(report.results) == 1
 
     def test_no_findings_short_circuits(self):
@@ -74,6 +77,39 @@ class TestValidateFindings:
         report = validate_findings(factory, [], environments=3, seed=0)
         assert report.results == []
         assert report.platform_time == 0.0
+
+
+class TestCliValidation:
+    def test_validation_runs_on_the_runs_platform_settings(self,
+                                                          monkeypatch):
+        """``--validate`` re-measures on the testbed the run searched:
+        its snapshot mode and watchdog reach every validation harness."""
+        from repro.cli import main
+        from repro.controller.harness import AttackHarness
+        from repro.faults import validation
+        built = []
+        start_run = AttackHarness.start_run
+
+        def spied(harness, *args, **kwargs):
+            built.append((harness.shared_pages, harness.watchdog_limit))
+            return start_run(harness, *args, **kwargs)
+
+        found = []
+        validate = validation.validate_findings
+
+        def validating(factory, findings, *args, **kwargs):
+            found.extend(findings)
+            del built[:]
+            return validate(factory, findings, *args, **kwargs)
+
+        monkeypatch.setattr(AttackHarness, "start_run", spied)
+        monkeypatch.setattr(validation, "validate_findings", validating)
+        code = main(["search", "pbft", "--types", "PrePrepare", "--fast",
+                     "--no-lying", "--warmup", "1", "--window", "2",
+                     "--max-wait", "5", "--no-shared-pages",
+                     "--watchdog", "2000000", "--validate", "1"])
+        assert code == 0 and found
+        assert built == [(False, 2000000)] * 2  # clean + one environment
 
 
 class TestValidationReportSerialization:

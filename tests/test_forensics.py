@@ -6,6 +6,7 @@ from repro.attacks.actions import (AttackScenario, DelayAction, DropAction,
                                    DuplicateAction)
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.ids import replica
+from repro.controller.config import HuntConfig
 from repro.controller.monitor import PerfSample
 from repro.forensics.causality import (DELIVER, EGRESS, SEND, CausalEvent,
                                        CausalRecorder)
@@ -153,7 +154,7 @@ class TestDropForensics:
     """First-divergence correctness on a scripted PBFT drop attack."""
 
     def explain_drop(self, seed=1):
-        runner = ForensicRunner(FACTORY, seed=seed, max_wait=5.0)
+        runner = ForensicRunner(FACTORY, HuntConfig(seed=seed, max_wait=5.0))
         return runner.explain(make_finding(DropAction(1.0)))
 
     def test_first_divergence_names_the_dropped_message(self):
@@ -176,13 +177,13 @@ class TestDropForensics:
             json.dumps(second, sort_keys=True)
 
     def test_delay_diverges_as_delayed(self):
-        runner = ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
         exp = runner.explain(make_finding(DelayAction(1.0)))
         assert exp.divergence.kind == "delayed"
         assert exp.divergence.attack_time > exp.divergence.benign_time
 
     def test_duplicate_diverges_as_extra(self):
-        runner = ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
         exp = runner.explain(make_finding(DuplicateAction(50)))
         assert exp.divergence.kind == "extra"
 
@@ -190,7 +191,7 @@ class TestDropForensics:
         explanations = explain_findings(
             FACTORY, [make_finding(DropAction(1.0)),
                       make_finding(DelayAction(1.0))],
-            seed=1, max_wait=5.0)
+            HuntConfig(seed=1, max_wait=5.0))
         assert [e.divergence.kind for e in explanations] == \
             ["absent", "delayed"]
 
@@ -201,7 +202,8 @@ class TestDropForensics:
         from repro.controller.harness import AttackHarness
         findings = [make_finding(DropAction(1.0)),
                     make_finding(DelayAction(1.0))]
-        fresh = [json.dumps(ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        config = HuntConfig(seed=1, max_wait=5.0)
+        fresh = [json.dumps(ForensicRunner(FACTORY, config)
                             .explain(f).to_dict(), sort_keys=True)
                  for f in findings]
         seeks = []
@@ -212,7 +214,7 @@ class TestDropForensics:
             return original(harness, message_type, max_wait)
 
         monkeypatch.setattr(AttackHarness, "run_to_injection", counted)
-        runner = ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
         shared = [json.dumps(runner.explain(f).to_dict(), sort_keys=True)
                   for f in findings]
         assert seeks == ["PrePrepare"]
@@ -221,7 +223,7 @@ class TestDropForensics:
 
 class TestReportRendering:
     def test_markdown_and_chrome_trace(self, tmp_path):
-        runner = ForensicRunner(FACTORY, seed=1, max_wait=5.0)
+        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
         exp = runner.explain(make_finding(DropAction(1.0)))
         text = render_explanations_markdown([exp])
         assert "Attack forensics" in text and "Drop 100% PrePrepare" in text

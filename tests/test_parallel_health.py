@@ -357,7 +357,7 @@ class TestHuntRecovery:
                  health_policy=HealthPolicy(worker_retries=0,
                                             degrade=False))
         # pass 1's findings survived the abort
-        store = RunStore(store_dir, seed=3)
+        store = RunStore(store_dir)
         data = store.load_checkpoint()
         store.close()
         assert len(data["passes"]) == len(clean.passes)
