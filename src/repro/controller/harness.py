@@ -24,8 +24,7 @@ from repro.common.ids import NodeId
 from repro.controller.branching import DistributedSnapshotter, WorldSnapshot
 from repro.controller.costs import (BOOT, EXECUTION, SNAPSHOT_RESTORE,
                                     SNAPSHOT_SAVE, CostLedger)
-from repro.controller.monitor import (AttackThreshold, PerfSample,
-                                      PerformanceMonitor)
+from repro.controller.monitor import PerfSample, PerformanceMonitor
 from repro.controller.supervisor import OP_BOOT, OP_PROXY, FaultPlan
 from repro.runtime.world import World
 from repro.telemetry.tracer import Tracer, maybe_span
@@ -73,7 +72,6 @@ class AttackHarness:
     DEFAULT_MAX_WAIT = 30.0
 
     def __init__(self, factory: TestbedFactory, seed: int = 0,
-                 threshold: Optional[AttackThreshold] = None,
                  shared_pages: bool = True,
                  delta_snapshots: bool = False,
                  ledger: Optional[CostLedger] = None,
@@ -85,7 +83,6 @@ class AttackHarness:
                  log_max_records: Optional[int] = None) -> None:
         self.factory = factory
         self.seed = seed
-        self.threshold = threshold or AttackThreshold()
         self.shared_pages = shared_pages
         #: injection-point snapshots store only pages changed since the
         #: warm snapshot (cheaper saves; see SnapshotManager.save_delta)
