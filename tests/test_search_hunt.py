@@ -4,7 +4,9 @@ import pytest
 
 from repro.attacks.space import ActionSpaceConfig
 from repro.controller.monitor import AttackThreshold
+from repro.parallel.executor import ScenarioExecutor
 from repro.search.hunt import hunt
+from repro.search.weighted import WeightedGreedySearch
 from repro.systems.paxos.testbed import paxos_testbed
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
@@ -52,6 +54,18 @@ class TestHunt:
                       space_config=SPACE, max_passes=1, max_wait=5.0)
         text = result.describe()
         assert "pass 1" in text and "hunt:" in text
+
+    @pytest.mark.parametrize("build, setting", [
+        (hunt, "rounds"), (hunt, "confirmations"),
+        (ScenarioExecutor, "max_passes"), (ScenarioExecutor, "exclude"),
+        (WeightedGreedySearch, "rounds"),
+        (WeightedGreedySearch, "injection_cache")])
+    def test_a_setting_the_entry_point_never_reads_is_refused(
+            self, build, setting):
+        """Each entry point takes only what it reads: a walk's own
+        settings are keywords of the one that runs that walk."""
+        with pytest.raises(TypeError, match=setting):
+            build(FACTORY, **{setting: 1})
 
 
 class TestHuntCli:
