@@ -10,6 +10,8 @@ scenario scores near zero, while a real protocol attack keeps winning.
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.attacks.actions import AttackScenario, DelayAction
 from repro.controller.config import HuntConfig
 from repro.controller.monitor import AttackThreshold
@@ -152,3 +154,47 @@ class TestValidationReportSerialization:
         text = self.make_report().describe()
         assert "1 findings x 2 environments" in text
         assert "Delay 1s PrePrepare" in text
+
+
+class TestValidationPinned:
+    """The report's ``validation`` section, byte for byte, as written at
+    commit ``0f6cd31``, when each environment was a testbed of its own."""
+
+    HUNT = ["hunt", "pbft", "--types", "PrePrepare", "--fast", "--no-lying",
+            "--warmup", "1", "--window", "2", "--max-wait", "5",
+            "--passes", "1", "--allow-empty", "--validate", "2"]
+    #: CI's chaos schedule
+    CHAOS = {"version": 1, "seed": 21, "events": [
+        {"kind": "loss", "at": 0.0, "path": "*", "p_enter_bad": 0.003,
+         "p_exit_bad": 0.5},
+        {"kind": "corrupt", "at": 0.0, "path": "*", "rate": 0.002},
+        {"kind": "flap", "at": 1.5, "a": "replica2", "b": "replica3",
+         "down_for": 0.4},
+        {"kind": "crash", "at": 2.2, "node": "replica3",
+         "restart_after": 0.5}]}
+    #: CI's chaos hunt, and a clean one whose three passes give three
+    #: findings to validate
+    PINNED = {
+        "chaos":
+            "adc3f6245701257131a5ad3e1c4c7fde989549f9ec6fb23b805a34155bcc49a8",
+        "clean":
+            "c9f49195a2e58c1433a18435ea2eb8ffe093d4dda74db1765aa9a1ebe530b7bb",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_validation_section_is_pinned(self, case, capsys, tmp_path):
+        import hashlib
+        import json
+        from repro.cli import main
+        argv = self.HUNT + ["--json", str(tmp_path / "hunt.json")]
+        if case == "chaos":
+            (tmp_path / "chaos.json").write_text(json.dumps(self.CHAOS))
+            argv += ["--faults", str(tmp_path / "chaos.json")]
+        else:
+            argv += ["--passes", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "hunt.json").read_text())
+        section = json.dumps(report["validation"], sort_keys=True)
+        assert hashlib.sha256(section.encode()).hexdigest() == \
+            self.PINNED[case]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.attacks.actions import (AttackScenario, DelayAction, DropAction,
                                    DuplicateAction)
 from repro.attacks.space import ActionSpaceConfig
@@ -287,3 +289,83 @@ class TestForensicsCli:
         exp = data["explanations"][0]
         assert exp["divergence"]["message_type"]
         assert exp["damage"] > 0
+
+
+def sha256_file(path):
+    import hashlib
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_cli(argv, capsys):
+    from repro.cli import main
+    code = main(argv)
+    assert code == 0
+    return capsys.readouterr().out
+
+
+#: TestHuntForensics' PBFT hunt, spelled for the CLI, run to three passes
+#: (three findings of one type)
+PBFT_HUNT = ["hunt", "pbft", "--malicious", "primary", "--seed", "3",
+             "--warmup", "1", "--window", "2", "--types", "PrePrepare",
+             "--fast", "--no-lying", "--max-wait", "5", "--passes", "3"]
+PAXOS_SEARCH = ["search", "paxos", "--types", "Accept", "--fast",
+                "--no-lying", "--warmup", "0.5", "--window", "1.5",
+                "--max-wait", "5"]
+
+
+class TestForensicsPinned:
+    """The ``--forensics`` bundle, byte for byte: every file's sha256 as
+    the bundle was written at commit ``0f6cd31``, when explanations were
+    replayed on a testbed of their own after the hunt."""
+
+    PBFT_BUNDLE = {
+            "explanations.json":
+                "aef2f7ae01f2d6530a322517ca44089ba0b943f3876e0b60cb1fec23f6a02922",
+            "explanations.md":
+                "02f6712aa64c000995c658f00054b0474dae242b42aff060efd8eea98baa731f",
+            "trace_001_delay-1s-preprepare.json":
+                "de3a9db2d2342a095b702670c07dce972796b41c21641794757ed818ae6cd9b8",
+            "trace_002_drop-50-preprepare.json":
+                "f086587e2d2d0d84412f0cc20edc4d05c32d72888154295c0d58cdb96e1696ab",
+            "trace_003_drop-100-preprepare.json":
+                "8c47c11a7677911e9245b7836bb8b08da646912004577b6d08507226720a115b",
+        }
+    BUNDLES = {
+        "pbft-hunt": (PBFT_HUNT, PBFT_BUNDLE),
+        "paxos-search": (PAXOS_SEARCH, {
+            "explanations.json":
+                "9c18c8dbe6334007720a82f9a3b27c2ab6453ef3db21db8abe669d2b17078fa9",
+            "explanations.md":
+                "3e28596a660a5872ea778b5750cee1772d337bcfaa9c2251630dcf70291626f7",
+            "trace_001_delay-1s-accept.json":
+                "42dabc340614e4d42903417a18bea92f8f64a3edba2fc3dee4b887c19e9db8af",
+        }),
+        # explanations draw no platform faults: the same bundle
+        "pbft-hunt-faults": (
+            PBFT_HUNT + ["--inject-faults", "restore=0.15,max=3"],
+            PBFT_BUNDLE),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BUNDLES))
+    def test_bundle_is_pinned(self, case, capsys, tmp_path):
+        argv, pinned = self.BUNDLES[case]
+        out_dir = tmp_path / "bundle"
+        run_cli(argv + ["--forensics", str(out_dir)], capsys)
+        written = {path.name: sha256_file(path)
+                   for path in sorted(out_dir.iterdir())}
+        assert written == pinned
+
+    #: sha256 of the JSONL ``--log-events`` writes for the PBFT hunt
+    LOG_EVENTS = (
+        "56b9c67fc42b6c53ae6b136b92c931d3c60edd19d36d15141ec85f3a12c41e97")
+
+    @pytest.mark.parametrize("explain", [[], ["--explain"]],
+                             ids=["plain", "explain"])
+    def test_log_events_unchanged_by_explain(self, explain, capsys):
+        """Explanation branches never reach the ``--log-events`` stream."""
+        import hashlib
+        out = run_cli(PBFT_HUNT + ["--log-events"] + explain, capsys)
+        stream = "".join(line + "\n" for line in out.splitlines()
+                         if line.startswith("{"))
+        assert hashlib.sha256(stream.encode()).hexdigest() == self.LOG_EVENTS
