@@ -122,9 +122,11 @@ def _write_worker_reports(args, breakdown, health) -> None:
             print(f"{what} written to {path}")
 
 
-def _wants_forensics(args) -> bool:
-    return bool(getattr(args, "explain", False)
-                or getattr(args, "forensics", None))
+def _explain(args):
+    """What the explanation flags ask of a run (``hunt()``'s ``explain``):
+    a ``--forensics`` bundle needs each explanation's chronologies."""
+    return ("traces" if getattr(args, "forensics", None)
+            else getattr(args, "explain", False))
 
 
 def _forensics_preflight(args) -> None:
@@ -146,22 +148,9 @@ def _forensics_preflight(args) -> None:
             f"cannot write --forensics directory: {exc}") from exc
 
 
-def _forensics(args, factory, config, result) -> None:
-    """Compute and/or write forensic explanations for a run's findings.
-
-    ``result`` is a SearchReport or HuntResult; hunts compute their own
-    explanations (``explain=True``), so this only fills in the search
-    path, then writes the --forensics bundle for both.
-    """
-    if not _wants_forensics(args) or not result.findings:
-        return
-    if result.explanations is None:
-        if getattr(result, "interrupted", False):
-            return
-        from repro.forensics.explain import explain_findings
-        print(f"explaining {len(result.findings)} findings...")
-        result.explanations = explain_findings(factory, result.findings,
-                                               config)
+def _forensics(args, result) -> None:
+    """Write the --forensics bundle of a run's (a SearchReport's or a
+    HuntResult's) explanations."""
     out_dir = getattr(args, "forensics", None)
     if out_dir and result.explanations:
         from repro.forensics.report import write_forensics
@@ -334,6 +323,7 @@ def cmd_search(args) -> int:
     tracer = _tracer(args)
     _forensics_preflight(args)
     progress = _progress(args)
+    explain = _explain(args)
 
     from repro.parallel.executor import ScenarioExecutor
     with ScenarioExecutor(
@@ -342,6 +332,9 @@ def cmd_search(args) -> int:
             health=_health_policy(args), progress=progress) as executor:
         try:
             report = executor.run_pass(message_types=types, exclude=exclude)
+            if explain and report.findings:
+                report.explanations = executor.explain(
+                    report.findings, traces=explain == "traces")
         except KeyboardInterrupt:
             # Whatever the walk had replayed or asked for so far is its
             # partial report (none yet if the pool was still prefetching).
@@ -356,7 +349,7 @@ def cmd_search(args) -> int:
             return EXIT_INTERRUPTED
     progress.done()
     report.validation = _validate(args, factory, config, report.findings)
-    _forensics(args, factory, config, report)
+    _forensics(args, report)
     print(report.describe())
     _emit_telemetry(args, tracer, report.telemetry,
                     executor.take_log_records())
@@ -384,12 +377,12 @@ def cmd_hunt(args) -> int:
                   tracer=tracer, progress=progress,
                   log_events=args.log_events is not None,
                   workers=args.workers, health_policy=_health_policy(args),
-                  explain=_wants_forensics(args), store_dir=args.store)
+                  explain=_explain(args), store_dir=args.store)
     progress.done()
     if not result.interrupted:
         result.validation = _validate(args, factory, config,
                                       result.findings)
-    _forensics(args, factory, config, result)
+    _forensics(args, result)
     print(result.describe())
     for finding in result.findings:
         print("  " + finding.describe())

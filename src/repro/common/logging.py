@@ -29,21 +29,13 @@ class EventLog:
     """Structured, filterable, in-memory log for one experiment."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = False, capacity: int = 200_000,
-                 max_records: Optional[int] = None) -> None:
+                 enabled: bool = False, capacity: int = 200_000) -> None:
         self._clock = clock or (lambda: 0.0)
         self.enabled = enabled
+        #: once this many records are held, new ones are dropped (counted)
         self.capacity = capacity
-        #: ring-buffer cap: once this many records are held, the *oldest*
-        #: are evicted to make room (unlike ``capacity``, which drops new
-        #: records once full).  ``None`` keeps the historical behaviour.
-        #: Forensics asks for full retention (``max_records=None``)
-        #: explicitly; long plain hunts can bound memory with a cap.
-        self.max_records = max_records
         self.records: List[LogRecord] = []
         self.dropped = 0
-        #: number of old records evicted to honour ``max_records``.
-        self.truncated = 0
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -51,16 +43,7 @@ class EventLog:
     def emit(self, component: str, event: str, **details: Any) -> None:
         if not self.enabled:
             return
-        cap = self.max_records
-        if cap is not None and cap > 0:
-            if len(self.records) >= cap:
-                # Evict in chunks so the O(n) list shift amortises; the
-                # records list stays a plain list (callers index/compare
-                # it directly).
-                chunk = max(1, cap // 8)
-                del self.records[:chunk]
-                self.truncated += chunk
-        elif len(self.records) >= self.capacity:
+        if len(self.records) >= self.capacity:
             self.dropped += 1
             return
         self.records.append(LogRecord(self._clock(), component, event, details))
@@ -77,4 +60,3 @@ class EventLog:
     def clear(self) -> None:
         self.records.clear()
         self.dropped = 0
-        self.truncated = 0

@@ -79,8 +79,7 @@ class AttackHarness:
                  fault_schedule=None,
                  watchdog_limit: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
-                 log_events: bool = False,
-                 log_max_records: Optional[int] = None) -> None:
+                 log_events: bool = False) -> None:
         self.factory = factory
         self.seed = seed
         self.shared_pages = shared_pages
@@ -99,9 +98,6 @@ class AttackHarness:
         self.tracer = tracer
         #: enable each instance's EventLog so records can be exported
         self.log_events = log_events
-        #: ring-buffer cap applied to each instance's EventLog when the
-        #: log is enabled (None: full retention — what forensics asks for)
-        self.log_max_records = log_max_records
         self.instance: Optional[TestbedInstance] = None
         self.snapshotter: Optional[DistributedSnapshotter] = None
         self.monitor: Optional[PerformanceMonitor] = None
@@ -114,8 +110,6 @@ class AttackHarness:
         world = instance.world
         if self.log_events:
             world.log.enabled = True
-            if self.log_max_records is not None:
-                world.log.max_records = self.log_max_records
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.attach_clock(lambda: world.kernel.now)
             world.instruments.enabled = True

@@ -121,9 +121,12 @@ class FaultPlan:
     def __post_init__(self) -> None:
         self.begin(())
 
-    def begin(self, key: tuple) -> None:
-        """Restart the draws for the probe ``key``."""
-        self._stream = RandomStream(self.seed, "fault-plan").fork(repr(key))
+    def begin(self, key: Optional[tuple]) -> None:
+        """Restart the draws for the probe ``key``; None names no probe
+        (work off the books, such as an explanation), which draws no
+        faults until the next :meth:`begin`."""
+        self._stream = (None if key is None else
+                        RandomStream(self.seed, "fault-plan").fork(repr(key)))
         self._faults = 0
 
     def _rate(self, operation: str) -> float:
@@ -142,7 +145,7 @@ class FaultPlan:
         seed, the probe's key and the operations it attempts.
         """
         rate = self._rate(operation)
-        if rate <= 0.0:
+        if rate <= 0.0 or self._stream is None:
             return
         draw = self._stream.random()
         if draw >= rate:

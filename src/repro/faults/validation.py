@@ -26,7 +26,7 @@ and in the JSON/markdown reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.rng import derive_seed
@@ -50,16 +50,7 @@ class EnvironmentOutcome:
     benign_degradation: float  # clean baseline -> env baseline damage
 
     def to_dict(self) -> Dict:
-        return {
-            "environment": self.environment,
-            "schedule_seed": self.schedule_seed,
-            "injected": self.injected,
-            "benign_throughput": self.benign_throughput,
-            "attacked_throughput": self.attacked_throughput,
-            "damage": self.damage,
-            "sustained": self.sustained,
-            "benign_degradation": self.benign_degradation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "EnvironmentOutcome":
@@ -168,9 +159,7 @@ class ValidationReport:
 
 def validate_findings(factory: TestbedFactory, findings: Sequence,
                       config: Optional[HuntConfig] = None,
-                      environments: int = 3, seed: int = 0,
-                      intensity: float = 1.0,
-                      ledger: Optional[CostLedger] = None
+                      environments: int = 3, seed: int = 0
                       ) -> ValidationReport:
     """Re-measure each finding under M perturbed environments.
 
@@ -179,18 +168,19 @@ def validate_findings(factory: TestbedFactory, findings: Sequence,
     ``findings`` list of a :class:`~repro.search.results.SearchReport` or
     :class:`~repro.search.hunt.HuntResult`.
 
-    For every environment ``i``: a fresh testbed on the hunt's ``config``
-    (so the world itself is identical), without its fault plan, is booted
-    with the fault schedule ``FaultSchedule.perturbation(derive_seed(seed,
-    "validation-env-i"))`` armed before warmup.  Per message type the
-    injection point is sought once, the environment's own benign baseline
-    is branched, and then every finding of that type is branched and
-    scored against that baseline.  A clean (fault-free) harness run first
-    provides the reference for the benign-degradation figures.
+    Environment ``i`` is a prober (:class:`~repro.parallel.worker.
+    WorkerProber`) on the hunt's ``config`` without its fault plan, whose
+    fault schedule ``FaultSchedule.perturbation(derive_seed(seed,
+    "validation-env-i"))`` is armed before warmup.  Per message type it
+    asks the type's context — the environment's own benign baseline —
+    then an evaluation of every finding of that type, scored against that
+    baseline.  One more prober, with no schedule, first asks the contexts
+    alone: the clean reference for the benign-degradation figures.
+    ``platform_time`` replays every probe's charges, in the order asked.
     """
+    from repro.parallel.worker import WorkerProber
     config = replace(config or HuntConfig(), fault_plan=None)
     threshold = config.threshold
-    ledger = ledger if ledger is not None else CostLedger()
     report = ValidationReport(environments=environments, seed=seed,
                               delta=threshold.delta)
     findings = list(findings)
@@ -209,35 +199,32 @@ def validate_findings(factory: TestbedFactory, findings: Sequence,
             message_type=scenario.message_type)
         by_type.setdefault(scenario.message_type, []).append(scenario)
     report.results = list(results.values())
+    ledger = CostLedger()
 
-    def testbed(schedule):
-        harness = replace(config, fault_schedule=schedule).harness(
-            factory, ledger=ledger)
-        harness.start_run()
-        return harness
+    def asked(probe):
+        for category, seconds in probe.trace.charges:
+            ledger.charge(category, seconds)
+        return probe
 
-    def seek(harness, message_type):
-        harness.restore(harness.warm_snapshot)
-        harness.proxy.clear_policy()
-        return harness.run_to_injection(message_type, config.max_wait)
+    def prober(schedule) -> WorkerProber:
+        prober = WorkerProber(0, factory,
+                              replace(config, fault_schedule=schedule))
+        asked(prober.startup())
+        return prober
 
-    # Clean reference: per-type baselines on an unperturbed testbed.
-    clean = testbed(None)
+    clean = prober(None)
     clean_baselines: Dict[str, float] = {}
     for message_type in sorted(by_type):
-        injection = seek(clean, message_type)
-        if injection is not None:
-            sample = clean.branch_measure(injection, None)
-            clean_baselines[message_type] = sample.throughput
+        context = asked(clean.context(message_type))
+        if context.found:
+            clean_baselines[message_type] = context.baseline.throughput
 
     for env in range(environments):
         schedule_seed = derive_seed(seed, f"validation-env-{env}")
-        schedule = FaultSchedule.perturbation(schedule_seed,
-                                              intensity=intensity)
-        harness = testbed(schedule)
+        environment = prober(FaultSchedule.perturbation(schedule_seed))
         for message_type in sorted(by_type):
-            injection = seek(harness, message_type)
-            if injection is None:
+            context = asked(environment.context(message_type))
+            if not context.found:
                 # The environment starved this type of traffic entirely;
                 # nothing to attack here, so nothing is sustained.
                 for scenario in by_type[message_type]:
@@ -248,7 +235,7 @@ def validate_findings(factory: TestbedFactory, findings: Sequence,
                             attacked_throughput=0.0, damage=0.0,
                             sustained=False, benign_degradation=1.0))
                 continue
-            env_baseline = harness.branch_measure(injection, None)
+            env_baseline = context.baseline
             clean_tp = clean_baselines.get(message_type, 0.0)
             if clean_tp > 0:
                 degradation = max(0.0, min(1.0, (
@@ -256,7 +243,8 @@ def validate_findings(factory: TestbedFactory, findings: Sequence,
             else:
                 degradation = 0.0
             for scenario in by_type[message_type]:
-                attacked = harness.branch_measure(injection, scenario.action)
+                attacked = asked(environment.evaluate(
+                    message_type, context, scenario.action)).sample
                 damage = threshold.damage(env_baseline, attacked)
                 sustained = threshold.is_attack(env_baseline, attacked)
                 results[scenario.describe()].environments.append(

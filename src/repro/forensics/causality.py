@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.netem.packets import MessageEnvelope
 
@@ -34,9 +34,9 @@ def payload_digest(payload: bytes) -> str:
     return blake2b(payload, digest_size=8).hexdigest()
 
 
-@dataclass(frozen=True)
-class CausalEvent:
-    """One step of one message's life, with its virtual timestamp."""
+class CausalEvent(NamedTuple):
+    """One step of one message's life, with its virtual timestamp (a
+    tuple: a chronology holds tens of thousands)."""
 
     kind: str
     time: float
@@ -62,8 +62,7 @@ class CausalEvent:
                 f"{self.kind} at {where} t={self.time:.4f}")
 
 
-@dataclass(frozen=True)
-class CausalEdge:
+class CausalEdge(NamedTuple):
     """Happens-before: ``parent_seq``'s handler induced ``child_seq``."""
 
     parent_seq: int
@@ -90,6 +89,11 @@ class CausalRecorder:
         self.verdicts: Dict[int, str] = {}
         #: node whose handler is currently running (edge attribution)
         self._handling_node: str = "?"
+
+    def __getstate__(self) -> dict:
+        """A recorder pickles as its chronology: the codec and the clock it
+        was attached with stay behind."""
+        return dict(self.__dict__, codec=None, clock=None)
 
     # ------------------------------------------------------------- tap hooks
 
@@ -139,9 +143,6 @@ class CausalRecorder:
 
     # --------------------------------------------------------------- queries
 
-    def deliveries(self) -> List[CausalEvent]:
-        return [e for e in self.events if e.kind == DELIVER]
-
     def graph(self) -> "CausalGraph":
         return CausalGraph.from_recorder(self)
 
@@ -150,20 +151,13 @@ class CausalRecorder:
 class CausalGraph:
     """Cross-node happens-before graph over one execution's messages."""
 
-    #: msg_seq -> first event observed for that message (its birth)
-    messages: Dict[int, CausalEvent] = field(default_factory=dict)
     #: msg_seq -> sequences its handler induced, in send order
     children: Dict[int, List[int]] = field(default_factory=dict)
     edges: List[CausalEdge] = field(default_factory=list)
-    proxy_notes: Dict[int, List[str]] = field(default_factory=dict)
 
     @classmethod
     def from_recorder(cls, recorder: CausalRecorder) -> "CausalGraph":
-        graph = cls(edges=list(recorder.edges),
-                    proxy_notes={k: list(v)
-                                 for k, v in recorder.proxy_notes.items()})
-        for event in recorder.events:
-            graph.messages.setdefault(event.msg_seq, event)
+        graph = cls(edges=list(recorder.edges))
         for edge in recorder.edges:
             graph.children.setdefault(edge.parent_seq, []).append(
                 edge.child_seq)

@@ -12,11 +12,12 @@ chains, and per-window performance timelines.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from repro.forensics.causality import DELIVER, CausalRecorder
+from repro.forensics.causality import DELIVER, CausalEvent, CausalRecorder
 
 #: virtual-time slack below which two matched events count as simultaneous
 TIME_EPSILON = 1e-9
@@ -164,9 +165,6 @@ class DifferentialResult:
     suppressed_types: List[str] = field(default_factory=list)
     #: benign descendants of the divergent message missing under attack
     lost_descendants: int = 0
-    benign_events: int = 0
-    attack_events: int = 0
-    matched_events: int = 0
 
 
 def _align(benign: List, attack: List) -> Tuple[list, list, list, list]:
@@ -177,30 +175,35 @@ def _align(benign: List, attack: List) -> Tuple[list, list, list, list]:
     deterministic: events pair in first-in-first-out order per identity
     key, so duplicated messages consume matches one copy at a time.
     """
-    remaining: Dict[tuple, deque] = {}
-    for j, event in enumerate(attack):
-        remaining.setdefault(event.identity(), deque()).append(j)
+    def queues(key, indices) -> Dict[tuple, list]:
+        """``key`` -> its attack indices, last first: ``pop()`` is FIFO
+        (a list, not a deque: most keys hold one index)."""
+        by_key: Dict[tuple, list] = {}
+        for j in reversed(indices):
+            by_key.setdefault(key(attack[j]), []).append(j)
+        return by_key
+
+    remaining = queues(CausalEvent.identity, range(len(attack)))
     pairs, unmatched_benign = [], []
     taken = [False] * len(attack)
     for i, event in enumerate(benign):
         queue = remaining.get(event.identity())
         if queue:
-            j = queue.popleft()
+            j = queue.pop()
             taken[j] = True
             pairs.append((i, j))
         else:
             unmatched_benign.append(i)
+    del remaining
     # Second pass, content-blind: a benign event whose twin exists with a
     # different payload digest is a mutation, not an absence.
-    loose: Dict[tuple, deque] = {}
-    for j, event in enumerate(attack):
-        if not taken[j]:
-            loose.setdefault(event.loose_identity(), deque()).append(j)
+    loose = queues(CausalEvent.loose_identity,
+                   [j for j in range(len(attack)) if not taken[j]])
     mutated, absent = [], []
     for i in unmatched_benign:
         queue = loose.get(benign[i].loose_identity())
         if queue:
-            j = queue.popleft()
+            j = queue.pop()
             taken[j] = True
             mutated.append((i, j))
         else:
@@ -213,74 +216,50 @@ def first_divergence(benign: CausalRecorder,
                      attack: CausalRecorder) -> Divergence:
     """Locate the first point where the attack chronology departs."""
     pairs, mutated, absent, extra = _align(benign.events, attack.events)
-
-    candidates: List[Tuple[float, int, int, Divergence]] = []
-
-    def benign_side(i: int, kind: str, j: Optional[int]) -> None:
-        event = benign.events[i]
-        attack_time = attack.events[j].time if j is not None else None
-        candidates.append((event.time, 0, i, Divergence(
-            kind, event.kind, event.msg_seq, event.message_type,
-            event.src, event.dst, event.time, attack_time)))
-
-    for i in absent:
-        benign_side(i, ABSENT, None)
-    for i, j in mutated:
-        benign_side(i, MUTATED, j)
-    for i, j in pairs:
-        if abs(attack.events[j].time - benign.events[i].time) > TIME_EPSILON:
-            benign_side(i, DELAYED, j)
-    for j in extra:
-        event = attack.events[j]
-        candidates.append((event.time, 1, j, Divergence(
-            EXTRA, event.kind, event.msg_seq, event.message_type,
-            event.src, event.dst, None, event.time)))
-    if not candidates:
-        return Divergence(NONE)
+    b, a = benign.events, attack.events
     # Earliest in virtual time wins; ties prefer the benign-side anomaly
     # (something missing explains more than something added), then the
-    # earliest position in its own chronology.
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0][3]
+    # earliest position in its own chronology: (time, side, index, kind,
+    # the attack twin's index).
+    first = min(chain(
+        ((b[i].time, 0, i, ABSENT, None) for i in absent),
+        ((b[i].time, 0, i, MUTATED, j) for i, j in mutated),
+        ((b[i].time, 0, i, DELAYED, j) for i, j in pairs
+         if abs(a[j].time - b[i].time) > TIME_EPSILON),
+        ((a[j].time, 1, j, EXTRA, None) for j in extra)), default=None)
+    if first is None:
+        return Divergence(NONE)
+    __, side, index, kind, twin = first
+    event = (a if side else b)[index]
+    times = ((None, event.time) if side else
+             (event.time, None if twin is None else a[twin].time))
+    return Divergence(kind, event.kind, event.msg_seq, event.message_type,
+                      event.src, event.dst, *times)
 
 
-def _delivery_counts(recorder: CausalRecorder) -> Dict[Tuple[str, str], int]:
-    counts: Dict[Tuple[str, str], int] = {}
-    for event in recorder.events:
-        if event.kind == DELIVER:
-            key = (event.dst, event.message_type)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _delivery_counts(recorder: CausalRecorder) -> Counter:
+    """(node, message type) -> deliveries."""
+    return Counter((event.dst, event.message_type)
+                   for event in recorder.events if event.kind == DELIVER)
 
 
 def diff_branches(benign: CausalRecorder,
                   attack: CausalRecorder) -> DifferentialResult:
     """Full differential: divergence plus downstream-effect attribution."""
     divergence = first_divergence(benign, attack)
-    pairs, mutated, absent, extra = _align(benign.events, attack.events)
-    result = DifferentialResult(
-        divergence=divergence,
-        benign_events=len(benign.events),
-        attack_events=len(attack.events),
-        matched_events=len(pairs))
+    result = DifferentialResult(divergence=divergence)
 
     benign_counts = _delivery_counts(benign)
     attack_counts = _delivery_counts(attack)
     for key in sorted(set(benign_counts) | set(attack_counts)):
-        b, a = benign_counts.get(key, 0), attack_counts.get(key, 0)
+        b, a = benign_counts[key], attack_counts[key]
         if b != a:
             result.delivery_deltas.append(
                 DeliveryDelta(key[0], key[1], b, a))
 
-    benign_types: Dict[str, int] = {}
-    attack_types: Dict[str, int] = {}
-    for (__, mtype), count in benign_counts.items():
-        benign_types[mtype] = benign_types.get(mtype, 0) + count
-    for (__, mtype), count in attack_counts.items():
-        attack_types[mtype] = attack_types.get(mtype, 0) + count
+    attack_types = {mtype for __, mtype in attack_counts}
     result.suppressed_types = sorted(
-        mtype for mtype, count in benign_types.items()
-        if count > 0 and attack_types.get(mtype, 0) == 0)
+        {mtype for __, mtype in benign_counts} - attack_types)
 
     if divergence.found and divergence.msg_seq >= 0:
         benign_graph = benign.graph()

@@ -43,8 +43,6 @@ def render_explanations_markdown(
         lines.append("")
         lines.append(exp.narrative())
         lines.append("")
-        if exp.unreproduced:
-            continue
         if exp.delivery_deltas:
             lines.append("| node | message type | benign | attack | delta |")
             lines.append("|---|---|---:|---:|---:|")
@@ -52,11 +50,10 @@ def render_explanations_markdown(
                 lines.append(f"| {d.node} | {d.message_type} | {d.benign} "
                              f"| {d.attack} | {d.delta:+d} |")
             lines.append("")
-        if exp.attack_timeline is not None and exp.attack_timeline.overall:
+        if exp.attack_timeline.overall:
             lines.append("Throughput per bucket (benign vs attack, upd/s):")
             lines.append("")
-            benign = exp.benign_timeline.overall if exp.benign_timeline \
-                else []
+            benign = exp.benign_timeline.overall
             for j, point in enumerate(exp.attack_timeline.overall):
                 base = benign[j].throughput if j < len(benign) else 0.0
                 lines.append(f"- t={point.start:.2f}: {base:.2f} -> "
@@ -108,14 +105,12 @@ def _branch_events(recorder, pid: int, label: str) -> List[Dict[str, Any]]:
 
 
 def explanation_chrome_trace(explanation: AttackExplanation) -> dict:
-    """Both branches' causal chronologies as one Chrome trace."""
-    events: List[Dict[str, Any]] = []
-    if explanation.benign_branch is not None:
-        events.extend(_branch_events(explanation.benign_branch.recorder,
-                                     1, "benign baseline"))
-    if explanation.attack_branch is not None:
-        events.extend(_branch_events(explanation.attack_branch.recorder,
-                                     2, f"attack: {explanation.scenario}"))
+    """Both branches' causal chronologies (kept on ``explanation``) as one
+    Chrome trace."""
+    events = (
+        _branch_events(explanation.benign_chronology, 1, "benign baseline")
+        + _branch_events(explanation.attack_chronology, 2,
+                         f"attack: {explanation.scenario}"))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -130,7 +125,8 @@ def write_forensics(directory: str,
     """Write the full forensic bundle; returns the paths written.
 
     ``explanations.json`` (structured), ``explanations.md`` (narratives),
-    and one ``trace_NNN_<scenario>.json`` Chrome trace per explanation.
+    and one ``trace_NNN_<scenario>.json`` Chrome trace per explanation
+    (which must have kept its chronologies).
     """
     os.makedirs(directory, exist_ok=True)
     written: List[str] = []
@@ -147,8 +143,6 @@ def write_forensics(directory: str,
     written.append(path)
 
     for i, exp in enumerate(explanations, start=1):
-        if exp.unreproduced:
-            continue
         path = os.path.join(directory,
                             f"trace_{i:03d}_{_slug(exp.scenario)}.json")
         with open(path, "w") as fh:

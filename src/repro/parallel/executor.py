@@ -50,7 +50,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.attacks.space import ActionSpace
 from repro.common.errors import ConfigError, SearchError
@@ -246,9 +246,14 @@ class ScenarioExecutor:
 
     def _prefetch(self, types: Sequence[str], excluded: frozenset,
                   max_scenarios: Optional[int]) -> ProbeCache:
-        """Pull-based dispatch: an idle worker gets the next step, a result
-        frees its worker for another.  Returns the poisoned probes."""
+        """Prefetch the pass's steps; returns the poisoned probes."""
         pool = self._plan(types, excluded, max_scenarios)
+        self._run(pool)
+        return pool.poisoned
+
+    def _run(self, pool: _Pool) -> None:
+        """Pull-based dispatch: an idle worker gets the next step, a result
+        frees its worker for another."""
         while not self._degraded:
             self._dispatch(pool)
             self._flush(pool)  # (after dispatch: no worker waits on fsync)
@@ -258,7 +263,6 @@ class ScenarioExecutor:
         # A collapsed pool leaves steps unanswered (misses, to the walk):
         # admit what did come back behind them.
         self._flush(pool, gaps=True)
-        return pool.poisoned
 
     def _dispatch(self, pool: _Pool) -> None:
         """Send every idle worker its next step."""
@@ -275,7 +279,7 @@ class ScenarioExecutor:
         if worker not in self._procs:
             self._spawn(worker)
         step, holds = slot.step, self._holds[worker]
-        if step.kind == "evals" and step.message_type in holds:
+        if step.context is not None and step.message_type in holds:
             # (the slot keeps the full step: a respawn may need it again)
             step = step._replace(context=replace(
                 step.context, injection=None, baseline=None))
@@ -287,7 +291,7 @@ class ScenarioExecutor:
             self._fail_worker(worker, FAIL_CRASH, "pipe closed on step send",
                               None, pool)
             return
-        if step.kind == "evals":
+        if step.kind in ("evals", "explain"):
             holds.add(step.message_type)
         slot.queued = False
         budget = self.policy.deadline_for()
@@ -542,6 +546,35 @@ class ScenarioExecutor:
         # deterministic report, only rendered for humans when eventful.
         report.worker_health = self._health.report_if_eventful()
         return report
+
+    # ------------------------------------------------------------- forensics
+
+    def explain(self, findings: Sequence, traces: bool = False) -> list:
+        """Explain ``findings``, in order, one ``explain`` step per finding
+        type (:meth:`~repro.parallel.worker.WorkerProber.explain`) from the
+        type's context in the cache.  A healthy pool runs the steps, each
+        context shipped to a worker once; the parent-side prober runs
+        whatever the pool did not answer."""
+        records: Dict[str, list] = {}
+        for finding in findings:
+            scenario = finding.scenario
+            records.setdefault(scenario.message_type, []).append(
+                scenario.action.to_record())
+        slots = [_Slot(Step("explain", message_type, tuple(explained),
+                            context=self.cache.contexts.get(message_type),
+                            traces=traces))
+                 for message_type, explained in records.items()]
+        if self._use_fork:
+            self._run(_Pool(list(slots), {}))
+        explained: Dict[str, Iterator] = {}
+        for slot in slots:
+            step, ret = slot.step, slot.result
+            explained[step.message_type] = iter(
+                ret.explanations
+                if ret is not None and ret.explanations is not None
+                else self._parent().explain(step.message_type, step.context,
+                                            step.records, traces))
+        return [next(explained[f.scenario.message_type]) for f in findings]
 
     # ------------------------------------------------------------ accounting
 

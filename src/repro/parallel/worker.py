@@ -23,6 +23,10 @@ prober of the same ``(factory, seed)`` branches an evaluation from it by
 restoring that snapshot into its own world.  The one seek off the books
 left is for a context loaded from the journal, which has no point: a
 prober seeks it once, the first time it needs it.
+
+An explanation is a probe too, off the books (:meth:`WorkerProber.explain`):
+the prober that holds a finding type's found context branches from it with
+the causal tap on, and ships home only the explanations.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ class Step(NamedTuple):
     :meth:`ProbeCache.split`'s groups of that type's actions (``records``)
     from the type's ``context``, with the probes of them already recorded
     (``known``) so none is simulated twice; ``baseline`` is brute force's
-    one fresh execution.  A step is a pure function of the hunt, so whoever
-    runs it records the same probes.
+    one fresh execution; ``explain`` explains the type's findings
+    (``records``) from its ``context``, keeping their chronologies when
+    ``traces``.  A step is a pure function of the hunt, so whoever runs it
+    records the same probes.
     """
 
     kind: str
@@ -112,6 +118,7 @@ class Step(NamedTuple):
     records: Tuple[tuple, ...] = ()
     known: Tuple[EvalProbe, ...] = ()
     context: Optional[ContextProbe] = None
+    traces: bool = False
 
     @property
     def key(self) -> tuple:
@@ -136,6 +143,9 @@ class WorkerReturn:
     context: Optional[ContextProbe] = None
     evals: List[EvalProbe] = field(default_factory=list)
     baseline: Optional[BaselineProbe] = None
+    #: an ``explain`` step's explanations
+    #: (:class:`~repro.forensics.explain.AttackExplanation`)
+    explanations: Optional[list] = None
     #: the worker's own cumulative ledger (side-channel attribution only;
     #: the merged report's ledger is replayed from traces instead)
     by_category: Dict[str, float] = field(default_factory=dict)
@@ -283,9 +293,10 @@ class WorkerProber:
 
     def _probe(self, *key) -> None:
         """Name the probe about to be simulated — the key the probe cache
-        files it under — so the fault plan's draws restart for it."""
+        files it under — so the fault plan's draws restart for it.  No key
+        names work off the books, which draws no faults."""
         if self.config.fault_plan is not None:
-            self.config.fault_plan.begin(key)
+            self.config.fault_plan.begin(key or None)
 
     def _rebuild_testbed(self) -> None:
         """Replace the testbed with a fresh build of the same factory+seed,
@@ -357,25 +368,31 @@ class WorkerProber:
         return ContextProbe(found is not None, step.trace, step.quarantined,
                             *(found or ()))
 
+    def _held(self, message_type: str,
+              context: Optional[ContextProbe]) -> ContextProbe:
+        """The type's found ``context`` with its point, whoever sought it.
+        This prober keeps the first found context it sees per type, so a
+        context without its point (shipped stripped to a worker that holds
+        it, or loaded from the journal) is filled from there.  Failing
+        that, the first ask simulates the context probe again **off the
+        books** (its trace is dropped, so the report cannot tell)."""
+        self._ensure_started()
+        if context is not None and context.injection is not None:
+            self._sought.setdefault(message_type, context)
+            return context
+        if message_type not in self._sought:
+            self._sought[message_type] = self.context(message_type)
+        context = self._sought[message_type]
+        if context.injection is None:  # a deterministic world
+            raise SearchError(f"injection point for {message_type} "
+                              f"disappeared on re-seek")
+        return context
+
     def evaluate(self, message_type: str, context: ContextProbe,
                  action: MaliciousAction) -> EvalProbe:
         """Supervised branch-measure of ``action`` from the type's found
-        ``context``, whoever sought it.  This prober keeps the first found
-        context it sees per type, so a context without its point (shipped
-        stripped to a worker that holds it, or loaded from the journal) is
-        filled from there.  Failing that, the first ask simulates the
-        context probe again **off the books** (its trace is dropped, so
-        the report cannot tell)."""
-        self._ensure_started()
-        if context.injection is not None:
-            self._sought.setdefault(message_type, context)
-        else:
-            if message_type not in self._sought:
-                self._sought[message_type] = self.context(message_type)
-            context = self._sought[message_type]
-            if context.injection is None:  # a deterministic world
-                raise SearchError(f"injection point for {message_type} "
-                                  f"disappeared on re-seek")
+        ``context`` (:meth:`_held`)."""
+        context = self._held(message_type, context)
         injection, baseline = context.injection, context.baseline
         self._probe("eval", message_type, action.to_record())
         sample = None
@@ -408,6 +425,52 @@ class WorkerProber:
             self.harness = kept
         return BaselineProbe(sample if step.quarantined is None else None,
                              step.trace, step.quarantined)
+
+    # ------------------------------------------------------------- forensics
+
+    def explain(self, message_type: str, context: Optional[ContextProbe],
+                records: Sequence[tuple], traces: bool = False) -> list:
+        """Explain the findings ``records`` of one type, in order, from its
+        found ``context`` (:meth:`_held`): one benign branch serves them
+        all, then an attacked branch each, with the causal tap on.  Off
+        the books: a private ledger and no platform faults.  ``traces``
+        keeps each explanation's chronologies (a forensics bundle's)."""
+        # (imported here: a hunt that explains nothing never loads them)
+        from repro.forensics.explain import explain_branches
+        injection = self._held(message_type, context).injection
+        window = self.harness.instance.window
+        ledger, self.harness.ledger = self.harness.ledger, CostLedger()
+        self._probe()
+        try:
+            benign = self._observe(injection, None)
+            return [explain_branches(injection, action, window, benign,
+                                     self._observe(injection, action),
+                                     self.config.threshold, traces)
+                    for action in map(MaliciousAction.from_record, records)]
+        finally:
+            self.harness.ledger = ledger
+
+    def _observe(self, injection: InjectionPoint,
+                 action: Optional[MaliciousAction]):
+        """One branch from ``injection`` with the causal tap on
+        (:func:`repro.forensics.explain.observe`).  The crash records it
+        logs, the crash chain's evidence, go to a list of their own: never
+        to the world's log, so never to a ``--log-events`` stream."""
+        from repro.forensics.causality import CausalRecorder
+        from repro.forensics.explain import CrashRecords, observe
+        world = self.harness.world
+        recorder = CausalRecorder(world.codec, lambda: world.kernel.now)
+        log = world.log
+        kept = log.records, log.enabled
+        log.records, log.enabled = CrashRecords(), True
+        world.emulator.causal_tap = recorder
+        try:
+            sample = self.harness.branch_measure(injection, action)
+        finally:
+            world.emulator.causal_tap = None
+            records, (log.records, log.enabled) = log.records, kept
+        return observe(recorder, sample, records, world.metrics,
+                       injection.time, self.harness.instance.window)
 
     # ------------------------------------------------------------- packaging
 
@@ -463,6 +526,9 @@ class WorkerProber:
                     message_type, step.context, action))
         elif kind == "baseline":
             payload.baseline = self.baseline()
+        elif kind == "explain":
+            payload.explanations = self.explain(
+                message_type, step.context, step.records, step.traces)
         else:
             raise ValueError(f"unknown worker step {kind!r}")
         if kind == "startup" or fresh:

@@ -40,14 +40,12 @@ class World:
                  log_enabled: bool = False,
                  watchdog_limit: Optional[int] = None,
                  telemetry_enabled: bool = False,
-                 device_config: Optional[dict] = None,
-                 log_max_records: Optional[int] = None) -> None:
+                 device_config: Optional[dict] = None) -> None:
         self.codec = codec
         self.rng = RngRegistry(seed)
         self.kernel = SimKernel()
         self.kernel.watchdog_limit = watchdog_limit
-        self.log = EventLog(lambda: self.kernel.now, enabled=log_enabled,
-                            max_records=log_max_records)
+        self.log = EventLog(lambda: self.kernel.now, enabled=log_enabled)
         #: platform instruments for this world — disabled by default, the
         #: harness flips ``enabled`` when telemetry is requested; the state
         #: rides in :meth:`save_component_states` so branched executions

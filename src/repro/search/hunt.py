@@ -15,7 +15,8 @@ scenario already found, and the hunt stops when a pass finds nothing new
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Union)
 
 from repro.common.errors import ConfigError
 from repro.common.logging import LogRecord
@@ -71,7 +72,7 @@ class HuntResult:
     #: when any worker misbehaved)
     worker_health: Optional["WorkerHealthReport"] = None
     #: forensic explanations of the findings (side channel as well:
-    #: computed post-merge with ``explain=True``, never serialized — the
+    #: computed post-merge when ``explain``, never serialized — the
     #: result JSON is byte-identical with forensics on or off)
     explanations: Optional[list] = None
     #: what the durable store did (side channel: an interrupted-and-resumed
@@ -187,7 +188,7 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
          log_events: bool = False,
          workers: int = 1,
          health_policy: Optional["HealthPolicy"] = None,
-         explain: bool = False,
+         explain: Union[bool, str] = False,
          store_dir: Optional[str] = None,
          **settings) -> HuntResult:
     """Run weighted-greedy passes until a pass finds nothing new.
@@ -206,7 +207,9 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
     in ``result.telemetry``), ``progress``, ``log_events`` (the EventLog in
     ``result.event_log``), ``workers`` (a forked pool prefetches each
     pass's steps, self-healing per ``health_policy``), ``explain``
-    (forensic explanations in ``result.explanations``) and ``store_dir``:
+    (forensic explanations in ``result.explanations``, run by the same
+    executor; ``"traces"`` also keeps each one's chronologies, which a
+    forensics bundle's traces need) and ``store_dir``:
     every probe is journaled before it is used and the pass state
     checkpointed after every pass, so a hunt killed at any instant resumes,
     byte for byte, when rerun on the same directory — under the same probe
@@ -286,6 +289,9 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
                 checkpoint()
             if not report.findings:
                 break
+        if explain and result.findings:
+            result.explanations = executor.explain(
+                result.findings, traces=explain == "traces")
     finally:
         if executor is not None:
             result.worker_breakdown = executor.worker_breakdown()
@@ -295,11 +301,4 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
             from repro.store.runstore import StoreReport
             result.store_report = StoreReport(store.counters())
             store.close()
-    if explain and result.findings and not result.interrupted:
-        # Post-merge forensics: the finding list is already identical
-        # across worker counts, so explaining it on a dedicated serial
-        # harness yields worker-invariant explanations.
-        from repro.forensics.explain import explain_findings
-        result.explanations = explain_findings(factory, result.findings,
-                                               config)
     return result

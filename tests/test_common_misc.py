@@ -87,47 +87,3 @@ class TestEventLog:
         log = EventLog(enabled=True)
         log.emit("node", "send", dst="replica1")
         assert "node: send dst=replica1" in str(log.records[0])
-
-
-class TestEventLogRing:
-    def test_ring_cap_evicts_oldest(self):
-        log = EventLog(enabled=True, max_records=16)
-        for i in range(100):
-            log.emit("c", "e", i=i)
-        assert len(log.records) <= 16
-        assert isinstance(log.records, list)
-        # the newest record survived, the oldest were evicted
-        assert log.records[-1].details["i"] == 99
-        assert log.records[0].details["i"] > 0
-        assert log.truncated == 100 - len(log.records)
-        assert log.dropped == 0  # ring mode never drops new records
-
-    def test_ring_takes_precedence_over_capacity(self):
-        log = EventLog(enabled=True, capacity=4, max_records=8)
-        for i in range(20):
-            log.emit("c", "e", i=i)
-        assert log.records[-1].details["i"] == 19
-        assert log.dropped == 0
-
-    def test_unbounded_by_default(self):
-        log = EventLog(enabled=True)
-        for i in range(10):
-            log.emit("c", "e")
-        assert len(log.records) == 10 and log.truncated == 0
-
-    def test_clear_resets_truncation(self):
-        log = EventLog(enabled=True, max_records=2)
-        for __ in range(10):
-            log.emit("c", "e")
-        log.clear()
-        assert log.records == [] and log.truncated == 0
-
-    def test_world_plumbs_ring_cap(self):
-        from repro.runtime.world import World
-        from repro.wire.codec import ProtocolCodec
-        from repro.wire.parser import parse_schema
-        schema = parse_schema(
-            "protocol p\nmessage M = 1 {\n    x: u32\n}\n")
-        world = World(ProtocolCodec(schema), log_enabled=True,
-                      log_max_records=7)
-        assert world.log.max_records == 7

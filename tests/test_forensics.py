@@ -14,11 +14,11 @@ from repro.forensics.causality import (DELIVER, EGRESS, SEND, CausalEvent,
                                        CausalRecorder)
 from repro.forensics.differential import (diff_branches, first_divergence,
                                           perf_timeline)
-from repro.forensics.explain import ForensicRunner, explain_findings
 from repro.forensics.report import (explanation_chrome_trace,
                                     render_explanations_markdown,
                                     write_forensics)
 from repro.netem.packets import MessageEnvelope
+from repro.parallel.executor import ScenarioExecutor
 from repro.search.results import AttackFinding
 from repro.systems.pbft.testbed import pbft_testbed
 
@@ -33,6 +33,14 @@ def make_finding(action, mtype="PrePrepare"):
     attacked = PerfSample(0.0, 2.0, 10.0, 0.01, 0.01, 0.01, 0)
     return AttackFinding(AttackScenario(mtype, action), benign, attacked,
                          damage=0.9, crashes=0, found_at=1.0)
+
+
+def explain(findings, seed=1, traces=False):
+    """Explain ``findings`` on a fresh one-prober executor, which seeks
+    each type's context off the books first."""
+    with ScenarioExecutor(FACTORY, HuntConfig(seed=seed, max_wait=5.0),
+                          workers=1) as executor:
+        return executor.explain(findings, traces=traces)
 
 
 def ev(kind, t, seq, mtype="Msg", src="a", dst="b", digest="d0"):
@@ -156,12 +164,11 @@ class TestDropForensics:
     """First-divergence correctness on a scripted PBFT drop attack."""
 
     def explain_drop(self, seed=1):
-        runner = ForensicRunner(FACTORY, HuntConfig(seed=seed, max_wait=5.0))
-        return runner.explain(make_finding(DropAction(1.0)))
+        return explain([make_finding(DropAction(1.0))], seed)[0]
 
     def test_first_divergence_names_the_dropped_message(self):
         exp = self.explain_drop()
-        assert not exp.unreproduced
+        assert not exp.to_dict()["unreproduced"]
         assert exp.divergence.kind == "absent"
         assert exp.divergence.message_type == "PrePrepare"
         assert exp.divergence.event_kind in ("egress", "deliver")
@@ -179,34 +186,28 @@ class TestDropForensics:
             json.dumps(second, sort_keys=True)
 
     def test_delay_diverges_as_delayed(self):
-        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
-        exp = runner.explain(make_finding(DelayAction(1.0)))
+        exp = explain([make_finding(DelayAction(1.0))])[0]
         assert exp.divergence.kind == "delayed"
         assert exp.divergence.attack_time > exp.divergence.benign_time
 
     def test_duplicate_diverges_as_extra(self):
-        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
-        exp = runner.explain(make_finding(DuplicateAction(50)))
+        exp = explain([make_finding(DuplicateAction(50))])[0]
         assert exp.divergence.kind == "extra"
 
     def test_one_runner_explains_many_findings(self):
-        explanations = explain_findings(
-            FACTORY, [make_finding(DropAction(1.0)),
-                      make_finding(DelayAction(1.0))],
-            HuntConfig(seed=1, max_wait=5.0))
+        explanations = explain([make_finding(DropAction(1.0)),
+                                make_finding(DelayAction(1.0))])
         assert [e.divergence.kind for e in explanations] == \
             ["absent", "delayed"]
 
     def test_one_seek_per_type_same_explanations(self, monkeypatch):
-        """The runner seeks a type's injection point once and reuses it:
+        """An executor seeks a type's injection point once and reuses it:
         two findings of one type cost one ``run_to_injection``, and explain
-        exactly as a fresh runner per finding would."""
+        exactly as a fresh executor per finding would."""
         from repro.controller.harness import AttackHarness
         findings = [make_finding(DropAction(1.0)),
                     make_finding(DelayAction(1.0))]
-        config = HuntConfig(seed=1, max_wait=5.0)
-        fresh = [json.dumps(ForensicRunner(FACTORY, config)
-                            .explain(f).to_dict(), sort_keys=True)
+        fresh = [json.dumps(explain([f])[0].to_dict(), sort_keys=True)
                  for f in findings]
         seeks = []
         original = AttackHarness.run_to_injection
@@ -216,17 +217,38 @@ class TestDropForensics:
             return original(harness, message_type, max_wait)
 
         monkeypatch.setattr(AttackHarness, "run_to_injection", counted)
-        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
-        shared = [json.dumps(runner.explain(f).to_dict(), sort_keys=True)
-                  for f in findings]
+        shared = [json.dumps(e.to_dict(), sort_keys=True)
+                  for e in explain(findings)]
         assert seeks == ["PrePrepare"]
         assert shared == fresh
 
 
+class TestCrashChain:
+    def test_crash_chain_survives_a_long_explanation_run(self, monkeypatch):
+        """The crash chain comes from the attacked branch's own EventLog
+        records, whatever the branches before it logged: a lie that crashes
+        every backup explains the same after other findings as first.  (A
+        smaller log capacity, about three branches' records, stands in for
+        the long run that once filled the log and lost the chain.)"""
+        import functools
+        from repro.attacks.actions import LyingAction
+        from repro.attacks.strategies import LyingStrategy
+        from repro.common.logging import EventLog
+        monkeypatch.setattr(EventLog, "__init__", functools.partialmethod(
+            EventLog.__init__, capacity=60_000))
+        lie = make_finding(LyingAction("big_reqs", LyingStrategy("min", 0.0)))
+        explanations = explain([lie, make_finding(DropAction(1.0)),
+                                make_finding(DelayAction(1.0)), lie])
+        chain = ["replica1[fault]@1.005", "replica2[fault]@1.005",
+                 "replica3[fault]@1.005"]
+        assert explanations[0].crash_chain == chain
+        assert explanations[-1].attack_sample.crashed_nodes == 3
+        assert explanations[-1].crash_chain == chain
+
+
 class TestReportRendering:
     def test_markdown_and_chrome_trace(self, tmp_path):
-        runner = ForensicRunner(FACTORY, HuntConfig(seed=1, max_wait=5.0))
-        exp = runner.explain(make_finding(DropAction(1.0)))
+        exp = explain([make_finding(DropAction(1.0))], traces=True)[0]
         text = render_explanations_markdown([exp])
         assert "Attack forensics" in text and "Drop 100% PrePrepare" in text
         trace = explanation_chrome_trace(exp)
@@ -256,6 +278,31 @@ class TestHuntForensics:
         parallel_json = json.dumps(
             [e.to_dict() for e in parallel.explanations], sort_keys=True)
         assert serial_json == parallel_json
+
+    def test_serial_explain_adds_no_boot_or_seek(self, monkeypatch):
+        """A serial hunt explains on the prober that found its findings:
+        from the contexts it holds, with no boot and no seek of its own,
+        and keeps no chronology unless asked for traces."""
+        from repro.controller.harness import AttackHarness
+        calls = []
+        for name in ("start_run", "run_to_injection"):
+            def counted(harness, *args, _name=name,
+                        _original=getattr(AttackHarness, name), **kwargs):
+                calls.append(_name)
+                return _original(harness, *args, **kwargs)
+            monkeypatch.setattr(AttackHarness, name, counted)
+        plain = self.run_hunt(explain=False)
+        plain_calls, calls[:] = list(calls), []
+        explained = self.run_hunt(explain=True)
+        assert calls == plain_calls and "start_run" in calls
+        assert explained.explanations
+        assert all(e.attack_chronology is None
+                   for e in explained.explanations)
+        traced = self.run_hunt(explain="traces")
+        assert [e.to_dict() for e in traced.explanations] == \
+            [e.to_dict() for e in explained.explanations]
+        assert all(e.attack_chronology.events and e.benign_chronology.events
+                   for e in traced.explanations)
 
     def test_result_json_identical_with_forensics_on_or_off(self):
         from repro.analysis.reports import hunt_result_to_dict

@@ -155,6 +155,34 @@ class TestKillResume:
         assert envelope["checkpoint"]["written_at_pass"] == 2
 
 
+class TestExplainedResume:
+    def test_explanations_identical_serial_workers_resumed(self, tmp_path):
+        """A ``--forensics`` bundle is the same written by a serial hunt,
+        a ``--workers 2`` hunt and a killed hunt resumed from its store,
+        whose journaled contexts carry no point and are re-sought off the
+        books."""
+        def bundle(out):
+            return {path.name: path.read_bytes()
+                    for path in sorted(out.iterdir())}
+
+        bundles = {}
+        for name, extra in (("serial", []), ("workers2", ["--workers", "2"])):
+            proc = run_hunt(["--forensics", str(tmp_path / name)] + extra)
+            assert proc.returncode == 0, proc.stderr
+            bundles[name] = bundle(tmp_path / name)
+        store, flag = str(tmp_path / "store"), str(tmp_path / "fired")
+        killed = run_hunt(["--store", store],
+                          chaos=f"journal.append:crash:3:{flag}")
+        assert_sigkilled(killed, flag)
+        resumed = run_hunt(["--store", store,
+                            "--forensics", str(tmp_path / "resumed")])
+        assert resumed.returncode == 0, resumed.stderr
+        bundles["resumed"] = bundle(tmp_path / "resumed")
+        assert len(bundles["serial"]) == 4  # two findings, two traces
+        assert bundles["workers2"] == bundles["serial"]
+        assert bundles["resumed"] == bundles["serial"]
+
+
 def live_members(session):
     """Pids in process session ``session`` that are not zombies."""
     members = set()
