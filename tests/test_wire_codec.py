@@ -88,6 +88,52 @@ class TestEncodeDecode:
             CODEC.encode(kitchen(blob=b"x" * 70000))
 
 
+class TestMessageValue:
+    """What a handler, a test and the benchmark may rely on a message for,
+    whatever class carries it."""
+
+    def test_equal_exactly_when_type_and_fields_are(self):
+        msg = Message("Tiny", {"x": 1})
+        assert msg == Message("Tiny", {"x": 1})
+        assert not msg != Message("Tiny", {"x": 1})
+        assert msg != Message("Tiny", {"x": 2})
+        assert msg != Message("Other", {"x": 1})
+        assert not msg == Message("Other", {"x": 1})
+        assert Message("NoFields") == Message("NoFields", {})
+
+    def test_copy_is_an_independent_message_of_the_same_type(self):
+        msg = kitchen(word=3)
+        copied = msg.copy()
+        assert type(copied) is Message and copied is not msg
+        assert copied == msg and copied.type_name == "Kitchen"
+        copied["word"] = 4
+        assert msg["word"] == 3 and copied["word"] == 4
+
+    def test_pickle_round_trip(self):
+        import pickle
+        msg = kitchen(blob=b"payload")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(msg, protocol))
+            assert type(back) is Message and back == msg
+            assert back.type_name == "Kitchen"
+
+    def test_field_access(self):
+        msg = Message("Tiny", {"x": 1})
+        assert msg["x"] == 1 and msg.get("x") == 1
+        assert msg.get("missing") is None and msg.get("missing", 5) == 5
+        msg["x"] = 2
+        assert msg["x"] == 2
+        with pytest.raises(KeyError):
+            msg["missing"]
+
+    def test_decoded_fields_equal_a_plain_dict(self):
+        """The frozen benchmark's round-trip check."""
+        decoded = CODEC.decode(CODEC.encode(Message("Tiny", {"x": 9})))
+        assert decoded.fields == {"x": 9}
+        assert not decoded.fields != {"x": 9}
+        assert decoded.type_name == "Tiny"
+
+
 class TestMutate:
     def test_mutate_scalar(self):
         encoded = CODEC.encode(kitchen(word=10))
