@@ -22,7 +22,7 @@ configuration-file mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Optional, Sequence
 
 from repro.common.ids import NodeId
 from repro.common.rng import RandomStream
@@ -46,7 +46,8 @@ class MaliciousProxy:
                  malicious: Sequence[NodeId], rng: RandomStream) -> None:
         self.emulator = emulator
         self.codec = codec
-        self.malicious: Set[NodeId] = set(malicious)
+        #: by name: a client and a replica of one index share a NodeId hash
+        self.malicious: FrozenSet[str] = frozenset(n.name for n in malicious)
         self.rng = rng
         self._policy: Dict[str, MaliciousAction] = {}
         self._background: Dict[str, MaliciousAction] = {}
@@ -131,7 +132,7 @@ class MaliciousProxy:
         return ActionContext(self.codec, self.rng, self.emulator.hosts())
 
     def __call__(self, envelope: MessageEnvelope) -> Verdict:
-        if envelope.src not in self.malicious:
+        if envelope.src.name not in self.malicious:
             return Verdict.passthrough()
         spec = envelope.spec or self.codec.peek_type(envelope.payload)
         if spec is None:

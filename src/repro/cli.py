@@ -98,6 +98,11 @@ def _emit_telemetry(args, tracer: Optional[Tracer],
         from repro.telemetry.export import log_jsonl_records, write_jsonl
         write_jsonl(sys.stdout,
                     log_jsonl_records(log_records, args.log_events))
+        dropped = sum(r.details["count"] for r in log_records
+                      if (r.component, r.event) == ("eventlog", "dropped"))
+        if dropped:
+            print(f"warning: --log-events dropped {dropped} records",
+                  file=sys.stderr)
     if getattr(args, "trace", None) and tracer is not None:
         from repro.telemetry.export import write_chrome_trace
         write_chrome_trace(args.trace, tracer)

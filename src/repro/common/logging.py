@@ -60,3 +60,13 @@ class EventLog:
     def clear(self) -> None:
         self.records.clear()
         self.dropped = 0
+
+    def take(self) -> List[LogRecord]:
+        """Hand over the records held and forget them; a last ``eventlog``
+        ``dropped`` record counts those the capacity turned away."""
+        records, self.records = self.records, []
+        if self.dropped:
+            records.append(LogRecord(self._clock(), "eventlog", "dropped",
+                                     {"count": self.dropped}))
+            self.dropped = 0
+        return records

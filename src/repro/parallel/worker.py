@@ -285,18 +285,24 @@ class WorkerProber:
         #: sought itself, was shipped, or re-sought for a journaled
         #: context (see :meth:`evaluate`)
         self._sought: Dict[str, ContextProbe] = {}
-        #: the world whose EventLog ``_log_mark`` counts into
-        self._logged = None
-        self._log_mark = 0
+        #: EventLog records taken from the world, not yet packaged
+        self._log_records: list = []
 
     # ----------------------------------------------------- supervised plane
 
     def _probe(self, *key) -> None:
         """Name the probe about to be simulated — the key the probe cache
         files it under — so the fault plan's draws restart for it.  No key
-        names work off the books, which draws no faults."""
+        names work off the books, which draws no faults.  The world's
+        EventLog then holds one probe's records at most."""
         if self.config.fault_plan is not None:
             self.config.fault_plan.begin(key or None)
+        self._take_log()
+
+    def _take_log(self) -> None:
+        instance = self.harness.instance
+        if self.log_events and instance is not None:
+            self._log_records += instance.world.log.take()
 
     def _rebuild_testbed(self) -> None:
         """Replace the testbed with a fresh build of the same factory+seed,
@@ -476,21 +482,14 @@ class WorkerProber:
 
     def _package(self, payload: WorkerReturn) -> WorkerReturn:
         """Stamp the cumulative ledger, and move tracer output (a private
-        tracer's only) and EventLog records since the last call onto
-        ``payload``."""
+        tracer's only) and the world's EventLog records onto ``payload``."""
         payload.by_category = dict(self.ledger.by_category)
         if self._ships_spans:
             payload.spans = list(self.tracer.spans)
             payload.events = list(self.tracer.events)
             self.tracer.clear()
-        if self.log_events:
-            instance = self.harness.instance
-            records = (instance.world.log.records
-                       if instance is not None else [])
-            if instance is not self._logged:  # a (re)built world: new log
-                self._logged, self._log_mark = instance, 0
-            payload.log_records = records[self._log_mark:]
-            self._log_mark = len(records)
+        self._take_log()
+        payload.log_records, self._log_records = self._log_records, []
         return payload
 
     def drain(self) -> WorkerReturn:

@@ -98,8 +98,8 @@ class Application:
     def send(self, dst: NodeId, message: Message) -> None:
         self.node.send(dst, message)
 
-    def broadcast(self, message: Message, include_self: bool = False) -> None:
-        self.node.broadcast(message, include_self=include_self)
+    def broadcast(self, message: Message) -> None:
+        self.node.broadcast(message)
 
     def set_timer(self, name: str, delay: float, periodic: bool = False) -> None:
         self.node.set_timer(name, delay, periodic)

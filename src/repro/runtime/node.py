@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.common.errors import (CodecError, TargetSystemFault,
                                  WireFormatError)
@@ -59,7 +59,8 @@ class Node:
         self.type_costs: Dict[str, float] = {}
 
         self.app: Optional[Application] = None
-        self.peers: List[NodeId] = []
+        #: the other members of this node's broadcast group
+        self.peers: Tuple[NodeId, ...] = ()
         self.started = False
         self.crashed = False
         self.crash_reason = ""
@@ -196,10 +197,8 @@ class Node:
             self.log.emit(str(self.node_id), "send", dst=str(dst),
                           type=message.type_name)
 
-    def broadcast(self, message: Message, include_self: bool = False) -> None:
+    def broadcast(self, message: Message) -> None:
         for peer in self.peers:
-            if peer == self.node_id and not include_self:
-                continue
             self.send(peer, message)
 
     # ---------------------------------------------------------------- timers

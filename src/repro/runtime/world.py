@@ -102,7 +102,7 @@ class World:
     def set_peer_groups(self, group: List[NodeId]) -> None:
         """Make ``group`` the broadcast set of each of its members."""
         for node_id in group:
-            self.nodes[node_id].peers = list(group)
+            self.nodes[node_id].peers = tuple(p for p in group if p != node_id)
 
     # ----------------------------------------------------------------- boot
 

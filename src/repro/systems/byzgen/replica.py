@@ -54,9 +54,6 @@ class ByzGeneral(Replica):
     def is_commander(self) -> bool:
         return self.index == 0
 
-    def peers(self) -> List[NodeId]:
-        return [replica(i) for i in range(self.config.n) if i != self.index]
-
     def lieutenants(self) -> List[NodeId]:
         return [replica(i) for i in range(1, self.config.n)]
 

@@ -98,7 +98,7 @@ class BaseReplica(Replica):
 
     @property
     def is_primary(self) -> bool:
-        return self.primary == self.node_id
+        return self.primary.name == self.node_id.name
 
     def replica_ids(self) -> List[NodeId]:
         return [replica(i) for i in range(self.config.n)]

@@ -74,9 +74,6 @@ class PaxosReplica(Replica):
     def is_leader(self) -> bool:
         return self.leader_index == self.index
 
-    def peers(self) -> List[NodeId]:
-        return [replica(i) for i in range(self.config.n) if i != self.index]
-
     # ---------------------------------------------------------------- start
 
     def on_start(self) -> None:
@@ -90,9 +87,8 @@ class PaxosReplica(Replica):
     def on_timer(self, name: str) -> None:
         if name == HEARTBEAT_TIMER:
             if self.is_leader:
-                for peer in self.peers():
-                    self.send(peer, Message("Heartbeat", {
-                        "ballot": self.ballot, "node": self.index}))
+                self.broadcast(Message("Heartbeat", {
+                    "ballot": self.ballot, "node": self.index}))
         elif name == LEADER_CHECK_TIMER:
             if (not self.is_leader
                     and self.now() - self.last_heartbeat
@@ -106,10 +102,8 @@ class PaxosReplica(Replica):
             b += 1
         self.ballot = b
         self.promises[b] = [self.index]
-        for peer in self.peers():
-            self.send(peer, Message("Prepare", {
-                "ballot": b, "slot": self.last_applied + 1,
-                "node": self.index}))
+        self.broadcast(Message("Prepare", {
+            "ballot": b, "slot": self.last_applied + 1, "node": self.index}))
 
     # ------------------------------------------------------------- messages
 
@@ -125,7 +119,7 @@ class PaxosReplica(Replica):
             return
         if not self.is_leader:
             self.send(replica(self.leader_index),
-                      Message("ClientRequest", dict(msg.fields)))
+                      Message("ClientRequest", msg))
             return
         for entry in self.slots.values():
             if entry["client"] == cli and entry["timestamp"] == ts:
@@ -136,10 +130,9 @@ class PaxosReplica(Replica):
             "value": msg["payload"], "client": cli, "timestamp": ts,
             "acks": [self.index], "accepted_ballot": self.ballot,
             "chosen": False}
-        for peer in self.peers():
-            self.send(peer, Message("Accept", {
-                "ballot": self.ballot, "slot": slot, "node": self.index,
-                "timestamp": ts, "client": cli, "value": msg["payload"]}))
+        self.broadcast(Message("Accept", {
+            "ballot": self.ballot, "slot": slot, "node": self.index,
+            "timestamp": ts, "client": cli, "value": msg["payload"]}))
 
     def _on_prepare(self, src: NodeId, msg: Message) -> None:
         if msg["ballot"] < self.ballot:
@@ -184,10 +177,9 @@ class PaxosReplica(Replica):
         if add_vote(entry["acks"], msg["node"]) >= self.config.majority:
             entry["chosen"] = True
             self._apply(msg["slot"], entry)
-            for peer in self.peers():
-                self.send(peer, Message("Learn", {
-                    "slot": msg["slot"], "timestamp": entry["timestamp"],
-                    "client": entry["client"], "value": entry["value"]}))
+            self.broadcast(Message("Learn", {
+                "slot": msg["slot"], "timestamp": entry["timestamp"],
+                "client": entry["client"], "value": entry["value"]}))
 
     def _on_learn(self, src: NodeId, msg: Message) -> None:
         entry = self.slots.setdefault(msg["slot"], {

@@ -98,7 +98,7 @@ class PbftReplica(BaseReplica):
         cached = self.reply_cache.get(cli)
         if cached is not None and cached[0] >= ts:
             if cached[0] == ts:
-                self.send(client(cli), Message("Reply", dict(cached[1])))
+                self.send(client(cli), Message("Reply", cached[1]))
             return
         key = (cli, ts)
         if self.is_primary and not self.in_view_change:
@@ -110,8 +110,7 @@ class PbftReplica(BaseReplica):
                 # pre-prepare (recovery path for dropped pre-prepares).
                 entry = self.log.get(seq)
                 if entry is not None and entry["preprepare"] is not None:
-                    self.broadcast(
-                        Message("PrePrepare", dict(entry["preprepare"])))
+                    self.broadcast(Message("PrePrepare", entry["preprepare"]))
         else:
             self.pending[key] = msg["payload"]
             if not self.node.timer_pending(PROGRESS_TIMER):
@@ -144,7 +143,7 @@ class PbftReplica(BaseReplica):
         view, seq = msg["view"], msg["seq"]
         if view != self.view or self.in_view_change:
             return
-        if src != self.primary_of(view):
+        if src.name != self.primary_of(view).name:
             return
         if not self.check_auth(msg["sig"], view, seq, msg["digest"]):
             return
@@ -160,7 +159,7 @@ class PbftReplica(BaseReplica):
         first_time = entry["preprepare"] is None
         entry.update(digest=msg["digest"], payload=msg["payload"],
                      timestamp=msg["timestamp"], client=msg["client"],
-                     view=view, preprepare=dict(msg.fields))
+                     view=view, preprepare=dict(msg))
         if first_time:
             # The primary's pre-prepare counts as its prepare vote.
             add_vote(entry["prepares"], src.index)
@@ -340,7 +339,7 @@ class PbftReplica(BaseReplica):
     def _retransmit_entry(self, dst: NodeId, entry: Dict[str, Any],
                           seq: int) -> None:
         if entry["preprepare"] is not None:
-            self.send(dst, Message("PrePrepare", dict(entry["preprepare"])))
+            self.send(dst, Message("PrePrepare", entry["preprepare"]))
             self.retransmissions_sent += 1
         if self.index in entry["prepares"] and not self.is_primary:
             self.send(dst, Message("Prepare", {

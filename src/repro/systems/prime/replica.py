@@ -144,7 +144,7 @@ class PrimeReplica(BaseReplica):
         if not self.check_auth(msg["sig"], msg["originator"], msg["seq"],
                                msg["timestamp"]):
             return
-        self._store_po(msg["originator"], msg["seq"], dict(msg.fields))
+        self._store_po(msg["originator"], msg["seq"], dict(msg))
         ack = Message("POAck", {
             "originator": msg["originator"], "seq": msg["seq"],
             "replica": self.index,

@@ -169,7 +169,7 @@ class StewardReplica(BaseReplica):
             return
         if not self.is_global_leader:
             # leader-site backup: relay to the leader
-            self.send(replica(0), Message("Request", dict(msg.fields)))
+            self.send(replica(0), Message("Request", msg))
             return
         key = (cli, ts)
         seq = self.assigned.get(key)
@@ -269,13 +269,13 @@ class StewardReplica(BaseReplica):
         seq = msg["seq"]
         entry = self.remote.setdefault(seq, {
             "proposal": None, "shares": [], "accept_sent": False, "seen": 0})
-        entry["proposal"] = dict(msg.fields)
+        entry["proposal"] = dict(msg)
         entry["seen"] += 1
         if self.is_representative:
             if entry["seen"] == 1:
                 # fan out to the site and contribute our own share
                 for peer in self.site_peer_ids():
-                    self.send(peer, Message("Proposal", dict(msg.fields)))
+                    self.send(peer, Message("Proposal", msg))
                 self._send_share(seq, msg["digest"])
             else:
                 # leader retransmission reached us again: re-accept directly

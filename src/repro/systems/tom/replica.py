@@ -15,7 +15,7 @@ lying attacks against the sequencer immediately.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.common.ids import NodeId, replica
 from repro.metrics.collector import UPDATE_DONE
@@ -52,9 +52,6 @@ class TomMember(Replica):
     def is_sequencer(self) -> bool:
         return self.index == 0
 
-    def peers(self) -> List[NodeId]:
-        return [replica(i) for i in range(self.config.n) if i != self.index]
-
     # ---------------------------------------------------------------- driver
 
     def on_start(self) -> None:
@@ -70,8 +67,7 @@ class TomMember(Replica):
             "sent_at": int(self.now() * 1_000_000),
             "payload": f"m:{self.index}:{self.local_seq}".encode()})
         self._accept_publish(message)
-        for peer in self.peers():
-            self.send(peer, message)
+        self.broadcast(message)
 
     # -------------------------------------------------------------- messages
 
@@ -96,8 +92,7 @@ class TomMember(Replica):
                 "global_seq": self.next_global, "sender": key[0],
                 "local_seq": key[1]})
             self.order[self.next_global] = key
-            for peer in self.peers():
-                self.send(peer, record)
+            self.broadcast(record)
         self._try_deliver()
 
     def _try_deliver(self) -> None:

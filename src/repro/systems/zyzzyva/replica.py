@@ -97,7 +97,7 @@ class ZyzzyvaReplica(BaseReplica):
         self.last_spec = seq
         self.history = hashlib.blake2b(
             self.history + msg["digest"], digest_size=32).digest()
-        self.ordered[seq] = dict(msg.fields)
+        self.ordered[seq] = dict(msg)
         self.pending.pop((msg["client"], msg["timestamp"]), None)
         if not self.pending:
             self.cancel_timer(PROGRESS_TIMER)

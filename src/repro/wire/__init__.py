@@ -7,9 +7,9 @@ binary wire protocols" (Section IV-B).  Public surface:
 * :func:`parse_schema` — parse the DSL into a :class:`ProtocolSchema`.
 * :class:`ProtocolCodec` — encode/decode/mutate messages of a schema, by
   dispatching into the functions the compiler generated for it.
-* :class:`Message` — a decoded message (type name + field dict).
-* :func:`compile_schema` — the back end: the generated module, one class
-  per message type with ``encode(fields)`` and ``decode(data)``.
+* :class:`Message` — a message is its field dict, tagged with its type name.
+* :func:`compile_schema` — the back end: the generated module, an
+  ``encode_<Type>(fields)`` and a ``decode_<Type>(data)`` per message type.
 """
 
 from repro.wire.codec import Message, ProtocolCodec

@@ -14,37 +14,43 @@ The per-type encode/decode functions are generated from the schema by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import CodecError
 from repro.wire.codegen import compile_schema
 from repro.wire.schema import KIND_SCALAR, MessageSpec, ProtocolSchema
 
 
-@dataclass
-class Message:
-    """A decoded (or to-be-encoded) application message."""
+class Message(dict):
+    """An application message: its field dict, tagged with its type name.
+    It equals a message of the same type and fields, or a plain dict of
+    the same fields."""
 
-    type_name: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("type_name",)
 
-    def __getitem__(self, name: str) -> Any:
-        return self.fields[name]
+    def __init__(self, type_name: str, fields: Mapping[str, Any] = ()) -> None:
+        dict.__init__(self, fields)
+        self.type_name = type_name
 
-    def __setitem__(self, name: str, value: Any) -> None:
-        self.fields[name] = value
+    @property
+    def fields(self) -> "Message":
+        """The message itself: a message is its field dict."""
+        return self
 
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.fields.get(name, default)
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Message) and other.type_name != self.type_name:
+            return False
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def copy(self) -> "Message":
-        return Message(self.type_name, dict(self.fields))
+        return Message(self.type_name, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.fields.items())
-        return f"{self.type_name}({inner})"
+        return f"{self.type_name}({dict.__repr__(self)})"
 
 
 class ProtocolCodec:
@@ -63,12 +69,12 @@ class ProtocolCodec:
         """``(spec, encode, decode)`` under both the type name and the wire
         tag.  Compiled on first use, so a process pays (time and memory)
         only for the schemas it actually speaks."""
-        classes = compile_schema(self.schema).MESSAGE_CLASSES
+        module = compile_schema(self.schema)
         table = {}
         for spec in self.schema.messages:
-            cls = classes[spec.type_id]
             table[spec.name] = table[spec.type_id] = (
-                spec, cls.encode, cls.decode)
+                spec, getattr(module, f"encode_{spec.name}"),
+                getattr(module, f"decode_{spec.name}"))
         return table
 
     @cached_property
@@ -81,7 +87,7 @@ class ProtocolCodec:
         entry = self._generated.get(message.type_name)
         if entry is None:
             self.schema.message_named(message.type_name)   # raises
-        return entry[1](message.fields)
+        return entry[1](message)
 
     def encode_wrapped(self, message: Message) -> bytes:
         """Encode ``message`` with every scalar stored the way a C field
@@ -95,7 +101,7 @@ class ProtocolCodec:
         still a platform bug: :class:`CodecError`, naming the protocol.
         """
         spec = self.schema.message_named(message.type_name)
-        fields = dict(message.fields)
+        fields = dict(message)
         for f in spec.fields:
             if f.kind == KIND_SCALAR and f.name in fields:
                 fields[f.name] = f.scalar.wrap(fields[f.name])
@@ -124,7 +130,10 @@ class ProtocolCodec:
             entry = self._lookup(data)
         if entry is None:
             raise CodecError("unknown or truncated message type tag")
-        return Message(entry[0].name, entry[2](data))
+        message = dict.__new__(Message)     # no Python-level __init__
+        message.update(entry[2](data))
+        message.type_name = entry[0].name
+        return message
 
     def mutate(self, data: bytes, field_name: str, new_value: Any) -> bytes:
         """Return ``data`` re-encoded with one scalar field replaced.

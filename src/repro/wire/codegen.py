@@ -3,13 +3,14 @@
 The paper's compiler "generates C++ code compatible with a large set of
 binary wire protocols" which is "compiled and linked to the malicious proxy".
 We target Python instead of C++: :func:`generate_module_source` emits a
-module with one class per message type holding a straight-line
-``encode(fields)`` / ``decode(data)`` pair, and :func:`compile_schema`
-executes it.  Each *fixed-layout run* of fields — the type tag, scalars,
-``bytes[N]`` and the length prefix of the ``varbytes`` that ends the run —
-is one precompiled ``struct.Struct``, so a message costs one pack/unpack
-call per run plus the checks the wire format needs.  The generated code *is*
-the codec: :class:`repro.wire.codec.ProtocolCodec` only dispatches into it.
+module with a straight-line ``encode_<Type>(fields)`` /
+``decode_<Type>(data)`` function pair per message type, and
+:func:`compile_schema` executes it.  Each *fixed-layout run* of fields — the
+type tag, scalars, ``bytes[N]`` and the length prefix of the ``varbytes``
+that ends the run — is one precompiled ``struct.Struct``, so a message costs
+one pack/unpack call per run plus the checks the wire format needs.  The
+generated code *is* the codec: :class:`repro.wire.codec.ProtocolCodec` only
+dispatches into it.
 """
 
 from __future__ import annotations
@@ -43,16 +44,6 @@ def _bad_length(where, data, end):
     if end > len(data):
         return _CodecError("%s: truncated" % where)
     return _CodecError("%s: %d trailing bytes" % (where, len(data) - end))
-
-
-class _Message:
-    """A field dict bound to its type's ``encode``: ``Type(**fields).pack()``."""
-
-    def __init__(self, **fields):
-        self.fields = fields
-
-    def pack(self):
-        return self.encode(self.fields)
 '''
 
 
@@ -86,29 +77,29 @@ def _runs(spec: MessageSpec) -> List[_Run]:
 
 
 def _emit_encode(spec: MessageSpec, runs: List[_Run]) -> List[str]:
-    lines = ["    @staticmethod", "    def encode(fields):"]
+    lines = [f"def encode_{spec.name}(fields):"]
     if spec.fields:
-        lines.append("        try:")
-        lines += [f"            _{f.name} = fields[{f.name!r}]"
+        lines.append("    try:")
+        lines += [f"        _{f.name} = fields[{f.name!r}]"
                   for f in spec.fields]
-        lines += ["        except KeyError as exc:",
-                  f'            raise _CodecError("{spec.name}: missing field '
+        lines += ["    except KeyError as exc:",
+                  f'        raise _CodecError("{spec.name}: missing field '
                   '%r" % exc.args) from None']
     for f in spec.fields:
         where = f'"{spec.name}.{f.name}"'
         if f.kind == KIND_BYTES:
-            lines += [f"        if not isinstance(_{f.name}, _BYTES) or "
+            lines += [f"    if not isinstance(_{f.name}, _BYTES) or "
                       f"len(_{f.name}) != {f.fixed_len}:",
-                      f"            raise _bad_bytes({where}, _{f.name}, "
+                      f"        raise _bad_bytes({where}, _{f.name}, "
                       f"{f.fixed_len})"]
         elif f.kind != KIND_SCALAR:
             error = (f'_bad_bytes({where}, _{f.name}, '
                      f'"at most {f.len_type.max_value}")')
-            lines += [f"        if not isinstance(_{f.name}, _BYTES):",
-                      f"            raise {error}",
-                      f"        n_{f.name} = len(_{f.name})",
-                      f"        if n_{f.name} > {f.len_type.max_value}:",
-                      f"            raise {error}"]
+            lines += [f"    if not isinstance(_{f.name}, _BYTES):",
+                      f"        raise {error}",
+                      f"    n_{f.name} = len(_{f.name})",
+                      f"    if n_{f.name} > {f.len_type.max_value}:",
+                      f"        raise {error}"]
     parts: List[str] = []
     for i, run in enumerate(runs):
         if run.raw:
@@ -117,10 +108,10 @@ def _emit_encode(spec: MessageSpec, runs: List[_Run]) -> List[str]:
             parts.append(f"_{spec.name}_{i}.pack({', '.join(run.values)})")
         if run.tail is not None:
             parts.append(f"_{run.tail.name}")
-    lines += ["        try:",
-              f"            return {' + '.join(parts)}",
-              "        except (_struct_error, OverflowError) as exc:",
-              f'            raise _WireFormatError("{spec.name}: %s" % exc) '
+    lines += ["    try:",
+              f"        return {' + '.join(parts)}",
+              "    except (_struct_error, OverflowError) as exc:",
+              f'        raise _WireFormatError("{spec.name}: %s" % exc) '
               "from None"]
     return lines
 
@@ -143,41 +134,31 @@ def _emit_decode(spec: MessageSpec, runs: List[_Run]) -> List[str]:
         if run.tail is not None:
             body += [f"_{run.tail.name} = data[end:end + n_{run.tail.name}]",
                      f"end += n_{run.tail.name}"]
-    lines = ["    @staticmethod", "    def decode(data):", "        try:"]
-    lines += ["            " + line for line in body]
-    lines += ["        except _struct_error:",
-              f'            raise _CodecError("{spec.name}: truncated or '
+    lines = [f"def decode_{spec.name}(data):", "    try:"]
+    lines += ["        " + line for line in body]
+    lines += ["    except _struct_error:",
+              f'        raise _CodecError("{spec.name}: truncated or '
               'trailing bytes") from None']
     if not exact:
-        lines += ["        if end != len(data):",
-                  f'            raise _bad_length("{spec.name}", data, end)']
+        lines += ["    if end != len(data):",
+                  f'        raise _bad_length("{spec.name}", data, end)']
     entries = ", ".join(f"{f.name!r}: _{f.name}" for f in spec.fields)
-    lines.append(f"        return {{{entries}}}")
+    lines.append(f"    return {{{entries}}}")
     return lines
 
 
-def _emit_message_class(spec: MessageSpec) -> str:
+def _emit_message(spec: MessageSpec) -> str:
     runs = _runs(spec)
     lines = [f'_{spec.name}_{i} = _Struct("<{run.fmt}")'
              for i, run in enumerate(runs)]
-    lines += ["", "",
-              f"class {spec.name}(_Message):",
-              f'    """Wire message {spec.name} (type id {spec.type_id})."""',
-              "",
-              f"    TYPE_ID = {spec.type_id}",
-              f"    FIELDS = {tuple(f.name for f in spec.fields)!r}",
-              ""]
-    lines += _emit_encode(spec, runs) + [""] + _emit_decode(spec, runs)
-    return "\n".join(lines)
+    lines += ["", ""] + _emit_encode(spec, runs) + ["", ""]
+    return "\n".join(lines + _emit_decode(spec, runs))
 
 
 def generate_module_source(schema: ProtocolSchema) -> str:
     """Emit Python source for the codec module of ``schema``."""
-    blocks = [_HEADER]
-    blocks += [_emit_message_class(spec) + "\n" for spec in schema.messages]
-    class_map = ", ".join(f"{m.type_id}: {m.name}" for m in schema.messages)
-    blocks.append(f"MESSAGE_CLASSES = {{{class_map}}}\n")
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        [_HEADER] + [_emit_message(spec) + "\n" for spec in schema.messages])
 
 
 def compile_schema(schema: ProtocolSchema):

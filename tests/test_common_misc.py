@@ -77,6 +77,19 @@ class TestEventLog:
         assert len(log.records) == 3
         assert log.dropped == 2
 
+    def test_take_empties_the_log_and_reports_drops(self):
+        log = EventLog(enabled=True, capacity=3)
+        for i in range(5):
+            log.emit("c", "e", i=i)
+        taken = log.take()
+        assert [r.details for r in taken] == [
+            {"i": 0}, {"i": 1}, {"i": 2}, {"count": 2}]
+        assert (taken[-1].component, taken[-1].event) == ("eventlog",
+                                                         "dropped")
+        assert log.records == [] and log.dropped == 0
+        log.emit("c", "e", i=5)
+        assert [r.details for r in log.take()] == [{"i": 5}]
+
     def test_clear(self):
         log = EventLog(enabled=True)
         log.emit("c", "e")

@@ -441,6 +441,23 @@ class TestCostPerMessage:
         assert world.emulator.stats.messages_delivered - delivered >= 24
         assert built == []
 
+    def test_steady_window_compares_no_node_id(self, monkeypatch):
+        """A broadcast sends to its peers-without-self, and per-message
+        id checks compare names: no ``NodeId.__eq__`` call per message."""
+        world = self.steady_pbft().world
+        counts = {}
+        count_calls(monkeypatch, NodeId, "__eq__", counts)
+        delivered = world.emulator.stats.messages_delivered
+        world.run_for(0.2)
+        assert world.emulator.stats.messages_delivered - delivered >= 24
+        assert counts == {"NodeId.__eq__": 0}
+
+    def test_field_read_is_a_dict_read(self):
+        """A handler's ``msg["seq"]`` is a C call: a message is its field
+        dict."""
+        assert Message.__getitem__ is dict.__getitem__
+        assert Message.get is dict.get
+
     def test_lying_path_parses_each_tag_at_most_once(self, monkeypatch):
         """The sender's spec rides on the envelope, so the proxy, the
         lying action and the receiver read it instead of re-parsing the
@@ -483,7 +500,8 @@ class TestCostPerMessage:
         assert len(built) == len(set(built)) == stats.messages_sent - sent
         assert stats.packets_forwarded - forwarded == len(built)
 
-    def test_log_events_output_matches_parent(self):
+    @staticmethod
+    def log_events_stream():
         from repro.attacks.space import ActionSpaceConfig
         from repro.controller.monitor import AttackThreshold
         from repro.search.hunt import hunt
@@ -500,7 +518,22 @@ class TestCostPerMessage:
             max_passes=1, max_wait=5.0, log_events=True)
         out = io.StringIO()
         write_jsonl(out, log_jsonl_records(result.event_log, "*"))
-        text = out.getvalue()
+        return out.getvalue()
+
+    def test_log_events_output_matches_parent(self):
+        text = self.log_events_stream()
+        assert text.count("\n") == LOG_EVENTS_LINES
+        assert hashlib.sha256(text.encode()).hexdigest() == LOG_EVENTS_SHA256
+
+    def test_log_events_output_outlasts_the_log_capacity(self, monkeypatch):
+        """A prober empties its world's EventLog at every probe, so a log
+        holding about half the stream (the largest probe logs some 11,000
+        records) still streams every record of the hunt."""
+        import functools
+        from repro.common.logging import EventLog
+        monkeypatch.setattr(EventLog, "__init__", functools.partialmethod(
+            EventLog.__init__, capacity=12_000))
+        text = self.log_events_stream()
         assert text.count("\n") == LOG_EVENTS_LINES
         assert hashlib.sha256(text.encode()).hexdigest() == LOG_EVENTS_SHA256
 

@@ -1,8 +1,8 @@
 """Property tests across every bundled system schema.
 
 For each system: random messages of every type round-trip through the
-codec, the generated-code codec agrees byte for byte, and every enumerated
-attack scenario applies cleanly to a well-formed message of its type.
+codec, and every enumerated attack scenario applies cleanly to a well-formed
+message of its type.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.common.rng import RandomStream
 from repro.netem.packets import MessageEnvelope
 from repro.systems.registry import get_system, system_names
 from repro.wire.codec import Message, ProtocolCodec
-from repro.wire.codegen import compile_schema
 from repro.wire.schema import KIND_BYTES, KIND_SCALAR
 
 
@@ -55,23 +54,12 @@ class TestSchemaProperties:
         msg = data.draw(message_strategy(entry.schema))
         decoded = codec.decode(codec.encode(msg))
         assert decoded.type_name == msg.type_name
-        for name, value in msg.fields.items():
+        for name, value in msg.items():
             if isinstance(value, float):
                 assert decoded[name] == pytest.approx(value, rel=1e-6) or \
                     decoded[name] == value
             else:
                 assert decoded[name] == value
-
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_generated_codec_agrees(self, system, data):
-        entry = get_system(system)
-        codec = ProtocolCodec(entry.schema)
-        module = compile_schema(entry.schema)
-        msg = data.draw(message_strategy(entry.schema))
-        reference = codec.encode(msg)
-        generated = getattr(module, msg.type_name)(**msg.fields).pack()
-        assert generated == reference
 
     def test_every_scenario_applies_cleanly(self, system):
         entry = get_system(system)

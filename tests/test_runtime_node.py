@@ -34,7 +34,7 @@ class EchoApp(Application):
         self.started = True
 
     def on_message(self, src, message):
-        self.received.append((src, message.type_name, dict(message.fields)))
+        self.received.append((src, message.type_name, dict(message)))
         if message.type_name == "Boom" and message["size"] < 0:
             raise SegmentationFault("negative allocation")
 
@@ -66,8 +66,8 @@ def build(n=2, cost_model=None):
         node.attach(app)
         nodes.append(node)
         apps.append(app)
-    for node in nodes:
-        node.peers = [n.node_id for n in nodes]
+    for node in nodes:     # what World.set_peer_groups gives each member
+        node.peers = tuple(n.node_id for n in nodes if n is not node)
     return kernel, nodes, apps
 
 

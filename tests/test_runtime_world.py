@@ -55,7 +55,7 @@ class TestWorld:
         for node_id in ids:
             world.add_node(node_id, NullApp())
         world.set_peer_groups(ids)
-        assert world.node(replica(1)).peers == ids
+        assert world.node(replica(1)).peers == (replica(0), replica(2))
 
     def test_apps_started_on_boot(self):
         started = []

@@ -503,6 +503,28 @@ class TestCli:
         assert all(r["type"] == "log" and r["event"] == "deliver"
                    for r in log_lines)
 
+    def test_log_events_reports_dropped_records_on_stderr(
+            self, capsys, monkeypatch):
+        """A probe that outgrows the EventLog loses records; the stream
+        counts them and the CLI says so on stderr."""
+        import functools
+        from repro.common.logging import EventLog
+        assert main(BASE_ARGS + ["--log-events", "*"]) == 0
+        full = capsys.readouterr()
+        assert "dropped" not in full.err
+        monkeypatch.setattr(EventLog, "__init__", functools.partialmethod(
+            EventLog.__init__, capacity=100))
+        assert main(BASE_ARGS + ["--log-events", "*"]) == 0
+        cut = capsys.readouterr()
+        records = [json.loads(line) for line in cut.out.splitlines()
+                   if line.startswith("{")]
+        drops = [r for r in records if r["component"] == "eventlog"]
+        dropped = sum(r["details"]["count"] for r in drops)
+        assert dropped > 0
+        assert f"--log-events dropped {dropped} records" in cut.err
+        assert len(records) - len(drops) + dropped == sum(
+            1 for line in full.out.splitlines() if line.startswith("{"))
+
     def test_brute_log_events_ships_the_branched_worlds(self, capsys):
         """Brute force prices its scenarios from branches, so what it ships
         is the records of the worlds its prober branched, as greedy's."""

@@ -32,14 +32,14 @@ def kitchen(**overrides):
 class TestEncodeDecode:
     def test_roundtrip_defaults(self):
         msg = kitchen()
-        assert CODEC.decode(CODEC.encode(msg)).fields == msg.fields
+        assert CODEC.decode(CODEC.encode(msg)) == msg
 
     def test_roundtrip_extremes(self):
         msg = kitchen(tiny=-128, little=255, short=-32768, ushort=65535,
                       word=-2**31, uword=2**32 - 1, big=-2**63,
                       ubig=2**64 - 1, flag=True, blob=b"x" * 1000)
         decoded = CODEC.decode(CODEC.encode(msg))
-        assert decoded.fields == msg.fields
+        assert decoded == msg
 
     def test_no_fields_message(self):
         msg = Message("NoFields", {})
@@ -133,6 +133,11 @@ class TestMessageValue:
         assert not decoded.fields != {"x": 9}
         assert decoded.type_name == "Tiny"
 
+    def test_a_message_is_its_field_dict(self):
+        msg = kitchen(word=3)
+        assert dict(msg) == msg.fields == msg
+        assert type(dict(msg)) is dict
+
 
 class TestMutate:
     def test_mutate_scalar(self):
@@ -192,7 +197,7 @@ class TestPropertyRoundTrip:
     def test_encode_decode_identity(self, msg):
         decoded = CODEC.decode(CODEC.encode(msg))
         assert decoded.type_name == msg.type_name
-        for name, value in msg.fields.items():
+        for name, value in msg.items():
             if isinstance(value, float):
                 assert decoded[name] == pytest.approx(value, rel=1e-6) or \
                     decoded[name] == value

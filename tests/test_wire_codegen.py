@@ -104,16 +104,17 @@ def spec_of(name, schema=SCHEMA):
 
 class TestGeneratedModule:
     def test_source_is_persisted(self):
-        assert "class Alpha" in MODULE.__source__
+        assert "def encode_Alpha(fields):" in MODULE.__source__
+        assert "def decode_Alpha(data):" in MODULE.__source__
         assert generate_module_source(SCHEMA) == MODULE.__source__
 
-    def test_classes_exist(self):
-        assert MODULE.Alpha.TYPE_ID == 1
-        assert MODULE.Beta.TYPE_ID == 7
-        assert MODULE.Alpha.FIELDS == ("a", "b", "c", "d", "e")
-        assert MODULE.MESSAGE_CLASSES == {
-            1: MODULE.Alpha, 7: MODULE.Beta, 9: MODULE.Gamma,
-            11: MODULE.Kitchen, 12: MODULE.Empty}
+    def test_functions_exist(self):
+        """The module exports an encode and a decode per message type,
+        and no message class of its own."""
+        for spec in SCHEMA.messages:
+            assert callable(getattr(MODULE, f"encode_{spec.name}"))
+            assert callable(getattr(MODULE, f"decode_{spec.name}"))
+        assert "class " not in MODULE.__source__
 
     def test_one_struct_per_fixed_layout_run(self):
         source = MODULE.__source__
@@ -128,16 +129,15 @@ class TestGeneratedModule:
     def test_pack_matches_codec(self):
         expected = ref_encode(spec_of("Alpha"), ALPHA)
         assert expected.hex() == "010009000000fdff0131323334353637380300686579"
-        assert MODULE.Alpha(**ALPHA).pack() == expected
-        assert MODULE.Alpha.encode(ALPHA) == expected
+        assert MODULE.encode_Alpha(ALPHA) == expected
         assert CODEC.encode(Message("Alpha", ALPHA)) == expected
 
     def test_decode_dispatches_by_type(self):
         encoded = ref_encode(spec_of("Beta"), {"value": 2.5, "tag": 4})
         decoded = CODEC.decode(encoded)
         assert decoded.type_name == "Beta"
-        assert decoded.fields == {"value": 2.5, "tag": 4}
-        assert MODULE.MESSAGE_CLASSES[7].decode(encoded) == decoded.fields
+        assert decoded == {"value": 2.5, "tag": 4}
+        assert MODULE.decode_Beta(encoded) == decoded
         assert CODEC.peek_type(encoded) is spec_of("Beta")
 
     def test_decode_unknown_type(self):
@@ -148,20 +148,20 @@ class TestGeneratedModule:
     def test_decode_truncated(self):
         encoded = ref_encode(spec_of("Alpha"), ALPHA)
         assert raised(CODEC.decode, encoded[:-1]) is CodecError
-        assert raised(MODULE.Alpha.decode, encoded[:-1]) is CodecError
+        assert raised(MODULE.decode_Alpha, encoded[:-1]) is CodecError
 
     def test_decode_trailing(self):
         encoded = ref_encode(spec_of("Beta"), {"value": 0.0, "tag": 0})
         assert raised(CODEC.decode, encoded + b"!") is CodecError
-        assert raised(MODULE.Beta.decode, encoded + b"!") is CodecError
+        assert raised(MODULE.decode_Beta, encoded + b"!") is CodecError
 
     def test_fixed_bytes_length_enforced(self):
-        assert raised(MODULE.Alpha(**dict(ALPHA, d=b"short")).pack) \
+        assert raised(MODULE.encode_Alpha, dict(ALPHA, d=b"short")) \
             is CodecError
 
     def test_empty_message_is_just_its_tag(self):
         assert CODEC.encode(Message("Empty", {})) == b"\x0c\x00"
-        assert CODEC.decode(b"\x0c\x00").fields == {}
+        assert CODEC.decode(b"\x0c\x00") == {}
         assert raised(CODEC.decode, b"\x0c\x00\x00") is CodecError
 
     def test_length_prefix_must_be_unsigned(self):
@@ -182,9 +182,9 @@ class TestEquivalenceProperty:
     def test_pack_equivalence(self, a, b, c, d, e):
         fields = {"a": a, "b": b, "c": c, "d": d, "e": e}
         reference = ref_encode(spec_of("Alpha"), fields)
-        assert MODULE.Alpha(**fields).pack() == reference
+        assert MODULE.encode_Alpha(fields) == reference
         assert CODEC.encode(Message("Alpha", fields)) == reference
-        assert CODEC.decode(reference).fields == fields
+        assert CODEC.decode(reference) == fields
         assert ref_decode(SCHEMA, reference) == ("Alpha", fields)
 
 
@@ -295,9 +295,10 @@ class TestRealSchemas:
         for spec in schema.messages:
             values = spec.default_values()
             reference = ref_encode(spec, values)
-            assert getattr(generated, spec.name)(**values).pack() == reference
+            encode = getattr(generated, f"encode_{spec.name}")
+            assert encode(values) == reference
             assert codec.encode(Message(spec.name, values)) == reference
-            assert codec.decode(reference).fields == values
+            assert codec.decode(reference) == values
 
     @pytest.mark.parametrize("system", system_names())
     def test_golden_bytes(self, system):
@@ -308,7 +309,7 @@ class TestRealSchemas:
         codec = ProtocolCodec(schema)
         assert codec.encode(Message(spec.name, fields)) == golden
         assert ref_encode(spec, fields) == golden
-        assert codec.decode(golden).fields == fields
+        assert codec.decode(golden) == fields
         assert codec.peek_type(golden) is spec
 
     @settings(max_examples=300, deadline=None)
@@ -319,13 +320,13 @@ class TestRealSchemas:
         data = codec.encode(Message(spec.name, fields))
         assert data == ref_encode(spec, fields) and type(data) is bytes
         decoded = codec.decode(data)
-        assert (decoded.type_name, decoded.fields) == ref_decode(schema, data)
-        assert list(decoded.fields) == [f.name for f in spec.fields]
+        assert (decoded.type_name, decoded) == ref_decode(schema, data)
+        assert list(decoded) == [f.name for f in spec.fields]
         # bytearray in, same bytes out; bytearray on the wire, same fields
         soft = {k: bytearray(v) if isinstance(v, bytes) else v
                 for k, v in fields.items()}
         assert codec.encode(Message(spec.name, soft)) == data
-        assert codec.decode(bytearray(data)).fields == decoded.fields
+        assert codec.decode(bytearray(data)) == decoded
 
     @settings(max_examples=150, deadline=None)
     @given(any_message())
