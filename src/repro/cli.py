@@ -98,8 +98,8 @@ def _emit_telemetry(args, tracer: Optional[Tracer],
         from repro.telemetry.export import log_jsonl_records, write_jsonl
         write_jsonl(sys.stdout,
                     log_jsonl_records(log_records, args.log_events))
-        dropped = sum(r.details["count"] for r in log_records
-                      if (r.component, r.event) == ("eventlog", "dropped"))
+        from repro.common.logging import count_dropped
+        dropped = count_dropped(log_records)
         if dropped:
             print(f"warning: --log-events dropped {dropped} records",
                   file=sys.stderr)

@@ -25,6 +25,10 @@ class LogRecord:
         return f"[{self.time:10.6f}] {self.component}: {self.event} {extra}".rstrip()
 
 
+#: (component, event) of the record that counts a log's dropped records
+_DROPPED = ("eventlog", "dropped")
+
+
 class EventLog:
     """Structured, filterable, in-memory log for one experiment."""
 
@@ -66,7 +70,13 @@ class EventLog:
         ``dropped`` record counts those the capacity turned away."""
         records, self.records = self.records, []
         if self.dropped:
-            records.append(LogRecord(self._clock(), "eventlog", "dropped",
+            records.append(LogRecord(self._clock(), *_DROPPED,
                                      {"count": self.dropped}))
             self.dropped = 0
         return records
+
+
+def count_dropped(records: List[LogRecord]) -> int:
+    """How many records the drop counts among ``records`` stand for."""
+    return sum(r.details["count"] for r in records
+               if (r.component, r.event) == _DROPPED)
