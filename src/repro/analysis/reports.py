@@ -18,7 +18,6 @@ from repro.controller.supervisor import (QuarantinedScenario,
                                          SupervisorEvent, SupervisorStats)
 from repro.faults.validation import ValidationReport
 from repro.search.results import AttackFinding, SearchReport
-from repro.telemetry.summary import TelemetrySummary
 
 
 # ------------------------------------------------------------- serialization
@@ -147,8 +146,9 @@ def report_to_dict(report: SearchReport) -> Dict[str, Any]:
         "types_without_injection": list(report.types_without_injection),
         "quarantined": [_quarantine_to_dict(q) for q in report.quarantined],
         "supervisor": _supervisor_to_dict(report.supervisor),
-        "telemetry": (None if report.telemetry is None
-                      else report.telemetry.to_dict()),
+        # wall-clock telemetry is a side channel (``--stats``); the key
+        # stays null for schema stability
+        "telemetry": None,
         "crashed_nodes": list(report.crashed_nodes),
         "validation": (None if report.validation is None
                        else report.validation.to_dict()),
@@ -169,8 +169,6 @@ def report_from_dict(data: Dict[str, Any]) -> SearchReport:
         quarantined=[_quarantine_from_dict(q)
                      for q in data.get("quarantined", [])],
         supervisor=_supervisor_from_dict(data.get("supervisor", {})),
-        telemetry=(TelemetrySummary.from_dict(data["telemetry"])
-                   if data.get("telemetry") else None),
         crashed_nodes=list(data.get("crashed_nodes", [])),
         validation=(ValidationReport.from_dict(data["validation"])
                     if data.get("validation") else None),
@@ -198,8 +196,10 @@ def excluded_scenarios(report: SearchReport) -> set:
 def hunt_result_to_dict(result) -> Dict[str, Any]:
     """Serialize a :class:`~repro.search.hunt.HuntResult` to plain JSON.
 
-    The per-pass event logs are not serialized (they are debugging
-    artifacts, exported separately); everything else round-trips.
+    The side channels — event logs, telemetry, worker rows, store
+    activity — are not serialized (``--log-events`` and ``--stats``
+    export them); ``telemetry`` and ``resumed_passes`` stay as constant
+    keys for schema stability.
     """
     return {
         "passes": [report_to_dict(p) for p in result.passes],
@@ -208,8 +208,7 @@ def hunt_result_to_dict(result) -> Dict[str, Any]:
         "supervisor": _supervisor_to_dict(result.supervisor),
         "interrupted": result.interrupted,
         "resumed_passes": result.resumed_passes,
-        "telemetry": (None if result.telemetry is None
-                      else result.telemetry.to_dict()),
+        "telemetry": None,
         "crashed_nodes": result.crashed_nodes(),
         "validation": (None if result.validation is None
                        else result.validation.to_dict()),
@@ -281,27 +280,6 @@ def render_markdown(report: SearchReport) -> str:
         lines.append(f"* quarantined scenarios: {len(report.quarantined)}")
         for q in report.quarantined:
             lines.append(f"  * {q.describe()}")
-    telemetry = report.telemetry
-    if telemetry is not None:
-        lines.append("")
-        lines.append("## Telemetry")
-        lines.append("")
-        lines.append(f"* spans: {telemetry.total_spans} over "
-                     f"{len(telemetry.spans)} kinds")
-        if telemetry.spans:
-            lines.append("")
-            lines.append("| span | count | wall (s) | virtual (s) |")
-            lines.append("|---|---|---|---|")
-            for name in sorted(telemetry.spans):
-                s = telemetry.spans[name]
-                lines.append(f"| {name} | {s.count} | {s.wall_total:.3f} "
-                             f"| {s.virtual_total:.3f} |")
-        if telemetry.counters:
-            lines.append("")
-            lines.append("| counter | value |")
-            lines.append("|---|---|")
-            for name in sorted(telemetry.counters):
-                lines.append(f"| {name} | {telemetry.counters[name]:g} |")
     if report.worker_health is not None and report.worker_health.eventful:
         # Side channel: shown to humans, never part of the deterministic
         # JSON (worker fate depends on wall-clock scheduling).

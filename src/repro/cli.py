@@ -12,12 +12,13 @@ replay attack scenarios, or search for new ones.
     python -m repro attack pbft --type PrePrepare --action lie:big_reqs:min
     python -m repro search pbft --algorithm weighted --types PrePrepare,Status
     python -m repro search pbft --json report.json
-    python -m repro hunt pbft --passes 3 --trace trace.json --telemetry
+    python -m repro hunt pbft --passes 3 --trace trace.json --stats stats.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -72,18 +73,16 @@ def _validate(args, factory, config, findings):
 
 def _tracer(args) -> Optional[Tracer]:
     """One platform tracer for the command, on when any consumer wants it."""
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        # Fail before the run, not after: the trace is written at the end,
+    wanted = [flag for flag in ("trace", "stats") if getattr(args, flag)]
+    for flag in wanted:
+        # Fail before the run, not after: the file is written at the end,
         # and a long hunt is too expensive to lose to a typoed path.
         try:
-            with open(trace_path, "a"):
+            with open(getattr(args, flag), "a"):
                 pass
         except OSError as exc:
-            raise TurretError(f"cannot write --trace file: {exc}") from exc
-    if trace_path or getattr(args, "telemetry", False):
-        return Tracer(enabled=True)
-    return None
+            raise TurretError(f"cannot write --{flag} file: {exc}") from exc
+    return Tracer(enabled=True) if wanted else None
 
 
 def _progress(args) -> ProgressLine:
@@ -91,10 +90,9 @@ def _progress(args) -> ProgressLine:
     return ProgressLine(enabled=enabled)
 
 
-def _emit_telemetry(args, tracer: Optional[Tracer],
-                    telemetry, log_records) -> None:
-    """Write the trace file / log JSONL / summary a run was asked for."""
-    if getattr(args, "log_events", None) is not None and log_records:
+def _emit_telemetry(args, tracer: Optional[Tracer], log_records) -> None:
+    """Write the log JSONL / trace file a run was asked for."""
+    if args.log_events is not None and log_records:
         from repro.telemetry.export import log_jsonl_records, write_jsonl
         write_jsonl(sys.stdout,
                     log_jsonl_records(log_records, args.log_events))
@@ -103,28 +101,49 @@ def _emit_telemetry(args, tracer: Optional[Tracer],
         if dropped:
             print(f"warning: --log-events dropped {dropped} records",
                   file=sys.stderr)
-    if getattr(args, "trace", None) and tracer is not None:
+    if args.trace and tracer is not None:
         from repro.telemetry.export import write_chrome_trace
         write_chrome_trace(args.trace, tracer)
         print(f"trace written to {args.trace} "
               f"(open with chrome://tracing or ui.perfetto.dev)")
-    if getattr(args, "telemetry", False) and telemetry is not None:
-        print(telemetry.describe())
 
 
-def _write_worker_reports(args, breakdown, health) -> None:
-    """Write the per-worker attribution and self-healing report JSON a
-    parallel run was asked for."""
-    import json as json_module
-    for path, what, payload in (
-            (getattr(args, "worker_ledger", None), "per-worker ledger",
-             [w.to_dict() for w in breakdown or ()]),
-            (getattr(args, "worker_health", None), "worker-health report",
-             health.to_dict() if health is not None else None)):
-        if path and payload:
-            with open(path, "w") as fh:
-                json_module.dump(payload, fh, indent=2)
-            print(f"{what} written to {path}")
+def _write_outputs(args, report_data, noun: str, telemetry, health,
+                   log_records, store_report=None) -> None:
+    """Write the --json report (``report_data``; None: an interrupted
+    search has none) and the --stats run manifest: how the run went —
+    everything the deterministic report leaves out — plus the sha256 of
+    the report bytes --json writes.  ``search`` and ``hunt`` both end
+    here."""
+    text = None if report_data is None else json.dumps(report_data, indent=2)
+    if args.json and text is not None:
+        with open(args.json, "w") as fh:
+            fh.write(text)
+        print(f"\n{noun} written to {args.json}")
+    if not args.stats:
+        return
+    import hashlib
+    import resource
+    from repro.common.logging import count_dropped
+    stats = {
+        "telemetry": telemetry.to_dict(),
+        "workers": [row.to_dict() for row in health.workers],
+        "pool": {"degraded": health.degraded,
+                 "quarantined_tasks": list(health.quarantined_tasks),
+                 "events": list(health.events)},
+        "store": (None if store_report is None
+                  else dict(store_report.counters)),
+        # records: what an unfiltered --log-events prints
+        "event_log": {"records": len(log_records),
+                      "dropped": count_dropped(log_records)},
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "report_sha256": (None if text is None else
+                          hashlib.sha256(text.encode()).hexdigest()),
+    }
+    with open(args.stats, "w") as fh:
+        json.dump(stats, fh, indent=2)
+    print(f"stats written to {args.stats}")
 
 
 def _explain(args):
@@ -173,8 +192,6 @@ def _health_policy(args):
     used = [flag for flag, value in (
         ("--worker-timeout", getattr(args, "worker_timeout", None)),
         ("--worker-retries", getattr(args, "worker_retries", None)),
-        ("--worker-health", getattr(args, "worker_health", None)),
-        ("--worker-ledger", getattr(args, "worker_ledger", None)),
     ) if value is not None]
     if getattr(args, "no_degrade", False):
         used.append("--no-degrade")
@@ -348,22 +365,21 @@ def cmd_search(args) -> int:
             print("\ninterrupted — partial report:")
             if report is not None:
                 print(report.describe())
-            _emit_telemetry(args, tracer,
-                            report.telemetry if report is not None else None,
-                            executor.take_log_records())
+            records = executor.take_log_records()
+            _emit_telemetry(args, tracer, records)
+            _write_outputs(args, None, "report", executor.telemetry(),
+                           executor.worker_health(), records)
             return EXIT_INTERRUPTED
+        telemetry = executor.telemetry()
     progress.done()
     report.validation = _validate(args, factory, config, report.findings)
     _forensics(args, report)
     print(report.describe())
-    _emit_telemetry(args, tracer, report.telemetry,
-                    executor.take_log_records())
-    _write_worker_reports(args, executor.worker_breakdown(),
-                          executor.worker_health())
-    if args.json:
-        from repro.analysis.reports import save_report
-        save_report(report, args.json)
-        print(f"\nreport written to {args.json}")
+    records = executor.take_log_records()
+    _emit_telemetry(args, tracer, records)
+    from repro.analysis.reports import report_to_dict
+    _write_outputs(args, report_to_dict(report), "report", telemetry,
+                   executor.worker_health(), records)
     if args.markdown:
         from repro.analysis.reports import render_markdown
         print("\n" + render_markdown(report))
@@ -391,15 +407,11 @@ def cmd_hunt(args) -> int:
     print(result.describe())
     for finding in result.findings:
         print("  " + finding.describe())
-    _emit_telemetry(args, tracer, result.telemetry, result.event_log)
-    _write_worker_reports(args, result.worker_breakdown,
-                          result.worker_health)
-    if args.json:
-        import json as json_module
-        from repro.analysis.reports import hunt_result_to_dict
-        with open(args.json, "w") as fh:
-            json_module.dump(hunt_result_to_dict(result), fh, indent=2)
-        print(f"\nresult written to {args.json}")
+    _emit_telemetry(args, tracer, result.event_log)
+    from repro.analysis.reports import hunt_result_to_dict
+    _write_outputs(args, hunt_result_to_dict(result), "result",
+                   result.telemetry, result.worker_health, result.event_log,
+                   result.store_report)
     if args.markdown:
         from repro.analysis.reports import render_hunt_markdown
         print("\n" + render_hunt_markdown(result))
@@ -496,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "persistent worker processes, each pulling the "
                             "next step when idle; output stays "
                             "byte-identical to a serial run")
-        p.add_argument("--worker-ledger", default=None, metavar="FILE",
-                       help="write per-worker time attribution as JSON "
-                            "(requires --workers > 1)")
         p.add_argument("--worker-timeout", type=positive_float, default=None,
                        metavar="SECONDS",
                        help="wall-clock deadline per step (one type's "
@@ -515,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abort the run instead of falling back to "
                             "in-process execution when every worker is "
                             "gone (requires --workers > 1)")
-        p.add_argument("--worker-health", default=None, metavar="FILE",
-                       help="write the self-healing report (crashes, "
-                            "restarts, requeued steps, quarantines) as "
-                            "JSON (requires --workers > 1)")
         if with_cache:
             p.add_argument("--injection-cache", action="store_true",
                            help="charge pass 2+ as a platform that kept its "
@@ -541,14 +546,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="write a Chrome trace-event JSON of the run "
                             "(open with chrome://tracing)")
-        p.add_argument("--telemetry", action="store_true",
-                       help="collect and print a telemetry summary "
-                            "(span totals, counters, histogram percentiles)")
+        p.add_argument("--stats", default=None, metavar="FILE",
+                       help="write the run manifest as JSON: telemetry "
+                            "summary, one row per prober (work and fate), "
+                            "pool, store and event-log counts, peak RSS "
+                            "and the report's sha256 (turns tracing on)")
         p.add_argument("--log-events", nargs="?", const="*", default=None,
                        metavar="FILTER",
-                       help="stream the experiment EventLog as JSONL to "
-                            "stdout; FILTER is a comma list of component or "
-                            "component:event selectors (default: all)")
+                       help="stream what was simulated — the EventLog of "
+                            "every world a prober ran, a debugging aid "
+                            "whose records vary with --workers — as JSONL "
+                            "to stdout; FILTER is a comma list of "
+                            "component or component:event selectors "
+                            "(default: all)")
         p.add_argument("--progress", action="store_true",
                        help="force the live stderr status line on "
                             "(auto-enabled when stderr is a terminal)")

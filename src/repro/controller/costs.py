@@ -11,7 +11,7 @@ algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 BOOT = "boot"
 EXECUTION = "execution"
@@ -62,36 +62,3 @@ class CostLedger:
                  if c not in (RETRY, REBUILD)
                  or self.by_category.get(c, 0.0) > 0]
         return f"total={self.total():.1f}s ({', '.join(parts)})"
-
-
-@dataclass
-class WorkerAttribution:
-    """Platform time one parallel worker spent, by category.
-
-    The merged report's ledger is byte-identical to a serial run (replayed
-    from recorded charges), so the per-worker split lives here as a side
-    channel: it shows where the pool's work actually went without
-    perturbing the serial-equivalent accounting.
-    """
-
-    worker: int
-    #: the message types (or ``scenarios``) this worker simulated steps
-    #: of, in first-seen order; a type split across workers is under each
-    shards: List[str] = field(default_factory=list)
-    ledger: CostLedger = field(default_factory=CostLedger)
-    #: real seconds the worker spent processing its steps
-    wall_seconds: float = 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "worker": self.worker,
-            "shards": list(self.shards),
-            "by_category": dict(self.ledger.by_category),
-            "total": self.ledger.total(),
-            "wall_seconds": self.wall_seconds,
-        }
-
-    def describe(self) -> str:
-        shards = ", ".join(self.shards) or "(idle)"
-        return (f"worker {self.worker}: {shards} — "
-                f"{self.ledger.describe()}, wall {self.wall_seconds:.1f}s")

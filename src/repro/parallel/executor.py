@@ -55,10 +55,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 from repro.attacks.space import ActionSpace
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.config import HuntConfig
-from repro.controller.costs import CostLedger, WorkerAttribution
+from repro.controller.costs import CostLedger
 from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
-                                   HealthPolicy, WorkerHealthReport,
-                                   quarantined_return)
+                                   HealthPolicy, WorkerHealth,
+                                   WorkerHealthReport, quarantined_return)
 from repro.parallel.merge import CachedSteps
 from repro.parallel.worker import (ContextProbe, ProbeCache, StartupProbe,
                                    Step, WorkerProber, WorkerReturn,
@@ -66,7 +66,7 @@ from repro.parallel.worker import (ContextProbe, ProbeCache, StartupProbe,
 from repro.search import ALGORITHMS
 from repro.search.results import SearchReport
 from repro.search.weighted import ClusterWeights
-from repro.telemetry.summary import summarize
+from repro.telemetry.summary import TelemetrySummary, summarize
 from repro.telemetry.tracer import Tracer, maybe_span
 
 
@@ -167,8 +167,9 @@ class ScenarioExecutor:
         self._holds: Dict[int, Set[str]] = {}
         #: the one in-process prober (see :meth:`_parent`)
         self._prober: Optional[WorkerProber] = None
-        self._attribution: Dict[int, WorkerAttribution] = {}
         self._log_records: list = []
+        #: the tracer's spans from here on are this executor's run's
+        self._trace_mark = tracer.mark() if self._tracing else 0
 
     # --------------------------------------------------------------- plumbing
 
@@ -450,15 +451,13 @@ class ScenarioExecutor:
         """Fold one return's accounting, spans and log records into the
         parent.  The worker's cumulative ledger only ever grows, so the
         larger snapshot wins (a respawn restarts it)."""
-        attribution = self._attribution.setdefault(
-            ret.worker, WorkerAttribution(worker=ret.worker))
+        row = self._health.state(ret.worker)
         ledger = CostLedger(dict(ret.by_category))
-        if ledger.total() >= attribution.ledger.total():
-            attribution.ledger = ledger
-        attribution.wall_seconds += ret.wall_seconds
-        if ((ret.context or ret.evals)
-                and message_type not in attribution.shards):
-            attribution.shards.append(message_type)
+        if ledger.total() >= row.ledger.total():
+            row.ledger = ledger
+        row.wall_seconds += ret.wall_seconds
+        if (ret.context or ret.evals) and message_type not in row.shards:
+            row.shards.append(message_type)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
         self._log_records.extend(ret.log_records)
@@ -513,7 +512,6 @@ class ScenarioExecutor:
         excluded = frozenset(exclude or ())
         types = (list(message_types) if message_types is not None
                  else self.testbed.search_types())
-        pass_mark = self.tracer.mark() if self._tracing else 0
         poisoned = (self._prefetch(types, excluded,
                                    walk_kwargs.get("max_scenarios"))
                     if self._use_fork else None)
@@ -536,12 +534,6 @@ class ScenarioExecutor:
             # another boot of this world is on record — the journal's, or
             # the workers': the parent-side prober's must match it
             self._check_startup(asked.startup)
-        if self._tracing:
-            instance = prober.harness.instance if prober is not None else None
-            report.telemetry = summarize(
-                self.tracer,
-                instance.world.instruments if instance is not None else None,
-                since=pass_mark)
         # Side channel, like worker_breakdown: never serialized into the
         # deterministic report, only rendered for humans when eventful.
         report.worker_health = self._health.report_if_eventful()
@@ -578,16 +570,27 @@ class ScenarioExecutor:
 
     # ------------------------------------------------------------ accounting
 
-    def worker_breakdown(self) -> List[WorkerAttribution]:
-        """Per-worker platform time and wall time, in worker order.
-
-        Approximate after a recovery: work a dead worker did before dying
-        is unreported, and a replacement restarts its cumulative ledger."""
-        return [self._attribution[w] for w in sorted(self._attribution)]
+    def worker_breakdown(self) -> List[WorkerHealth]:
+        """One row per prober, in worker order: its work and its fate."""
+        return self.worker_health().workers
 
     def worker_health(self) -> WorkerHealthReport:
         """Everything the self-healing layer did, clean or not."""
         return self._health.report()
+
+    def telemetry(self) -> Optional[TelemetrySummary]:
+        """The run's telemetry summary (None untraced): every span traced
+        since this executor was built, workers' included, and the
+        parent-side prober's world counters (a pool's stay in its
+        workers)."""
+        if not self._tracing:
+            return None
+        instance = (self._prober.harness.instance
+                    if self._prober is not None else None)
+        return summarize(
+            self.tracer,
+            instance.world.instruments if instance is not None else None,
+            since=self._trace_mark)
 
     def take_log_records(self) -> list:
         """Drain EventLog records gathered from the probers so far."""

@@ -26,17 +26,17 @@ worker fate into a recoverable event:
   handed to the supervision ledger as quarantined, through the same
   ``EVENT_QUARANTINE`` machinery serial passes use, so one pathological
   scenario cannot sink a hunt;
-* **telemetry** — restarts, timeouts, requeued steps, and per-worker
-  liveness are tracked in an :class:`InstrumentRegistry` and surfaced as a
-  :class:`WorkerHealthReport`.
+* **one row per prober** — each :class:`WorkerHealth` holds a worker's
+  fate (restarts, timeouts, requeued steps, liveness) and its work (the
+  types it simulated, its platform-time ledger, its wall seconds); the
+  executor's ``worker_breakdown()`` is these rows, and a
+  :class:`WorkerHealthReport` adds the pool's own fate.
 
-The health report is a **side channel**, like
-:class:`~repro.controller.costs.WorkerAttribution`: worker fate depends on
-wall-clock scheduling, so it must stay out of the deterministic report —
-serializing it into the merged JSON would break the byte-identity contract
-the whole parallel layer is built on.  It is rendered in human-facing text
-and markdown, and exported as its own JSON artifact via
-``--worker-health``.
+The rows are a **side channel**: worker fate and wall time depend on
+scheduling, so they stay out of the deterministic report — serializing
+them into the merged JSON would break the byte-identity contract the whole
+parallel layer is built on.  They are rendered in human-facing text and
+markdown, and written to the ``--stats`` run manifest.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.controller.costs import CostLedger
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (BaselineProbe, ContextProbe, EvalProbe,
                                    Step, WorkerReturn)
-from repro.telemetry.instruments import InstrumentRegistry
 from repro.telemetry.tracer import Tracer
 
 #: worker failure kinds
@@ -94,9 +94,20 @@ class HealthPolicy:
 
 @dataclass
 class WorkerHealth:
-    """One worker slot's fate over the executor's lifetime."""
+    """One prober's work and fate over the executor's lifetime: a forked
+    worker slot's, or the parent-side prober's (worker 0 at ``workers=1``).
+
+    The work is approximate after a recovery: what a dead worker did
+    before dying is unreported, and a replacement restarts its ledger."""
 
     worker: int
+    #: the message types (or ``scenarios``) this prober simulated steps
+    #: of, in first-seen order; a type split across workers is under each
+    shards: List[str] = field(default_factory=list)
+    #: platform time it spent, by category
+    ledger: CostLedger = field(default_factory=CostLedger)
+    #: real seconds it spent processing its steps
+    wall_seconds: float = 0.0
     restarts: int = 0
     crashes: int = 0
     timeouts: int = 0
@@ -110,20 +121,16 @@ class WorkerHealth:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "worker": self.worker, "restarts": self.restarts,
-            "crashes": self.crashes, "timeouts": self.timeouts,
+            "worker": self.worker, "shards": list(self.shards),
+            "ledger": dict(self.ledger.by_category),
+            "total": self.ledger.total(),
+            "wall_seconds": self.wall_seconds,
+            "restarts": self.restarts, "crashes": self.crashes,
+            "timeouts": self.timeouts,
             "tasks_replayed": self.tasks_replayed,
             "units_reassigned": self.units_reassigned,
             "alive": self.alive, "retired": self.retired,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WorkerHealth":
-        return cls(data["worker"], data.get("restarts", 0),
-                   data.get("crashes", 0), data.get("timeouts", 0),
-                   data.get("tasks_replayed", 0),
-                   data.get("units_reassigned", 0),
-                   data.get("alive", True), data.get("retired", False))
 
 
 @dataclass
@@ -137,9 +144,6 @@ class WorkerHealthReport:
     degraded: bool = False
     #: recovery decisions in order, as human-readable lines
     events: List[str] = field(default_factory=list)
-    #: instrument snapshot (``parallel.worker.*`` counters and gauges)
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
 
     @property
     def restarts(self) -> int:
@@ -197,39 +201,14 @@ class WorkerHealthReport:
             lines.append(f"* quarantined: {label}")
         return lines
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "restarts": self.restarts, "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "reassignments": self.reassignments,
-            "degraded": self.degraded,
-            "quarantined_tasks": list(self.quarantined_tasks),
-            "workers": [w.to_dict() for w in self.workers],
-            "events": list(self.events),
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WorkerHealthReport":
-        return cls(
-            workers=[WorkerHealth.from_dict(w)
-                     for w in data.get("workers", [])],
-            quarantined_tasks=list(data.get("quarantined_tasks", [])),
-            degraded=data.get("degraded", False),
-            events=list(data.get("events", [])),
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})))
-
 
 class HealthMonitor:
     """Bookkeeping for the executor's recovery decisions.
 
-    The monitor owns its own always-on :class:`InstrumentRegistry` rather
-    than the world-side one: worker fate is platform state (never rewound,
-    never serialized into the deterministic report), exactly like the
-    tracer.  Spans for kill/respawn/replay go to the executor's tracer at
-    the call sites; the monitor records the counters and the narrative.
+    Worker fate is platform state (never rewound, never serialized into
+    the deterministic report), exactly like the tracer.  Spans for
+    kill/respawn/replay go to the executor's tracer at the call sites; the
+    monitor keeps the rows and the narrative.
     """
 
     def __init__(self, policy: HealthPolicy, workers: int,
@@ -237,7 +216,6 @@ class HealthMonitor:
         self.policy = policy
         self.pool_size = workers
         self.tracer = tracer
-        self.registry = InstrumentRegistry(enabled=True)
         self._workers: Dict[int, WorkerHealth] = {}
         self._task_crashes: Dict[object, int] = {}
         self._quarantined: List[str] = []
@@ -257,17 +235,13 @@ class HealthMonitor:
 
     def record_spawn(self, worker: int) -> None:
         self.state(worker).alive = True
-        self.registry.gauge(f"parallel.worker.{worker}.alive", 1)
 
     def record_failure(self, worker: int, kind: str, detail: str) -> None:
         health = self.state(worker)
         health.alive = False
         if kind == FAIL_TIMEOUT:
             health.timeouts += 1
-            self.registry.count("parallel.worker.timeouts")
         health.crashes += 1
-        self.registry.count("parallel.worker.crashes")
-        self.registry.gauge(f"parallel.worker.{worker}.alive", 0)
         self._note(f"worker {worker} {kind}: {detail}")
 
     def allow_restart(self, worker: int) -> bool:
@@ -278,7 +252,6 @@ class HealthMonitor:
         health = self.state(worker)
         delay = self.policy.backoff_for(health.restarts)
         health.restarts += 1
-        self.registry.count("parallel.worker.restarts")
         self._note(f"worker {worker} respawned "
                    f"(restart {health.restarts}/{self.policy.worker_retries},"
                    f" backoff {delay:.2f}s)")
@@ -291,10 +264,8 @@ class HealthMonitor:
         health = self.state(worker)
         if health.retired:
             health.units_reassigned += 1
-            self.registry.count("parallel.task.reassignments")
         else:
             health.tasks_replayed += 1
-            self.registry.count("parallel.task.replays")
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant("executor.task.replay", worker=worker,
                                 retired=health.retired)
@@ -303,7 +274,6 @@ class HealthMonitor:
         health = self.state(worker)
         if not health.retired:
             health.retired = True
-            self.registry.count("parallel.worker.retirements")
             self._note(f"worker {worker} retired "
                        f"(restart budget {self.policy.worker_retries} spent)")
 
@@ -322,29 +292,21 @@ class HealthMonitor:
 
     def record_quarantine(self, label: str, crashes: int) -> None:
         self._quarantined.append(label)
-        self.registry.count("parallel.task.quarantines")
         self._note(f"poison step quarantined after killing {crashes} "
                    f"workers: {label}")
 
     def record_degraded(self) -> None:
         self._degraded = True
-        self.registry.count("parallel.pool.collapses")
         self._note("worker pool collapsed; degraded to in-process probing")
 
     # --------------------------------------------------------------- reading
-
-    @property
-    def eventful(self) -> bool:
-        return self.report().eventful
 
     def report(self) -> WorkerHealthReport:
         return WorkerHealthReport(
             workers=[self._workers[w] for w in sorted(self._workers)],
             quarantined_tasks=list(self._quarantined),
             degraded=self._degraded,
-            events=list(self._events),
-            counters=self.registry.counters(),
-            gauges=self.registry.gauges())
+            events=list(self._events))
 
     def report_if_eventful(self) -> Optional[WorkerHealthReport]:
         report = self.report()

@@ -28,7 +28,7 @@ from repro.faults.validation import ValidationReport
 from repro.search.results import AttackFinding, SearchReport
 from repro.search.weighted import ClusterWeights
 from repro.telemetry.progress import ProgressLine
-from repro.telemetry.summary import TelemetrySummary, summarize
+from repro.telemetry.summary import TelemetrySummary
 from repro.telemetry.tracer import Tracer, maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,19 +57,21 @@ class HuntResult:
     #: channel) so a resumed hunt serializes to the uninterrupted bytes;
     #: the key stays in the hunt JSON for schema stability
     resumed_passes: int = 0
-    #: merged telemetry across all executed passes (None: telemetry off)
+    #: the run's telemetry summary (None: untraced) — a side channel too:
+    #: it carries wall-clock costs, so it is never serialized
     telemetry: Optional[TelemetrySummary] = None
     #: EventLog records gathered from each pass's world (``log_events``)
     event_log: List[LogRecord] = field(default_factory=list)
     #: robustness validation of the findings (None unless requested)
     validation: Optional[ValidationReport] = None
-    #: per-prober time attribution — one entry per forked worker, or the
-    #: parent-side prober's at ``workers=1`` (side channel only — never
-    #: serialized; the main result is byte-identical whatever the workers)
+    #: one :class:`~repro.parallel.health.WorkerHealth` row per prober —
+    #: each forked worker, or the parent-side prober at ``workers=1`` —
+    #: with its work and fate (side channel only — never serialized; the
+    #: main result is byte-identical whatever the workers)
     worker_breakdown: Optional[list] = None
-    #: what the self-healing layer did across the whole hunt (side channel
-    #: too — never serialized into the deterministic result; ``eventful``
-    #: when any worker misbehaved)
+    #: what the self-healing layer did across the whole hunt: the same
+    #: rows plus the pool's fate (side channel too; ``eventful`` when any
+    #: worker misbehaved)
     worker_health: Optional["WorkerHealthReport"] = None
     #: forensic explanations of the findings (side channel as well:
     #: computed post-merge when ``explain``, never serialized — the
@@ -88,10 +90,6 @@ class HuntResult:
         self.findings.extend(report.findings)
         self.quarantined.extend(report.quarantined)
         self.supervisor.merge(report.supervisor)
-        if report.telemetry is not None:
-            if self.telemetry is None:
-                self.telemetry = TelemetrySummary()
-            self.telemetry.merge(report.telemetry)
 
     def crashed_nodes(self) -> List[str]:
         """Union of crashed-node summaries across every pass."""
@@ -203,10 +201,11 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
     weights persist across passes.
 
     The other keywords say how the hunt is run and watched, never what it
-    reports: ``tracer`` (a ``hunt.pass`` span per pass, merged telemetry
-    in ``result.telemetry``), ``progress``, ``log_events`` (the EventLog in
-    ``result.event_log``), ``workers`` (a forked pool prefetches each
-    pass's steps, self-healing per ``health_policy``), ``explain``
+    reports: ``tracer`` (a ``hunt.pass`` span per pass, the run's
+    telemetry summary in ``result.telemetry``), ``progress``,
+    ``log_events`` (the EventLog in ``result.event_log``), ``workers`` (a
+    forked pool prefetches each pass's steps, self-healing per
+    ``health_policy``), ``explain``
     (forensic explanations in ``result.explanations``, run by the same
     executor; ``"traces"`` also keeps each one's chronologies, which a
     forensics bundle's traces need) and ``store_dir``:
@@ -266,12 +265,6 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
                         weights=weights,
                         kept=injection_cache and pass_index > 0)
                     span.set(findings=len(report.findings))
-                    pass_mark = tracer.mark() if tracer is not None else 0
-                if report.telemetry is not None and tracer is not None:
-                    # the hunt.pass span closes after the pass summary was
-                    # computed; fold it in so the merged totals include it
-                    report.telemetry.merge(summarize(tracer,
-                                                     since=pass_mark))
                 result.absorb(report)
                 result.total_ledger.merge(report.ledger)
                 excluded.update(f.scenario.to_record()
@@ -294,8 +287,9 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
                 result.findings, traces=explain == "traces")
     finally:
         if executor is not None:
-            result.worker_breakdown = executor.worker_breakdown()
+            result.telemetry = executor.telemetry()
             result.worker_health = executor.worker_health()
+            result.worker_breakdown = result.worker_health.workers
             executor.close()
         if store is not None:
             from repro.store.runstore import StoreReport

@@ -10,7 +10,6 @@ from repro.controller.costs import CostLedger
 from repro.controller.monitor import PerfSample
 from repro.controller.supervisor import QuarantinedScenario, SupervisorStats
 from repro.faults.validation import ValidationReport
-from repro.telemetry.summary import TelemetrySummary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.health import WorkerHealthReport
@@ -60,8 +59,6 @@ class SearchReport:
     quarantined: List[QuarantinedScenario] = field(default_factory=list)
     #: retries, rebuilds, quarantines, watchdog trips + their event log
     supervisor: SupervisorStats = field(default_factory=SupervisorStats)
-    #: per-span-kind totals + instrument digest (None when telemetry is off)
-    telemetry: Optional[TelemetrySummary] = None
     #: nodes observed crashed during the search, as "name [kind] reason"
     #: lines — makes a hunt that silently lost a replica visible
     crashed_nodes: List[str] = field(default_factory=list)
@@ -102,8 +99,6 @@ class SearchReport:
         if self.supervisor.total_events:
             lines.append("  " + self.supervisor.describe())
         lines.extend("  " + q.describe() for q in self.quarantined)
-        if self.telemetry is not None:
-            lines.append("  " + self.telemetry.one_line())
         if self.worker_health is not None and self.worker_health.eventful:
             lines.append("  " + self.worker_health.one_line())
         if self.explanations:

@@ -301,7 +301,7 @@ class StoreReport:
     A **side channel**, like ``worker_health``: resume activity differs
     between an interrupted and an uninterrupted run, so serializing this
     into the result JSON would break the byte-identity contract.  It is
-    rendered for humans only.
+    rendered for humans and written to the ``--stats`` manifest.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)

@@ -15,7 +15,7 @@ application.  This package is that measurement substrate:
 * :mod:`repro.telemetry.export` — JSONL event stream and Chrome
   ``chrome://tracing`` trace-event output;
 * :mod:`repro.telemetry.summary` — per-span-kind totals and histogram
-  percentiles embedded in search reports and hunt results;
+  percentiles of a traced run (the ``--stats`` manifest's ``telemetry``);
 * :mod:`repro.telemetry.progress` — the live stderr progress line.
 
 Design rule: telemetry **never perturbs the experiment**.  Nothing here

@@ -1,15 +1,16 @@
-"""Aggregation of telemetry into report-embeddable summaries.
+"""Aggregation of telemetry into a run's summary.
 
-A :class:`TelemetrySummary` is the JSON-safe digest that rides inside
-:class:`~repro.search.results.SearchReport` and
-:class:`~repro.search.hunt.HuntResult`: per-span-kind totals (count,
-virtual-clock advance, wall-clock cost) from the tracer, plus counters and
-histogram percentiles from the world's instrument registry.
+A :class:`TelemetrySummary` is the JSON-safe digest of a traced run —
+per-span-kind totals (count, virtual-clock advance, wall-clock cost) from
+the tracer, plus counters and histogram percentiles from the world's
+instrument registry.  It carries wall-clock costs, so it is a side channel
+(``HuntResult.telemetry``, the ``--stats`` manifest), never part of the
+deterministic report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.telemetry.instruments import InstrumentRegistry
@@ -24,11 +25,6 @@ class SpanKindStats:
     virtual_total: float = 0.0
     wall_total: float = 0.0
 
-    def merge(self, other: "SpanKindStats") -> None:
-        self.count += other.count
-        self.virtual_total += other.virtual_total
-        self.wall_total += other.wall_total
-
 
 @dataclass
 class HistogramStats:
@@ -41,22 +37,6 @@ class HistogramStats:
     p50: float = 0.0
     p95: float = 0.0
     p99: float = 0.0
-
-    def merge(self, other: "HistogramStats") -> None:
-        # Counts, sums, and extrema merge exactly; percentiles of merged
-        # populations are approximated count-weighted (documented — the
-        # exact buckets live only for the duration of one world).
-        total_count = self.count + other.count
-        if total_count == 0:
-            return
-        for name in ("p50", "p95", "p99"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            setattr(self, name,
-                    (mine * self.count + theirs * other.count) / total_count)
-        self.min = min(self.min, other.min) if self.count else other.min
-        self.max = max(self.max, other.max) if self.count else other.max
-        self.count = total_count
-        self.total += other.total
 
 
 @dataclass
@@ -74,72 +54,12 @@ class TelemetrySummary:
     def span_kind(self, name: str) -> SpanKindStats:
         return self.spans.get(name, SpanKindStats())
 
-    def merge(self, other: "TelemetrySummary") -> None:
-        for name, stats in other.spans.items():
-            self.spans.setdefault(name, SpanKindStats()).merge(stats)
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, stats in other.histograms.items():
-            if name in self.histograms:
-                self.histograms[name].merge(stats)
-            else:
-                self.histograms[name] = HistogramStats(
-                    stats.count, stats.total, stats.min, stats.max,
-                    stats.p50, stats.p95, stats.p99)
-
-    # ------------------------------------------------------------- rendering
-
     def one_line(self) -> str:
         return (f"telemetry: {self.total_spans} spans over "
                 f"{len(self.spans)} kinds, {len(self.counters)} counters")
 
-    def describe(self) -> str:
-        lines = ["telemetry summary:"]
-        if self.spans:
-            lines.append("  spans (count / wall s / virtual s):")
-            for name in sorted(self.spans):
-                s = self.spans[name]
-                lines.append(f"    {name:<20} {s.count:>6}  "
-                             f"{s.wall_total:>9.3f}  {s.virtual_total:>9.3f}")
-        if self.counters:
-            lines.append("  counters:")
-            for name in sorted(self.counters):
-                lines.append(f"    {name:<28} {self.counters[name]:>12g}")
-        if self.histograms:
-            lines.append("  histograms (n / p50 / p95 / p99):")
-            for name in sorted(self.histograms):
-                h = self.histograms[name]
-                lines.append(f"    {name:<20} {h.count:>6}  {h.p50:>9.4g}  "
-                             f"{h.p95:>9.4g}  {h.p99:>9.4g}")
-        return "\n".join(lines)
-
-    # ----------------------------------------------------------- persistence
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spans": {name: {"count": s.count,
-                             "virtual_total": s.virtual_total,
-                             "wall_total": s.wall_total}
-                      for name, s in self.spans.items()},
-            "counters": dict(self.counters),
-            "histograms": {name: {"count": h.count, "total": h.total,
-                                  "min": h.min, "max": h.max, "p50": h.p50,
-                                  "p95": h.p95, "p99": h.p99}
-                           for name, h in self.histograms.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TelemetrySummary":
-        summary = cls()
-        for name, s in data.get("spans", {}).items():
-            summary.spans[name] = SpanKindStats(
-                s["count"], s["virtual_total"], s["wall_total"])
-        summary.counters = dict(data.get("counters", {}))
-        for name, h in data.get("histograms", {}).items():
-            summary.histograms[name] = HistogramStats(
-                h["count"], h["total"], h["min"], h["max"],
-                h["p50"], h["p95"], h["p99"])
-        return summary
+        return asdict(self)
 
 
 def summarize(tracer: Optional[Tracer],

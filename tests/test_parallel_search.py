@@ -112,18 +112,21 @@ class TestParallelPassIdentity:
         assert report_sha(parallel) == PASS_PINS["brute"]
 
     def test_worker_breakdown_covers_the_shards(self):
-        """Each worker lists the types it simulated steps of, once each; a
-        type split across both is under both, and together they cover the
-        pass."""
+        """One row per worker: each lists the types it simulated steps of,
+        once each (a type split across both is under both, and together
+        they cover the pass), and its fate — a clean pool's is clean."""
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0) as executor:
             executor.run_pass(message_types=TYPES)
             breakdown = executor.worker_breakdown()
+            assert breakdown == executor.worker_health().workers
         assert [w.worker for w in breakdown] == [0, 1]
-        for attribution in breakdown:
-            assert len(set(attribution.shards)) == len(attribution.shards)
-            assert set(attribution.shards) <= set(TYPES)
+        for row in breakdown:
+            assert len(set(row.shards)) == len(row.shards)
+            assert set(row.shards) <= set(TYPES)
+            assert row.wall_seconds > 0
+            assert (row.crashes, row.restarts, row.alive) == (0, 0, True)
         assert set().union(*(w.shards for w in breakdown)) == set(TYPES)
         assert all(w.ledger.total() > 0 for w in breakdown)
 
