@@ -72,9 +72,6 @@ class MaliciousProxy:
         if tracer is not None and tracer.enabled:
             tracer.instant("proxy.action", action=type(action).__name__,
                            message_type=message_type)
-        ins = self.emulator.instruments
-        if ins is not None and ins.enabled:
-            ins.count("proxy.injections")
 
     # -------------------------------------------------------- configuration
 
@@ -138,9 +135,6 @@ class MaliciousProxy:
         if spec is None:
             return Verdict.passthrough()
         self.intercepted += 1
-        ins = self.emulator.instruments
-        if ins is not None and ins.enabled:
-            ins.count("proxy.intercepted")
 
         if self._parked_type == spec.name:
             # Sibling copy of the held broadcast: park it alongside.

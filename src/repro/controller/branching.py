@@ -129,10 +129,6 @@ class DistributedSnapshotter:
             span.set(stored_bytes=vm_result.snapshot.stored_bytes(),
                      save_cost=save_cost, restore_cost=restore_cost,
                      **vm_result.snapshot.page_counts())
-            ins = world.instruments
-            if ins.enabled:
-                ins.count(f"snapshot.saves_{mode}")
-                ins.observe("snapshot.save_cost", save_cost)
             return WorldSnapshot(
                 taken_at=world.kernel.now,
                 components=components,

@@ -15,7 +15,7 @@ proxy, schema, warmup duration, and observation window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.attacks.actions import MaliciousAction
 from repro.attacks.proxy import INJECTION_POINT, MaliciousProxy
@@ -102,18 +102,19 @@ class AttackHarness:
         self.snapshotter: Optional[DistributedSnapshotter] = None
         self.monitor: Optional[PerformanceMonitor] = None
         self.warm_snapshot: Optional[WorldSnapshot] = None
+        #: the world's running totals the trace has accounted for (a fresh
+        #: world's are zeros; see :meth:`_window`)
+        self._tallied: Dict[str, int] = {}
 
     # ------------------------------------------------------------- lifecycle
 
     def _wire_telemetry(self, instance: TestbedInstance) -> None:
-        """Attach the platform tracer and flip on the world's observers."""
+        """Attach the platform tracer and flip on the world's event log."""
         world = instance.world
         if self.log_events:
             world.log.enabled = True
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.attach_clock(lambda: world.kernel.now)
-            world.instruments.enabled = True
-            world.kernel.tracer = self.tracer
             instance.proxy.tracer = self.tracer
 
     def start_run(self, take_warm_snapshot: bool = True) -> TestbedInstance:
@@ -121,6 +122,7 @@ class AttackHarness:
         if self.fault_plan is not None:
             self.fault_plan.check(OP_BOOT)
         self.instance = self.factory(self.seed)
+        self._tallied = {}
         world = self.instance.world
         self._wire_telemetry(self.instance)
         if self.watchdog_limit is not None:
@@ -170,9 +172,42 @@ class AttackHarness:
         """
         start = self.world.kernel.now
         try:
-            return self.world.run_for(duration)
+            return self._window(start + duration)
         finally:
             self.ledger.charge(EXECUTION, self.world.kernel.now - start)
+
+    def _window(self, deadline: float):
+        """Run the world until ``deadline``: one kernel run window, traced
+        as a ``kernel.window`` span.  The span closes with the ``events``
+        the window executed and, under dotted names, the nonzero deltas of
+        the emulator's stats, the proxy's intercepts and the fault
+        injector's applied actions since the last window or restore (a
+        boot's sends, a released held message) — the counters
+        :func:`~repro.telemetry.summary.summarize` adds up.  A restore
+        rebases them, so every delta is work the platform did."""
+        world = self.world
+        if self.tracer is None or not self.tracer.enabled:
+            return world.run_until(deadline)
+        events, before = world.kernel.events_executed, self._tallied
+        with self.tracer.span("kernel.window", deadline=deadline) as span:
+            try:
+                return world.run_until(deadline)
+            finally:
+                self._tallied = self._tallies()
+                span.set(events=world.kernel.events_executed - events,
+                         **{name: value - before.get(name, 0)
+                            for name, value in self._tallied.items()
+                            if value != before.get(name, 0)})
+
+    def _tallies(self) -> Dict[str, int]:
+        """The world's running totals a window's span reports deltas of."""
+        world = self.world
+        tallies = {f"netem.{name}": value
+                   for name, value in vars(world.emulator.stats).items()}
+        tallies["proxy.intercepted"] = self.instance.proxy.intercepted
+        if world.fault_injector is not None:
+            tallies["faults.injected"] = world.fault_injector.applied
+        return tallies
 
     # -------------------------------------------------------------- snapshot
 
@@ -187,6 +222,8 @@ class AttackHarness:
     def restore(self, snapshot: WorldSnapshot) -> None:
         cost = self.snapshotter.restore(snapshot)
         self.ledger.charge(SNAPSHOT_RESTORE, cost)
+        if self.tracer is not None and self.tracer.enabled:
+            self._tallied = self._tallies()
 
     # ------------------------------------------------------------ injection
 
@@ -212,7 +249,7 @@ class AttackHarness:
                 while True:
                     start = self.world.kernel.now
                     try:
-                        interrupt = self.world.run_until(deadline)
+                        interrupt = self._window(deadline)
                     finally:
                         self.ledger.charge(EXECUTION,
                                            self.world.kernel.now - start)

@@ -36,7 +36,8 @@ class FaultInjector:
         #: static expansion of the schedule: (at, kind, params) ascending
         self._actions: List[Tuple[float, str, Dict]] = self._expand(schedule)
         self._arm_time: Optional[float] = None
-        self._applied = 0
+        #: how many actions have fired: a prefix of ``_actions``
+        self.applied = 0
         #: app states captured at crash time for "snapshot" recovery
         self._storage: Dict[str, dict] = {}
         self._handles: List[object] = []
@@ -101,32 +102,26 @@ class FaultInjector:
         """(Re-)schedule every not-yet-applied action on the kernel."""
         self._cancel_handles()
         kernel = self.world.kernel
-        for index in range(self._applied, len(self._actions)):
+        for index in range(self.applied, len(self._actions)):
             at, __, __params = self._actions[index]
             due = max(self._arm_time + at, kernel.now)
             self._handles.append(kernel.schedule_at(
                 due, self._fire, index, priority=PRIORITY_NETWORK))
 
     def _fire(self, index: int) -> None:
-        if index != self._applied:
+        if index != self.applied:
             # A stale event surviving a restore race; the prefix counter is
             # authoritative, so anything out of order is ignored.
             return
         __, kind, params = self._actions[index]
-        self._applied += 1
+        self.applied += 1
         self._apply(kind, params)
 
     @property
     def pending(self) -> int:
-        return len(self._actions) - self._applied
+        return len(self._actions) - self.applied
 
     # ---------------------------------------------------------------- apply
-
-    def _count(self, kind: str) -> None:
-        ins = self.world.instruments
-        if ins is not None and ins.enabled:
-            ins.count("faults.injected")
-            ins.count(f"faults.{kind}")
 
     def _path_entry(self, key: str) -> PathFaults:
         entry = self.world.emulator.faults.get(key)
@@ -144,7 +139,6 @@ class FaultInjector:
     def _apply(self, kind: str, params: Dict) -> None:
         world = self.world
         topology = world.emulator.topology
-        self._count(kind)
         world.log.emit("faults", kind,
                        **{k: repr(v) for k, v in sorted(params.items())})
         if kind == "loss":
@@ -200,7 +194,7 @@ class FaultInjector:
     def save_state(self) -> dict:
         return {
             "arm_time": self._arm_time,
-            "applied": self._applied,
+            "applied": self.applied,
             "storage": dict(self._storage),
         }
 
@@ -208,11 +202,11 @@ class FaultInjector:
         self._cancel_handles()
         if state is None:
             self._arm_time = None
-            self._applied = 0
+            self.applied = 0
             self._storage = {}
             return
         self._arm_time = state["arm_time"]
-        self._applied = state["applied"]
+        self.applied = state["applied"]
         self._storage = dict(state["storage"])
         if self._arm_time is not None:
             self._schedule_pending()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
 
@@ -25,6 +25,25 @@ class MetricEvent:
     node: Tuple[int, str]
     name: str
     value: float
+
+
+def percentiles(values: Sequence[float],
+                pcts: Tuple[float, ...] = (50, 95, 99)) -> Tuple[float, ...]:
+    """Exact percentiles of ``values``; zeros if empty.
+
+    Linear interpolation between order statistics (the same convention as
+    numpy's default).
+    """
+    values = sorted(values)
+    if not values:
+        return tuple(0.0 for _ in pcts)
+    out = []
+    for p in pcts:
+        idx = (p / 100.0) * (len(values) - 1)
+        lo = int(idx)
+        hi = min(lo + 1, len(values) - 1)
+        out.append(values[lo] + (values[hi] - values[lo]) * (idx - lo))
+    return tuple(out)
 
 
 class MetricsCollector:
@@ -87,22 +106,8 @@ class MetricsCollector:
                             name: str = UPDATE_DONE,
                             pcts: Tuple[float, ...] = (50, 95, 99)
                             ) -> Tuple[float, ...]:
-        """Exact percentiles of event values in the window; zeros if empty.
-
-        Linear interpolation between order statistics (the same convention
-        as numpy's default), computed from the collector's raw events — the
-        telemetry registry's bucketed histograms approximate, this does not.
-        """
-        values = sorted(self.values_in(name, start, end))
-        if not values:
-            return tuple(0.0 for _ in pcts)
-        out = []
-        for p in pcts:
-            idx = (p / 100.0) * (len(values) - 1)
-            lo = int(idx)
-            hi = min(lo + 1, len(values) - 1)
-            out.append(values[lo] + (values[hi] - values[lo]) * (idx - lo))
-        return tuple(out)
+        """Exact percentiles of event values in the window; zeros if empty."""
+        return percentiles(self.values_in(name, start, end), pcts)
 
     def last_event_time(self, name: str = UPDATE_DONE) -> Optional[float]:
         times = self._times(name)

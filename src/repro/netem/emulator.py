@@ -138,12 +138,8 @@ class NetworkEmulator:
 
     def __init__(self, kernel: SimKernel, topology: Optional[Topology] = None,
                  device_kind: str = "BundledDevice",
-                 log: Optional[EventLog] = None,
-                 instruments=None) -> None:
+                 log: Optional[EventLog] = None) -> None:
         self.kernel = kernel
-        #: optional world-owned InstrumentRegistry; counters here mirror
-        #: :class:`EmulatorStats` but participate in telemetry snapshots
-        self.instruments = instruments
         self.topology = topology or LanTopology()
         self.device_kind = device_kind
         self.log = log or EventLog(lambda: kernel.now)
@@ -226,11 +222,6 @@ class NetworkEmulator:
         """Subscribe to "sent"/"delivered" message events (read-only)."""
         self._observers.append(observer)
 
-    def _count(self, name: str, n: int = 1) -> None:
-        ins = self.instruments
-        if ins is not None and ins.enabled:
-            ins.count(name, n)
-
     # ------------------------------------------------------------- transmit
 
     def transmit(self, src: NodeId, dst: NodeId, transport: str,
@@ -247,15 +238,11 @@ class NetworkEmulator:
             # An address nothing listens on (e.g. a lying attack rewrote a
             # node-id field): the network blackholes it, as a real LAN would.
             self.stats.messages_blackholed += 1
-            self._count("netem.messages_blackholed")
             return -1
         self._msg_seq = msg_seq = self._msg_seq + 1
         envelope = MessageEnvelope(msg_seq, src, dst, transport, payload, spec)
         port.messages_out += 1
         self.stats.messages_sent += 1
-        ins = self.instruments
-        if ins is not None and ins.enabled:
-            ins.count("netem.messages_sent")
         for observer in self._observers:
             observer("sent", envelope)
 
@@ -270,7 +257,6 @@ class NetworkEmulator:
             self._egress(envelope, delay, True, port)
         elif verdict.kind == Verdict.DROP:
             self.stats.messages_dropped_by_proxy += 1
-            self._count("netem.proxy_drops")
             self.log.emit("netem", "proxy_drop", msg=msg_seq)
         elif verdict.kind == Verdict.HOLD:
             self._held[verdict.hold_tag] = envelope
@@ -320,7 +306,6 @@ class NetworkEmulator:
             self._egress(envelope, 0.0, False)
         elif not deliveries:
             self.stats.messages_dropped_by_proxy += 1
-            self._count("netem.proxy_drops")
         else:
             self._egress_copies(envelope, deliveries, 0.0)
 
@@ -328,7 +313,6 @@ class NetworkEmulator:
         self.peek_held(tag)
         del self._held[tag]
         self.stats.messages_dropped_by_proxy += 1
-        self._count("netem.proxy_drops")
 
     # ------------------------------------------------------------- internals
 
@@ -417,10 +401,8 @@ class NetworkEmulator:
         if blocked is not None:
             if blocked == "down":
                 stats.packets_dropped_down += 1
-                self._count("faults.packets_link_down")
             else:
                 stats.packets_dropped_partition += 1
-                self._count("faults.packets_partitioned")
             self._schedule_tcp_retry(packet)
             return
         kernel = self.kernel
@@ -429,7 +411,6 @@ class NetworkEmulator:
             finish = port.device.admit(now, packet)
             if finish is None:
                 stats.packets_dropped_overflow += 1
-                self._count("netem.packets_dropped_overflow")
                 self._schedule_tcp_retry(packet)
                 return
         else:
@@ -444,7 +425,6 @@ class NetworkEmulator:
                 src.name, dst.name, self._ensure_fault_rng())
             if lost:
                 stats.packets_dropped_loss += 1
-                self._count("faults.packets_lost")
                 self._schedule_tcp_retry(packet)
                 return
             arrival += extra
@@ -458,9 +438,6 @@ class NetworkEmulator:
             arrival if arrival > now else now, self._due, eid,
             priority=PRIORITY_NETWORK))
         stats.packets_forwarded += 1
-        ins = self.instruments
-        if ins is not None and ins.enabled:
-            ins.count("netem.packets_forwarded")
 
     def _corrupt_drop(self, packet: Packet) -> None:
         """A corrupted packet reaches the destination and fails its checksum.
@@ -470,7 +447,6 @@ class NetworkEmulator:
         packet never reaches the host either way.
         """
         self.stats.packets_dropped_corrupt += 1
-        self._count("faults.packets_corrupted")
         self.log.emit("netem", "corrupt_drop", src=packet.src.name,
                       dst=packet.dst.name)
         self._schedule_tcp_retry(packet)
@@ -488,9 +464,6 @@ class NetworkEmulator:
                 return
         port.messages_in += 1
         self.stats.messages_delivered += 1
-        ins = self.instruments
-        if ins is not None and ins.enabled:
-            ins.count("netem.messages_delivered")
         if self.log.enabled:
             self.log.emit("netem", "deliver", msg=envelope.msg_seq,
                           dst=envelope.dst.name, size=envelope.size)

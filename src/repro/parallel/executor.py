@@ -56,8 +56,8 @@ from repro.attacks.space import ActionSpace
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.config import HuntConfig
 from repro.controller.costs import CostLedger
-from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
-                                   HealthPolicy, WorkerHealth,
+from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, POLL_INTERVAL,
+                                   HealthMonitor, HealthPolicy, WorkerHealth,
                                    WorkerHealthReport, quarantined_return)
 from repro.parallel.merge import CachedSteps
 from repro.parallel.worker import (ContextProbe, ProbeCache, StartupProbe,
@@ -302,7 +302,7 @@ class ScenarioExecutor:
 
     def _collect_once(self, pool: _Pool) -> None:
         conns = {self._conns[w]: w for w in pool.pending}
-        timeout = self.policy.poll_interval
+        timeout = POLL_INTERVAL
         now = time.monotonic()
         for slot in pool.pending.values():
             if slot.deadline is not None:
@@ -364,7 +364,7 @@ class ScenarioExecutor:
                 cache.add_eval(message_type, probe)
             if ret.baseline is not None:
                 cache.add_baseline(ret.baseline)
-            self._absorb(ret, message_type)
+            self._absorb(ret)
 
     # ------------------------------------------------------------- recovery
 
@@ -446,8 +446,7 @@ class ScenarioExecutor:
 
     # ------------------------------------------------------------ accounting
 
-    def _absorb(self, ret: WorkerReturn,
-                message_type: Optional[str] = None) -> None:
+    def _absorb(self, ret: WorkerReturn) -> None:
         """Fold one return's accounting, spans and log records into the
         parent.  The worker's cumulative ledger only ever grows, so the
         larger snapshot wins (a respawn restarts it)."""
@@ -456,8 +455,9 @@ class ScenarioExecutor:
         if ledger.total() >= row.ledger.total():
             row.ledger = ledger
         row.wall_seconds += ret.wall_seconds
-        if (ret.context or ret.evals) and message_type not in row.shards:
-            row.shards.append(message_type)
+        for message_type in ret.shards:
+            if message_type not in row.shards:
+                row.shards.append(message_type)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.adopt(ret.spans, ret.events, worker=ret.worker)
         self._log_records.extend(ret.log_records)
@@ -579,18 +579,11 @@ class ScenarioExecutor:
         return self._health.report()
 
     def telemetry(self) -> Optional[TelemetrySummary]:
-        """The run's telemetry summary (None untraced): every span traced
-        since this executor was built, workers' included, and the
-        parent-side prober's world counters (a pool's stay in its
-        workers)."""
+        """The run's telemetry summary (None untraced), read off every span
+        traced since this executor was built, workers' included."""
         if not self._tracing:
             return None
-        instance = (self._prober.harness.instance
-                    if self._prober is not None else None)
-        return summarize(
-            self.tracer,
-            instance.world.instruments if instance is not None else None,
-            since=self._trace_mark)
+        return summarize(self.tracer, since=self._trace_mark)
 
     def take_log_records(self) -> list:
         """Drain EventLog records gathered from the probers so far."""

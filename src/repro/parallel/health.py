@@ -22,7 +22,7 @@ worker fate into a recoverable event:
   exponential backoff; an exhausted slot is retired, and the survivors
   simply pull what is left.  When no survivors remain the executor
   degrades to its parent-side prober instead of aborting;
-* **poison quarantine** — a step that kills ``poison_crashes`` workers is
+* **poison quarantine** — a step that kills ``POISON_CRASHES`` workers is
   handed to the supervision ledger as quarantined, through the same
   ``EVENT_QUARANTINE`` machinery serial passes use, so one pathological
   scenario cannot sink a hunt;
@@ -55,6 +55,14 @@ from repro.telemetry.tracer import Tracer
 FAIL_CRASH = "crash"          # dead pipe: EOF/BrokenPipe on recv or send
 FAIL_TIMEOUT = "timeout"      # per-step deadline expired; process killed
 
+#: crashes a single step may cause before it is quarantined as poison
+POISON_CRASHES = 3
+#: exponential-backoff base/cap (seconds) between respawns of one slot
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: result-collection poll tick (seconds)
+POLL_INTERVAL = 0.25
+
 
 @dataclass
 class HealthPolicy:
@@ -73,23 +81,15 @@ class HealthPolicy:
     #: degrade to the parent-side prober when every worker is gone
     #: (False: raise SearchError instead)
     degrade: bool = True
-    #: crashes a single step may cause before it is quarantined as poison
-    poison_crashes: int = 3
-    #: exponential-backoff base/cap between respawns of the same slot
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: result-collection poll tick
-    poll_interval: float = 0.25
 
-    def deadline_for(self, units: int = 1) -> Optional[float]:
-        """Wall-clock budget for ``units`` steps (one is in flight)."""
-        if self.task_timeout is None:
-            return None
-        return self.task_timeout * max(1, units)
+    def deadline_for(self) -> Optional[float]:
+        """Wall-clock budget for the step in flight."""
+        return self.task_timeout
 
-    def backoff_for(self, restarts: int) -> float:
+    @staticmethod
+    def backoff_for(restarts: int) -> float:
         """Sleep before the ``restarts``-th respawn of a slot (0-based)."""
-        return min(self.backoff_cap, self.backoff_base * (2.0 ** restarts))
+        return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** restarts))
 
 
 @dataclass
@@ -101,8 +101,8 @@ class WorkerHealth:
     before dying is unreported, and a replacement restarts its ledger."""
 
     worker: int
-    #: the message types (or ``scenarios``) this prober simulated steps
-    #: of, in first-seen order; a type split across workers is under each
+    #: the message types this prober simulated probes of, in first-seen
+    #: order; a type split across workers is under each
     shards: List[str] = field(default_factory=list)
     #: platform time it spent, by category
     ledger: CostLedger = field(default_factory=CostLedger)
@@ -288,7 +288,7 @@ class HealthMonitor:
         return count
 
     def is_poison(self, key: object) -> bool:
-        return self._task_crashes.get(key, 0) >= self.policy.poison_crashes
+        return self._task_crashes.get(key, 0) >= POISON_CRASHES
 
     def record_quarantine(self, label: str, crashes: int) -> None:
         self._quarantined.append(label)

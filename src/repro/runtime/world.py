@@ -25,7 +25,6 @@ from repro.runtime.app import Application
 from repro.runtime.cpu import CpuCostModel
 from repro.runtime.node import Node
 from repro.sim.kernel import SimKernel
-from repro.telemetry.instruments import InstrumentRegistry
 from repro.vm.manager import VmCluster
 from repro.vm.memory import OsImage
 from repro.wire.codec import ProtocolCodec
@@ -39,22 +38,14 @@ class World:
                  os_image: Optional[OsImage] = None,
                  log_enabled: bool = False,
                  watchdog_limit: Optional[int] = None,
-                 telemetry_enabled: bool = False,
                  device_config: Optional[dict] = None) -> None:
         self.codec = codec
         self.rng = RngRegistry(seed)
         self.kernel = SimKernel()
         self.kernel.watchdog_limit = watchdog_limit
         self.log = EventLog(lambda: self.kernel.now, enabled=log_enabled)
-        #: platform instruments for this world — disabled by default, the
-        #: harness flips ``enabled`` when telemetry is requested; the state
-        #: rides in :meth:`save_component_states` so branched executions
-        #: resume from consistent pre-branch telemetry.
-        self.instruments = InstrumentRegistry(enabled=telemetry_enabled)
-        self.kernel.instruments = self.instruments
         self.emulator = NetworkEmulator(self.kernel, topology,
-                                        device_kind=device_kind, log=self.log,
-                                        instruments=self.instruments)
+                                        device_kind=device_kind, log=self.log)
         # The emulator's fault draws come from a registry stream so the
         # world RNG snapshot covers them (created eagerly for a stable
         # registry layout regardless of whether faults are ever armed).
@@ -212,7 +203,6 @@ class World:
             "netem": self.emulator.save_state(),
             "metrics": self.metrics.save_state(),
             "rng": self.rng.save_state(),
-            "telemetry": self.instruments.save_state(),
         }
         if self.fault_injector is not None:
             state["faults"] = self.fault_injector.save_state()
@@ -225,9 +215,6 @@ class World:
         self.emulator.load_state(state["netem"])
         self.metrics.load_state(state["metrics"])
         self.rng.load_state(state["rng"])
-        # Older snapshots predate the instrument registry; .get keeps them
-        # loadable (load_state(None) clears to empty).
-        self.instruments.load_state(state.get("telemetry"))
         # Fault injector last: it re-schedules pending fault events against
         # the restored clock.
         if self.fault_injector is not None:

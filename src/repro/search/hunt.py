@@ -249,8 +249,8 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
                 if store is not None else None)
         if data is not None and _restore_from_checkpoint(
                 data, key, f"store {store_dir}", excluded, weights, result):
-            store.registry.count("store.resume.passes_restored",
-                                 len(result.passes))
+            store.counters["store.resume.passes_restored"] += len(
+                result.passes)
             # A campaign that already converged has nothing to redo (but
             # its restored findings can still be explained on request).
             passes = (range(0) if data["complete"]
@@ -293,6 +293,6 @@ def hunt(factory: TestbedFactory, config: Optional[HuntConfig] = None, *,
             executor.close()
         if store is not None:
             from repro.store.runstore import StoreReport
-            result.store_report = StoreReport(store.counters())
+            result.store_report = StoreReport(dict(store.counters))
             store.close()
     return result

@@ -51,12 +51,6 @@ class SimKernel:
         self.watchdog_limit: Optional[int] = None
         #: how many times the watchdog has tripped on this kernel
         self.watchdog_trips = 0
-        #: optional :class:`~repro.telemetry.instruments.InstrumentRegistry`
-        #: (world-owned, snapshot-participating) counting dispatch batches
-        self.instruments = None
-        #: optional :class:`~repro.telemetry.tracer.Tracer` producing one
-        #: ``kernel.window`` span per run window (platform-side, not rewound)
-        self.tracer = None
 
     # -------------------------------------------------------------- schedule
 
@@ -130,9 +124,6 @@ class SimKernel:
             raise SimulationError("run loop is not reentrant")
         self._running = True
         window_events = 0
-        tracer = self.tracer
-        span = (tracer.span("kernel.window", deadline=deadline)
-                if tracer is not None and tracer.enabled else None)
         heap = self._heap
         limit = self.watchdog_limit
         try:
@@ -160,14 +151,6 @@ class SimKernel:
                 fn(*args)
         finally:
             self._running = False
-            instruments = self.instruments
-            if instruments is not None and instruments.enabled:
-                instruments.count("kernel.windows")
-                instruments.count("kernel.events", window_events)
-                instruments.observe("kernel.window_events", window_events)
-            if span is not None:
-                span.set(events=window_events)
-                span.__exit__(None, None, None)
 
     def run_for(self, duration: float) -> Optional[Interrupt]:
         return self.run_until(self.now + duration)

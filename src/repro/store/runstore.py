@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -43,7 +44,6 @@ from repro.parallel.recording import StepTrace
 from repro.parallel.worker import (ContextProbe, EvalProbe, ProbeCache,
                                    StartupProbe)
 from repro.store.journal import Journal, _canonical, atomic_write_json
-from repro.telemetry.instruments import InstrumentRegistry
 
 JOURNAL_NAME = "journal.jsonl"
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -101,11 +101,12 @@ class RunStore:
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.registry = InstrumentRegistry(enabled=True)
+        #: what the store did, by counter name (``StoreReport.counters``)
+        self.counters: Counter = Counter()
         self.journal = Journal(os.path.join(directory, JOURNAL_NAME))
         if self.journal.recovered_bytes:
-            self.registry.count("store.journal.torn_bytes_dropped",
-                                self.journal.recovered_bytes)
+            self.counters["store.journal.torn_bytes_dropped"] += (
+                self.journal.recovered_bytes)
         #: every journaled probe; once the store is bound, admissions are
         #: committed to the journal first (the cache's own dedupe is the
         #: journal's: a probe it already holds is never appended twice)
@@ -165,17 +166,15 @@ class RunStore:
                     trace_from_jsonable(record["trace"]),
                     _quarantine_from_jsonable(record["quarantined"])))
             # unknown kinds are skipped: forward compatibility
-        self.registry.count("store.journal.records_loaded", len(records))
+        self.counters["store.journal.records_loaded"] += len(records)
         if cache.startup is not None:
-            self.registry.count("store.resume.startup_seeded")
+            self.counters["store.resume.startup_seeded"] += 1
         # only types with a journaled *context* count as seeded; stray
         # evals without their context cannot short-circuit anything
         if cache.contexts:
-            self.registry.count("store.resume.types_seeded",
-                                len(cache.contexts))
-            self.registry.count(
-                "store.resume.evals_seeded",
-                sum(len(cache.evals.get(t, ())) for t in cache.contexts))
+            self.counters["store.resume.types_seeded"] += len(cache.contexts)
+            self.counters["store.resume.evals_seeded"] += sum(
+                len(cache.evals.get(t, ())) for t in cache.contexts)
         return records[0]
 
     def _journal_probe(self, kind: str, message_type: Optional[str],
@@ -191,7 +190,7 @@ class RunStore:
                           baseline=_sample_or_none(probe.baseline),
                           sample=_sample_or_none(probe.sample))
         self.journal.append(record)
-        self.registry.count("store.journal.records_appended")
+        self.counters["store.journal.records_appended"] += 1
 
     # ------------------------------------------------------------ checkpoints
 
@@ -227,7 +226,7 @@ class RunStore:
                    "checkpoint": data}
         atomic_write_json(path, wrapper)
         self.checkpoints_written += 1
-        self.registry.count("store.checkpoint.writes")
+        self.counters["store.checkpoint.writes"] += 1
         if chaos.fault("checkpoint.write",
                        self.checkpoints_written):  # pragma: no cover
             size = os.path.getsize(path)
@@ -250,7 +249,7 @@ class RunStore:
             data = self._read_checkpoint(path)
             if data is not None:
                 return data
-            self.registry.count("store.checkpoint.fallbacks")
+            self.counters["store.checkpoint.fallbacks"] += 1
         return None
 
     def resume_checkpoint(self, version: int) -> Optional[Dict[str, Any]]:
@@ -284,11 +283,6 @@ class RunStore:
         if crc != wrapper.get("crc"):
             return None
         return data
-
-    # ------------------------------------------------------------- accounting
-
-    def counters(self) -> Dict[str, float]:
-        return dict(self.registry.counters())
 
     def close(self) -> None:
         self.journal.close()

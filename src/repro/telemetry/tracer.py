@@ -11,10 +11,10 @@ Each span carries **two** clocks:
   shows, because the virtual clock rewinds at every branch restore (a
   branch's virtual duration can legitimately be zero or negative).
 
-Unlike the :class:`~repro.telemetry.instruments.InstrumentRegistry`, the
-tracer is platform-side state: it is **never** rewound by a snapshot
+The tracer is platform-side state: it is **never** rewound by a snapshot
 restore, so the span stream records every save, restore, and retried branch
-the platform performed, in the order it performed them.
+the platform performed, in the order it performed them — and the run's
+counters are read off it (:mod:`repro.telemetry.summary`).
 
 Disabled tracers are free-ish: ``maybe_span`` returns a shared no-op span
 after a single flag check, and call sites attach result arguments through

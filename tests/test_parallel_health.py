@@ -29,8 +29,9 @@ from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.supervisor import EVENT_QUARANTINE, EVENT_WORKER_FAULT
 from repro.parallel import ScenarioExecutor
-from repro.parallel.health import (HealthPolicy, WorkerHealth,
-                                   WorkerHealthReport, quarantined_return)
+from repro.parallel.health import (BACKOFF_BASE, BACKOFF_CAP, HealthPolicy,
+                                   WorkerHealth, WorkerHealthReport,
+                                   quarantined_return)
 from repro.parallel.recording import StepTrace
 from repro.parallel.worker import ContextProbe, EvalProbe, Step, WorkerProber
 from repro.search.hunt import hunt
@@ -63,20 +64,19 @@ def serial_report(seed=3, types=TYPES, exclude=None):
 # ------------------------------------------------------------- policy units
 
 class TestHealthPolicy:
-    def test_deadline_scales_with_units(self):
-        policy = HealthPolicy(task_timeout=2.0)
-        assert policy.deadline_for(1) == 2.0
-        assert policy.deadline_for(5) == 10.0
-        assert policy.deadline_for(0) == 2.0  # startup-only tasks get one unit
+    def test_deadline_is_one_steps_timeout(self):
+        """A worker is sent one step at a time: the deadline is one
+        step's."""
+        assert HealthPolicy(task_timeout=2.0).deadline_for() == 2.0
 
     def test_no_timeout_means_no_deadline(self):
-        assert HealthPolicy().deadline_for(10) is None
+        assert HealthPolicy().deadline_for() is None
 
     def test_backoff_is_capped_exponential(self):
-        policy = HealthPolicy(backoff_base=0.1, backoff_cap=0.5)
-        assert policy.backoff_for(0) == pytest.approx(0.1)
-        assert policy.backoff_for(1) == pytest.approx(0.2)
-        assert policy.backoff_for(10) == pytest.approx(0.5)
+        policy = HealthPolicy()
+        assert policy.backoff_for(0) == pytest.approx(BACKOFF_BASE)
+        assert policy.backoff_for(1) == pytest.approx(2 * BACKOFF_BASE)
+        assert policy.backoff_for(10) == pytest.approx(BACKOFF_CAP)
 
     DELAY = MaliciousAction.from_record(("delay", 1.0))
     DROP = MaliciousAction.from_record(("drop", 1.0))
@@ -241,7 +241,7 @@ class TestCrashRecovery:
             return run_task(prober, step)
 
         monkeypatch.setattr(WorkerProber, "run_task", deadly)  # pre-fork
-        policy = HealthPolicy(worker_retries=5, poison_crashes=3)
+        policy = HealthPolicy(worker_retries=5)
         with ScenarioExecutor(FACTORY, seed=3, algorithm="weighted",
                               workers=2, space_config=SPACE,
                               max_wait=5.0, health=policy) as executor:

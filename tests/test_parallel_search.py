@@ -247,14 +247,14 @@ class TestReplaySource:
         asked = list(simulated)
         assert {"startup", "injection context for Accept"} <= set(asked)
         assert len(asked) == len(set(asked))
-        journaled = store.counters()["store.journal.records_appended"]
+        journaled = store.counters["store.journal.records_appended"]
         assert journaled == len(asked)  # each before it was replayed
         again = self._run("weighted", store.cache, prober)
         store.close()
         assert simulated == asked  # the second walk asked for nothing
         assert report_json(again) == report_json(first)
         reopened = RunStore(str(tmp_path))
-        assert reopened.counters()["store.journal.records_loaded"] == \
+        assert reopened.counters["store.journal.records_loaded"] == \
             journaled + 1  # + the meta record
         reopened.close()
 

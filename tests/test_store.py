@@ -155,7 +155,7 @@ class TestStoreCheckpoints:
         with open(newest, "r+b") as fh:
             fh.truncate(size // 2)  # torn at rename time
         assert store.load_checkpoint() == {"n": 0}
-        assert store.counters()["store.checkpoint.fallbacks"] == 1
+        assert store.counters["store.checkpoint.fallbacks"] == 1
         store.close()
 
     def test_all_generations_corrupt_returns_none(self, tmp_path):
